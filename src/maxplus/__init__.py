@@ -15,8 +15,6 @@ from .semiring import (
     as_scalar,
     format_scalar,
     is_finite,
-    oplus,
-    otimes,
     parse_scalar,
 )
 from .matrix import (
@@ -24,7 +22,6 @@ from .matrix import (
     NotSquare,
     NotStarMatrix,
     TropicalMatrix,
-    image_equal,
     image_member,
 )
 from .precedence import (
@@ -51,10 +48,8 @@ from .pteg import (
 from .invariance import (
     InvarianceKind,
     InvarianceReport,
-    LiftedSystem,
     invariant_member,
     iterate_shrink,
-    lift_system,
     maximal_invariant,
     roundtrip_closure,
     shrink_generator,
@@ -77,14 +72,11 @@ __all__ = [
     "as_scalar",
     "format_scalar",
     "is_finite",
-    "oplus",
-    "otimes",
     "parse_scalar",
     "DimensionMismatch",
     "NotSquare",
     "NotStarMatrix",
     "TropicalMatrix",
-    "image_equal",
     "image_member",
     "BlockDimensionMismatch",
     "BlockMatrixSpec",
@@ -105,10 +97,8 @@ __all__ = [
     "validate_trajectory",
     "InvarianceKind",
     "InvarianceReport",
-    "LiftedSystem",
     "invariant_member",
     "iterate_shrink",
-    "lift_system",
     "maximal_invariant",
     "roundtrip_closure",
     "shrink_generator",

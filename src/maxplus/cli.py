@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .invariance import InvarianceKind, iterate_shrink
 from .matrix import TropicalMatrix
@@ -30,8 +29,8 @@ from .pteg import (
     InfeasibleHorizon,
     PtegSystem,
     check_consistency,
+    closure_limit,
     closure_sequence,
-    default_probe_bound,
     synthesize_trajectory,
     validate_trajectory,
 )
@@ -46,17 +45,6 @@ EXIT_CODES = {
 }
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 4
-
-
-@dataclass
-class RunConfig:
-    params: dict[str, str]
-    output: str
-    probe_bound: int | None = None
-    horizon: int | None = None
-    seed: tuple | None = None
-    emit_closures: bool = False
-    emit_generators: bool = False
 
 
 def _matrix_lists(matrix: TropicalMatrix) -> list[list[str]]:
@@ -95,46 +83,41 @@ def _resolve_probe_bound(args) -> int | None:
     return bound
 
 
-def _load_system(args, cfg: RunConfig) -> PtegSystem:
-    problem = parse_problem_file(args.file)
-    return problem.instantiate(cfg.params)
+def _load_system(args, params: dict[str, str]) -> PtegSystem:
+    return parse_problem_file(args.file).instantiate(params)
 
 
 def cmd_check(args) -> int:
-    cfg = RunConfig(
-        params=_parse_params(args.param),
-        output=args.format,
-        probe_bound=_resolve_probe_bound(args),
-        emit_closures=args.emit_pi,
-    )
-    system = _load_system(args, cfg)
-    verdict = check_consistency(system, cfg.probe_bound)
+    params = _parse_params(args.param)
+    probe_bound = _resolve_probe_bound(args)
+    system = _load_system(args, params)
+    verdict = check_consistency(system, probe_bound)
     code = EXIT_CODES[verdict.kind]
     n = system.size
-    probe = max(cfg.probe_bound or default_probe_bound(n), n * n + 1)
+    closures = None
+    if args.emit_pi:
+        if verdict.first_divergent is not None:
+            upto = verdict.first_divergent
+        elif verdict.kind is ConsistencyKind.CONSISTENT:
+            upto = n * n + 1
+        else:
+            upto = verdict.verified_up_to
+        closures = closure_sequence(system, upto)
 
-    if cfg.output == "json":
+    if args.format == "json":
         doc = {
             "verdict": verdict.kind.value,
             "exit_code": code,
             "n": n,
-            "probe_bound": probe,
+            "probe_bound": closure_limit(n, probe_bound),
             "fixed_closure": (
                 _matrix_lists(verdict.fixed_closure) if verdict.fixed_closure else None
             ),
             "first_divergent": verdict.first_divergent,
             "verified_up_to": verdict.verified_up_to,
         }
-        if cfg.emit_closures:
-            upto = (
-                verdict.first_divergent
-                if verdict.first_divergent is not None
-                else (n * n + 1 if verdict.kind is ConsistencyKind.CONSISTENT
-                      else verdict.verified_up_to)
-            )
-            doc["closures"] = [
-                _matrix_lists(m) for m in closure_sequence(system, upto)
-            ]
+        if closures is not None:
+            doc["closures"] = [_matrix_lists(m) for m in closures]
         print(json.dumps(doc, indent=2))
         return code
 
@@ -151,30 +134,20 @@ def cmd_check(args) -> int:
             f"all closures finite up to index {verdict.verified_up_to}"
             " (probe bound); weak consistency undecided"
         )
-    if cfg.emit_closures:
-        upto = (
-            verdict.first_divergent
-            if verdict.first_divergent is not None
-            else (n * n + 1 if verdict.kind is ConsistencyKind.CONSISTENT
-                  else verdict.verified_up_to)
-        )
-        for k, matrix in enumerate(closure_sequence(system, upto)):
+    if closures is not None:
+        for k, matrix in enumerate(closures):
             print(f"closure({k}):")
             _print_matrix(matrix)
     return code
 
 
 def cmd_invariant(args) -> int:
-    cfg = RunConfig(
-        params=_parse_params(args.param),
-        output=args.format,
-        probe_bound=_resolve_probe_bound(args),
-        emit_generators=args.emit_s,
-    )
-    system = _load_system(args, cfg)
-    report = iterate_shrink(system, cfg.probe_bound)
+    params = _parse_params(args.param)
+    probe_bound = _resolve_probe_bound(args)
+    system = _load_system(args, params)
+    report = iterate_shrink(system, probe_bound)
 
-    if cfg.output == "json":
+    if args.format == "json":
         doc = {
             "classification": report.kind.value,
             "step": report.step,
@@ -184,7 +157,7 @@ def cmd_invariant(args) -> int:
                 else None
             ),
         }
-        if cfg.emit_generators:
+        if args.emit_s:
             doc["generators"] = [_matrix_lists(m) for m in report.generators]
         print(json.dumps(doc, indent=2))
         return 0
@@ -200,7 +173,7 @@ def cmd_invariant(args) -> int:
             "still shrinking at the probe bound;"
             " the maximal invariant contains no real vector"
         )
-    if cfg.emit_generators:
+    if args.emit_s:
         for k, matrix in enumerate(report.generators):
             print(f"generator(step {k}):")
             _print_matrix(matrix)
@@ -209,22 +182,16 @@ def cmd_invariant(args) -> int:
 
 def cmd_trajectory(args) -> int:
     seed = tuple(args.seed.split(",")) if args.seed else None
-    cfg = RunConfig(
-        params=_parse_params(args.param),
-        output=args.format,
-        horizon=args.horizon,
-        seed=seed,
-    )
-    system = _load_system(args, cfg)
+    system = _load_system(args, _parse_params(args.param))
     try:
-        trajectory = synthesize_trajectory(system, cfg.horizon, cfg.seed)
+        trajectory = synthesize_trajectory(system, args.horizon, seed)
     except InfeasibleHorizon as exc:
         print(f"infeasible ({exc.reason}): {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     if not validate_trajectory(system, trajectory):
         raise RuntimeError("synthesized trajectory failed validation (internal error)")
 
-    if cfg.output == "json":
+    if args.format == "json":
         doc = {
             "horizon": trajectory.horizon,
             "states": [[format_scalar(v) for v in row] for row in trajectory.states],
@@ -241,11 +208,10 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    cfg = RunConfig(params=_parse_params(args.param), output="dot", horizon=args.horizon)
-    system = _load_system(args, cfg)
-    if cfg.horizon < 1:
+    system = _load_system(args, _parse_params(args.param))
+    if args.horizon < 1:
         raise ValueError("horizon must be at least 1")
-    sys.stdout.write(export_dot(system.block_spec(), cfg.horizon))
+    sys.stdout.write(export_dot(system.block_spec(), args.horizon))
     return 0
 
 

@@ -17,52 +17,8 @@ from enum import Enum
 from typing import Sequence
 
 from .matrix import TropicalMatrix, image_member
-from .pteg import PtegSystem, _next_closure, default_probe_bound
+from .pteg import PtegSystem, _closures, closure_sequence, default_probe_bound
 from .precedence import build_block_matrix
-
-
-@dataclass(frozen=True)
-class LiftedSystem:
-    """The paired-state form: dynamics, input map and constraint matrix.
-
-    ``dynamics`` shifts the stacked vector (top block becomes the old bottom
-    block), ``input_map`` injects the input into the bottom block, and
-    ``constraint`` is the stacked system [[within, backward], [forward,
-    within]].  The first two have a fixed zero/identity block pattern which
-    is checked on construction.
-    """
-
-    dynamics: TropicalMatrix
-    input_map: TropicalMatrix
-    constraint: TropicalMatrix
-
-    def __post_init__(self):
-        size2 = self.constraint.rows
-        if size2 % 2 or not self.constraint.is_square:
-            raise ValueError("constraint must be square of even size")
-        n = size2 // 2
-        eps, eye = TropicalMatrix.epsilon(n), TropicalMatrix.identity(n)
-        if self.dynamics != TropicalMatrix.from_blocks([[eps, eye], [eps, eps]]):
-            raise ValueError("dynamics must shift the bottom block to the top")
-        if self.input_map != TropicalMatrix.from_blocks([[eps], [eye]]):
-            raise ValueError("input map must inject into the bottom block")
-
-    @property
-    def size(self) -> int:
-        return self.constraint.rows // 2
-
-
-def lift_system(system: PtegSystem) -> LiftedSystem:
-    """Assemble the paired-state lift of a time-window constrained system."""
-    n = system.size
-    eps, eye = TropicalMatrix.epsilon(n), TropicalMatrix.identity(n)
-    return LiftedSystem(
-        dynamics=TropicalMatrix.from_blocks([[eps, eye], [eps, eps]]),
-        input_map=TropicalMatrix.from_blocks([[eps], [eye]]),
-        constraint=TropicalMatrix.from_blocks(
-            [[system.within, system.backward], [system.forward, system.within]]
-        ),
-    )
 
 
 def roundtrip_closure(system: PtegSystem) -> TropicalMatrix:
@@ -102,9 +58,7 @@ def shrink_generator(system: PtegSystem, k: int) -> TropicalMatrix:
     """
     if k < 0:
         raise ValueError("shrink step must be non-negative")
-    seq = [system.within.star()]
-    for _ in range(k + 1):
-        seq.append(_next_closure(system, seq[-1]))
+    seq = closure_sequence(system, k + 1)
     return _assemble_generator(system, seq[k], seq[k + 1], roundtrip_closure(system))
 
 
@@ -170,8 +124,8 @@ def iterate_shrink(
     if probe < 1:
         raise ValueError("probe bound must be positive")
     roundtrip = roundtrip_closure(system)
-    closure_k = system.within.star()
-    closure_k1 = _next_closure(system, closure_k)
+    closures = _closures(system)
+    (_, closure_k, _), (_, closure_k1, _) = next(closures), next(closures)
     generators: list[TropicalMatrix] = []
     for k in range(probe + 1):
         generator = _assemble_generator(system, closure_k, closure_k1, roundtrip)
@@ -180,8 +134,8 @@ def iterate_shrink(
             return InvarianceReport(
                 tuple(generators), InvarianceKind.REAL_EMPTY_AT_STEP, step=k
             )
-        closure_k2 = _next_closure(system, closure_k1)
-        if closure_k2 == closure_k1:
+        _, closure_k2, fixed = next(closures)
+        if fixed:
             stable = _assemble_generator(system, closure_k1, closure_k2, roundtrip)
             generators.append(stable)
             return InvarianceReport(

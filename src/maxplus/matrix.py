@@ -292,11 +292,3 @@ def image_member(star_matrix: TropicalMatrix, vector: Sequence) -> bool:
         )
     return (star_matrix @ x) == x
 
-
-def image_equal(a: TropicalMatrix, b: TropicalMatrix) -> bool:
-    """True when the stars of ``a`` and ``b`` generate the same image."""
-    if not a.is_square or not b.is_square:
-        raise NotSquare("image comparison requires square matrices")
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return a.star() == b.star()

@@ -17,9 +17,10 @@ guessed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .matrix import DimensionMismatch, TropicalMatrix
 from .precedence import BlockMatrixSpec, build_block_matrix
@@ -96,9 +97,9 @@ class ConsistencyVerdict:
       for every longer horizon.
     - NOT_WEAKLY_CONSISTENT: ``first_divergent`` is the least closure index
       containing +inf.
-    - NOT_CONSISTENT_WEAK_OPEN: ``verified_up_to`` is the largest closure
-      index computed; all closures up to it were finite but never stabilized,
-      so weak consistency remains undecided beyond the probe bound.
+    - NOT_CONSISTENT_WEAK_OPEN: ``verified_up_to`` is the probe limit; all
+      closures up to it are finite but none repeated by index n^2 + 1, so
+      weak consistency remains undecided beyond the probe bound.
     """
 
     kind: ConsistencyKind
@@ -114,6 +115,25 @@ def _next_closure(system: PtegSystem, current: TropicalMatrix) -> TropicalMatrix
     return nxt
 
 
+def _closures(system: PtegSystem) -> Iterator[tuple[int, TropicalMatrix, bool]]:
+    """Yield ``(k, closure_k, fixed)`` for k = 0, 1, 2, ... without end.
+
+    ``fixed`` is True once closure k equals closure k-1.  The recurrence is
+    deterministic, so that closure is a fixed point: it is yielded for every
+    later index without being computed again.  Entries saturated to +inf
+    do not stop the sequence; callers decide when to stop.
+    """
+    current = system.within.star()
+    yield 0, current, False
+    for k in itertools.count(1):
+        nxt = _next_closure(system, current)
+        if nxt == current:
+            for j in itertools.count(k):
+                yield j, current, True
+        yield k, nxt, False
+        current = nxt
+
+
 def closure_sequence(system: PtegSystem, k_max: int) -> list[TropicalMatrix]:
     """The growing-horizon constraint closures, indices 0 to ``k_max``.
 
@@ -125,14 +145,23 @@ def closure_sequence(system: PtegSystem, k_max: int) -> list[TropicalMatrix]:
     """
     if k_max < 0:
         raise ValueError("closure count must be non-negative")
-    seq = [system.within.star()]
-    for _ in range(k_max):
-        seq.append(_next_closure(system, seq[-1]))
-    return seq
+    return [m for _, m, _ in itertools.islice(_closures(system), k_max + 1)]
 
 
 def default_probe_bound(size: int) -> int:
     return 10 * size * size
+
+
+def closure_limit(size: int, probe_bound: int | None) -> int:
+    """Largest closure index :func:`check_consistency` may compute.
+
+    The probe bound (default ``10 * n^2``), raised to at least n^2 + 1.
+    """
+    if probe_bound is None:
+        probe_bound = default_probe_bound(size)
+    if probe_bound < 1:
+        raise ValueError("probe bound must be positive")
+    return max(probe_bound, size * size + 1)
 
 
 def check_consistency(
@@ -140,40 +169,28 @@ def check_consistency(
 ) -> ConsistencyVerdict:
     """Decide consistency exactly; probe weak consistency up to a bound.
 
-    With n the system size, the closure sequence is iterated to index
-    n^2 + 1.  Stabilization with finite entries at that point proves
-    consistency (and the fixed closure persists for all longer horizons);
-    a +inf entry anywhere disproves weak consistency.  Otherwise the system
-    is not consistent, and iteration continues up to ``probe_bound``
-    (default ``10 * n^2``) looking for divergence.  If none appears the
-    verdict reports how far finiteness was verified instead of guessing.
+    With n the system size, the closure sequence is iterated until an entry
+    saturates to +inf, a closure repeats its predecessor, or the index
+    reaches the limit (``probe_bound``, default ``10 * n^2``, but at least
+    n^2 + 1).  A +inf entry disproves weak consistency.  A finite closure
+    that repeats by index n^2 + 1 proves consistency, and that fixed closure
+    persists for all longer horizons.  Otherwise the system is not
+    consistent, and if no divergence appears up to the limit the verdict
+    reports how far finiteness was verified instead of guessing.
     """
     n = system.size
-    stabilization_index = n * n
-    if probe_bound is None:
-        probe_bound = default_probe_bound(n)
-    if probe_bound < 1:
-        raise ValueError("probe bound must be positive")
-    limit = max(probe_bound, stabilization_index + 1)
-
-    current = system.within.star()
-    if not current.rmax_valued:
-        return ConsistencyVerdict(
-            ConsistencyKind.NOT_WEAKLY_CONSISTENT, first_divergent=0
-        )
-    at_stabilization_index = None
-    for k in range(1, limit + 1):
-        current = _next_closure(system, current)
-        if not current.rmax_valued:
+    limit = closure_limit(n, probe_bound)
+    for k, closure, fixed in _closures(system):
+        if not closure.rmax_valued:
             return ConsistencyVerdict(
                 ConsistencyKind.NOT_WEAKLY_CONSISTENT, first_divergent=k
             )
-        if k == stabilization_index:
-            at_stabilization_index = current
-        elif k == stabilization_index + 1 and current == at_stabilization_index:
+        if fixed and k <= n * n + 1:
             return ConsistencyVerdict(
-                ConsistencyKind.CONSISTENT, fixed_closure=current
+                ConsistencyKind.CONSISTENT, fixed_closure=closure
             )
+        if fixed or k == limit:
+            break
     return ConsistencyVerdict(
         ConsistencyKind.NOT_CONSISTENT_WEAK_OPEN, verified_up_to=limit
     )

@@ -1,8 +1,8 @@
-"""Exact scalar arithmetic for the max-plus (tropical) semiring.
+"""Exact scalars of the max-plus (tropical) semiring.
 
 A scalar is an element of the extended reals: a finite rational number,
-``-inf`` (the semiring zero, neutral for ``oplus`` and absorbing for
-``otimes``) or ``+inf``.  Finite values are kept exact as ``int`` or
+``-inf`` (the semiring zero, neutral for max and absorbing for +) or
+``+inf``.  Finite values are kept exact as ``int`` or
 ``fractions.Fraction``; the two infinities are the float infinities, which
 compare correctly against rationals.  Finite floats are rejected everywhere,
 so equality of scalars is always decidable and exact.
@@ -91,18 +91,3 @@ def format_scalar(value: Scalar) -> str:
 def is_finite(value: Scalar) -> bool:
     return value != NEG_INF and value != POS_INF
 
-
-def oplus(a: Scalar, b: Scalar) -> Scalar:
-    """Max-plus addition: ``a oplus b = max(a, b)``."""
-    return a if a >= b else b
-
-
-def otimes(a: Scalar, b: Scalar) -> Scalar:
-    """Max-plus multiplication: ``a + b``, with ``-inf`` absorbing.
-
-    ``-inf`` wins even against ``+inf``; among the remaining values ``+inf``
-    absorbs, so the product of two scalars that are not ``-inf`` is their sum.
-    """
-    if a == NEG_INF or b == NEG_INF:
-        return NEG_INF
-    return a + b

@@ -3,25 +3,32 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from maxplus import PtegSystem, TropicalMatrix
+
+# Property tests draw the same examples on every run, and wall-clock
+# deadlines are off so a busy machine cannot fail them.
+settings.register_profile("maxplus", derandomize=True, deadline=None)
+settings.load_profile("maxplus")
 
 NEG = "-inf"
 
 
+# Two events; the second must follow the first within a sliding window.
+# The schedule of event 1 advances by at least 2 per occurrence, event 2
+# must happen no earlier than event 1 of the same occurrence, and event 2
+# may lead its own next occurrence by at most 1.
+TWO_NODE = PtegSystem(
+    dynamics=TropicalMatrix([[2, NEG], [NEG, NEG]]),
+    backward=TropicalMatrix([[NEG, NEG], [NEG, -1]]),
+    within=TropicalMatrix([[NEG, NEG], [0, NEG]]),
+)
+
+
 @pytest.fixture
 def two_node() -> PtegSystem:
-    """Two events; the second must follow the first within a sliding window.
-
-    The schedule of event 1 advances by at least 2 per occurrence, event 2
-    must happen no earlier than event 1 of the same occurrence, and event 2
-    may lead its own next occurrence by at most 1.
-    """
-    return PtegSystem(
-        dynamics=TropicalMatrix([[2, NEG], [NEG, NEG]]),
-        backward=TropicalMatrix([[NEG, NEG], [NEG, -1]]),
-        within=TropicalMatrix([[NEG, NEG], [0, NEG]]),
-    )
+    return TWO_NODE
 
 
 RAILWAY_DYNAMICS = TropicalMatrix(

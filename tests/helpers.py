@@ -4,7 +4,18 @@ from __future__ import annotations
 
 import random
 
-from maxplus import NEG_INF, PtegSystem, TropicalMatrix
+from maxplus import (
+    NEG_INF,
+    ConsistencyKind,
+    ConsistencyVerdict,
+    InvarianceKind,
+    InvarianceReport,
+    PtegSystem,
+    TropicalMatrix,
+    default_probe_bound,
+    roundtrip_closure,
+)
+from maxplus.invariance import _assemble_generator
 
 
 def random_matrix(rng: random.Random, n: int, lo=-5, hi=5, density=0.5) -> TropicalMatrix:
@@ -15,6 +26,12 @@ def random_matrix(rng: random.Random, n: int, lo=-5, hi=5, density=0.5) -> Tropi
             for _ in range(n)
         ]
     )
+
+
+def all_eps_system(n=2) -> PtegSystem:
+    """No constraints at all: every closure is the identity."""
+    eps = TropicalMatrix.epsilon(n)
+    return PtegSystem(dynamics=eps, backward=eps, within=eps)
 
 
 def random_system(rng: random.Random, n: int) -> PtegSystem:
@@ -61,3 +78,80 @@ def enumerate_path_star(matrix: TropicalMatrix, max_len: int) -> TropicalMatrix:
     for start in range(n):
         walk(start, start, 0, 0)
     return TropicalMatrix(best)
+
+
+def stacked_constraint(system: PtegSystem) -> TropicalMatrix:
+    """Constraint matrix of two stacked occurrences: [[C, L], [forward, C]]."""
+    return TropicalMatrix.from_blocks(
+        [[system.within, system.backward], [system.forward, system.within]]
+    )
+
+
+def _closure_step(system: PtegSystem, current: TropicalMatrix) -> TropicalMatrix:
+    return (system.backward @ current @ system.forward + system.within).star()
+
+
+def check_consistency_full(
+    system: PtegSystem, probe_bound: int | None = None
+) -> ConsistencyVerdict:
+    """Oracle for check_consistency: always iterates to index n^2 + 1.
+
+    Consistent when closures n^2 and n^2 + 1 agree, divergent at the first
+    closure with +inf, otherwise iterated on up to the probe bound.
+    """
+    n = system.size
+    stabilization_index = n * n
+    if probe_bound is None:
+        probe_bound = default_probe_bound(n)
+    limit = max(probe_bound, stabilization_index + 1)
+    current = system.within.star()
+    if not current.rmax_valued:
+        return ConsistencyVerdict(
+            ConsistencyKind.NOT_WEAKLY_CONSISTENT, first_divergent=0
+        )
+    at_stabilization_index = None
+    for k in range(1, limit + 1):
+        current = _closure_step(system, current)
+        if not current.rmax_valued:
+            return ConsistencyVerdict(
+                ConsistencyKind.NOT_WEAKLY_CONSISTENT, first_divergent=k
+            )
+        if k == stabilization_index:
+            at_stabilization_index = current
+        elif k == stabilization_index + 1 and current == at_stabilization_index:
+            return ConsistencyVerdict(ConsistencyKind.CONSISTENT, fixed_closure=current)
+    return ConsistencyVerdict(
+        ConsistencyKind.NOT_CONSISTENT_WEAK_OPEN, verified_up_to=limit
+    )
+
+
+def iterate_shrink_full(
+    system: PtegSystem, probe_bound: int | None = None
+) -> InvarianceReport:
+    """Oracle for iterate_shrink: one fresh closure step per shrink step."""
+    probe = default_probe_bound(system.size) if probe_bound is None else probe_bound
+    roundtrip = roundtrip_closure(system)
+    closure_k = system.within.star()
+    closure_k1 = _closure_step(system, closure_k)
+    generators = []
+    for k in range(probe + 1):
+        generator = _assemble_generator(system, closure_k, closure_k1, roundtrip)
+        generators.append(generator)
+        if not generator.rmax_valued:
+            return InvarianceReport(
+                tuple(generators), InvarianceKind.REAL_EMPTY_AT_STEP, step=k
+            )
+        closure_k2 = _closure_step(system, closure_k1)
+        if closure_k2 == closure_k1:
+            stable = _assemble_generator(system, closure_k1, closure_k2, roundtrip)
+            generators.append(stable)
+            return InvarianceReport(
+                tuple(generators),
+                InvarianceKind.CONVERGED_NON_EMPTY,
+                step=k,
+                invariant_generator=stable,
+            )
+        closure_k, closure_k1 = closure_k1, closure_k2
+    return InvarianceReport(
+        tuple(generators), InvarianceKind.NON_CONVERGENT_WEAK_OPEN, step=probe
+    )

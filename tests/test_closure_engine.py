@@ -1,0 +1,124 @@
+"""The shared closure engine against the full-length loops it replaced."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from maxplus import (
+    NEG_INF,
+    ConsistencyKind,
+    InvarianceKind,
+    PtegSystem,
+    TropicalMatrix,
+    check_consistency,
+    closure_sequence,
+    iterate_shrink,
+)
+from maxplus import pteg
+
+from conftest import TWO_NODE, make_railway
+from helpers import all_eps_system, check_consistency_full, iterate_shrink_full
+
+
+def block(draw, n, lo, hi):
+    entries = st.one_of(st.just(NEG_INF), st.integers(lo, hi))
+    row = st.lists(entries, min_size=n, max_size=n)
+    return TropicalMatrix(draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@st.composite
+def systems(draw, max_n=4):
+    """Random systems, about half of them consistent.
+
+    Signs follow the usual time windows: forward separations are positive
+    and backward bounds negative, so divergence is not the rule.
+    """
+    n = draw(st.integers(1, max_n))
+    return PtegSystem(
+        dynamics=block(draw, n, 0, 5),
+        backward=block(draw, n, -8, 0),
+        within=block(draw, n, -5, 0),
+        extra_forward=block(draw, n, -2, 3),
+    )
+
+
+def first_repeat(system, k_max):
+    seq = closure_sequence(system, k_max)
+    return next((k for k in range(1, k_max + 1) if seq[k] == seq[k - 1]), None)
+
+
+@pytest.fixture
+def count_steps(monkeypatch):
+    """Counts calls of the one closure step; read ``calls[0]``."""
+    calls = [0]
+    step = pteg._next_closure
+
+    def counted(system, current):
+        calls[0] += 1
+        return step(system, current)
+
+    monkeypatch.setattr(pteg, "_next_closure", counted)
+    return calls
+
+
+@given(systems(), st.integers(1, 6))
+@example(make_railway(Fraction("-13.9")), 6)
+@example(make_railway(Fraction("-13.5")), 6)
+@example(TWO_NODE, 3)
+def test_engine_matches_full_loops(system, probe):
+    assert check_consistency(system, probe) == check_consistency_full(system, probe)
+    report = iterate_shrink(system, probe)
+    assert report == iterate_shrink_full(system, probe)
+    if report.kind is InvarianceKind.CONVERGED_NON_EMPTY:
+        j = first_repeat(system, report.step + 2)
+        assert report.step == max(j, 2) - 2
+
+
+def test_first_repeat_at_index_one_converges_at_step_zero(count_steps):
+    system = all_eps_system()
+    verdict = check_consistency(system, 1)
+    assert verdict.kind is ConsistencyKind.CONSISTENT
+    assert verdict.fixed_closure == TropicalMatrix.identity(2)
+    assert count_steps[0] == 1
+    report = iterate_shrink(system, 1)
+    assert report.kind is InvarianceKind.CONVERGED_NON_EMPTY
+    assert report.step == 0
+    assert len(report.generators) == 2
+    assert report == iterate_shrink_full(system, 1)
+
+
+@pytest.mark.parametrize("probe", [1, 2, 3])
+def test_railway_around_its_converging_step(probe):
+    system = make_railway(-14)
+    assert first_repeat(system, 5) == 4
+    report = iterate_shrink(system, probe)
+    assert report == iterate_shrink_full(system, probe)
+    if probe < 2:
+        assert report.kind is InvarianceKind.NON_CONVERGENT_WEAK_OPEN
+        assert report.step == probe
+        assert len(report.generators) == probe + 1
+    else:
+        assert report.kind is InvarianceKind.CONVERGED_NON_EMPTY
+        assert report.step == 2
+        assert len(report.generators) == 4
+    assert check_consistency(system, probe) == check_consistency_full(system, probe)
+
+
+def test_no_step_after_the_fixed_point(count_steps):
+    system = make_railway(-14)
+    assert check_consistency(system).kind is ConsistencyKind.CONSISTENT
+    assert count_steps[0] == 4
+    count_steps[0] = 0
+    iterate_shrink(system)
+    assert count_steps[0] == 4
+    count_steps[0] = 0
+    assert len(closure_sequence(system, 17)) == 18
+    assert count_steps[0] == 4
+
+
+def test_divergence_stops_the_check(count_steps):
+    verdict = check_consistency(make_railway(-13))
+    assert verdict.kind is ConsistencyKind.NOT_WEAKLY_CONSISTENT
+    assert count_steps[0] == verdict.first_divergent

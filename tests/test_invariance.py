@@ -7,7 +7,6 @@ from maxplus import (
     NEG_INF,
     ConsistencyKind,
     InvarianceKind,
-    LiftedSystem,
     NotStarMatrix,
     PtegSystem,
     TropicalMatrix,
@@ -15,14 +14,13 @@ from maxplus import (
     closure_sequence,
     invariant_member,
     iterate_shrink,
-    lift_system,
     maximal_invariant,
     roundtrip_closure,
     shrink_generator,
     shrink_generator_unrolled,
 )
 
-from helpers import random_system
+from helpers import all_eps_system, random_system, stacked_constraint
 
 NEG = "-inf"
 
@@ -39,15 +37,9 @@ def two_node_generator_expected(k):
     )
 
 
-def all_eps_system(n=2):
-    eps = TropicalMatrix.epsilon(n)
-    return PtegSystem(dynamics=eps, backward=eps, within=eps)
-
-
 class TestLift:
     def test_two_node_blocks(self, two_node):
-        lifted = lift_system(two_node)
-        assert lifted.constraint == TropicalMatrix(
+        assert stacked_constraint(two_node) == TropicalMatrix(
             [
                 [NEG, NEG, NEG, NEG],
                 [0, NEG, NEG, -1],
@@ -55,36 +47,17 @@ class TestLift:
                 [NEG, NEG, 0, NEG],
             ]
         )
-        assert lifted.size == 2
-
-    def test_shift_and_injection_patterns(self, two_node):
-        lifted = lift_system(two_node)
-        eps, eye = TropicalMatrix.epsilon(2), TropicalMatrix.identity(2)
-        assert lifted.dynamics == TropicalMatrix.from_blocks([[eps, eye], [eps, eps]])
-        assert lifted.input_map == TropicalMatrix.from_blocks([[eps], [eye]])
-
-    def test_structure_checked_on_construction(self, two_node):
-        lifted = lift_system(two_node)
-        with pytest.raises(ValueError):
-            LiftedSystem(
-                dynamics=TropicalMatrix.epsilon(4),
-                input_map=lifted.input_map,
-                constraint=lifted.constraint,
-            )
 
     def test_unconstrained_system(self):
-        lifted = lift_system(all_eps_system())
-        assert lifted.constraint == TropicalMatrix.epsilon(4)
+        assert stacked_constraint(all_eps_system()) == TropicalMatrix.epsilon(4)
 
     def test_railway_constraint(self, railway):
         system = railway(-14)
-        lifted = lift_system(system)
-        assert lifted.constraint.shape == (8, 8)
-        assert lifted.constraint[3, 7] == Fraction(-14)
-        assert lifted.constraint.top_left(4, 4) == TropicalMatrix.epsilon(4)
-        bottom_left = TropicalMatrix(
-            [row[:4] for row in lifted.constraint.to_rows()[4:]]
-        )
+        constraint = stacked_constraint(system)
+        assert constraint.shape == (8, 8)
+        assert constraint[3, 7] == Fraction(-14)
+        assert constraint.top_left(4, 4) == TropicalMatrix.epsilon(4)
+        bottom_left = TropicalMatrix([row[:4] for row in constraint.to_rows()[4:]])
         assert bottom_left == system.forward
 
 
@@ -125,8 +98,7 @@ class TestShrinkGenerator:
             assert shrink_generator(system, k) == TropicalMatrix.identity(4)
 
     def test_unrolled_corner_at_step_zero(self, two_node):
-        lifted = lift_system(two_node)
-        assert shrink_generator_unrolled(two_node, 0) == lifted.constraint.star()
+        assert shrink_generator_unrolled(two_node, 0) == stacked_constraint(two_node).star()
 
     def test_matches_unrolled_oracle(self):
         rng = random.Random(4401)
@@ -269,7 +241,7 @@ class TestOneStepInvariance:
         n = system.size
         fixed_closure = closure_sequence(system, 16)[16]
         anchored = (fixed_closure + roundtrip_closure(system)).star()
-        constraint = lift_system(system).constraint
+        constraint = stacked_constraint(system)
         checked = 0
         for j in range(generator.cols):
             column = generator.column_values(j)

@@ -10,7 +10,6 @@ from maxplus import (
     NotSquare,
     NotStarMatrix,
     TropicalMatrix,
-    image_equal,
     image_member,
 )
 
@@ -161,21 +160,6 @@ class TestImageOps:
     def test_vector_length_checked(self):
         with pytest.raises(DimensionMismatch):
             image_member(self.STAR, [0, 0, 0])
-
-    def test_image_equal_reflexive(self):
-        assert image_equal(TWO_CYCLE, TWO_CYCLE)
-
-    def test_zero_and_identity_generate_same_image(self):
-        assert image_equal(TropicalMatrix.epsilon(2), TropicalMatrix.identity(2))
-
-    def test_saturated_vs_identity(self):
-        assert not image_equal(TWO_CYCLE, TropicalMatrix.epsilon(2))
-
-    def test_image_equal_shape_checked(self):
-        with pytest.raises(DimensionMismatch):
-            image_equal(TropicalMatrix.epsilon(2), TropicalMatrix.epsilon(3))
-        with pytest.raises(NotSquare):
-            image_equal(TropicalMatrix.epsilon(2, 3), TropicalMatrix.epsilon(2, 3))
 
 
 class TestStarProperties:

@@ -18,7 +18,7 @@ from maxplus import (
     validate_trajectory,
 )
 
-from helpers import random_system
+from helpers import all_eps_system, random_system
 
 NEG = "-inf"
 
@@ -30,11 +30,6 @@ RAILWAY_FIXED_CLOSURE = TropicalMatrix(
         [0, 3, 0, 0],
     ]
 )
-
-
-def all_eps_system(n=2):
-    eps = TropicalMatrix.epsilon(n)
-    return PtegSystem(dynamics=eps, backward=eps, within=eps)
 
 
 class TestPtegSystem:

@@ -5,13 +5,22 @@ import pytest
 from maxplus import (
     NEG_INF,
     POS_INF,
+    TropicalMatrix,
     as_scalar,
     format_scalar,
     is_finite,
-    oplus,
-    otimes,
     parse_scalar,
 )
+
+
+# The semiring operations live in the matrix layer: entrywise max and the
+# max-plus product.  Their scalar laws are checked on 1x1 matrices.
+def oplus(a, b):
+    return (TropicalMatrix([[a]]) + TropicalMatrix([[b]]))[0, 0]
+
+
+def otimes(a, b):
+    return (TropicalMatrix([[a]]) @ TropicalMatrix([[b]]))[0, 0]
 
 
 class TestOplus:
