@@ -53,7 +53,6 @@ from .invariance import (
     maximal_invariant,
     roundtrip_closure,
     shrink_generator,
-    shrink_generator_unrolled,
 )
 from .problems import (
     ProblemFile,
@@ -102,7 +101,6 @@ __all__ = [
     "maximal_invariant",
     "roundtrip_closure",
     "shrink_generator",
-    "shrink_generator_unrolled",
     "ProblemFile",
     "ProblemFormatError",
     "parse_problem",

@@ -10,7 +10,8 @@ Subcommands::
 All numeric output is exact.  ``--param name=value`` substitutes named
 entries in the problem file, so one file describes a whole parameter sweep.
 The default probe bound is ``10 * n^2``; override with ``--probe-bound`` or
-the ``MAXPLUS_PROBE_BOUND`` environment variable.
+the ``MAXPLUS_PROBE_BOUND`` environment variable.  Bad input exits 1; a
+failed internal invariant exits 5 with one ``error: internal:`` line.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ EXIT_CODES = {
 }
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 4
+EXIT_INTERNAL = 5
 
 
 def _matrix_lists(matrix: TropicalMatrix) -> list[list[str]]:
@@ -189,7 +191,7 @@ def cmd_trajectory(args) -> int:
         print(f"infeasible ({exc.reason}): {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     if not validate_trajectory(system, trajectory):
-        raise RuntimeError("synthesized trajectory failed validation (internal error)")
+        raise RuntimeError("synthesized trajectory failed validation")
 
     if args.format == "json":
         doc = {
@@ -287,6 +289,9 @@ def main(argv=None) -> int:
     except (ProblemFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ from enum import Enum
 from typing import Sequence
 
 from .matrix import TropicalMatrix, image_member
-from .pteg import PtegSystem, _closures, closure_sequence, default_probe_bound
-from .precedence import build_block_matrix
+from .precedence import _closures
+from .pteg import PtegSystem, closure_sequence, default_probe_bound
 
 
 def roundtrip_closure(system: PtegSystem) -> TropicalMatrix:
@@ -53,27 +53,12 @@ def shrink_generator(system: PtegSystem, k: int) -> TropicalMatrix:
     Assembled in closed form from closures k and k+1 and the roundtrip
     closure; entries may be +inf once the shrinking empties out of real
     vectors.  Equals the stage-(1, 2) corner of the star of the constraint
-    system unrolled over k+2 occurrences (see
-    :func:`shrink_generator_unrolled`).
+    system unrolled over k+2 occurrences.
     """
     if k < 0:
         raise ValueError("shrink step must be non-negative")
     seq = closure_sequence(system, k + 1)
     return _assemble_generator(system, seq[k], seq[k + 1], roundtrip_closure(system))
-
-
-def shrink_generator_unrolled(system: PtegSystem, k: int) -> TropicalMatrix:
-    """Independent route to :func:`shrink_generator`, via the unrolled horizon.
-
-    Materializes the block matrix over k+2 occurrences, stars it, and cuts
-    out the leading block of twice the system size.  Much slower; kept as
-    the reference oracle for the closed form.
-    """
-    if k < 0:
-        raise ValueError("shrink step must be non-negative")
-    unrolled = build_block_matrix(system.block_spec(), k + 2)
-    size2 = 2 * system.size
-    return unrolled.star().top_left(size2, size2)
 
 
 class InvarianceKind(Enum):

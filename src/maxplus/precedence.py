@@ -4,15 +4,22 @@ A precedence system asks for a real vector x with ``x >= A @ x``; entry
 (i, j) of A is the weight of an arc from node j to node i in the precedence
 graph.  Stage-structured systems (one copy of the variables per occurrence
 index) are described by three square blocks and unrolled into a block
-tridiagonal matrix over any finite horizon.
+tridiagonal matrix over any finite horizon.  The closure recurrence of
+:func:`_closures` eliminates that matrix stage by stage, so feasibility and
+the graph export work on the blocks alone, never on the unrolled matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator
 
 from .matrix import NotSquare, TropicalMatrix
 from .semiring import NEG_INF, Scalar, format_scalar
+
+if TYPE_CHECKING:
+    from .pteg import PtegSystem
 
 
 class BlockDimensionMismatch(ValueError):
@@ -104,6 +111,44 @@ def build_block_matrix(spec: BlockMatrixSpec, horizon: int) -> TropicalMatrix:
     return TropicalMatrix.from_blocks(grid)
 
 
+def _next_closure(
+    blocks: BlockMatrixSpec | PtegSystem, current: TropicalMatrix
+) -> TropicalMatrix:
+    nxt = (blocks.backward @ current @ blocks.forward + blocks.within).star()
+    if not current <= nxt:
+        raise RuntimeError("closure sequence lost monotonicity")
+    return nxt
+
+
+def _closures(
+    blocks: BlockMatrixSpec | PtegSystem,
+) -> Iterator[tuple[int, TropicalMatrix, bool]]:
+    """Yield ``(k, closure_k, fixed)`` for k = 0, 1, 2, ... without end.
+
+    Closure 0 is the star of the within block and closure k+1 the star of
+    ``backward @ closure_k @ forward oplus within``: eliminating the last
+    stage of a block tridiagonal unrolling, one stage at a time.  Closure k
+    is the stage-1 corner of the star of the (k+1)-stage unrolling.  A path
+    leaving stage 1 enters stage 2 by a forward arc and returns by a
+    backward arc, and in between it is a path of stages 2..k+1, whose best
+    weights are closure k-1 because every stage carries the same blocks.
+
+    ``fixed`` is True once closure k equals closure k-1.  The recurrence is
+    deterministic, so that closure is a fixed point: it is yielded for every
+    later index without being computed again.  Entries saturated to +inf
+    do not stop the sequence; callers decide when to stop.
+    """
+    current = blocks.within.star()
+    yield 0, current, False
+    for k in itertools.count(1):
+        nxt = _next_closure(blocks, current)
+        if nxt == current:
+            for j in itertools.count(k):
+                yield j, current, True
+        yield k, nxt, False
+        current = nxt
+
+
 def finite_weak_feasibility(spec: BlockMatrixSpec, horizon: int) -> bool:
     """Exact feasibility certificate for one finite horizon.
 
@@ -111,8 +156,25 @@ def finite_weak_feasibility(spec: BlockMatrixSpec, horizon: int) -> bool:
     positive-weight circuit, i.e. arbitrarily scheduled real solutions over
     these stages exist.  The answer is antitone in the horizon: once false,
     it stays false for every longer horizon.
+
+    Decided as "closure ``horizon - 1`` is free of +inf" in
+    O(horizon * n^3), without unrolling.  That closure is the stage-1
+    corner of the star of the unrolling (see :func:`_closures`), so a +inf
+    entry in it comes from a positive circuit.  Conversely, take a positive
+    circuit on stages s..t of the unrolling.  Every stage carries the same
+    blocks, so moving it s-1 stages down gives a positive circuit on stages
+    1..t-s+1, through some event v of stage 1; pumping it makes entry
+    (v, v) of the corner +inf.  The closures only grow and a repeated
+    closure is a fixed point, so the first +inf answers False and the first
+    repeat answers True.
     """
-    return not build_block_matrix(spec, horizon).has_positive_circuit()
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    for k, closure, fixed in _closures(spec):
+        if not closure.rmax_valued:
+            return False
+        if fixed or k == horizon - 1:
+            return True
 
 
 def export_dot(spec: BlockMatrixSpec, horizon: int) -> str:
@@ -120,25 +182,36 @@ def export_dot(spec: BlockMatrixSpec, horizon: int) -> str:
 
     Nodes are labelled ``x_i(k)`` and ordered stage-major, arcs are ordered
     by (source, target) node index; identical inputs give identical bytes.
+    Arcs leaving stage k reach stage k-1 (backward block), k (within) and
+    k+1 (forward), read in that order straight from the blocks, so the cost
+    is O(horizon * n^2) and the unrolled matrix is never built.
     """
-    matrix = build_block_matrix(spec, horizon)
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     n = spec.size
     lines = ["digraph precedence {", "  rankdir=LR;"]
     for stage in range(1, horizon + 1):
         for i in range(1, n + 1):
             lines.append(f'  x{i}_{stage} [label="x_{i}({stage})"];')
-    rows = matrix.to_rows()
-    size = matrix.rows
-    for source in range(size):
-        j_stage, j_comp = divmod(source, n)
-        for target in range(size):
-            w = rows[target][source]
-            if w == NEG_INF:
-                continue
-            i_stage, i_comp = divmod(target, n)
-            lines.append(
-                f'  x{j_comp + 1}_{j_stage + 1} -> x{i_comp + 1}_{i_stage + 1}'
-                f' [label="{format_scalar(w)}"];'
+    for stage in range(1, horizon + 1):
+        reach = [
+            (target, block.to_rows())
+            for target, block in (
+                (stage - 1, spec.backward),
+                (stage, spec.within),
+                (stage + 1, spec.forward),
             )
+            if 1 <= target <= horizon
+        ]
+        for j in range(n):
+            for target, rows in reach:
+                for i in range(n):
+                    w = rows[i][j]
+                    if w == NEG_INF:
+                        continue
+                    lines.append(
+                        f'  x{j + 1}_{stage} -> x{i + 1}_{target}'
+                        f' [label="{format_scalar(w)}"];'
+                    )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -20,19 +20,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from functools import cached_property
+from typing import Sequence
 
 from .matrix import DimensionMismatch, TropicalMatrix
-from .precedence import BlockMatrixSpec, build_block_matrix
+
+# The closure step is bound here too: per-step hooks, such as the tracing in
+# bench/, look it up as ``pteg._next_closure``.
+from .precedence import BlockMatrixSpec, _closures, _next_closure
 from .semiring import NEG_INF, POS_INF, Scalar, as_scalar
 
 
 class InfeasibleHorizon(Exception):
     """No finite schedule of the requested length could be produced.
 
-    ``reason`` is ``"divergent"`` when the constraint closure blows up to
-    +inf (no schedule of this length exists at all) and ``"unreachable"``
-    when some component was never forced above -inf by the seed.
+    ``reason`` is ``"divergent"``: the constraint closure blows up to +inf,
+    so no schedule of this length exists at all.
     """
 
     def __init__(self, message: str, reason: str):
@@ -46,7 +49,8 @@ class PtegSystem:
 
     ``extra_forward`` holds user constraints from one occurrence to the next
     on top of the plant dynamics; None means no extra constraints.  The
-    combined ``forward`` block is derived on every access, never stored.
+    combined ``forward`` block is computed on first access and cached; it
+    is not a field, so it takes no part in ``==`` or ``hash``.
     """
 
     dynamics: TropicalMatrix
@@ -71,7 +75,7 @@ class PtegSystem:
     def size(self) -> int:
         return self.dynamics.rows
 
-    @property
+    @cached_property
     def forward(self) -> TropicalMatrix:
         return self.dynamics + self.extra_forward
 
@@ -106,32 +110,6 @@ class ConsistencyVerdict:
     fixed_closure: TropicalMatrix | None = None
     first_divergent: int | None = None
     verified_up_to: int | None = None
-
-
-def _next_closure(system: PtegSystem, current: TropicalMatrix) -> TropicalMatrix:
-    nxt = (system.backward @ current @ system.forward + system.within).star()
-    if not current <= nxt:
-        raise RuntimeError("closure sequence lost monotonicity (internal error)")
-    return nxt
-
-
-def _closures(system: PtegSystem) -> Iterator[tuple[int, TropicalMatrix, bool]]:
-    """Yield ``(k, closure_k, fixed)`` for k = 0, 1, 2, ... without end.
-
-    ``fixed`` is True once closure k equals closure k-1.  The recurrence is
-    deterministic, so that closure is a fixed point: it is yielded for every
-    later index without being computed again.  Entries saturated to +inf
-    do not stop the sequence; callers decide when to stop.
-    """
-    current = system.within.star()
-    yield 0, current, False
-    for k in itertools.count(1):
-        nxt = _next_closure(system, current)
-        if nxt == current:
-            for j in itertools.count(k):
-                yield j, current, True
-        yield k, nxt, False
-        current = nxt
 
 
 def closure_sequence(system: PtegSystem, k_max: int) -> list[TropicalMatrix]:
@@ -230,11 +208,25 @@ def synthesize_trajectory(
 ) -> Trajectory:
     """The least finite schedule over ``horizon`` occurrences dominating a seed.
 
-    The unrolled constraint matrix is starred and applied to the stacked
-    vector [seed, 0, ..., 0] (seed defaults to the zero vector), which yields
-    a fixed point of the unrolled system, hence a valid schedule whenever all
-    components stay finite.  A +inf component proves no schedule of this
-    length exists and raises :class:`InfeasibleHorizon`.
+    That is ``M* @ b`` for the unrolled constraint matrix M and the stacked
+    vector b = [seed, 0, ..., 0] (seed defaults to the zero vector): the
+    least fixed point of the unrolled system above b, hence a valid schedule
+    whenever all components stay finite.  It is computed by block
+    elimination in O(horizon * n^3), without building M.  With K the
+    horizon, the tail closures ``T_k = closure_{K-k}`` hold the best weights
+    inside occurrence k over paths through occurrences k..K, and
+
+    - backward sweep: ``r_K = b_K`` and
+      ``r_k = b_k oplus backward @ T_{k+1} @ r_{k+1}``;
+    - forward sweep: ``x_1 = T_1 @ r_1`` and
+      ``x_k = T_k @ (forward @ x_{k-1} oplus r_k)``.
+
+    The closures only grow, so ``T_1`` is the largest.  If it holds +inf the
+    unrolled graph has a positive circuit (see
+    :func:`~maxplus.precedence.finite_weak_feasibility`), some component is
+    +inf, and :class:`InfeasibleHorizon` is raised.  Otherwise every
+    component is finite: b is finite and a star's diagonal is at least 0,
+    so each component is at least its entry of b and never -inf.
     """
     if horizon < 2:
         raise ValueError("trajectory synthesis needs a horizon of at least 2")
@@ -248,22 +240,27 @@ def synthesize_trajectory(
         if any(v == NEG_INF or v == POS_INF for v in seed_vec):
             raise ValueError("seed components must be finite")
 
-    stacked = seed_vec + (0,) * (n * (horizon - 1))
-    unrolled = build_block_matrix(system.block_spec(), horizon)
-    solution = (unrolled.star() @ TropicalMatrix.column(stacked)).column_values()
-    if any(v == POS_INF for v in solution):
-        raise InfeasibleHorizon(
-            f"no schedule over {horizon} occurrences exists:"
-            " the unrolled constraints force an event time to +inf",
-            reason="divergent",
-        )
-    if any(v == NEG_INF for v in solution):
-        raise InfeasibleHorizon(
-            "the seed never reaches some component; its event time stayed -inf",
-            reason="unreachable",
-        )
-    states = tuple(solution[k * n : (k + 1) * n] for k in range(horizon))
-    return Trajectory(states=states, inputs=states[1:])
+    tails = []
+    for _, closure, _ in itertools.islice(_closures(system), horizon):
+        if not closure.rmax_valued:
+            raise InfeasibleHorizon(
+                f"no schedule over {horizon} occurrences exists:"
+                " the unrolled constraints force an event time to +inf",
+                reason="divergent",
+            )
+        tails.append(closure)
+    tails.reverse()  # 0-based lists: tails[k] is T_{k+1}, r[k] is r_{k+1}
+    zero = TropicalMatrix.column((0,) * n)
+    r = [zero] * horizon
+    r[0] = TropicalMatrix.column(seed_vec)
+    for k in range(horizon - 2, -1, -1):
+        r[k] = r[k] + system.backward @ (tails[k + 1] @ r[k + 1])
+    x = tails[0] @ r[0]
+    states = [x.column_values()]
+    for k in range(1, horizon):
+        x = tails[k] @ (system.forward @ x + r[k])
+        states.append(x.column_values())
+    return Trajectory(states=tuple(states), inputs=tuple(states[1:]))
 
 
 def validate_trajectory(system: PtegSystem, trajectory: Trajectory) -> bool:

@@ -6,13 +6,18 @@ import random
 
 from maxplus import (
     NEG_INF,
+    POS_INF,
+    BlockMatrixSpec,
     ConsistencyKind,
     ConsistencyVerdict,
+    InfeasibleHorizon,
     InvarianceKind,
     InvarianceReport,
     PtegSystem,
     TropicalMatrix,
+    build_block_matrix,
     default_probe_bound,
+    format_scalar,
     roundtrip_closure,
 )
 from maxplus.invariance import _assemble_generator
@@ -155,3 +160,57 @@ def iterate_shrink_full(
     return InvarianceReport(
         tuple(generators), InvarianceKind.NON_CONVERGENT_WEAK_OPEN, step=probe
     )
+
+
+def shrink_generator_unrolled(system: PtegSystem, k: int) -> TropicalMatrix:
+    """Oracle for shrink_generator, via the unrolled horizon.
+
+    Materializes the block matrix over k+2 occurrences, stars it, and cuts
+    out the leading block of twice the system size.
+    """
+    unrolled = build_block_matrix(system.block_spec(), k + 2)
+    size2 = 2 * system.size
+    return unrolled.star().top_left(size2, size2)
+
+
+def synthesize_dense(
+    system: PtegSystem, horizon: int, seed=None
+) -> tuple[tuple, ...]:
+    """Oracle for synthesize_trajectory: the unrolled star applied to [seed, 0, ...].
+
+    Returns the states, or raises :class:`InfeasibleHorizon` with reason
+    ``"divergent"`` on a +inf component and ``"unreachable"`` on a -inf one.
+    """
+    n = system.size
+    seed = (0,) * n if seed is None else tuple(seed)
+    stacked = TropicalMatrix.column(seed + (0,) * (n * (horizon - 1)))
+    unrolled = build_block_matrix(system.block_spec(), horizon)
+    solution = (unrolled.star() @ stacked).column_values()
+    if POS_INF in solution:
+        raise InfeasibleHorizon("a component is +inf", reason="divergent")
+    if NEG_INF in solution:
+        raise InfeasibleHorizon("a component is -inf", reason="unreachable")
+    return tuple(solution[k * n : (k + 1) * n] for k in range(horizon))
+
+
+def export_dot_dense(spec: BlockMatrixSpec, horizon: int) -> str:
+    """Oracle for export_dot: scans every entry of the unrolled matrix."""
+    matrix = build_block_matrix(spec, horizon)
+    n = spec.size
+    lines = ["digraph precedence {", "  rankdir=LR;"]
+    for stage in range(1, horizon + 1):
+        for i in range(1, n + 1):
+            lines.append(f'  x{i}_{stage} [label="x_{i}({stage})"];')
+    for source in range(matrix.rows):
+        j_stage, j_comp = divmod(source, n)
+        for target in range(matrix.rows):
+            w = matrix[target, source]
+            if w == NEG_INF:
+                continue
+            i_stage, i_comp = divmod(target, n)
+            lines.append(
+                f'  x{j_comp + 1}_{j_stage + 1} -> x{i_comp + 1}_{i_stage + 1}'
+                f' [label="{format_scalar(w)}"];'
+            )
+    lines.append("}")
+    return "\n".join(lines) + "\n"

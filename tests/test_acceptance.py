@@ -22,13 +22,17 @@ from maxplus import (
     finite_weak_feasibility,
     iterate_shrink,
     shrink_generator,
-    shrink_generator_unrolled,
     synthesize_trajectory,
     validate_trajectory,
 )
 
 from conftest import make_railway
-from helpers import random_matrix, random_system, star_by_powers
+from helpers import (
+    random_matrix,
+    random_system,
+    shrink_generator_unrolled,
+    star_by_powers,
+)
 
 NEG = "-inf"
 

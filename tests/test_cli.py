@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from maxplus import parse_scalar
+from maxplus import TropicalMatrix, cli, parse_scalar
 from maxplus.cli import main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -207,3 +207,28 @@ class TestErrors:
     def test_horizon_too_short(self, capsys):
         code, _, err = run(capsys, "trajectory", RAILWAY, "--horizon", "1")
         assert code == 1 and "at least 2" in err
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", RAILWAY),
+            ("invariant", RAILWAY),
+            ("trajectory", RAILWAY, "--horizon", "3"),
+        ],
+    )
+    def test_lost_monotonicity_exits_five(self, capsys, monkeypatch, argv):
+        # every closure step now looks smaller than its predecessor
+        monkeypatch.setattr(TropicalMatrix, "__le__", lambda a, b: False)
+        code, out, err = run(capsys, *argv)
+        assert code == 5
+        assert out == ""
+        assert err == "error: internal: closure sequence lost monotonicity\n"
+
+    def test_failed_validation_exits_five(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "validate_trajectory", lambda system, t: False)
+        code, out, err = run(capsys, "trajectory", RAILWAY, "--horizon", "3")
+        assert code == 5
+        assert out == ""
+        assert err == "error: internal: synthesized trajectory failed validation\n"

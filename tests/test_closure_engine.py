@@ -16,7 +16,7 @@ from maxplus import (
     closure_sequence,
     iterate_shrink,
 )
-from maxplus import pteg
+from maxplus import precedence
 
 from conftest import TWO_NODE, make_railway
 from helpers import all_eps_system, check_consistency_full, iterate_shrink_full
@@ -53,13 +53,13 @@ def first_repeat(system, k_max):
 def count_steps(monkeypatch):
     """Counts calls of the one closure step; read ``calls[0]``."""
     calls = [0]
-    step = pteg._next_closure
+    step = precedence._next_closure
 
     def counted(system, current):
         calls[0] += 1
         return step(system, current)
 
-    monkeypatch.setattr(pteg, "_next_closure", counted)
+    monkeypatch.setattr(precedence, "_next_closure", counted)
     return calls
 
 

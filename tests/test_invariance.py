@@ -17,10 +17,14 @@ from maxplus import (
     maximal_invariant,
     roundtrip_closure,
     shrink_generator,
-    shrink_generator_unrolled,
 )
 
-from helpers import all_eps_system, random_system, stacked_constraint
+from helpers import (
+    all_eps_system,
+    random_system,
+    shrink_generator_unrolled,
+    stacked_constraint,
+)
 
 NEG = "-inf"
 
