@@ -48,7 +48,6 @@ from .pteg import (
 from .invariance import (
     InvarianceKind,
     InvarianceReport,
-    invariant_member,
     iterate_shrink,
     maximal_invariant,
     roundtrip_closure,
@@ -96,7 +95,6 @@ __all__ = [
     "validate_trajectory",
     "InvarianceKind",
     "InvarianceReport",
-    "invariant_member",
     "iterate_shrink",
     "maximal_invariant",
     "roundtrip_closure",

@@ -53,10 +53,6 @@ def _matrix_lists(matrix: TropicalMatrix) -> list[list[str]]:
     return [[format_scalar(v) for v in row] for row in matrix.to_rows()]
 
 
-def _print_matrix(matrix: TropicalMatrix) -> None:
-    print(str(matrix))
-
-
 def _parse_params(pairs: list[str]) -> dict[str, str]:
     out = {}
     for pair in pairs:
@@ -68,21 +64,16 @@ def _parse_params(pairs: list[str]) -> dict[str, str]:
 
 
 def _resolve_probe_bound(args) -> int | None:
-    if args.probe_bound is not None:
-        bound = args.probe_bound
-    elif os.environ.get(PROBE_BOUND_ENV):
-        try:
-            bound = int(os.environ[PROBE_BOUND_ENV])
-        except ValueError:
-            raise ValueError(
-                f"{PROBE_BOUND_ENV} must be an integer,"
-                f" got {os.environ[PROBE_BOUND_ENV]!r}"
-            ) from None
-    else:
-        return None
-    if bound < 1:
-        raise ValueError("probe bound must be positive")
-    return bound
+    """The flag, else the environment, else None; the library checks its sign."""
+    if args.probe_bound is not None or not os.environ.get(PROBE_BOUND_ENV):
+        return args.probe_bound
+    try:
+        return int(os.environ[PROBE_BOUND_ENV])
+    except ValueError:
+        raise ValueError(
+            f"{PROBE_BOUND_ENV} must be an integer,"
+            f" got {os.environ[PROBE_BOUND_ENV]!r}"
+        ) from None
 
 
 def _load_system(args, params: dict[str, str]) -> PtegSystem:
@@ -126,7 +117,7 @@ def cmd_check(args) -> int:
     print(f"verdict: {verdict.kind.value}")
     if verdict.kind is ConsistencyKind.CONSISTENT:
         print(f"fixed closure (index {n * n}, stable for every larger horizon):")
-        _print_matrix(verdict.fixed_closure)
+        print(verdict.fixed_closure)
     elif verdict.kind is ConsistencyKind.NOT_WEAKLY_CONSISTENT:
         print(f"first divergent closure index: {verdict.first_divergent}")
         print("no finite schedule spans that many occurrences")
@@ -139,7 +130,7 @@ def cmd_check(args) -> int:
     if closures is not None:
         for k, matrix in enumerate(closures):
             print(f"closure({k}):")
-            _print_matrix(matrix)
+            print(matrix)
     return code
 
 
@@ -167,7 +158,7 @@ def cmd_invariant(args) -> int:
     print(f"{report.kind.value} {report.step}")
     if report.kind is InvarianceKind.CONVERGED_NON_EMPTY:
         print("invariant generator (its image is the maximal controlled-invariant set):")
-        _print_matrix(report.invariant_generator)
+        print(report.invariant_generator)
     elif report.kind is InvarianceKind.REAL_EMPTY_AT_STEP:
         print(f"no real vector survives {report.step} shrink steps")
     else:
@@ -178,7 +169,7 @@ def cmd_invariant(args) -> int:
     if args.emit_s:
         for k, matrix in enumerate(report.generators):
             print(f"generator(step {k}):")
-            _print_matrix(matrix)
+            print(matrix)
     return 0
 
 
@@ -211,8 +202,6 @@ def cmd_trajectory(args) -> int:
 
 def cmd_graph(args) -> int:
     system = _load_system(args, _parse_params(args.param))
-    if args.horizon < 1:
-        raise ValueError("horizon must be at least 1")
     sys.stdout.write(export_dot(system.block_spec(), args.horizon))
     return 0
 

@@ -12,13 +12,15 @@ empties out of real vectors, or keeps shrinking forever.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator
 
-from .matrix import TropicalMatrix, image_member
-from .precedence import _closures
-from .pteg import PtegSystem, closure_sequence, default_probe_bound
+from .matrix import TropicalMatrix
+from .precedence import _closures, _stopping_closure
+from .pteg import PtegSystem, _probe_bound
 
 
 def roundtrip_closure(system: PtegSystem) -> TropicalMatrix:
@@ -47,6 +49,15 @@ def _assemble_generator(
     )
 
 
+def _generators(system: PtegSystem, start: int = 0) -> Iterator[TropicalMatrix]:
+    """Generators ``start``, ``start + 1``, ...; generator k reads closures k, k+1."""
+    roundtrip = roundtrip_closure(system)
+    closures = (closure for _, closure, _ in _closures(system))
+    pairs = itertools.islice(itertools.pairwise(closures), start, None)
+    for closure_k, closure_k1 in pairs:
+        yield _assemble_generator(system, closure_k, closure_k1, roundtrip)
+
+
 def shrink_generator(system: PtegSystem, k: int) -> TropicalMatrix:
     """Generator (star matrix) of the k-times-shrunk constraint semimodule.
 
@@ -57,8 +68,7 @@ def shrink_generator(system: PtegSystem, k: int) -> TropicalMatrix:
     """
     if k < 0:
         raise ValueError("shrink step must be non-negative")
-    seq = closure_sequence(system, k + 1)
-    return _assemble_generator(system, seq[k], seq[k + 1], roundtrip_closure(system))
+    return next(_generators(system, k))
 
 
 class InvarianceKind(Enum):
@@ -69,10 +79,8 @@ class InvarianceKind(Enum):
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Outcome of :func:`iterate_shrink`.
+    """Outcome of :func:`iterate_shrink` for ``system``.
 
-    ``generators`` holds the generator matrices in step order, starting at
-    step 0, up to and including the matrix that settled the classification.
     ``step`` is the classifying step:
 
     - CONVERGED_NON_EMPTY: the least k at which the closure sequence repeats
@@ -82,57 +90,64 @@ class InvarianceReport:
       and contains real vectors.
     - REAL_EMPTY_AT_STEP: the least k whose generator contains +inf, so from
       that step on the iterates contain no real vector at all.
-    - NON_CONVERGENT_WEAK_OPEN: the probe bound; every generator computed was
-      finite and still strictly shrinking, so no classification within the
-      bound.  (The true limit contains no real vector in this case as well;
-      only the shrinking never terminates.)
+    - NON_CONVERGENT_WEAK_OPEN: the probe bound; every generator up to it
+      is finite and still strictly shrinking, so no classification within
+      the bound.  (The true limit contains no real vector in this case as
+      well; only the shrinking never terminates.)
+
+    ``generators`` holds the generators of steps 0 to ``step``, plus the
+    stabilized one (step + 1) when converged.  It is assembled from
+    ``system`` on first read and cached; it is not a field, so it takes no
+    part in ``==``.
     """
 
-    generators: tuple[TropicalMatrix, ...]
     kind: InvarianceKind
     step: int
+    system: PtegSystem
     invariant_generator: TropicalMatrix | None = None
+
+    @cached_property
+    def generators(self) -> tuple[TropicalMatrix, ...]:
+        count = self.step + (1 if self.invariant_generator is None else 2)
+        return tuple(itertools.islice(_generators(self.system), count))
 
 
 def iterate_shrink(
     system: PtegSystem, probe_bound: int | None = None
 ) -> InvarianceReport:
-    """Run the shrinking iteration until it settles or the probe bound hits.
+    """Classify the shrinking iteration, up to the probe bound.
 
     When the system is consistent the closure sequence stabilizes after at
     most n^2 iterations (n the system size), so convergence is always caught
     within the default probe bound of ``10 * n^2``.  Divergence beyond the
     bound (slowly growing positive circuits) is reported as open rather than
     guessed; raise the bound to settle such cases exactly.
+
+    The class is read off the closure walk that decides consistency; only
+    a converged report assembles a generator, the stabilized one.  Generator
+    k is the stage-(1, 2) corner of the star of the (k+2)-stage unrolling,
+    whose stage-1 corner is closure k+1, so +inf there is +inf in generator
+    k.  Conversely a +inf in generator k comes from a positive circuit of
+    the unrolling, which moved down to stage 1 makes closure k+1 +inf (see
+    :func:`~maxplus.precedence.finite_weak_feasibility`).  A first +inf at
+    closure d <= probe + 1 thus empties step ``max(d - 1, 0)``.  Generator k
+    reads closures k and k+1 only, so a first repeat at closure j fixes
+    every generator from step j-1 on; for j <= probe + 2 the iteration
+    converges at step ``max(j, 2) - 2``.
     """
-    probe = default_probe_bound(system.size) if probe_bound is None else probe_bound
-    if probe < 1:
-        raise ValueError("probe bound must be positive")
-    roundtrip = roundtrip_closure(system)
-    closures = _closures(system)
-    (_, closure_k, _), (_, closure_k1, _) = next(closures), next(closures)
-    generators: list[TropicalMatrix] = []
-    for k in range(probe + 1):
-        generator = _assemble_generator(system, closure_k, closure_k1, roundtrip)
-        generators.append(generator)
-        if not generator.rmax_valued:
-            return InvarianceReport(
-                tuple(generators), InvarianceKind.REAL_EMPTY_AT_STEP, step=k
-            )
-        _, closure_k2, fixed = next(closures)
-        if fixed:
-            stable = _assemble_generator(system, closure_k1, closure_k2, roundtrip)
-            generators.append(stable)
-            return InvarianceReport(
-                tuple(generators),
-                InvarianceKind.CONVERGED_NON_EMPTY,
-                step=k,
-                invariant_generator=stable,
-            )
-        closure_k, closure_k1 = closure_k1, closure_k2
-    return InvarianceReport(
-        tuple(generators), InvarianceKind.NON_CONVERGENT_WEAK_OPEN, step=probe
-    )
+    probe = _probe_bound(system.size, probe_bound)
+    j, closure, fixed = _stopping_closure(system, probe + 2)
+    if fixed:
+        roundtrip = roundtrip_closure(system)
+        stable = _assemble_generator(system, closure, closure, roundtrip)
+        return InvarianceReport(
+            InvarianceKind.CONVERGED_NON_EMPTY, max(j, 2) - 2, system, stable
+        )
+    if not closure.rmax_valued and j <= probe + 1:
+        return InvarianceReport(
+            InvarianceKind.REAL_EMPTY_AT_STEP, max(j - 1, 0), system
+        )
+    return InvarianceReport(InvarianceKind.NON_CONVERGENT_WEAK_OPEN, probe, system)
 
 
 def maximal_invariant(
@@ -145,8 +160,3 @@ def maximal_invariant(
     no real vector and None is returned.
     """
     return iterate_shrink(system, probe_bound).invariant_generator
-
-
-def invariant_member(generator: TropicalMatrix, vector: Sequence) -> bool:
-    """Membership of a stacked vector in the invariant set generated."""
-    return image_member(generator, vector)

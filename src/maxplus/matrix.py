@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .semiring import NEG_INF, POS_INF, Scalar, as_scalar, format_scalar
+from .semiring import NEG_INF, POS_INF, Scalar, as_scalar, format_scalar, is_finite
 
 
 class DimensionMismatch(ValueError):
@@ -134,9 +134,7 @@ class TropicalMatrix:
     @property
     def finite(self) -> bool:
         """True when every entry is a real number (no infinity of either sign)."""
-        return all(
-            v != NEG_INF and v != POS_INF for row in self._data for v in row
-        )
+        return all(is_finite(v) for row in self._data for v in row)
 
     def to_rows(self) -> tuple[tuple[Scalar, ...], ...]:
         return self._data
@@ -164,9 +162,6 @@ class TropicalMatrix:
         return all(
             a <= b for ra, rb in zip(self._data, other._data) for a, b in zip(ra, rb)
         )
-
-    def __ge__(self, other: "TropicalMatrix") -> bool:
-        return other.__le__(self)
 
     def __repr__(self) -> str:
         body = "; ".join(

@@ -149,6 +149,19 @@ def _closures(
         current = nxt
 
 
+def _stopping_closure(
+    blocks: BlockMatrixSpec | PtegSystem, last: int
+) -> tuple[int, TropicalMatrix, bool]:
+    """``(k, closure_k, fixed)`` at the first +inf, first repeat or k = ``last``.
+
+    Past a +inf or a repeat nothing changes: +inf entries stay saturated
+    and a repeated closure is a fixed point.
+    """
+    for k, closure, fixed in _closures(blocks):
+        if fixed or k == last or not closure.rmax_valued:
+            return k, closure, fixed
+
+
 def finite_weak_feasibility(spec: BlockMatrixSpec, horizon: int) -> bool:
     """Exact feasibility certificate for one finite horizon.
 
@@ -170,11 +183,7 @@ def finite_weak_feasibility(spec: BlockMatrixSpec, horizon: int) -> bool:
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    for k, closure, fixed in _closures(spec):
-        if not closure.rmax_valued:
-            return False
-        if fixed or k == horizon - 1:
-            return True
+    return _stopping_closure(spec, horizon - 1)[1].rmax_valued
 
 
 def export_dot(spec: BlockMatrixSpec, horizon: int) -> str:

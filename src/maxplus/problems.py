@@ -119,12 +119,15 @@ def parse_problem(text: str) -> ProblemFile:
         raise ProblemFormatError(
             f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
         ) from exc
+    except RecursionError:
+        raise ProblemFormatError("invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise ProblemFormatError("problem document must be a JSON object")
+    # JSON numbers arrive as text, so true (an int to Python) is no size.
     try:
-        n = int(raw["n"])
-    except (KeyError, ValueError, TypeError):
-        raise ProblemFormatError('field "n" must be a positive integer') from None
+        n = int(raw["n"]) if isinstance(raw.get("n"), str) else 0
+    except ValueError:
+        n = 0
     if n < 1:
         raise ProblemFormatError('field "n" must be a positive integer')
     for key in MATRIX_KEYS:

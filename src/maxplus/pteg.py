@@ -27,8 +27,8 @@ from .matrix import DimensionMismatch, TropicalMatrix
 
 # The closure step is bound here too: per-step hooks, such as the tracing in
 # bench/, look it up as ``pteg._next_closure``.
-from .precedence import BlockMatrixSpec, _closures, _next_closure
-from .semiring import NEG_INF, POS_INF, Scalar, as_scalar
+from .precedence import BlockMatrixSpec, _closures, _next_closure, _stopping_closure
+from .semiring import Scalar, as_scalar, is_finite
 
 
 class InfeasibleHorizon(Exception):
@@ -130,16 +130,20 @@ def default_probe_bound(size: int) -> int:
     return 10 * size * size
 
 
+def _probe_bound(size: int, probe_bound: int | None) -> int:
+    """The probe bound given, or the default ``10 * n^2``; must be positive."""
+    probe = default_probe_bound(size) if probe_bound is None else probe_bound
+    if probe < 1:
+        raise ValueError("probe bound must be positive")
+    return probe
+
+
 def closure_limit(size: int, probe_bound: int | None) -> int:
     """Largest closure index :func:`check_consistency` may compute.
 
     The probe bound (default ``10 * n^2``), raised to at least n^2 + 1.
     """
-    if probe_bound is None:
-        probe_bound = default_probe_bound(size)
-    if probe_bound < 1:
-        raise ValueError("probe bound must be positive")
-    return max(probe_bound, size * size + 1)
+    return max(_probe_bound(size, probe_bound), size * size + 1)
 
 
 def check_consistency(
@@ -158,17 +162,13 @@ def check_consistency(
     """
     n = system.size
     limit = closure_limit(n, probe_bound)
-    for k, closure, fixed in _closures(system):
-        if not closure.rmax_valued:
-            return ConsistencyVerdict(
-                ConsistencyKind.NOT_WEAKLY_CONSISTENT, first_divergent=k
-            )
-        if fixed and k <= n * n + 1:
-            return ConsistencyVerdict(
-                ConsistencyKind.CONSISTENT, fixed_closure=closure
-            )
-        if fixed or k == limit:
-            break
+    k, closure, fixed = _stopping_closure(system, limit)
+    if not closure.rmax_valued:
+        return ConsistencyVerdict(
+            ConsistencyKind.NOT_WEAKLY_CONSISTENT, first_divergent=k
+        )
+    if fixed and k <= n * n + 1:
+        return ConsistencyVerdict(ConsistencyKind.CONSISTENT, fixed_closure=closure)
     return ConsistencyVerdict(
         ConsistencyKind.NOT_CONSISTENT_WEAK_OPEN, verified_up_to=limit
     )
@@ -193,10 +193,8 @@ class Trajectory:
             raise ValueError("state and input vectors have unequal lengths")
         if inputs != states[1:]:
             raise ValueError("inputs must replay the successor states")
-        for row in states:
-            for v in row:
-                if v == NEG_INF or v == POS_INF:
-                    raise ValueError("trajectory entries must be finite")
+        if not all(is_finite(v) for row in states for v in row):
+            raise ValueError("trajectory entries must be finite")
 
     @property
     def horizon(self) -> int:
@@ -237,7 +235,7 @@ def synthesize_trajectory(
         seed_vec = tuple(as_scalar(v) for v in seed)
         if len(seed_vec) != n:
             raise DimensionMismatch(f"seed must have {n} components")
-        if any(v == NEG_INF or v == POS_INF for v in seed_vec):
+        if not all(map(is_finite, seed_vec)):
             raise ValueError("seed components must be finite")
 
     tails = []
@@ -269,16 +267,12 @@ def validate_trajectory(system: PtegSystem, trajectory: Trajectory) -> bool:
     if any(len(row) != n for row in trajectory.states):
         raise DimensionMismatch("trajectory width does not match the system")
     cols = [TropicalMatrix.column(s) for s in trajectory.states]
-
-    def dominates(vec: TropicalMatrix, bound: TropicalMatrix) -> bool:
-        return bound <= vec
-
     for k in range(trajectory.horizon):
-        if not dominates(cols[k], system.within @ cols[k]):
+        if not system.within @ cols[k] <= cols[k]:
             return False
     for k in range(trajectory.horizon - 1):
-        if not dominates(cols[k], system.backward @ cols[k + 1]):
+        if not system.backward @ cols[k + 1] <= cols[k]:
             return False
-        if not dominates(cols[k + 1], system.forward @ cols[k]):
+        if not system.forward @ cols[k] <= cols[k + 1]:
             return False
     return True

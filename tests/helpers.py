@@ -130,10 +130,12 @@ def check_consistency_full(
     )
 
 
-def iterate_shrink_full(
-    system: PtegSystem, probe_bound: int | None = None
-) -> InvarianceReport:
-    """Oracle for iterate_shrink: one fresh closure step per shrink step."""
+def iterate_shrink_full(system: PtegSystem, probe_bound: int | None = None):
+    """Oracle for iterate_shrink: one fresh closure step per shrink step.
+
+    Returns ``(kind, step, invariant_generator, generators)``; compare it
+    with :func:`report_fields`.
+    """
     probe = default_probe_bound(system.size) if probe_bound is None else probe_bound
     roundtrip = roundtrip_closure(system)
     closure_k = system.within.star()
@@ -143,23 +145,19 @@ def iterate_shrink_full(
         generator = _assemble_generator(system, closure_k, closure_k1, roundtrip)
         generators.append(generator)
         if not generator.rmax_valued:
-            return InvarianceReport(
-                tuple(generators), InvarianceKind.REAL_EMPTY_AT_STEP, step=k
-            )
+            return InvarianceKind.REAL_EMPTY_AT_STEP, k, None, tuple(generators)
         closure_k2 = _closure_step(system, closure_k1)
         if closure_k2 == closure_k1:
             stable = _assemble_generator(system, closure_k1, closure_k2, roundtrip)
             generators.append(stable)
-            return InvarianceReport(
-                tuple(generators),
-                InvarianceKind.CONVERGED_NON_EMPTY,
-                step=k,
-                invariant_generator=stable,
-            )
+            return InvarianceKind.CONVERGED_NON_EMPTY, k, stable, tuple(generators)
         closure_k, closure_k1 = closure_k1, closure_k2
-    return InvarianceReport(
-        tuple(generators), InvarianceKind.NON_CONVERGENT_WEAK_OPEN, step=probe
-    )
+    return InvarianceKind.NON_CONVERGENT_WEAK_OPEN, probe, None, tuple(generators)
+
+
+def report_fields(report: InvarianceReport):
+    """``(kind, step, invariant_generator, generators)`` of an InvarianceReport."""
+    return report.kind, report.step, report.invariant_generator, report.generators
 
 
 def shrink_generator_unrolled(system: PtegSystem, k: int) -> TropicalMatrix:

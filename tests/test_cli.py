@@ -184,6 +184,15 @@ class TestErrors:
         assert code == 1
         assert "line" in err and "column" in err
 
+    def test_deep_nesting_is_a_format_error(self, capsys, tmp_path):
+        depth = 100_000
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 1, "A": ' + "[" * depth + "]" * depth + "}")
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: invalid JSON: nested too deeply\n"
+
     def test_bad_param_syntax(self, capsys):
         code, _, err = run(capsys, "check", RAILWAY, "--param", "ell")
         assert code == 1 and "name=value" in err

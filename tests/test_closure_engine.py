@@ -16,10 +16,15 @@ from maxplus import (
     closure_sequence,
     iterate_shrink,
 )
-from maxplus import precedence
+from maxplus import invariance, precedence
 
 from conftest import TWO_NODE, make_railway
-from helpers import all_eps_system, check_consistency_full, iterate_shrink_full
+from helpers import (
+    all_eps_system,
+    check_consistency_full,
+    iterate_shrink_full,
+    report_fields,
+)
 
 
 def block(draw, n, lo, hi):
@@ -63,6 +68,20 @@ def count_steps(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def count_assembly(monkeypatch):
+    """Counts generator assemblies; read ``calls[0]``."""
+    calls = [0]
+    assemble = invariance._assemble_generator
+
+    def counted(*args):
+        calls[0] += 1
+        return assemble(*args)
+
+    monkeypatch.setattr(invariance, "_assemble_generator", counted)
+    return calls
+
+
 @given(systems(), st.integers(1, 6))
 @example(make_railway(Fraction("-13.9")), 6)
 @example(make_railway(Fraction("-13.5")), 6)
@@ -70,7 +89,7 @@ def count_steps(monkeypatch):
 def test_engine_matches_full_loops(system, probe):
     assert check_consistency(system, probe) == check_consistency_full(system, probe)
     report = iterate_shrink(system, probe)
-    assert report == iterate_shrink_full(system, probe)
+    assert report_fields(report) == iterate_shrink_full(system, probe)
     if report.kind is InvarianceKind.CONVERGED_NON_EMPTY:
         j = first_repeat(system, report.step + 2)
         assert report.step == max(j, 2) - 2
@@ -86,7 +105,7 @@ def test_first_repeat_at_index_one_converges_at_step_zero(count_steps):
     assert report.kind is InvarianceKind.CONVERGED_NON_EMPTY
     assert report.step == 0
     assert len(report.generators) == 2
-    assert report == iterate_shrink_full(system, 1)
+    assert report_fields(report) == iterate_shrink_full(system, 1)
 
 
 @pytest.mark.parametrize("probe", [1, 2, 3])
@@ -94,7 +113,7 @@ def test_railway_around_its_converging_step(probe):
     system = make_railway(-14)
     assert first_repeat(system, 5) == 4
     report = iterate_shrink(system, probe)
-    assert report == iterate_shrink_full(system, probe)
+    assert report_fields(report) == iterate_shrink_full(system, probe)
     if probe < 2:
         assert report.kind is InvarianceKind.NON_CONVERGENT_WEAK_OPEN
         assert report.step == probe
@@ -122,3 +141,22 @@ def test_divergence_stops_the_check(count_steps):
     verdict = check_consistency(make_railway(-13))
     assert verdict.kind is ConsistencyKind.NOT_WEAKLY_CONSISTENT
     assert count_steps[0] == verdict.first_divergent
+
+
+def test_classification_assembles_no_generator(count_steps, count_assembly):
+    report = iterate_shrink(make_railway(Fraction("-13.9")))
+    assert report.kind is InvarianceKind.REAL_EMPTY_AT_STEP
+    assert report.step == 20
+    assert count_assembly[0] == 0
+    assert count_steps[0] == 21
+    assert len(report.generators) == 21
+    assert count_assembly[0] == 21
+    assert report.generators is report.generators
+    assert count_assembly[0] == 21
+
+
+def test_converged_report_assembles_one_generator(count_assembly):
+    report = iterate_shrink(make_railway(-14))
+    assert report.kind is InvarianceKind.CONVERGED_NON_EMPTY
+    assert count_assembly[0] == 1
+    assert report.generators[-1] == report.invariant_generator

@@ -12,7 +12,7 @@ from maxplus import (
     TropicalMatrix,
     check_consistency,
     closure_sequence,
-    invariant_member,
+    image_member,
     iterate_shrink,
     maximal_invariant,
     roundtrip_closure,
@@ -220,22 +220,22 @@ class TestMaximalInvariant:
 
 class TestInvariantMember:
     def test_identity_generator(self):
-        assert invariant_member(TropicalMatrix.identity(4), [0, -1, 2, 3])
+        assert image_member(TropicalMatrix.identity(4), [0, -1, 2, 3])
 
     def test_generator_columns_belong(self, railway):
         generator = maximal_invariant(railway(-14))
         for j in range(generator.cols):
-            assert invariant_member(generator, generator.column_values(j))
+            assert image_member(generator, generator.column_values(j))
 
     def test_window_violation_rejected(self, railway):
         generator = maximal_invariant(railway(-14))
         # membership forces x4 >= -14 + x8; this vector breaks that bound
         violating = [0, 0, 0, 0, 0, 0, 0, 15]
-        assert not invariant_member(generator, violating)
+        assert not image_member(generator, violating)
 
     def test_requires_star_matrix(self):
         with pytest.raises(NotStarMatrix):
-            invariant_member(TropicalMatrix([[1, NEG], [NEG, NEG]]), [0, 0])
+            image_member(TropicalMatrix([[1, NEG], [NEG, NEG]]), [0, 0])
 
 
 class TestOneStepInvariance:

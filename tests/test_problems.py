@@ -91,6 +91,12 @@ def test_malformed_documents(mutate, message):
         parse_problem(mutate(MINIMAL))
 
 
+@pytest.mark.parametrize("size", ["true", "false", "null", "[1]", "1.5"])
+def test_size_must_be_a_json_integer(size):
+    with pytest.raises(ProblemFormatError, match='field "n" must be a positive integer'):
+        parse_problem(MINIMAL.replace('"n": 1', f'"n": {size}'))
+
+
 def test_json_error_carries_position():
     with pytest.raises(ProblemFormatError, match=r"line \d+, column \d+"):
         parse_problem('{"n": 1,,}')
