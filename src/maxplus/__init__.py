@@ -5,7 +5,9 @@ time-window constraints admits consistent schedules, synthesizes finite
 schedules, and computes the maximal controlled-invariant subsemimodule of
 the induced precedence constraint set.  All arithmetic is exact (rationals
 plus the two infinities), so every verdict is a certificate, not an
-approximation.
+approximation.  Each system is scaled once by the LCM of its denominators
+and the analyses run on ``int`` entries; results are divided back into the
+same exact values, normalized (an integral value is always an ``int``).
 """
 
 from .semiring import (

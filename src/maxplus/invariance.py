@@ -19,8 +19,13 @@ from functools import cached_property
 from typing import Iterator
 
 from .matrix import TropicalMatrix
-from .precedence import _closures, _stopping_closure
+from .precedence import BlockMatrixSpec, _closures, _stopping_closure
 from .pteg import PtegSystem, _probe_bound
+
+
+def _roundtrip(blocks: BlockMatrixSpec) -> TropicalMatrix:
+    inner = blocks.forward @ blocks.within.star() @ blocks.backward
+    return (inner + blocks.within).star()
 
 
 def roundtrip_closure(system: PtegSystem) -> TropicalMatrix:
@@ -30,12 +35,12 @@ def roundtrip_closure(system: PtegSystem) -> TropicalMatrix:
     going forward one occurrence, moving there, and coming back, combined
     with the purely local constraints.
     """
-    inner = system.forward @ system.within.star() @ system.backward
-    return (inner + system.within).star()
+    spec = system.block_spec()
+    return _roundtrip(spec.integral).unscaled(spec.scale)
 
 
 def _assemble_generator(
-    system: PtegSystem,
+    blocks: BlockMatrixSpec,
     closure_k: TropicalMatrix,
     closure_k1: TropicalMatrix,
     roundtrip: TropicalMatrix,
@@ -43,19 +48,25 @@ def _assemble_generator(
     anchored = (closure_k + roundtrip).star()
     return TropicalMatrix.from_blocks(
         [
-            [closure_k1, closure_k1 @ system.backward @ anchored],
-            [anchored @ system.forward @ closure_k1, anchored],
+            [closure_k1, closure_k1 @ blocks.backward @ anchored],
+            [anchored @ blocks.forward @ closure_k1, anchored],
         ]
     )
 
 
 def _generators(system: PtegSystem, start: int = 0) -> Iterator[TropicalMatrix]:
-    """Generators ``start``, ``start + 1``, ...; generator k reads closures k, k+1."""
-    roundtrip = roundtrip_closure(system)
-    closures = (closure for _, closure, _ in _closures(system))
+    """Generators ``start``, ``start + 1``, ...; generator k reads closures k, k+1.
+
+    Assembled on the integer blocks; each finished generator is unscaled once.
+    """
+    spec = system.block_spec()
+    blocks = spec.integral
+    roundtrip = _roundtrip(blocks)
+    closures = (closure for _, closure, _ in _closures(blocks))
     pairs = itertools.islice(itertools.pairwise(closures), start, None)
     for closure_k, closure_k1 in pairs:
-        yield _assemble_generator(system, closure_k, closure_k1, roundtrip)
+        generator = _assemble_generator(blocks, closure_k, closure_k1, roundtrip)
+        yield generator.unscaled(spec.scale)
 
 
 def shrink_generator(system: PtegSystem, k: int) -> TropicalMatrix:
@@ -108,6 +119,15 @@ class InvarianceReport:
 
     @cached_property
     def generators(self) -> tuple[TropicalMatrix, ...]:
+        """The generators of steps 0 to ``step`` (+ 1 when converged).
+
+        The first read walks the closure recurrence again instead of reusing
+        the walk that classified the report.  Reusing it would mean keeping
+        every closure of that walk, ``step + 2`` matrices (2001 for the
+        railway at ell = -13.999), on every report, also on the many whose
+        generators are never read; the second walk costs time only when the
+        generators are wanted.
+        """
         count = self.step + (1 if self.invariant_generator is None else 2)
         return tuple(itertools.islice(_generators(self.system), count))
 
@@ -136,12 +156,16 @@ def iterate_shrink(
     converges at step ``max(j, 2) - 2``.
     """
     probe = _probe_bound(system.size, probe_bound)
-    j, closure, fixed = _stopping_closure(system, probe + 2)
+    spec = system.block_spec()
+    blocks = spec.integral
+    j, closure, fixed = _stopping_closure(blocks, probe + 2)
     if fixed:
-        roundtrip = roundtrip_closure(system)
-        stable = _assemble_generator(system, closure, closure, roundtrip)
+        stable = _assemble_generator(blocks, closure, closure, _roundtrip(blocks))
         return InvarianceReport(
-            InvarianceKind.CONVERGED_NON_EMPTY, max(j, 2) - 2, system, stable
+            InvarianceKind.CONVERGED_NON_EMPTY,
+            max(j, 2) - 2,
+            system,
+            stable.unscaled(spec.scale),
         )
     if not closure.rmax_valued and j <= probe + 1:
         return InvarianceReport(

@@ -4,10 +4,19 @@
 ``(A @ B)[i, j] = max_t(A[i, t] + B[t, j])`` and ``<=`` compares entrywise.
 Matrices are immutable; every operation returns a new value, so instances can
 be shared freely across threads.
+
+All of these operations, and the star, are positively homogeneous: scaling
+every entry by the same s > 0 scales the result by s.  The analyses
+therefore multiply each problem once by the LCM of its denominators
+(:meth:`TropicalMatrix.scaled`), compute on ``int`` entries, which is much
+faster than ``Fraction`` arithmetic, and divide the results back
+(:meth:`TropicalMatrix.unscaled`) into the same exact values, normalized.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .semiring import NEG_INF, POS_INF, Scalar, as_scalar, format_scalar, is_finite
@@ -50,6 +59,17 @@ def _closure(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
                 if dik + v > di[j]:
                     di[j] = dik + v
     return d
+
+
+def _times(v: Scalar, s: int) -> Scalar:
+    if type(v) is float:
+        return v
+    product = v * s
+    if type(product) is Fraction:
+        if product.denominator != 1:
+            raise ValueError(f"{format_scalar(v)} times {s} is not an integer")
+        return product.numerator
+    return product
 
 
 class TropicalMatrix:
@@ -220,6 +240,42 @@ class TropicalMatrix:
                         out[j] = s
             grid.append(tuple(out))
         return TropicalMatrix._wrap(tuple(grid))
+
+    # -- scaling ----------------------------------------------------------
+
+    @property
+    def denominator(self) -> int:
+        """The least s > 0 with every finite entry times s an integer."""
+        return math.lcm(
+            *(v.denominator for row in self._data for v in row if type(v) is Fraction)
+        )
+
+    def scaled(self, s: int) -> "TropicalMatrix":
+        """Every finite entry times ``s``, as an ``int``; infinities pass through.
+
+        Raises ValueError when an entry times ``s`` is not an integer.  With
+        ``s = 1`` an all-``int`` matrix is returned itself, not copied.
+        """
+        if s == 1 and not any(type(v) is Fraction for row in self._data for v in row):
+            return self
+        return TropicalMatrix._wrap(
+            tuple(tuple(_times(v, s) for v in row) for row in self._data)
+        )
+
+    def unscaled(self, s: int) -> "TropicalMatrix":
+        """Inverse of :meth:`scaled`: finite ``int`` entries divided by ``s``.
+
+        Results are normalized by :func:`~maxplus.semiring.as_scalar`, so an
+        integral quotient is an ``int``.  ``s = 1`` returns the matrix itself.
+        """
+        if s == 1:
+            return self
+        return TropicalMatrix._wrap(
+            tuple(
+                tuple(v if type(v) is float else as_scalar(Fraction(v, s)) for v in row)
+                for row in self._data
+            )
+        )
 
     def top_left(self, rows: int, cols: int) -> "TropicalMatrix":
         return TropicalMatrix._wrap(tuple(row[:cols] for row in self._data[:rows]))

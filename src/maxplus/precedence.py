@@ -7,19 +7,20 @@ index) are described by three square blocks and unrolled into a block
 tridiagonal matrix over any finite horizon.  The closure recurrence of
 :func:`_closures` eliminates that matrix stage by stage, so feasibility and
 the graph export work on the blocks alone, never on the unrolled matrix.
+The recurrence runs on :attr:`BlockMatrixSpec.integral`, the blocks scaled
+once to ``int`` entries.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from functools import cached_property
+from typing import Iterator
 
 from .matrix import NotSquare, TropicalMatrix
 from .semiring import NEG_INF, Scalar, format_scalar
-
-if TYPE_CHECKING:
-    from .pteg import PtegSystem
 
 
 class BlockDimensionMismatch(ValueError):
@@ -83,6 +84,34 @@ class BlockMatrixSpec:
     def size(self) -> int:
         return self.within.rows
 
+    @cached_property
+    def scale(self) -> int:
+        """The LCM of the denominators of all three blocks."""
+        return math.lcm(
+            self.within.denominator,
+            self.backward.denominator,
+            self.forward.denominator,
+        )
+
+    def scaled(self, s: int) -> BlockMatrixSpec:
+        """All three blocks times ``s`` (see :meth:`TropicalMatrix.scaled`)."""
+        return BlockMatrixSpec(
+            within=self.within.scaled(s),
+            backward=self.backward.scaled(s),
+            forward=self.forward.scaled(s),
+        )
+
+    @cached_property
+    def integral(self) -> BlockMatrixSpec:
+        """The blocks times :attr:`scale`: all entries ``int``, computed once.
+
+        Sums, maxima, products and stars commute with a positive scaling,
+        so a closure or generator computed from these blocks is exactly
+        ``scale`` times the one computed from the original blocks.  Blocks
+        whose entries are ``int`` already are the original objects.
+        """
+        return self.scaled(self.scale)
+
 
 def build_block_matrix(spec: BlockMatrixSpec, horizon: int) -> TropicalMatrix:
     """Unroll ``horizon`` stages into one block tridiagonal matrix.
@@ -111,18 +140,14 @@ def build_block_matrix(spec: BlockMatrixSpec, horizon: int) -> TropicalMatrix:
     return TropicalMatrix.from_blocks(grid)
 
 
-def _next_closure(
-    blocks: BlockMatrixSpec | PtegSystem, current: TropicalMatrix
-) -> TropicalMatrix:
+def _next_closure(blocks: BlockMatrixSpec, current: TropicalMatrix) -> TropicalMatrix:
     nxt = (blocks.backward @ current @ blocks.forward + blocks.within).star()
     if not current <= nxt:
         raise RuntimeError("closure sequence lost monotonicity")
     return nxt
 
 
-def _closures(
-    blocks: BlockMatrixSpec | PtegSystem,
-) -> Iterator[tuple[int, TropicalMatrix, bool]]:
+def _closures(blocks: BlockMatrixSpec) -> Iterator[tuple[int, TropicalMatrix, bool]]:
     """Yield ``(k, closure_k, fixed)`` for k = 0, 1, 2, ... without end.
 
     Closure 0 is the star of the within block and closure k+1 the star of
@@ -150,7 +175,7 @@ def _closures(
 
 
 def _stopping_closure(
-    blocks: BlockMatrixSpec | PtegSystem, last: int
+    blocks: BlockMatrixSpec, last: int
 ) -> tuple[int, TropicalMatrix, bool]:
     """``(k, closure_k, fixed)`` at the first +inf, first repeat or k = ``last``.
 
@@ -183,7 +208,7 @@ def finite_weak_feasibility(spec: BlockMatrixSpec, horizon: int) -> bool:
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    return _stopping_closure(spec, horizon - 1)[1].rmax_valued
+    return _stopping_closure(spec.integral, horizon - 1)[1].rmax_valued
 
 
 def export_dot(spec: BlockMatrixSpec, horizon: int) -> str:

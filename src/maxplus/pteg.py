@@ -18,6 +18,7 @@ guessed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -49,8 +50,9 @@ class PtegSystem:
 
     ``extra_forward`` holds user constraints from one occurrence to the next
     on top of the plant dynamics; None means no extra constraints.  The
-    combined ``forward`` block is computed on first access and cached; it
-    is not a field, so it takes no part in ``==`` or ``hash``.
+    combined ``forward`` block and the :meth:`block_spec` are computed on
+    first access and cached; they are not fields, so they take no part in
+    ``==`` or ``hash``.
     """
 
     dynamics: TropicalMatrix
@@ -79,10 +81,16 @@ class PtegSystem:
     def forward(self) -> TropicalMatrix:
         return self.dynamics + self.extra_forward
 
-    def block_spec(self) -> BlockMatrixSpec:
+    @cached_property
+    def _spec(self) -> BlockMatrixSpec:
         return BlockMatrixSpec(
             within=self.within, backward=self.backward, forward=self.forward
         )
+
+    def block_spec(self) -> BlockMatrixSpec:
+        """The within, backward and forward blocks; the same object each call,
+        so their integer scaling is computed once per system."""
+        return self._spec
 
 
 class ConsistencyKind(Enum):
@@ -123,7 +131,11 @@ def closure_sequence(system: PtegSystem, k_max: int) -> list[TropicalMatrix]:
     """
     if k_max < 0:
         raise ValueError("closure count must be non-negative")
-    return [m for _, m, _ in itertools.islice(_closures(system), k_max + 1)]
+    spec = system.block_spec()
+    out: list[TropicalMatrix] = []
+    for _, m, fixed in itertools.islice(_closures(spec.integral), k_max + 1):
+        out.append(out[-1] if fixed else m.unscaled(spec.scale))
+    return out
 
 
 def default_probe_bound(size: int) -> int:
@@ -162,13 +174,16 @@ def check_consistency(
     """
     n = system.size
     limit = closure_limit(n, probe_bound)
-    k, closure, fixed = _stopping_closure(system, limit)
+    spec = system.block_spec()
+    k, closure, fixed = _stopping_closure(spec.integral, limit)
     if not closure.rmax_valued:
         return ConsistencyVerdict(
             ConsistencyKind.NOT_WEAKLY_CONSISTENT, first_divergent=k
         )
     if fixed and k <= n * n + 1:
-        return ConsistencyVerdict(ConsistencyKind.CONSISTENT, fixed_closure=closure)
+        return ConsistencyVerdict(
+            ConsistencyKind.CONSISTENT, fixed_closure=closure.unscaled(spec.scale)
+        )
     return ConsistencyVerdict(
         ConsistencyKind.NOT_CONSISTENT_WEAK_OPEN, verified_up_to=limit
     )
@@ -225,6 +240,10 @@ def synthesize_trajectory(
     +inf, and :class:`InfeasibleHorizon` is raised.  Otherwise every
     component is finite: b is finite and a star's diagonal is at least 0,
     so each component is at least its entry of b and never -inf.
+
+    Both sweeps run on ``int`` entries: the blocks and the seed are scaled
+    by the LCM of all their denominators, and each state is divided back
+    once.
     """
     if horizon < 2:
         raise ValueError("trajectory synthesis needs a horizon of at least 2")
@@ -238,8 +257,12 @@ def synthesize_trajectory(
         if not all(map(is_finite, seed_vec)):
             raise ValueError("seed components must be finite")
 
+    spec = system.block_spec()
+    seed_col = TropicalMatrix.column(seed_vec)
+    s = math.lcm(spec.scale, seed_col.denominator)
+    blocks = spec.integral if s == spec.scale else spec.scaled(s)
     tails = []
-    for _, closure, _ in itertools.islice(_closures(system), horizon):
+    for _, closure, _ in itertools.islice(_closures(blocks), horizon):
         if not closure.rmax_valued:
             raise InfeasibleHorizon(
                 f"no schedule over {horizon} occurrences exists:"
@@ -250,14 +273,14 @@ def synthesize_trajectory(
     tails.reverse()  # 0-based lists: tails[k] is T_{k+1}, r[k] is r_{k+1}
     zero = TropicalMatrix.column((0,) * n)
     r = [zero] * horizon
-    r[0] = TropicalMatrix.column(seed_vec)
+    r[0] = seed_col.scaled(s)
     for k in range(horizon - 2, -1, -1):
-        r[k] = r[k] + system.backward @ (tails[k + 1] @ r[k + 1])
+        r[k] = r[k] + blocks.backward @ (tails[k + 1] @ r[k + 1])
     x = tails[0] @ r[0]
-    states = [x.column_values()]
+    states = [x.unscaled(s).column_values()]
     for k in range(1, horizon):
-        x = tails[k] @ (system.forward @ x + r[k])
-        states.append(x.column_values())
+        x = tails[k] @ (blocks.forward @ x + r[k])
+        states.append(x.unscaled(s).column_values())
     return Trajectory(states=tuple(states), inputs=tuple(states[1:]))
 
 

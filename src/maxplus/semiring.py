@@ -63,10 +63,11 @@ def format_scalar(value: Scalar) -> str:
     The output round-trips through :func:`parse_scalar` to the same value.
     A decimal form is used whenever the denominator divides a power of ten.
     """
-    if value == NEG_INF:
-        return "-inf"
-    if value == POS_INF:
-        return "+inf"
+    if isinstance(value, float):  # tested first: Fraction == float is slow
+        if value == NEG_INF:
+            return "-inf"
+        if value == POS_INF:
+            return "+inf"
     if isinstance(value, int):
         return str(value)
     num, den = value.numerator, value.denominator

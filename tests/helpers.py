@@ -18,7 +18,6 @@ from maxplus import (
     build_block_matrix,
     default_probe_bound,
     format_scalar,
-    roundtrip_closure,
 )
 from maxplus.invariance import _assemble_generator
 
@@ -96,6 +95,19 @@ def _closure_step(system: PtegSystem, current: TropicalMatrix) -> TropicalMatrix
     return (system.backward @ current @ system.forward + system.within).star()
 
 
+def closure_sequence_full(system: PtegSystem, k_max: int) -> list[TropicalMatrix]:
+    """Oracle for closure_sequence: k_max fresh steps on the unscaled blocks."""
+    closures = [system.within.star()]
+    for _ in range(k_max):
+        closures.append(_closure_step(system, closures[-1]))
+    return closures
+
+
+def _roundtrip_full(system: PtegSystem) -> TropicalMatrix:
+    inner = system.forward @ system.within.star() @ system.backward
+    return (inner + system.within).star()
+
+
 def check_consistency_full(
     system: PtegSystem, probe_bound: int | None = None
 ) -> ConsistencyVerdict:
@@ -134,10 +146,10 @@ def iterate_shrink_full(system: PtegSystem, probe_bound: int | None = None):
     """Oracle for iterate_shrink: one fresh closure step per shrink step.
 
     Returns ``(kind, step, invariant_generator, generators)``; compare it
-    with :func:`report_fields`.
+    with :func:`report_fields`.  Works on the unscaled blocks throughout.
     """
     probe = default_probe_bound(system.size) if probe_bound is None else probe_bound
-    roundtrip = roundtrip_closure(system)
+    roundtrip = _roundtrip_full(system)
     closure_k = system.within.star()
     closure_k1 = _closure_step(system, closure_k)
     generators = []

@@ -3,18 +3,25 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxplus import (
     NEG_INF,
     ConsistencyKind,
+    InfeasibleHorizon,
     InvarianceKind,
     PtegSystem,
     TropicalMatrix,
+    as_scalar,
+    build_block_matrix,
     check_consistency,
     closure_sequence,
+    finite_weak_feasibility,
     iterate_shrink,
+    roundtrip_closure,
+    shrink_generator,
+    synthesize_trajectory,
 )
 from maxplus import invariance, precedence
 
@@ -22,8 +29,11 @@ from conftest import TWO_NODE, make_railway
 from helpers import (
     all_eps_system,
     check_consistency_full,
+    closure_sequence_full,
     iterate_shrink_full,
     report_fields,
+    shrink_generator_unrolled,
+    synthesize_dense,
 )
 
 
@@ -160,3 +170,121 @@ def test_converged_report_assembles_one_generator(count_assembly):
     assert report.kind is InvarianceKind.CONVERGED_NON_EMPTY
     assert count_assembly[0] == 1
     assert report.generators[-1] == report.invariant_generator
+
+
+# Small denominators, and large ones whose LCM is a product of coprime factors.
+DENOMINATORS = (st.integers(1, 6), st.integers(1001, 2999))
+
+
+@st.composite
+def fractions(draw, lo, hi, denominators):
+    den = draw(denominators)
+    return Fraction(draw(st.integers(lo * den, hi * den)), den)
+
+
+@st.composite
+def fraction_systems(draw, max_n=3):
+    """``(system, seed)``: Fraction entries, signed like :func:`systems`."""
+    n = draw(st.integers(1, max_n))
+    dens = draw(st.sampled_from(DENOMINATORS))
+
+    def block(lo, hi):
+        entries = st.one_of(st.just(NEG_INF), fractions(lo, hi, dens))
+        row = st.lists(entries, min_size=n, max_size=n)
+        return TropicalMatrix(draw(st.lists(row, min_size=n, max_size=n)))
+
+    system = PtegSystem(
+        dynamics=block(0, 5),
+        backward=block(-8, 0),
+        within=block(-5, 0),
+        extra_forward=block(-2, 3),
+    )
+    seed = draw(st.lists(fractions(-3, 3, dens), min_size=n, max_size=n))
+    return system, tuple(seed)
+
+
+def synthesized_or_reason(synthesize, system, horizon, seed):
+    try:
+        return synthesize(system, horizon, seed)
+    except InfeasibleHorizon as exc:
+        return exc.reason
+
+
+@settings(max_examples=50)
+@given(fraction_systems(), st.integers(1, 6))
+@example((make_railway(Fraction("-13.9")), (Fraction(1, 3), 0, Fraction(-5, 7), 1)), 6)
+@example((make_railway(Fraction("-14.5")), (0, Fraction(1, 2), 0, 0)), 6)
+def test_integer_kernel_matches_fraction_oracles(drawn, probe):
+    """Scaled integer results equal the oracles run on the unscaled blocks."""
+    system, seed = drawn
+    assert check_consistency(system, probe) == check_consistency_full(system, probe)
+    assert report_fields(iterate_shrink(system, probe)) == iterate_shrink_full(
+        system, probe
+    )
+    assert closure_sequence(system, 8) == closure_sequence_full(system, 8)
+    for k in range(3):
+        assert shrink_generator(system, k) == shrink_generator_unrolled(system, k)
+    spec = system.block_spec()
+    for horizon in range(1, 9):
+        dense = build_block_matrix(spec, horizon)
+        assert finite_weak_feasibility(spec, horizon) == (
+            not dense.has_positive_circuit()
+        )
+    for horizon, start in ((2, None), (5, seed)):
+        trajectory = synthesized_or_reason(synthesize_trajectory, system, horizon, start)
+        expected = synthesized_or_reason(synthesize_dense, system, horizon, start)
+        if isinstance(expected, str):
+            assert trajectory == expected
+            continue
+        assert trajectory.states == expected
+        assert [[str(v) for v in row] for row in trajectory.states] == [
+            [str(v) for v in row] for row in expected
+        ]
+
+
+@pytest.fixture
+def walk_operands(monkeypatch):
+    """Collects every entry the closure step reads; read ``entries``."""
+    entries = []
+    step = precedence._next_closure
+
+    def recorded(blocks, current):
+        for m in (blocks.within, blocks.backward, blocks.forward, current):
+            entries.extend(v for row in m for v in row)
+        return step(blocks, current)
+
+    monkeypatch.setattr(precedence, "_next_closure", recorded)
+    return entries
+
+
+def test_closure_walk_runs_on_ints(walk_operands):
+    system = make_railway(Fraction("-13.9"))
+    check_consistency(system)
+    iterate_shrink(system).generators
+    closure_sequence(system, 25)
+    finite_weak_feasibility(system.block_spec(), 30)
+    synthesize_trajectory(system, 5, ("1/3", 0, "-5/7", "1/4"))
+    assert len(walk_operands) > 0
+    assert not [v for v in walk_operands if isinstance(v, Fraction)]
+
+
+def normalized(matrix_or_rows) -> bool:
+    """No entry is a Fraction that :func:`as_scalar` would turn into an int."""
+    return all(type(as_scalar(v)) is type(v) for row in matrix_or_rows for v in row)
+
+
+@pytest.mark.parametrize("ell", ["-14.5", "-14.25", "-13.9"])
+def test_returned_values_are_normalized(ell):
+    system = make_railway(Fraction(ell))
+    verdict = check_consistency(system)
+    report = iterate_shrink(system)
+    returned = [
+        *closure_sequence(system, 8),
+        *report.generators,
+        roundtrip_closure(system),
+        shrink_generator(system, 3),
+        synthesize_trajectory(system, 4, ("1/2", "3/2", 0, "1/2")).states,
+    ]
+    if verdict.kind is ConsistencyKind.CONSISTENT:
+        returned += [verdict.fixed_closure, report.invariant_generator]
+    assert all(normalized(m) for m in returned)

@@ -10,6 +10,7 @@ from maxplus import (
     NotSquare,
     NotStarMatrix,
     TropicalMatrix,
+    as_scalar,
     image_member,
 )
 
@@ -199,3 +200,65 @@ class TestStarProperties:
         m = TropicalMatrix([[1, NEG], [0, -2]])
         assert m.star() == m.star()
         assert hash(m.star()) == hash(m.star())
+
+
+def random_fraction_matrix(rng: random.Random, n: int) -> TropicalMatrix:
+    """Fraction entries with small and large coprime-ish denominators, some infinite."""
+
+    def entry():
+        roll = rng.random()
+        if roll < 0.2:
+            return NEG
+        if roll < 0.3:
+            return POS_INF
+        den = rng.choice([rng.randint(1, 6), rng.randint(1001, 2999)])
+        return Fraction(rng.randint(-9 * den, 9 * den), den)
+
+    return TropicalMatrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
+class TestScaling:
+    def test_infinities_pass_through(self):
+        m = TropicalMatrix([[NEG, POS_INF], ["1/2", 3]])
+        for out in (m.scaled(2), m.scaled(6).unscaled(3)):
+            assert out[0, 0] == NEG_INF and out[0, 1] == POS_INF
+            assert type(out[0, 0]) is float and type(out[0, 1]) is float
+        assert m.scaled(2).unscaled(2) == m
+
+    def test_scale_one_returns_the_matrix_itself(self):
+        m = TropicalMatrix([[NEG, 2], [POS_INF, -7]])
+        assert m.denominator == 1
+        assert m.scaled(1) is m
+        assert m.unscaled(1) is m
+
+    def test_scale_one_turns_integral_fractions_into_ints(self):
+        half = TropicalMatrix([["1/2", NEG]])
+        m = half.top_left(1, 1) @ half  # 1/2 + 1/2 stays a Fraction
+        assert type(m[0, 0]) is Fraction
+        out = m.scaled(1)
+        assert out == m
+        assert type(out[0, 0]) is int
+
+    def test_denominator_is_the_lcm(self):
+        m = TropicalMatrix([["1/6", "3/4"], [NEG, "5/1001"]])
+        assert m.denominator == 12 * 1001
+        assert TropicalMatrix.epsilon(2).denominator == 1
+
+    def test_roundtrip_and_int_entries(self):
+        rng = random.Random(1108)
+        for _ in range(200):
+            m = random_fraction_matrix(rng, rng.randint(1, 4))
+            s = m.denominator * rng.randint(1, 3)
+            scaled = m.scaled(s)
+            assert all(type(v) is int or v in (NEG_INF, POS_INF) for row in scaled for v in row)
+            back = scaled.unscaled(s)
+            assert back == m
+            # normalized: no Fraction with denominator 1 comes back
+            assert all(type(as_scalar(v)) is type(v) for row in back for v in row)
+
+    def test_non_integral_scaling_raises(self):
+        m = TropicalMatrix([["1/6", 1]])
+        with pytest.raises(ValueError, match="not an integer"):
+            m.scaled(4)
+        with pytest.raises(ValueError):
+            m.scaled(1)
