@@ -29,11 +29,9 @@ from .matrix import (
 from .precedence import (
     BlockDimensionMismatch,
     BlockMatrixSpec,
-    PrecedenceSystem,
     build_block_matrix,
     export_dot,
     finite_weak_feasibility,
-    solve_precedence,
 )
 from .pteg import (
     ConsistencyKind,
@@ -43,7 +41,6 @@ from .pteg import (
     Trajectory,
     check_consistency,
     closure_sequence,
-    default_probe_bound,
     synthesize_trajectory,
     validate_trajectory,
 )
@@ -80,11 +77,9 @@ __all__ = [
     "image_member",
     "BlockDimensionMismatch",
     "BlockMatrixSpec",
-    "PrecedenceSystem",
     "build_block_matrix",
     "export_dot",
     "finite_weak_feasibility",
-    "solve_precedence",
     "ConsistencyKind",
     "ConsistencyVerdict",
     "InfeasibleHorizon",
@@ -92,7 +87,6 @@ __all__ = [
     "Trajectory",
     "check_consistency",
     "closure_sequence",
-    "default_probe_bound",
     "synthesize_trajectory",
     "validate_trajectory",
     "InvarianceKind",

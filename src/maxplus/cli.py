@@ -9,16 +9,15 @@ Subcommands::
 
 All numeric output is exact.  ``--param name=value`` substitutes named
 entries in the problem file, so one file describes a whole parameter sweep.
-The default probe bound is ``10 * n^2``; override with ``--probe-bound`` or
-the ``MAXPLUS_PROBE_BOUND`` environment variable.  Bad input exits 1; a
-failed internal invariant exits 5 with one ``error: internal:`` line.
+The default probe bound is ``10 * n^2``; override it with ``--probe-bound``.
+Bad input exits 1; a failed internal invariant exits 5 with one
+``error: internal:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .invariance import InvarianceKind, iterate_shrink
@@ -36,8 +35,6 @@ from .pteg import (
     validate_trajectory,
 )
 from .semiring import format_scalar
-
-PROBE_BOUND_ENV = "MAXPLUS_PROBE_BOUND"
 
 EXIT_CODES = {
     ConsistencyKind.CONSISTENT: 0,
@@ -63,28 +60,13 @@ def _parse_params(pairs: list[str]) -> dict[str, str]:
     return out
 
 
-def _resolve_probe_bound(args) -> int | None:
-    """The flag, else the environment, else None; the library checks its sign."""
-    if args.probe_bound is not None or not os.environ.get(PROBE_BOUND_ENV):
-        return args.probe_bound
-    try:
-        return int(os.environ[PROBE_BOUND_ENV])
-    except ValueError:
-        raise ValueError(
-            f"{PROBE_BOUND_ENV} must be an integer,"
-            f" got {os.environ[PROBE_BOUND_ENV]!r}"
-        ) from None
-
-
 def _load_system(args, params: dict[str, str]) -> PtegSystem:
     return parse_problem_file(args.file).instantiate(params)
 
 
 def cmd_check(args) -> int:
-    params = _parse_params(args.param)
-    probe_bound = _resolve_probe_bound(args)
-    system = _load_system(args, params)
-    verdict = check_consistency(system, probe_bound)
+    system = _load_system(args, _parse_params(args.param))
+    verdict = check_consistency(system, args.probe_bound)
     code = EXIT_CODES[verdict.kind]
     n = system.size
     closures = None
@@ -102,7 +84,7 @@ def cmd_check(args) -> int:
             "verdict": verdict.kind.value,
             "exit_code": code,
             "n": n,
-            "probe_bound": closure_limit(n, probe_bound),
+            "probe_bound": closure_limit(n, args.probe_bound),
             "fixed_closure": (
                 _matrix_lists(verdict.fixed_closure) if verdict.fixed_closure else None
             ),
@@ -135,10 +117,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_invariant(args) -> int:
-    params = _parse_params(args.param)
-    probe_bound = _resolve_probe_bound(args)
-    system = _load_system(args, params)
-    report = iterate_shrink(system, probe_bound)
+    system = _load_system(args, _parse_params(args.param))
+    report = iterate_shrink(system, args.probe_bound)
 
     if args.format == "json":
         doc = {
@@ -261,7 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_graph = sub.add_parser("graph", help="emit the precedence graph as DOT")
     common(p_graph)
     p_graph.add_argument("--horizon", type=int, required=True, metavar="K")
-    p_graph.add_argument("--format", choices=("dot",), default="dot")
     p_graph.set_defaults(handler=cmd_graph)
 
     return parser

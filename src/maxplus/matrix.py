@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .semiring import NEG_INF, POS_INF, Scalar, as_scalar, format_scalar, is_finite
+from .semiring import NEG_INF, POS_INF, Scalar, as_scalar, format_scalar
 
 
 class DimensionMismatch(ValueError):
@@ -100,17 +100,9 @@ class TropicalMatrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def epsilon(cls, rows: int, cols: int | None = None) -> "TropicalMatrix":
-        """The all ``-inf`` matrix (the additive zero)."""
-        cols = rows if cols is None else cols
-        return cls._wrap(tuple((NEG_INF,) * cols for _ in range(rows)))
-
-    @classmethod
-    def identity(cls, n: int) -> "TropicalMatrix":
-        """Zeros on the diagonal, ``-inf`` elsewhere (the multiplicative one)."""
-        return cls._wrap(
-            tuple(tuple(0 if i == j else NEG_INF for j in range(n)) for i in range(n))
-        )
+    def epsilon(cls, n: int) -> "TropicalMatrix":
+        """The n x n all ``-inf`` matrix (the additive zero)."""
+        return cls._wrap(tuple((NEG_INF,) * n for _ in range(n)))
 
     @classmethod
     def column(cls, values: Iterable) -> "TropicalMatrix":
@@ -150,11 +142,6 @@ class TropicalMatrix:
     def rmax_valued(self) -> bool:
         """True when no entry is ``+inf``."""
         return all(POS_INF not in row for row in self._data)
-
-    @property
-    def finite(self) -> bool:
-        """True when every entry is a real number (no infinity of either sign)."""
-        return all(is_finite(v) for row in self._data for v in row)
 
     def to_rows(self) -> tuple[tuple[Scalar, ...], ...]:
         return self._data
@@ -276,9 +263,6 @@ class TropicalMatrix:
                 for row in self._data
             )
         )
-
-    def top_left(self, rows: int, cols: int) -> "TropicalMatrix":
-        return TropicalMatrix._wrap(tuple(row[:cols] for row in self._data[:rows]))
 
     # -- path algebra ---------------------------------------------------
 

@@ -19,43 +19,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .matrix import NotSquare, TropicalMatrix
-from .semiring import NEG_INF, Scalar, format_scalar
+from .matrix import TropicalMatrix
+from .semiring import NEG_INF, format_scalar
 
 
 class BlockDimensionMismatch(ValueError):
     """Blocks of a stage-structured system do not share one square shape."""
-
-
-@dataclass(frozen=True)
-class PrecedenceSystem:
-    """The constraint ``x >= matrix @ x`` over real vectors x."""
-
-    matrix: TropicalMatrix
-
-    def __post_init__(self):
-        if not self.matrix.is_square:
-            raise NotSquare("a precedence system needs a square matrix")
-        if not self.matrix.rmax_valued:
-            raise ValueError("+inf is not a legal constraint weight")
-
-    @property
-    def size(self) -> int:
-        return self.matrix.rows
-
-
-def solve_precedence(system: PrecedenceSystem) -> tuple[Scalar, ...] | None:
-    """A real solution of ``x >= A @ x``, or None when none exists.
-
-    A real solution exists exactly when the star of A stays free of +inf.
-    In that case the row maxima of the star (the star applied to the zero
-    vector) form the least solution dominating the zero vector; the diagonal
-    of a star is at least 0, so every component is finite.
-    """
-    closure = system.matrix.star()
-    if not closure.rmax_valued:
-        return None
-    return tuple(max(row) for row in closure.to_rows())
 
 
 @dataclass(frozen=True)

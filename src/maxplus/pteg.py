@@ -110,8 +110,8 @@ class ConsistencyVerdict:
     - NOT_WEAKLY_CONSISTENT: ``first_divergent`` is the least closure index
       containing +inf.
     - NOT_CONSISTENT_WEAK_OPEN: ``verified_up_to`` is the probe limit; all
-      closures up to it are finite but none repeated by index n^2 + 1, so
-      weak consistency remains undecided beyond the probe bound.
+      closures up to it are finite and none repeated, so weak consistency
+      remains undecided beyond the probe bound.
     """
 
     kind: ConsistencyKind
@@ -138,13 +138,9 @@ def closure_sequence(system: PtegSystem, k_max: int) -> list[TropicalMatrix]:
     return out
 
 
-def default_probe_bound(size: int) -> int:
-    return 10 * size * size
-
-
 def _probe_bound(size: int, probe_bound: int | None) -> int:
     """The probe bound given, or the default ``10 * n^2``; must be positive."""
-    probe = default_probe_bound(size) if probe_bound is None else probe_bound
+    probe = 10 * size * size if probe_bound is None else probe_bound
     if probe < 1:
         raise ValueError("probe bound must be positive")
     return probe
@@ -166,21 +162,27 @@ def check_consistency(
     With n the system size, the closure sequence is iterated until an entry
     saturates to +inf, a closure repeats its predecessor, or the index
     reaches the limit (``probe_bound``, default ``10 * n^2``, but at least
-    n^2 + 1).  A +inf entry disproves weak consistency.  A finite closure
-    that repeats by index n^2 + 1 proves consistency, and that fixed closure
-    persists for all longer horizons.  Otherwise the system is not
-    consistent, and if no divergence appears up to the limit the verdict
-    reports how far finiteness was verified instead of guessing.
+    n^2 + 1).  A +inf entry disproves weak consistency.  A finite repeat
+    proves consistency at any index, and the fixed closure persists for all
+    longer horizons.  Otherwise the verdict reports how far finiteness was
+    verified instead of guessing.
+
+    Proof for a repeat closure_k = closure_{k+1} = P: a stage-1 state x
+    extends over K stages exactly when ``x >= closure_{K-1} @ x``, so for
+    every K > k these are the states of S = {x : x >= P @ x}.  Each x in S
+    extends over k + 2 stages; the second state of that schedule extends
+    over the k + 1 stages after it, so it lies in S too.  Constraints link
+    one occurrence or two consecutive ones, so choosing such successors
+    again and again builds an infinite schedule.
     """
-    n = system.size
-    limit = closure_limit(n, probe_bound)
+    limit = closure_limit(system.size, probe_bound)
     spec = system.block_spec()
     k, closure, fixed = _stopping_closure(spec.integral, limit)
     if not closure.rmax_valued:
         return ConsistencyVerdict(
             ConsistencyKind.NOT_WEAKLY_CONSISTENT, first_divergent=k
         )
-    if fixed and k <= n * n + 1:
+    if fixed:
         return ConsistencyVerdict(
             ConsistencyKind.CONSISTENT, fixed_closure=closure.unscaled(spec.scale)
         )
@@ -189,31 +191,52 @@ def check_consistency(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Trajectory:
-    """A finite schedule: states x(1..K) and inputs u(1..K-1) = x(2..K)."""
+    """A finite schedule: states x(1..K) and inputs u(1..K-1) = x(2..K).
+
+    Only the states are stored.  Callers that also pass the inputs must
+    pass the successor states.
+    """
 
     states: tuple[tuple[Scalar, ...], ...]
-    inputs: tuple[tuple[Scalar, ...], ...]
 
-    def __post_init__(self):
-        states = tuple(tuple(as_scalar(v) for v in row) for row in self.states)
-        inputs = tuple(tuple(as_scalar(v) for v in row) for row in self.inputs)
+    def __init__(self, states, inputs=None):
+        states = tuple(tuple(as_scalar(v) for v in row) for row in states)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "inputs", inputs)
         if not states:
             raise ValueError("a trajectory needs at least one state")
         width = len(states[0])
-        if any(len(row) != width for row in states + inputs):
-            raise ValueError("state and input vectors have unequal lengths")
-        if inputs != states[1:]:
-            raise ValueError("inputs must replay the successor states")
+        if any(len(row) != width for row in states):
+            raise ValueError("state vectors have unequal lengths")
         if not all(is_finite(v) for row in states for v in row):
             raise ValueError("trajectory entries must be finite")
+        if inputs is not None and Trajectory(states[:1] + tuple(inputs)) != self:
+            raise ValueError("inputs must replay the successor states")
+
+    @property
+    def inputs(self) -> tuple[tuple[Scalar, ...], ...]:
+        """u(1..K-1) = x(2..K), read off the states."""
+        return self.states[1:]
 
     @property
     def horizon(self) -> int:
         return len(self.states)
+
+
+def _scaled_columns(
+    spec: BlockMatrixSpec, vectors: Sequence[Sequence[Scalar]]
+) -> tuple[int, BlockMatrixSpec, list[TropicalMatrix]]:
+    """``(s, blocks, columns)``: the blocks and the vectors times one ``int`` s.
+
+    s is the LCM of the blocks' scale and the vectors' denominators, so
+    every entry becomes an ``int``; the blocks are the system's cached
+    integer blocks when the vectors add no new denominator.
+    """
+    columns = [TropicalMatrix.column(v) for v in vectors]
+    s = math.lcm(spec.scale, *(c.denominator for c in columns))
+    blocks = spec.integral if s == spec.scale else spec.scaled(s)
+    return s, blocks, [c.scaled(s) for c in columns]
 
 
 def synthesize_trajectory(
@@ -257,10 +280,7 @@ def synthesize_trajectory(
         if not all(map(is_finite, seed_vec)):
             raise ValueError("seed components must be finite")
 
-    spec = system.block_spec()
-    seed_col = TropicalMatrix.column(seed_vec)
-    s = math.lcm(spec.scale, seed_col.denominator)
-    blocks = spec.integral if s == spec.scale else spec.scaled(s)
+    s, blocks, (seed_col,) = _scaled_columns(system.block_spec(), [seed_vec])
     tails = []
     for _, closure, _ in itertools.islice(_closures(blocks), horizon):
         if not closure.rmax_valued:
@@ -273,7 +293,7 @@ def synthesize_trajectory(
     tails.reverse()  # 0-based lists: tails[k] is T_{k+1}, r[k] is r_{k+1}
     zero = TropicalMatrix.column((0,) * n)
     r = [zero] * horizon
-    r[0] = seed_col.scaled(s)
+    r[0] = seed_col
     for k in range(horizon - 2, -1, -1):
         r[k] = r[k] + blocks.backward @ (tails[k + 1] @ r[k + 1])
     x = tails[0] @ r[0]
@@ -281,21 +301,25 @@ def synthesize_trajectory(
     for k in range(1, horizon):
         x = tails[k] @ (blocks.forward @ x + r[k])
         states.append(x.unscaled(s).column_values())
-    return Trajectory(states=tuple(states), inputs=tuple(states[1:]))
+    return Trajectory(states=tuple(states))
 
 
 def validate_trajectory(system: PtegSystem, trajectory: Trajectory) -> bool:
-    """Exact check of all three inequality families over the whole horizon."""
+    """Exact check of all three inequality families over the whole horizon.
+
+    The blocks and the states are scaled by one LCM first, so every
+    comparison runs on ``int`` entries; scaling keeps every inequality.
+    """
     n = system.size
     if any(len(row) != n for row in trajectory.states):
         raise DimensionMismatch("trajectory width does not match the system")
-    cols = [TropicalMatrix.column(s) for s in trajectory.states]
+    _, blocks, cols = _scaled_columns(system.block_spec(), trajectory.states)
     for k in range(trajectory.horizon):
-        if not system.within @ cols[k] <= cols[k]:
+        if not blocks.within @ cols[k] <= cols[k]:
             return False
     for k in range(trajectory.horizon - 1):
-        if not system.backward @ cols[k + 1] <= cols[k]:
+        if not blocks.backward @ cols[k + 1] <= cols[k]:
             return False
-        if not system.forward @ cols[k] <= cols[k + 1]:
+        if not blocks.forward @ cols[k] <= cols[k + 1]:
             return False
     return True

@@ -14,12 +14,24 @@ from maxplus import (
     InvarianceKind,
     InvarianceReport,
     PtegSystem,
+    Trajectory,
     TropicalMatrix,
     build_block_matrix,
-    default_probe_bound,
     format_scalar,
 )
 from maxplus.invariance import _assemble_generator
+
+
+def identity(n: int) -> TropicalMatrix:
+    """Zeros on the diagonal, ``-inf`` elsewhere (the multiplicative one)."""
+    return TropicalMatrix(
+        [[0 if i == j else NEG_INF for j in range(n)] for i in range(n)]
+    )
+
+
+def top_left(matrix: TropicalMatrix, rows: int, cols: int) -> TropicalMatrix:
+    """The leading ``rows x cols`` block of ``matrix``."""
+    return TropicalMatrix([row[:cols] for row in matrix.to_rows()[:rows]])
 
 
 def random_matrix(rng: random.Random, n: int, lo=-5, hi=5, density=0.5) -> TropicalMatrix:
@@ -54,8 +66,8 @@ def star_by_powers(matrix: TropicalMatrix) -> TropicalMatrix:
     are then maximized by simple paths, which have fewer than n arcs).
     """
     n = matrix.rows
-    acc = TropicalMatrix.identity(n)
-    power = TropicalMatrix.identity(n)
+    acc = identity(n)
+    power = identity(n)
     for _ in range(n - 1):
         power = power @ matrix
         acc = acc + power
@@ -119,7 +131,7 @@ def check_consistency_full(
     n = system.size
     stabilization_index = n * n
     if probe_bound is None:
-        probe_bound = default_probe_bound(n)
+        probe_bound = 10 * n * n
     limit = max(probe_bound, stabilization_index + 1)
     current = system.within.star()
     if not current.rmax_valued:
@@ -148,7 +160,7 @@ def iterate_shrink_full(system: PtegSystem, probe_bound: int | None = None):
     Returns ``(kind, step, invariant_generator, generators)``; compare it
     with :func:`report_fields`.  Works on the unscaled blocks throughout.
     """
-    probe = default_probe_bound(system.size) if probe_bound is None else probe_bound
+    probe = 10 * system.size**2 if probe_bound is None else probe_bound
     roundtrip = _roundtrip_full(system)
     closure_k = system.within.star()
     closure_k1 = _closure_step(system, closure_k)
@@ -180,7 +192,7 @@ def shrink_generator_unrolled(system: PtegSystem, k: int) -> TropicalMatrix:
     """
     unrolled = build_block_matrix(system.block_spec(), k + 2)
     size2 = 2 * system.size
-    return unrolled.star().top_left(size2, size2)
+    return top_left(unrolled.star(), size2, size2)
 
 
 def synthesize_dense(
@@ -201,6 +213,20 @@ def synthesize_dense(
     if NEG_INF in solution:
         raise InfeasibleHorizon("a component is -inf", reason="unreachable")
     return tuple(solution[k * n : (k + 1) * n] for k in range(horizon))
+
+
+def validate_trajectory_full(system: PtegSystem, trajectory: Trajectory) -> bool:
+    """Oracle for validate_trajectory: every inequality on the unscaled values."""
+    cols = [TropicalMatrix.column(s) for s in trajectory.states]
+    for k in range(trajectory.horizon):
+        if not system.within @ cols[k] <= cols[k]:
+            return False
+    for k in range(trajectory.horizon - 1):
+        if not system.backward @ cols[k + 1] <= cols[k]:
+            return False
+        if not system.forward @ cols[k] <= cols[k + 1]:
+            return False
+    return True
 
 
 def export_dot_dense(spec: BlockMatrixSpec, horizon: int) -> str:

@@ -53,11 +53,6 @@ class TestCheck:
         )
         assert json.loads(out)["verified_up_to"] == 50
 
-    def test_probe_bound_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MAXPLUS_PROBE_BOUND", "60")
-        _, out, _ = run(capsys, "check", TWO_NODE, "--format", "json")
-        assert json.loads(out)["verified_up_to"] == 60
-
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("MAXPLUS_PROBE_BOUND", "60")
         _, out, _ = run(
@@ -205,10 +200,19 @@ class TestErrors:
         code, _, err = run(capsys, "check", RAILWAY, "--probe-bound", "0")
         assert code == 1 and "positive" in err
 
-    def test_bad_env_probe_bound(self, capsys, monkeypatch):
+    def test_probe_bound_environment_is_ignored(self, capsys, monkeypatch):
+        expected = run(capsys, "check", TWO_NODE, "--format", "json")
         monkeypatch.setenv("MAXPLUS_PROBE_BOUND", "many")
-        code, _, err = run(capsys, "check", RAILWAY)
-        assert code == 1 and "MAXPLUS_PROBE_BOUND" in err
+        assert run(capsys, "check", TWO_NODE, "--format", "json") == expected
+        monkeypatch.setenv("MAXPLUS_PROBE_BOUND", "60")
+        assert run(capsys, "check", TWO_NODE, "--format", "json") == expected
+
+    def test_graph_has_no_format_option(self, capsys):
+        code, out, err = run(
+            capsys, "graph", RAILWAY, "--horizon", "2", "--format", "dot"
+        )
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --format dot" in err
 
     def test_usage_error(self, capsys):
         assert main(["check"]) == 1

@@ -12,6 +12,7 @@ from maxplus import (
     InfeasibleHorizon,
     InvarianceKind,
     PtegSystem,
+    Trajectory,
     TropicalMatrix,
     as_scalar,
     build_block_matrix,
@@ -22,6 +23,7 @@ from maxplus import (
     roundtrip_closure,
     shrink_generator,
     synthesize_trajectory,
+    validate_trajectory,
 )
 from maxplus import invariance, precedence
 
@@ -29,11 +31,13 @@ from conftest import TWO_NODE, make_railway
 from helpers import (
     all_eps_system,
     check_consistency_full,
+    identity,
     closure_sequence_full,
     iterate_shrink_full,
     report_fields,
     shrink_generator_unrolled,
     synthesize_dense,
+    validate_trajectory_full,
 )
 
 
@@ -109,7 +113,7 @@ def test_first_repeat_at_index_one_converges_at_step_zero(count_steps):
     system = all_eps_system()
     verdict = check_consistency(system, 1)
     assert verdict.kind is ConsistencyKind.CONSISTENT
-    assert verdict.fixed_closure == TropicalMatrix.identity(2)
+    assert verdict.fixed_closure == identity(2)
     assert count_steps[0] == 1
     report = iterate_shrink(system, 1)
     assert report.kind is InvarianceKind.CONVERGED_NON_EMPTY
@@ -288,3 +292,87 @@ def test_returned_values_are_normalized(ell):
     if verdict.kind is ConsistencyKind.CONSISTENT:
         returned += [verdict.fixed_closure, report.invariant_generator]
     assert all(normalized(m) for m in returned)
+
+
+@settings(max_examples=80)
+@given(st.one_of(systems(), fraction_systems(max_n=4).map(lambda drawn: drawn[0])))
+@example(make_railway(-14))
+@example(make_railway(Fraction("-14.5")))
+@example(all_eps_system())
+def test_consistent_verdict_certificate(system):
+    """A Consistent verdict's closure passes one step on the raw blocks."""
+    verdict = check_consistency(system)
+    if verdict.kind is not ConsistencyKind.CONSISTENT:
+        return
+    p = verdict.fixed_closure
+    assert p.rmax_valued
+    assert p == (system.backward @ p @ system.forward + system.within).star()
+
+
+@settings(max_examples=50)
+@given(
+    fraction_systems(),
+    st.integers(2, 6),
+    st.integers(0, 10**6),
+    st.fractions(min_value=Fraction(1, 13), max_value=3, max_denominator=13),
+)
+@example(
+    (make_railway(Fraction("-14.123")), (Fraction(1, 3), 0, 0, Fraction(2, 7))),
+    6,
+    4,
+    Fraction(1, 11),
+)
+def test_validation_matches_fraction_oracle(drawn, horizon, position, drop):
+    """Scaled validation agrees with the Fraction oracle, valid or not.
+
+    One entry, chosen by ``position``, is pushed down by ``drop``.
+    """
+    system, seed = drawn
+    try:
+        trajectory = synthesize_trajectory(system, horizon, seed)
+    except InfeasibleHorizon:
+        return
+    assert validate_trajectory(system, trajectory)
+    assert validate_trajectory_full(system, trajectory)
+    states = [list(row) for row in trajectory.states]
+    k, i = divmod(position % (horizon * system.size), system.size)
+    states[k][i] -= drop
+    lowered = Trajectory(states=states)
+    assert validate_trajectory(system, lowered) == validate_trajectory_full(
+        system, lowered
+    )
+
+
+RAILWAY_SEED = (Fraction(1, 3), 0, 0, Fraction(2, 7))
+
+
+def test_lowered_railway_state_is_rejected():
+    system = make_railway(Fraction("-14.123"))
+    trajectory = synthesize_trajectory(system, 4, RAILWAY_SEED)
+    states = [list(row) for row in trajectory.states]
+    states[1][0] -= Fraction(1, 11)  # x1(2) >= x1(1) + 0 is tight
+    lowered = Trajectory(states=states)
+    assert not validate_trajectory(system, lowered)
+    assert not validate_trajectory_full(system, lowered)
+
+
+def test_synthesis_and_validation_compare_ints(monkeypatch):
+    """No Fraction reaches ``@`` or ``<=``; the caller's states stay exact."""
+    operands = []
+
+    def recorded(method):
+        def wrapped(a, b):
+            operands.extend(v for m in (a, b) for row in m for v in row)
+            return method(a, b)
+
+        return wrapped
+
+    for name in ("__matmul__", "__le__"):
+        method = getattr(TropicalMatrix, name)
+        monkeypatch.setattr(TropicalMatrix, name, recorded(method))
+    system = make_railway(Fraction("-14.123"))
+    trajectory = synthesize_trajectory(system, 40, RAILWAY_SEED)
+    assert validate_trajectory(system, trajectory)
+    assert any(isinstance(v, Fraction) for row in trajectory.states for v in row)
+    assert len(operands) > 0
+    assert not [v for v in operands if isinstance(v, Fraction)]

@@ -21,9 +21,11 @@ from maxplus import (
 
 from helpers import (
     all_eps_system,
+    identity,
     random_system,
     shrink_generator_unrolled,
     stacked_constraint,
+    top_left,
 )
 
 NEG = "-inf"
@@ -60,7 +62,7 @@ class TestLift:
         constraint = stacked_constraint(system)
         assert constraint.shape == (8, 8)
         assert constraint[3, 7] == Fraction(-14)
-        assert constraint.top_left(4, 4) == TropicalMatrix.epsilon(4)
+        assert top_left(constraint, 4, 4) == TropicalMatrix.epsilon(4)
         bottom_left = TropicalMatrix([row[:4] for row in constraint.to_rows()[4:]])
         assert bottom_left == system.forward
 
@@ -72,7 +74,7 @@ class TestRoundtripClosure:
             backward=TropicalMatrix.epsilon(2),
             within=TropicalMatrix.epsilon(2),
         )
-        assert roundtrip_closure(system) == TropicalMatrix.identity(2)
+        assert roundtrip_closure(system) == identity(2)
 
     def test_two_node(self, two_node):
         assert roundtrip_closure(two_node) == TropicalMatrix([[0, NEG], [0, 0]])
@@ -99,7 +101,7 @@ class TestShrinkGenerator:
     def test_unconstrained_system_stays_at_identity(self):
         system = all_eps_system()
         for k in range(4):
-            assert shrink_generator(system, k) == TropicalMatrix.identity(4)
+            assert shrink_generator(system, k) == identity(4)
 
     def test_unrolled_corner_at_step_zero(self, two_node):
         assert shrink_generator_unrolled(two_node, 0) == stacked_constraint(two_node).star()
@@ -154,7 +156,7 @@ class TestIterateShrink:
         assert report.kind is InvarianceKind.CONVERGED_NON_EMPTY
         assert report.step == 2
         generator = report.invariant_generator
-        assert generator is not None and generator.finite is False  # has -inf entries
+        assert generator is not None and any(NEG_INF in row for row in generator)
         assert generator.rmax_valued and generator.is_star_matrix()
         # the stabilized generator, reachable from any later step
         assert generator == shrink_generator(railway(-14), 17)
@@ -209,7 +211,7 @@ class TestMaximalInvariant:
     def test_present_for_feasible_window(self, railway):
         generator = maximal_invariant(railway(-14))
         assert generator is not None
-        assert generator.top_left(4, 4) == closure_sequence(railway(-14), 16)[16]
+        assert top_left(generator, 4, 4) == closure_sequence(railway(-14), 16)[16]
 
     def test_absent_when_emptied(self, railway):
         assert maximal_invariant(railway(-13)) is None
@@ -220,7 +222,7 @@ class TestMaximalInvariant:
 
 class TestInvariantMember:
     def test_identity_generator(self):
-        assert image_member(TropicalMatrix.identity(4), [0, -1, 2, 3])
+        assert image_member(identity(4), [0, -1, 2, 3])
 
     def test_generator_columns_belong(self, railway):
         generator = maximal_invariant(railway(-14))

@@ -6,21 +6,16 @@ from maxplus import (
     NEG_INF,
     BlockDimensionMismatch,
     BlockMatrixSpec,
-    NotSquare,
-    PrecedenceSystem,
     TropicalMatrix,
     build_block_matrix,
     export_dot,
     finite_weak_feasibility,
-    solve_precedence,
 )
 
 from conftest import make_railway
-from helpers import random_matrix
+from helpers import random_matrix, top_left
 
 NEG = "-inf"
-
-TWO_CYCLE = TropicalMatrix([[-3, -1], [2, NEG]])
 
 
 def two_node_spec():
@@ -29,46 +24,6 @@ def two_node_spec():
         backward=TropicalMatrix([[NEG, NEG], [NEG, -1]]),
         forward=TropicalMatrix([[2, NEG], [NEG, NEG]]),
     )
-
-
-class TestPrecedenceSystem:
-    def test_rejects_plus_inf(self):
-        with pytest.raises(ValueError):
-            PrecedenceSystem(TropicalMatrix([[NEG, "+inf"], [NEG, NEG]]))
-
-    def test_rejects_rectangular(self):
-        with pytest.raises(NotSquare):
-            PrecedenceSystem(TropicalMatrix.epsilon(2, 3))
-
-
-class TestSolvePrecedence:
-    def test_unconstrained(self):
-        assert solve_precedence(PrecedenceSystem(TropicalMatrix.epsilon(2))) == (0, 0)
-
-    def test_positive_circuit_has_no_solution(self):
-        assert solve_precedence(PrecedenceSystem(TWO_CYCLE)) is None
-
-    def test_single_arc(self):
-        x = solve_precedence(PrecedenceSystem(TropicalMatrix([[NEG, NEG], [0, NEG]])))
-        assert x == (0, 0)
-        # x2 >= 0 + x1 holds
-        assert x[1] >= 0 + x[0]
-
-    def test_solution_satisfies_constraints(self):
-        rng = random.Random(2101)
-        solved = 0
-        for _ in range(80):
-            m = random_matrix(rng, rng.randint(1, 4))
-            system = PrecedenceSystem(m)
-            x = solve_precedence(system)
-            if x is None:
-                assert not m.star().rmax_valued
-                continue
-            solved += 1
-            assert all(v != NEG_INF for v in x)
-            bound = (m @ TropicalMatrix.column(x)).column_values()
-            assert all(a >= b for a, b in zip(x, bound))
-        assert solved > 0
 
 
 class TestBlockMatrix:
@@ -113,7 +68,7 @@ class TestBlockMatrix:
             horizon = rng.randint(2, 6)
             big = build_block_matrix(spec, horizon)
             small = build_block_matrix(spec, horizon - 1)
-            assert big.top_left(small.rows, small.cols) == small
+            assert top_left(big, small.rows, small.cols) == small
 
     def test_block_shapes_checked(self):
         with pytest.raises(BlockDimensionMismatch):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,8 +18,9 @@ from maxplus import (
     synthesize_trajectory,
     validate_trajectory,
 )
+from maxplus import pteg
 
-from helpers import all_eps_system, random_system
+from helpers import all_eps_system, identity, random_system, top_left
 
 NEG = "-inf"
 
@@ -71,7 +73,7 @@ class TestClosureSequence:
 
     def test_unconstrained_system_stays_at_identity(self):
         seq = closure_sequence(all_eps_system(), 6)
-        assert all(m == TropicalMatrix.identity(2) for m in seq)
+        assert all(m == identity(2) for m in seq)
 
     def test_railway_reaches_fixed_point(self, railway):
         seq = closure_sequence(railway(-14), 17)
@@ -122,7 +124,7 @@ class TestClosureSequence:
             seq = closure_sequence(system, 5)
             for k in range(6):
                 unrolled = build_block_matrix(system.block_spec(), k + 1)
-                assert seq[k] == unrolled.star().top_left(n, n)
+                assert seq[k] == top_left(unrolled.star(), n, n)
 
 
 class TestCheckConsistency:
@@ -145,6 +147,20 @@ class TestCheckConsistency:
         assert verdict.kind is ConsistencyKind.CONSISTENT
         assert verdict.fixed_closure == RAILWAY_FIXED_CLOSURE
         assert verdict.fixed_closure.is_star_matrix()
+
+    def test_late_finite_repeat_is_consistent(self, monkeypatch, railway):
+        # No system is known to repeat after index n^2 + 1; a finite repeat
+        # proves consistency at any index (see check_consistency).
+        system = railway(Fraction("-14.5"))
+        spec = system.block_spec()
+        _, closure, fixed = pteg._stopping_closure(spec.integral, 100)
+        assert fixed
+        late = (system.size**2 + 7, closure, True)
+        monkeypatch.setattr(pteg, "_stopping_closure", lambda blocks, last: late)
+        verdict = check_consistency(system)
+        assert verdict.kind is ConsistencyKind.CONSISTENT
+        assert verdict.fixed_closure == closure.unscaled(spec.scale)
+        assert verdict.first_divergent is None and verdict.verified_up_to is None
 
     def test_railway_too_tight_window(self, railway):
         verdict = check_consistency(railway(-13))
@@ -173,12 +189,21 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(states=((0,), (1,)), inputs=((2,),))
 
+    def test_inputs_are_the_successor_states(self):
+        t = Trajectory(states=((0, Fraction(1, 2)), (1, 1), (3, 2)))
+        assert t.inputs == ((1, 1), (3, 2))
+        assert Trajectory(states=((0,),)).inputs == ()
+
     def test_entries_must_be_finite(self):
         with pytest.raises(ValueError):
-            Trajectory(states=((0,), (NEG_INF,)), inputs=((NEG_INF,),))
+            Trajectory(states=((0,), (NEG_INF,)))
+
+    def test_widths_must_agree(self):
+        with pytest.raises(ValueError):
+            Trajectory(states=((0, 0), (1,)))
 
     def test_horizon(self):
-        t = Trajectory(states=((0, 0), (1, 1)), inputs=((1, 1),))
+        t = Trajectory(states=((0, 0), (1, 1)))
         assert t.horizon == 2
 
 
@@ -232,16 +257,16 @@ class TestSynthesizeTrajectory:
 
 class TestValidateTrajectory:
     def test_violation_detected(self, two_node):
-        t = Trajectory(states=((0, 0), (1, 1)), inputs=((1, 1),))
+        t = Trajectory(states=((0, 0), (1, 1)))
         # forward step needs x1(2) >= 2 + x1(1) = 2, but x1(2) = 1
         assert not validate_trajectory(two_node, t)
 
     def test_unconstrained_accepts_anything_finite(self):
-        t = Trajectory(states=((5, -3), (0, 0)), inputs=((0, 0),))
+        t = Trajectory(states=((5, -3), (0, 0)))
         assert validate_trajectory(all_eps_system(), t)
 
     def test_width_checked(self, railway):
-        t = Trajectory(states=((0, 0), (0, 0)), inputs=((0, 0),))
+        t = Trajectory(states=((0, 0), (0, 0)))
         with pytest.raises(DimensionMismatch):
             validate_trajectory(railway(-14), t)
 
