@@ -5,9 +5,10 @@ time-window constraints admits consistent schedules, synthesizes finite
 schedules, and computes the maximal controlled-invariant subsemimodule of
 the induced precedence constraint set.  All arithmetic is exact (rationals
 plus the two infinities), so every verdict is a certificate, not an
-approximation.  Each system is scaled once by the LCM of its denominators
-and the analyses run on ``int`` entries; results are divided back into the
-same exact values, normalized (an integral value is always an ``int``).
+approximation.  A matrix stores its entries as ``int``s at one scale, the
+LCM of their denominators, so every analysis computes on ``int``s; values
+read from it are the same exact values, normalized (an integral value is
+always an ``int``).
 """
 
 from .semiring import (
@@ -57,7 +58,6 @@ from .problems import (
     ProblemFormatError,
     parse_problem,
     parse_problem_file,
-    serialize_problem,
 )
 
 __version__ = "0.1.0"
@@ -99,6 +99,5 @@ __all__ = [
     "ProblemFormatError",
     "parse_problem",
     "parse_problem_file",
-    "serialize_problem",
     "__version__",
 ]

@@ -23,11 +23,6 @@ from .precedence import BlockMatrixSpec, _closures, _stopping_closure
 from .pteg import PtegSystem, _probe_bound
 
 
-def _roundtrip(blocks: BlockMatrixSpec) -> TropicalMatrix:
-    inner = blocks.forward @ blocks.within.star() @ blocks.backward
-    return (inner + blocks.within).star()
-
-
 def roundtrip_closure(system: PtegSystem) -> TropicalMatrix:
     """Closure of the constraints linking one occurrence to itself via the next.
 
@@ -35,8 +30,9 @@ def roundtrip_closure(system: PtegSystem) -> TropicalMatrix:
     going forward one occurrence, moving there, and coming back, combined
     with the purely local constraints.
     """
-    spec = system.block_spec()
-    return _roundtrip(spec.integral).unscaled(spec.scale)
+    blocks = system.block_spec()
+    inner = blocks.forward @ blocks.within.star() @ blocks.backward
+    return (inner + blocks.within).star()
 
 
 def _assemble_generator(
@@ -55,18 +51,13 @@ def _assemble_generator(
 
 
 def _generators(system: PtegSystem, start: int = 0) -> Iterator[TropicalMatrix]:
-    """Generators ``start``, ``start + 1``, ...; generator k reads closures k, k+1.
-
-    Assembled on the integer blocks; each finished generator is unscaled once.
-    """
-    spec = system.block_spec()
-    blocks = spec.integral
-    roundtrip = _roundtrip(blocks)
+    """Generators ``start``, ``start + 1``, ...; generator k reads closures k, k+1."""
+    blocks = system.block_spec()
+    roundtrip = roundtrip_closure(system)
     closures = (closure for _, closure, _ in _closures(blocks))
     pairs = itertools.islice(itertools.pairwise(closures), start, None)
     for closure_k, closure_k1 in pairs:
-        generator = _assemble_generator(blocks, closure_k, closure_k1, roundtrip)
-        yield generator.unscaled(spec.scale)
+        yield _assemble_generator(blocks, closure_k, closure_k1, roundtrip)
 
 
 def shrink_generator(system: PtegSystem, k: int) -> TropicalMatrix:
@@ -156,16 +147,13 @@ def iterate_shrink(
     converges at step ``max(j, 2) - 2``.
     """
     probe = _probe_bound(system.size, probe_bound)
-    spec = system.block_spec()
-    blocks = spec.integral
+    blocks = system.block_spec()
     j, closure, fixed = _stopping_closure(blocks, probe + 2)
     if fixed:
-        stable = _assemble_generator(blocks, closure, closure, _roundtrip(blocks))
+        roundtrip = roundtrip_closure(system)
+        stable = _assemble_generator(blocks, closure, closure, roundtrip)
         return InvarianceReport(
-            InvarianceKind.CONVERGED_NON_EMPTY,
-            max(j, 2) - 2,
-            system,
-            stable.unscaled(spec.scale),
+            InvarianceKind.CONVERGED_NON_EMPTY, max(j, 2) - 2, system, stable
         )
     if not closure.rmax_valued and j <= probe + 1:
         return InvarianceReport(

@@ -6,11 +6,12 @@ Matrices are immutable; every operation returns a new value, so instances can
 be shared freely across threads.
 
 All of these operations, and the star, are positively homogeneous: scaling
-every entry by the same s > 0 scales the result by s.  The analyses
-therefore multiply each problem once by the LCM of its denominators
-(:meth:`TropicalMatrix.scaled`), compute on ``int`` entries, which is much
-faster than ``Fraction`` arithmetic, and divide the results back
-(:meth:`TropicalMatrix.unscaled`) into the same exact values, normalized.
+every entry by the same s > 0 scales the result by s.  A matrix therefore
+stores its finite entries as ``int`` multiples of one private scale, the LCM
+of their denominators, and computes on those ``int``s, which is much faster
+than ``Fraction`` arithmetic.  Operands of two scales are first brought to
+the LCM of both.  Values are divided back only when they are read, into the
+same exact values, normalized (an integral value is always an ``int``).
 """
 
 from __future__ import annotations
@@ -61,21 +62,10 @@ def _closure(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     return d
 
 
-def _times(v: Scalar, s: int) -> Scalar:
-    if type(v) is float:
-        return v
-    product = v * s
-    if type(product) is Fraction:
-        if product.denominator != 1:
-            raise ValueError(f"{format_scalar(v)} times {s} is not an integer")
-        return product.numerator
-    return product
-
-
 class TropicalMatrix:
     """An immutable ``rows x cols`` matrix of max-plus scalars."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_scale")
 
     def __init__(self, data: Iterable[Iterable]):
         grid = tuple(tuple(as_scalar(v) for v in row) for row in data)
@@ -84,25 +74,53 @@ class TropicalMatrix:
         width = len(grid[0])
         if any(len(row) != width for row in grid):
             raise ValueError("rows have unequal lengths")
+        scale = math.lcm(
+            *(v.denominator for row in grid for v in row if type(v) is Fraction)
+        )
+        if scale != 1:
+            grid = tuple(
+                tuple(v if type(v) is float else (v * scale).numerator for v in row)
+                for row in grid
+            )
         self._data = grid
+        self._scale = scale
         self.rows = len(grid)
         self.cols = width
 
     @classmethod
-    def _wrap(cls, grid: tuple) -> "TropicalMatrix":
-        # fast path for internally produced, already-valid grids
+    def _wrap(cls, grid: tuple, scale: int) -> "TropicalMatrix":
+        # fast path for internally produced grids: ``int``s times ``scale``
         self = object.__new__(cls)
         self._data = grid
+        self._scale = scale
         self.rows = len(grid)
         self.cols = len(grid[0])
         return self
+
+    def _grid_at(self, scale: int) -> tuple:
+        """The stored grid at ``scale``, a multiple of this matrix's scale."""
+        factor = scale // self._scale
+        if factor == 1:
+            return self._data
+        return tuple(
+            tuple(v if type(v) is float else v * factor for v in row)
+            for row in self._data
+        )
+
+    def _with(self, other: "TropicalMatrix") -> tuple[tuple, tuple, int]:
+        """Both stored grids at one scale, and that scale."""
+        scale = self._scale
+        if scale == other._scale:
+            return self._data, other._data, scale
+        scale = math.lcm(scale, other._scale)
+        return self._grid_at(scale), other._grid_at(scale), scale
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def epsilon(cls, n: int) -> "TropicalMatrix":
         """The n x n all ``-inf`` matrix (the additive zero)."""
-        return cls._wrap(tuple((NEG_INF,) * n for _ in range(n)))
+        return cls._wrap(tuple((NEG_INF,) * n for _ in range(n)), 1)
 
     @classmethod
     def column(cls, values: Iterable) -> "TropicalMatrix":
@@ -119,14 +137,16 @@ class TropicalMatrix:
             widths = {brow[j].cols for brow in blocks}
             if len(widths) != 1:
                 raise DimensionMismatch("stacked blocks have unequal widths")
+        scale = math.lcm(*(b._scale for brow in blocks for b in brow))
         grid = []
         for brow in blocks:
+            datas = [block._grid_at(scale) for block in brow]
             for i in range(brow[0].rows):
                 out: list[Scalar] = []
-                for block in brow:
-                    out.extend(block._data[i])
+                for data in datas:
+                    out.extend(data[i])
                 grid.append(tuple(out))
-        return cls._wrap(tuple(grid))
+        return cls._wrap(tuple(grid), scale)
 
     # -- basic protocol -----------------------------------------------
 
@@ -144,40 +164,47 @@ class TropicalMatrix:
         return all(POS_INF not in row for row in self._data)
 
     def to_rows(self) -> tuple[tuple[Scalar, ...], ...]:
-        return self._data
+        """The entries, divided back from the stored scale and normalized."""
+        scale = self._scale
+        if scale == 1:
+            return self._data
+        return tuple(
+            tuple(v if type(v) is float else as_scalar(Fraction(v, scale)) for v in row)
+            for row in self._data
+        )
 
     def column_values(self, j: int = 0) -> tuple[Scalar, ...]:
-        return tuple(row[j] for row in self._data)
+        return tuple(row[j] for row in self.to_rows())
 
     def __getitem__(self, key: tuple[int, int]) -> Scalar:
         i, j = key
-        return self._data[i][j]
+        return self.to_rows()[i][j]
 
     def __iter__(self) -> Iterator[tuple[Scalar, ...]]:
-        return iter(self._data)
+        return iter(self.to_rows())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TropicalMatrix):
             return NotImplemented
-        return self._data == other._data
+        mine, theirs, _ = self._with(other)
+        return mine == theirs
 
     def __hash__(self) -> int:
-        return hash(self._data)
+        return hash(self.to_rows())
 
     def __le__(self, other: "TropicalMatrix") -> bool:
         self._check_same_shape(other)
-        return all(
-            a <= b for ra, rb in zip(self._data, other._data) for a, b in zip(ra, rb)
-        )
+        mine, theirs, _ = self._with(other)
+        return all(a <= b for ra, rb in zip(mine, theirs) for a, b in zip(ra, rb))
 
     def __repr__(self) -> str:
         body = "; ".join(
-            " ".join(format_scalar(v) for v in row) for row in self._data
+            " ".join(format_scalar(v) for v in row) for row in self.to_rows()
         )
         return f"TropicalMatrix[{body}]"
 
     def __str__(self) -> str:
-        cells = [[format_scalar(v) for v in row] for row in self._data]
+        cells = [[format_scalar(v) for v in row] for row in self.to_rows()]
         width = max(len(c) for row in cells for c in row)
         return "\n".join(" ".join(c.rjust(width) for c in row) for row in cells)
 
@@ -192,11 +219,13 @@ class TropicalMatrix:
         if not isinstance(other, TropicalMatrix):
             return NotImplemented
         self._check_same_shape(other)
+        mine, theirs, scale = self._with(other)
         return TropicalMatrix._wrap(
             tuple(
                 tuple(a if a >= b else b for a, b in zip(ra, rb))
-                for ra, rb in zip(self._data, other._data)
-            )
+                for ra, rb in zip(mine, theirs)
+            ),
+            scale,
         )
 
     def __matmul__(self, other: "TropicalMatrix") -> "TropicalMatrix":
@@ -207,11 +236,11 @@ class TropicalMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        b = other._data
+        mine, b, scale = self._with(other)
         width = other.cols
         inner = self.cols
         grid = []
-        for arow in self._data:
+        for arow in mine:
             out = [NEG_INF] * width
             for t in range(inner):
                 a = arow[t]
@@ -226,43 +255,7 @@ class TropicalMatrix:
                     if s > out[j]:
                         out[j] = s
             grid.append(tuple(out))
-        return TropicalMatrix._wrap(tuple(grid))
-
-    # -- scaling ----------------------------------------------------------
-
-    @property
-    def denominator(self) -> int:
-        """The least s > 0 with every finite entry times s an integer."""
-        return math.lcm(
-            *(v.denominator for row in self._data for v in row if type(v) is Fraction)
-        )
-
-    def scaled(self, s: int) -> "TropicalMatrix":
-        """Every finite entry times ``s``, as an ``int``; infinities pass through.
-
-        Raises ValueError when an entry times ``s`` is not an integer.  With
-        ``s = 1`` an all-``int`` matrix is returned itself, not copied.
-        """
-        if s == 1 and not any(type(v) is Fraction for row in self._data for v in row):
-            return self
-        return TropicalMatrix._wrap(
-            tuple(tuple(_times(v, s) for v in row) for row in self._data)
-        )
-
-    def unscaled(self, s: int) -> "TropicalMatrix":
-        """Inverse of :meth:`scaled`: finite ``int`` entries divided by ``s``.
-
-        Results are normalized by :func:`~maxplus.semiring.as_scalar`, so an
-        integral quotient is an ``int``.  ``s = 1`` returns the matrix itself.
-        """
-        if s == 1:
-            return self
-        return TropicalMatrix._wrap(
-            tuple(
-                tuple(v if type(v) is float else as_scalar(Fraction(v, s)) for v in row)
-                for row in self._data
-            )
-        )
+        return TropicalMatrix._wrap(tuple(grid), scale)
 
     # -- path algebra ---------------------------------------------------
 
@@ -293,7 +286,7 @@ class TropicalMatrix:
                     oi = out[i]
                     for j in sources:
                         oi[j] = POS_INF
-        return TropicalMatrix._wrap(tuple(tuple(row) for row in out))
+        return TropicalMatrix._wrap(tuple(tuple(row) for row in out), self._scale)
 
     def has_positive_circuit(self) -> bool:
         """True when some circuit in the precedence graph has weight > 0.
@@ -310,6 +303,19 @@ class TropicalMatrix:
         if not self.is_square:
             raise NotSquare("star matrices are square")
         return self.star() == self
+
+
+def aligned(*matrices: TropicalMatrix) -> tuple[TropicalMatrix, ...]:
+    """The same matrices, each stored at the LCM of all their scales.
+
+    Operations on aligned operands never rescale, so a computation that
+    reuses its operands many times aligns them once, up front.
+    """
+    scale = math.lcm(*(m._scale for m in matrices))
+    return tuple(
+        m if m._scale == scale else TropicalMatrix._wrap(m._grid_at(scale), scale)
+        for m in matrices
+    )
 
 
 def image_member(star_matrix: TropicalMatrix, vector: Sequence) -> bool:

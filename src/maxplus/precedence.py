@@ -7,19 +7,17 @@ index) are described by three square blocks and unrolled into a block
 tridiagonal matrix over any finite horizon.  The closure recurrence of
 :func:`_closures` eliminates that matrix stage by stage, so feasibility and
 the graph export work on the blocks alone, never on the unrolled matrix.
-The recurrence runs on :attr:`BlockMatrixSpec.integral`, the blocks scaled
-once to ``int`` entries.
+The three blocks are stored at one common scale, so the recurrence runs on
+``int`` entries and never rescales an operand.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
-from .matrix import TropicalMatrix
+from .matrix import TropicalMatrix, aligned
 from .semiring import NEG_INF, format_scalar
 
 
@@ -33,6 +31,8 @@ class BlockMatrixSpec:
 
     ``within`` weights arcs inside one stage, ``backward`` arcs from stage
     k+1 back to stage k, and ``forward`` arcs from stage k to stage k+1.
+    The blocks are stored at the LCM of their scales (see
+    :func:`~maxplus.matrix.aligned`); their values are the ones given.
     """
 
     within: TropicalMatrix
@@ -48,38 +48,13 @@ class BlockMatrixSpec:
         for block in (self.within, self.backward, self.forward):
             if not block.rmax_valued:
                 raise ValueError("+inf is not a legal constraint weight")
+        blocks = aligned(self.within, self.backward, self.forward)
+        for name, block in zip(("within", "backward", "forward"), blocks):
+            object.__setattr__(self, name, block)
 
     @property
     def size(self) -> int:
         return self.within.rows
-
-    @cached_property
-    def scale(self) -> int:
-        """The LCM of the denominators of all three blocks."""
-        return math.lcm(
-            self.within.denominator,
-            self.backward.denominator,
-            self.forward.denominator,
-        )
-
-    def scaled(self, s: int) -> BlockMatrixSpec:
-        """All three blocks times ``s`` (see :meth:`TropicalMatrix.scaled`)."""
-        return BlockMatrixSpec(
-            within=self.within.scaled(s),
-            backward=self.backward.scaled(s),
-            forward=self.forward.scaled(s),
-        )
-
-    @cached_property
-    def integral(self) -> BlockMatrixSpec:
-        """The blocks times :attr:`scale`: all entries ``int``, computed once.
-
-        Sums, maxima, products and stars commute with a positive scaling,
-        so a closure or generator computed from these blocks is exactly
-        ``scale`` times the one computed from the original blocks.  Blocks
-        whose entries are ``int`` already are the original objects.
-        """
-        return self.scaled(self.scale)
 
 
 def build_block_matrix(spec: BlockMatrixSpec, horizon: int) -> TropicalMatrix:
@@ -177,7 +152,7 @@ def finite_weak_feasibility(spec: BlockMatrixSpec, horizon: int) -> bool:
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    return _stopping_closure(spec.integral, horizon - 1)[1].rmax_valued
+    return _stopping_closure(spec, horizon - 1)[1].rmax_valued
 
 
 def export_dot(spec: BlockMatrixSpec, horizon: int) -> str:

@@ -163,12 +163,3 @@ def parse_problem_file(path) -> ProblemFile:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_problem(handle.read())
 
-
-def serialize_problem(problem: ProblemFile) -> str:
-    """Stable JSON rendering; parsing it back reproduces the same value."""
-    doc: dict = {"n": problem.size}
-    for key in MATRIX_KEYS:
-        doc[key] = [list(row) for row in problem.grid(key)]
-    if problem.params:
-        doc["params"] = dict(sorted(problem.params.items()))
-    return json.dumps(doc, indent=2) + "\n"

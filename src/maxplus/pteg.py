@@ -18,13 +18,12 @@ guessed.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Sequence
 
-from .matrix import DimensionMismatch, TropicalMatrix
+from .matrix import DimensionMismatch, TropicalMatrix, aligned
 
 # The closure step is bound here too: per-step hooks, such as the tracing in
 # bench/, look it up as ``pteg._next_closure``.
@@ -89,7 +88,7 @@ class PtegSystem:
 
     def block_spec(self) -> BlockMatrixSpec:
         """The within, backward and forward blocks; the same object each call,
-        so their integer scaling is computed once per system."""
+        so they are aligned to one scale once per system."""
         return self._spec
 
 
@@ -131,11 +130,8 @@ def closure_sequence(system: PtegSystem, k_max: int) -> list[TropicalMatrix]:
     """
     if k_max < 0:
         raise ValueError("closure count must be non-negative")
-    spec = system.block_spec()
-    out: list[TropicalMatrix] = []
-    for _, m, fixed in itertools.islice(_closures(spec.integral), k_max + 1):
-        out.append(out[-1] if fixed else m.unscaled(spec.scale))
-    return out
+    closures = itertools.islice(_closures(system.block_spec()), k_max + 1)
+    return [m for _, m, _ in closures]
 
 
 def _probe_bound(size: int, probe_bound: int | None) -> int:
@@ -176,16 +172,13 @@ def check_consistency(
     again and again builds an infinite schedule.
     """
     limit = closure_limit(system.size, probe_bound)
-    spec = system.block_spec()
-    k, closure, fixed = _stopping_closure(spec.integral, limit)
+    k, closure, fixed = _stopping_closure(system.block_spec(), limit)
     if not closure.rmax_valued:
         return ConsistencyVerdict(
             ConsistencyKind.NOT_WEAKLY_CONSISTENT, first_divergent=k
         )
     if fixed:
-        return ConsistencyVerdict(
-            ConsistencyKind.CONSISTENT, fixed_closure=closure.unscaled(spec.scale)
-        )
+        return ConsistencyVerdict(ConsistencyKind.CONSISTENT, fixed_closure=closure)
     return ConsistencyVerdict(
         ConsistencyKind.NOT_CONSISTENT_WEAK_OPEN, verified_up_to=limit
     )
@@ -224,21 +217,6 @@ class Trajectory:
         return len(self.states)
 
 
-def _scaled_columns(
-    spec: BlockMatrixSpec, vectors: Sequence[Sequence[Scalar]]
-) -> tuple[int, BlockMatrixSpec, list[TropicalMatrix]]:
-    """``(s, blocks, columns)``: the blocks and the vectors times one ``int`` s.
-
-    s is the LCM of the blocks' scale and the vectors' denominators, so
-    every entry becomes an ``int``; the blocks are the system's cached
-    integer blocks when the vectors add no new denominator.
-    """
-    columns = [TropicalMatrix.column(v) for v in vectors]
-    s = math.lcm(spec.scale, *(c.denominator for c in columns))
-    blocks = spec.integral if s == spec.scale else spec.scaled(s)
-    return s, blocks, [c.scaled(s) for c in columns]
-
-
 def synthesize_trajectory(
     system: PtegSystem, horizon: int, seed: Sequence | None = None
 ) -> Trajectory:
@@ -264,9 +242,9 @@ def synthesize_trajectory(
     component is finite: b is finite and a star's diagonal is at least 0,
     so each component is at least its entry of b and never -inf.
 
-    Both sweeps run on ``int`` entries: the blocks and the seed are scaled
-    by the LCM of all their denominators, and each state is divided back
-    once.
+    The seed, the zero vector and the blocks are aligned to one scale once
+    (see :func:`~maxplus.matrix.aligned`), so neither sweep rescales an
+    operand.
     """
     if horizon < 2:
         raise ValueError("trajectory synthesis needs a horizon of at least 2")
@@ -280,7 +258,15 @@ def synthesize_trajectory(
         if not all(map(is_finite, seed_vec)):
             raise ValueError("seed components must be finite")
 
-    s, blocks, (seed_col,) = _scaled_columns(system.block_spec(), [seed_vec])
+    spec = system.block_spec()
+    seed_col, zero, within, backward, forward = aligned(
+        TropicalMatrix.column(seed_vec),
+        TropicalMatrix.column((0,) * n),
+        spec.within,
+        spec.backward,
+        spec.forward,
+    )
+    blocks = BlockMatrixSpec(within=within, backward=backward, forward=forward)
     tails = []
     for _, closure, _ in itertools.islice(_closures(blocks), horizon):
         if not closure.rmax_valued:
@@ -291,29 +277,25 @@ def synthesize_trajectory(
             )
         tails.append(closure)
     tails.reverse()  # 0-based lists: tails[k] is T_{k+1}, r[k] is r_{k+1}
-    zero = TropicalMatrix.column((0,) * n)
     r = [zero] * horizon
     r[0] = seed_col
     for k in range(horizon - 2, -1, -1):
         r[k] = r[k] + blocks.backward @ (tails[k + 1] @ r[k + 1])
     x = tails[0] @ r[0]
-    states = [x.unscaled(s).column_values()]
+    states = [x.column_values()]
     for k in range(1, horizon):
         x = tails[k] @ (blocks.forward @ x + r[k])
-        states.append(x.unscaled(s).column_values())
+        states.append(x.column_values())
     return Trajectory(states=tuple(states))
 
 
 def validate_trajectory(system: PtegSystem, trajectory: Trajectory) -> bool:
-    """Exact check of all three inequality families over the whole horizon.
-
-    The blocks and the states are scaled by one LCM first, so every
-    comparison runs on ``int`` entries; scaling keeps every inequality.
-    """
+    """Exact check of all three inequality families over the whole horizon."""
     n = system.size
     if any(len(row) != n for row in trajectory.states):
         raise DimensionMismatch("trajectory width does not match the system")
-    _, blocks, cols = _scaled_columns(system.block_spec(), trajectory.states)
+    blocks = system.block_spec()
+    cols = [TropicalMatrix.column(state) for state in trajectory.states]
     for k in range(trajectory.horizon):
         if not blocks.within @ cols[k] <= cols[k]:
             return False

@@ -10,6 +10,7 @@ so equality of scalars is always decidable and exact.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -45,13 +46,21 @@ def as_scalar(value) -> Scalar:
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse an exact decimal ("-13.999"), rational ("7/3") or infinity token."""
+    """Parse an exact decimal ("-13.999"), rational ("7/3") or infinity token.
+
+    A decimal exponent ("1e5") may not exceed Python's limit on the digits
+    of an ``int`` in text, ``sys.int_info.default_max_str_digits``, in
+    magnitude: the exact value of ``1e999999999`` is a 415 MB ``int``.
+    """
     token = text.strip()
     if token == "-inf":
         return NEG_INF
     if token in ("+inf", "inf"):
         return POS_INF
+    _, marker, exponent = token.lower().partition("e")
     try:
+        if marker and abs(int(exponent)) > sys.int_info.default_max_str_digits:
+            raise ValueError("decimal exponent out of range")
         return as_scalar(Fraction(token))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not an exact scalar: {text!r}") from exc

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from maxplus import (
     NEG_INF,
@@ -16,6 +17,7 @@ from maxplus import (
     PtegSystem,
     Trajectory,
     TropicalMatrix,
+    as_scalar,
     build_block_matrix,
     format_scalar,
 )
@@ -32,6 +34,57 @@ def identity(n: int) -> TropicalMatrix:
 def top_left(matrix: TropicalMatrix, rows: int, cols: int) -> TropicalMatrix:
     """The leading ``rows x cols`` block of ``matrix``."""
     return TropicalMatrix([row[:cols] for row in matrix.to_rows()[:rows]])
+
+
+def stored_entries(matrix: TropicalMatrix) -> list:
+    """The entries a matrix computes on: its stored grid, not its read values."""
+    return [v for row in matrix._data for v in row]
+
+
+# Plain-Fraction oracles for the matrix operations: nested lists of int,
+# Fraction and the two infinities, no scale, no stored ints.
+
+
+def fraction_rows(matrix: TropicalMatrix) -> list[list]:
+    return [[Fraction(v) if v not in (NEG_INF, POS_INF) else v for v in row]
+            for row in matrix.to_rows()]
+
+
+def normalized_rows(rows) -> tuple:
+    return tuple(tuple(as_scalar(v) for v in row) for row in rows)
+
+
+def _otimes(a, b):
+    return NEG_INF if NEG_INF in (a, b) else a + b
+
+
+def fraction_add(a: list, b: list) -> list:
+    return [[max(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def fraction_matmul(a: list, b: list) -> list:
+    return [
+        [max(_otimes(row[t], b[t][j]) for t in range(len(b))) for j in range(len(b[0]))]
+        for row in a
+    ]
+
+
+def fraction_star(a: list) -> list:
+    """Floyd-Warshall greatest walks, the empty path, then +inf saturation."""
+    n = len(a)
+    d = [row[:] for row in a]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = max(d[i][j], _otimes(d[i][k], d[k][j]))
+    out = [[max(d[i][j], 0) if i == j else d[i][j] for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if d[k][k] > 0:
+            for i in range(n):
+                for j in range(n):
+                    if (i == k or d[i][k] != NEG_INF) and (j == k or d[k][j] != NEG_INF):
+                        out[i][j] = POS_INF
+    return out
 
 
 def random_matrix(rng: random.Random, n: int, lo=-5, hi=5, density=0.5) -> TropicalMatrix:

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,13 +53,6 @@ class TestCheck:
             capsys, "check", TWO_NODE, "--probe-bound", "50", "--format", "json"
         )
         assert json.loads(out)["verified_up_to"] == 50
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MAXPLUS_PROBE_BOUND", "60")
-        _, out, _ = run(
-            capsys, "check", TWO_NODE, "--probe-bound", "45", "--format", "json"
-        )
-        assert json.loads(out)["verified_up_to"] == 45
 
 
 class TestInvariant:
@@ -213,6 +207,23 @@ class TestErrors:
         )
         assert code == 1 and out == ""
         assert "unrecognized arguments: --format dot" in err
+
+    def test_decimal_exponent_limit(self, capsys):
+        limit = sys.int_info.default_max_str_digits
+        code, _, err = run(capsys, "check", RAILWAY, "--param", f"ell=1e{limit}")
+        assert code == 2 and err == ""
+        code, out, err = run(
+            capsys, "trajectory", TWO_NODE, "--horizon", "2", f"--seed=-1e-{limit},0"
+        )
+        assert code == 0 and out.startswith("x(1) = -0.000")
+        code, out, err = run(capsys, "check", RAILWAY, "--param", f"ell=1e{limit + 1}")
+        assert code == 1 and out == ""
+        assert err == f"error: parameter 'ell' has non-scalar value '1e{limit + 1}'\n"
+        code, out, err = run(
+            capsys, "trajectory", TWO_NODE, "--horizon", "2", "--seed=1e-999999999,0"
+        )
+        assert code == 1 and out == ""
+        assert err == "error: not an exact scalar: '1e-999999999'\n"
 
     def test_usage_error(self, capsys):
         assert main(["check"]) == 1

@@ -1,0 +1,151 @@
+"""Byte-identity of the command line over a fixed list of invocations.
+
+Every invocation runs through ``cli.main`` in-process, and the sha256 of its
+exit code, stdout and stderr is compared with ``cli_bytes.json``.  The list
+covers both samples, all four subcommands, rational railway windows on both
+sides of the consistency threshold ell = -14, every output option and the
+error paths.  A refactoring that keeps verdicts, certificates and messages
+keeps every digest; a deliberate output change re-records the file with::
+
+    PYTHONPATH=src python tests/test_cli_bytes.py --record
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+from pathlib import Path
+
+from maxplus.cli import main
+
+HERE = Path(__file__).resolve().parent
+SAMPLES = HERE.parent / "samples"
+RECORD = HERE / "cli_bytes.json"
+
+RAILWAY_ELLS = (
+    "-20", "-16", "-15", "-14.5", "-85/6", "-14.123", "-14",
+    "-13.99", "-13.9", "-13.5", "-41/3", "-13", "0", "7/3",
+)
+SEEDS = {
+    "railway.json": (None, "3,0,-2,1", "1/3,0,0,2/7", "-5/2,1/6,0.25,-7/9"),
+    "two_node.json": (None, "3,-2", "1/3,2/7", "-5/2,0.25"),
+}
+
+# Files written next to the samples in the working directory of the run.
+BROKEN_FILES = {
+    "broken.json": '{"n": 1,,}',
+    "deep.json": '{"n": 1, "A": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    "not_object.json": "[1, 2]",
+    "bad_size.json": '{"n": true, "A": [], "L": [], "C": [], "Rtilde": []}',
+    "plus_inf.json": json.dumps(
+        {"n": 1, "A": [["+inf"]], "L": [["0"]], "C": [["0"]], "Rtilde": [["0"]]}
+    ),
+    "exponent.json": json.dumps(
+        {"n": 1, "A": [["1e3"]], "L": [["-2e-1"]], "C": [["-inf"]], "Rtilde": [["0"]]}
+    ),
+}
+
+ERRORS = (
+    [],
+    ["frobnicate"],
+    ["check"],
+    ["check", "missing.json"],
+    ["check", "railway.json", "--param", "ell"],
+    ["check", "railway.json", "--param", "ell=oops"],
+    ["check", "railway.json", "--param", "ell=+inf"],
+    ["check", "railway.json", "--param", "ell=1/0"],
+    ["check", "railway.json", "--probe-bound", "0"],
+    ["check", "railway.json", "--probe-bound", "-3"],
+    ["check", "railway.json", "--probe-bound", "x"],
+    ["check", "railway.json", "--format", "xml"],
+    ["invariant", "railway.json", "--probe-bound", "0"],
+    ["invariant", "railway.json", "--emit-pi"],
+    ["trajectory", "railway.json"],
+    ["trajectory", "railway.json", "--horizon", "1"],
+    ["trajectory", "railway.json", "--horizon", "3", "--seed", "1,2"],
+    ["trajectory", "railway.json", "--horizon", "3", "--seed", "1,2,3,-inf"],
+    ["trajectory", "railway.json", "--horizon", "3", "--seed", "1,2,3,x"],
+    ["trajectory", "railway.json", "--param", "ell=-13", "--horizon", "8"],
+    ["graph", "railway.json", "--horizon", "0"],
+    ["graph", "railway.json", "--horizon", "2", "--format", "dot"],
+    ["check", "two_node.json", "--param", "ell=1"],
+) + tuple(["check", name] for name in BROKEN_FILES)
+
+
+def invocations() -> list[list[str]]:
+    """The fixed argument lists, in a stable order."""
+    systems = [("two_node.json", [])] + [
+        ("railway.json", ["--param", f"ell={ell}"]) for ell in RAILWAY_ELLS
+    ]
+    out = []
+    for name, params in systems:
+        for command, emit in (("check", "--emit-pi"), ("invariant", "--emit-s")):
+            for fmt in ("human", "json"):
+                for probe in (None, "1", "6", "50"):
+                    for emitting in (False, True):
+                        argv = [command, name, *params, "--format", fmt]
+                        if probe is not None:
+                            argv += ["--probe-bound", probe]
+                        if emitting:
+                            argv.append(emit)
+                        out.append(argv)
+        for horizon in ("2", "5", "9", "40"):
+            for seed in SEEDS[name]:
+                for fmt in ("human", "json"):
+                    argv = ["trajectory", name, *params, "--horizon", horizon]
+                    if seed is not None:
+                        argv += ["--seed", seed]
+                    out.append(argv + ["--format", fmt])
+        for horizon in ("1", "3"):
+            out.append(["graph", name, *params, "--horizon", horizon])
+    out.extend(list(argv) for argv in ERRORS)
+    return out
+
+
+def digest(argv: list[str]) -> str:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    payload = json.dumps([code, stdout.getvalue(), stderr.getvalue()])
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def digests(workdir: Path) -> dict[str, str]:
+    """Run every invocation from ``workdir`` and map its argv to its digest."""
+    for sample in SAMPLES.glob("*.json"):
+        shutil.copy(sample, workdir / sample.name)
+    for name, text in BROKEN_FILES.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    previous = os.getcwd()
+    os.chdir(workdir)
+    try:
+        return {" ".join(argv): digest(argv) for argv in invocations()}
+    finally:
+        os.chdir(previous)
+
+
+def test_cli_bytes_match_the_record(tmp_path, monkeypatch):
+    # argparse wraps its usage lines to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = json.loads(RECORD.read_text(encoding="utf-8"))
+    actual = digests(tmp_path)
+    assert sorted(actual) == sorted(expected)
+    changed = [argv for argv in actual if actual[argv] != expected[argv]]
+    assert changed == []
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_cli_bytes.py --record")
+    os.environ["COLUMNS"] = "80"
+    with tempfile.TemporaryDirectory() as tmp:
+        record = digests(Path(tmp))
+    RECORD.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"recorded {len(record)} invocations in {RECORD}")

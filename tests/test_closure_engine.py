@@ -36,6 +36,7 @@ from helpers import (
     iterate_shrink_full,
     report_fields,
     shrink_generator_unrolled,
+    stored_entries,
     synthesize_dense,
     validate_trajectory_full,
 )
@@ -248,13 +249,18 @@ def test_integer_kernel_matches_fraction_oracles(drawn, probe):
 
 @pytest.fixture
 def walk_operands(monkeypatch):
-    """Collects every entry the closure step reads; read ``entries``."""
+    """Collects every stored entry the closure step reads; read ``entries``.
+
+    Each step's operands must share one scale, so no product rescales.
+    """
     entries = []
     step = precedence._next_closure
 
     def recorded(blocks, current):
-        for m in (blocks.within, blocks.backward, blocks.forward, current):
-            entries.extend(v for row in m for v in row)
+        operands = (blocks.within, blocks.backward, blocks.forward, current)
+        assert len({m._scale for m in operands}) == 1
+        for m in operands:
+            entries.extend(stored_entries(m))
         return step(blocks, current)
 
     monkeypatch.setattr(precedence, "_next_closure", recorded)
@@ -357,12 +363,18 @@ def test_lowered_railway_state_is_rejected():
 
 
 def test_synthesis_and_validation_compare_ints(monkeypatch):
-    """No Fraction reaches ``@`` or ``<=``; the caller's states stay exact."""
+    """``@`` and ``<=`` read stored ``int``s; the caller's states stay exact.
+
+    Synthesis aligns its operands once, so no product of its sweeps has to
+    bring two scales together.
+    """
     operands = []
+    scale_pairs = []
 
     def recorded(method):
         def wrapped(a, b):
-            operands.extend(v for m in (a, b) for row in m for v in row)
+            operands.extend(v for m in (a, b) for v in stored_entries(m))
+            scale_pairs.append((a._scale, b._scale))
             return method(a, b)
 
         return wrapped
@@ -372,6 +384,7 @@ def test_synthesis_and_validation_compare_ints(monkeypatch):
         monkeypatch.setattr(TropicalMatrix, name, recorded(method))
     system = make_railway(Fraction("-14.123"))
     trajectory = synthesize_trajectory(system, 40, RAILWAY_SEED)
+    assert scale_pairs and all(s == t for s, t in scale_pairs)
     assert validate_trajectory(system, trajectory)
     assert any(isinstance(v, Fraction) for row in trajectory.states for v in row)
     assert len(operands) > 0

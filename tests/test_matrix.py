@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from maxplus import (
     NEG_INF,
@@ -14,7 +16,18 @@ from maxplus import (
     image_member,
 )
 
-from helpers import enumerate_path_star, identity, random_matrix, star_by_powers
+from helpers import (
+    enumerate_path_star,
+    fraction_add,
+    fraction_matmul,
+    fraction_rows,
+    fraction_star,
+    identity,
+    normalized_rows,
+    random_matrix,
+    star_by_powers,
+    stored_entries,
+)
 
 NEG = "-inf"
 
@@ -217,48 +230,105 @@ def random_fraction_matrix(rng: random.Random, n: int) -> TropicalMatrix:
     return TropicalMatrix([[entry() for _ in range(n)] for _ in range(n)])
 
 
+def stores_ints(matrix: TropicalMatrix) -> bool:
+    return all(type(v) is int or v in (NEG_INF, POS_INF) for v in stored_entries(matrix))
+
+
 class TestScaling:
+    """A matrix stores ``int``s times one scale and reads exact values back."""
+
     def test_infinities_pass_through(self):
         m = TropicalMatrix([[NEG, POS_INF], ["1/2", 3]])
-        for out in (m.scaled(2), m.scaled(6).unscaled(3)):
+        assert stored_entries(m) == [NEG_INF, POS_INF, 1, 6]
+        for out in (m, m @ TropicalMatrix([["1/3", NEG], [NEG, 0]])):
             assert out[0, 0] == NEG_INF and out[0, 1] == POS_INF
             assert type(out[0, 0]) is float and type(out[0, 1]) is float
-        assert m.scaled(2).unscaled(2) == m
 
     def test_scale_one_returns_the_matrix_itself(self):
+        # an all-int matrix reads back its own stored grid, not a copy
         m = TropicalMatrix([[NEG, 2], [POS_INF, -7]])
-        assert m.denominator == 1
-        assert m.scaled(1) is m
-        assert m.unscaled(1) is m
+        assert m.to_rows() is m._data
+        assert stored_entries(m) == [NEG_INF, 2, POS_INF, -7]
 
     def test_scale_one_turns_integral_fractions_into_ints(self):
         half = TropicalMatrix([["1/2", NEG]])
-        m = TropicalMatrix([["1/2"]]) @ half  # 1/2 + 1/2 stays a Fraction
-        assert type(m[0, 0]) is Fraction
-        out = m.scaled(1)
-        assert out == m
-        assert type(out[0, 0]) is int
+        m = TropicalMatrix([["1/2"]]) @ half  # stored as 2 at scale 2
+        assert m._scale == 2
+        assert m.to_rows() == ((1, NEG_INF),)
+        assert type(m[0, 0]) is int and type(m.column_values()[0]) is int
+        assert type(TropicalMatrix([[Fraction(4, 2)]])[0, 0]) is int
 
     def test_denominator_is_the_lcm(self):
         m = TropicalMatrix([["1/6", "3/4"], [NEG, "5/1001"]])
-        assert m.denominator == 12 * 1001
-        assert TropicalMatrix.epsilon(2).denominator == 1
+        assert m._scale == 12 * 1001
+        assert stored_entries(m) == [2002, 9009, NEG_INF, 60]
+        assert TropicalMatrix.epsilon(2)._scale == 1
 
     def test_roundtrip_and_int_entries(self):
         rng = random.Random(1108)
         for _ in range(200):
             m = random_fraction_matrix(rng, rng.randint(1, 4))
-            s = m.denominator * rng.randint(1, 3)
-            scaled = m.scaled(s)
-            assert all(type(v) is int or v in (NEG_INF, POS_INF) for row in scaled for v in row)
-            back = scaled.unscaled(s)
-            assert back == m
+            assert stores_ints(m)
+            back = m.to_rows()
+            assert TropicalMatrix(back) == m
             # normalized: no Fraction with denominator 1 comes back
             assert all(type(as_scalar(v)) is type(v) for row in back for v in row)
 
-    def test_non_integral_scaling_raises(self):
-        m = TropicalMatrix([["1/6", 1]])
-        with pytest.raises(ValueError, match="not an integer"):
-            m.scaled(4)
-        with pytest.raises(ValueError):
-            m.scaled(1)
+    def test_equal_values_at_two_scales(self):
+        half_twice = TropicalMatrix([["1/2"]]) @ TropicalMatrix([["1/2"]])
+        one = TropicalMatrix([[1]])
+        assert half_twice._scale != one._scale
+        assert half_twice == one and one == half_twice
+        assert half_twice <= one and one <= half_twice
+        assert hash(half_twice) == hash(one)
+        assert len({half_twice, one}) == 1
+        assert str(half_twice) == str(one) and repr(half_twice) == repr(one)
+        assert TropicalMatrix([["1/3"]]) != TropicalMatrix([["1/2"]])
+
+
+# Small denominators, and large ones that are pairwise coprime.
+DENOMINATORS = st.one_of(st.integers(1, 6), st.sampled_from([1009, 2003, 2999]))
+
+
+@st.composite
+def fraction_matrix(draw, n):
+    def entry():
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            return NEG_INF
+        if kind == 1:
+            return POS_INF
+        den = draw(DENOMINATORS)
+        return Fraction(draw(st.integers(-9 * den, 9 * den)), den)
+
+    return TropicalMatrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
+@st.composite
+def square_pairs(draw):
+    n = draw(st.integers(1, 4))
+    return draw(fraction_matrix(n)), draw(fraction_matrix(n))
+
+
+@given(square_pairs())
+def test_operations_store_ints_and_match_fraction_oracle(pair):
+    a, b = pair
+    ra, rb = fraction_rows(a), fraction_rows(b)
+    results = {
+        "+": (a + b, fraction_add(ra, rb)),
+        "@": (a @ b, fraction_matmul(ra, rb)),
+        "star": (a.star(), fraction_star(ra)),
+        "from_blocks": (
+            TropicalMatrix.from_blocks([[a, b], [b, a]]),
+            [x + y for x, y in zip(ra, rb)] + [y + x for x, y in zip(ra, rb)],
+        ),
+    }
+    for name, (result, oracle) in results.items():
+        assert stores_ints(result), name
+        assert result.to_rows() == normalized_rows(oracle), name
+        assert result == TropicalMatrix(oracle), name
+    leq = all(x <= y for rx, ry in zip(ra, rb) for x, y in zip(rx, ry))
+    assert (a <= b) == leq
+    assert a <= a + b and b <= a + b
+    assert (a == b) == (ra == rb)
+    assert TropicalMatrix(ra) == a and hash(TropicalMatrix(ra)) == hash(a)

@@ -152,14 +152,13 @@ class TestCheckConsistency:
         # No system is known to repeat after index n^2 + 1; a finite repeat
         # proves consistency at any index (see check_consistency).
         system = railway(Fraction("-14.5"))
-        spec = system.block_spec()
-        _, closure, fixed = pteg._stopping_closure(spec.integral, 100)
+        _, closure, fixed = pteg._stopping_closure(system.block_spec(), 100)
         assert fixed
         late = (system.size**2 + 7, closure, True)
         monkeypatch.setattr(pteg, "_stopping_closure", lambda blocks, last: late)
         verdict = check_consistency(system)
         assert verdict.kind is ConsistencyKind.CONSISTENT
-        assert verdict.fixed_closure == closure.unscaled(spec.scale)
+        assert verdict.fixed_closure is closure
         assert verdict.first_divergent is None and verdict.verified_up_to is None
 
     def test_railway_too_tight_window(self, railway):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,36 @@ class TestParseFormat:
             parse_scalar("ell")
         with pytest.raises(ValueError):
             parse_scalar("1/0")
+
+
+# Python's own limit on the digits of an int written as text.
+EXPONENT_LIMIT = sys.int_info.default_max_str_digits
+
+
+class TestDecimalExponent:
+    @pytest.mark.parametrize("sign", ["", "-", "+"])
+    def test_exponent_at_the_limit_is_exact(self, sign):
+        assert parse_scalar(f"1e{sign}{EXPONENT_LIMIT}") == Fraction(10) ** int(
+            f"{sign}{EXPONENT_LIMIT}"
+        )
+        assert parse_scalar(f"-2.5E{sign}{EXPONENT_LIMIT}") == Fraction(-25, 10) * (
+            Fraction(10) ** int(f"{sign}{EXPONENT_LIMIT}")
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"1e{EXPONENT_LIMIT + 1}",
+            f"1e-{EXPONENT_LIMIT + 1}",
+            f"-0.5E+{EXPONENT_LIMIT + 1}",
+            "1e999999999",
+            "1e-999999999",
+            "1e" + "9" * (EXPONENT_LIMIT + 1),
+        ],
+    )
+    def test_exponent_past_the_limit_is_rejected(self, text):
+        with pytest.raises(ValueError, match="not an exact scalar"):
+            parse_scalar(text)
 
 
 def test_is_finite():

@@ -48,7 +48,6 @@ EXPORTS = sorted(
         "parse_problem_file",
         "parse_scalar",
         "roundtrip_closure",
-        "serialize_problem",
         "shrink_generator",
         "synthesize_trajectory",
         "validate_trajectory",
@@ -61,8 +60,6 @@ UNCALLED = {
     "finite_weak_feasibility": "benchmark imports it",
     "image_member": "paper API: membership in the image of a star matrix",
     "maximal_invariant": "paper API: the maximal controlled-invariant generator",
-    "roundtrip_closure": "test oracle for the generator's anchored block",
-    "serialize_problem": "problem-file API: writes what parse_problem reads",
     "shrink_generator": "paper API: the k-step generator; test oracle",
 }
 
