@@ -28,7 +28,6 @@ from .matrix import (
     image_member,
 )
 from .precedence import (
-    BlockDimensionMismatch,
     BlockMatrixSpec,
     build_block_matrix,
     export_dot,
@@ -75,7 +74,6 @@ __all__ = [
     "NotStarMatrix",
     "TropicalMatrix",
     "image_member",
-    "BlockDimensionMismatch",
     "BlockMatrixSpec",
     "build_block_matrix",
     "export_dot",

@@ -21,7 +21,6 @@ import json
 import sys
 
 from .invariance import InvarianceKind, iterate_shrink
-from .matrix import TropicalMatrix
 from .precedence import export_dot
 from .problems import ProblemFormatError, parse_problem_file
 from .pteg import (
@@ -46,26 +45,23 @@ EXIT_INFEASIBLE = 4
 EXIT_INTERNAL = 5
 
 
-def _matrix_lists(matrix: TropicalMatrix) -> list[list[str]]:
-    return [[format_scalar(v) for v in row] for row in matrix.to_rows()]
+def _text_rows(rows) -> list[list[str]]:
+    """Rows of scalars, such as a matrix or a trajectory's states, as text."""
+    return [[format_scalar(v) for v in row] for row in rows]
 
 
-def _parse_params(pairs: list[str]) -> dict[str, str]:
-    out = {}
-    for pair in pairs:
+def _load_system(args) -> PtegSystem:
+    params = {}
+    for pair in args.param:
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise ValueError(f"--param expects name=value, got {pair!r}")
-        out[name] = value
-    return out
-
-
-def _load_system(args, params: dict[str, str]) -> PtegSystem:
+        params[name] = value
     return parse_problem_file(args.file).instantiate(params)
 
 
 def cmd_check(args) -> int:
-    system = _load_system(args, _parse_params(args.param))
+    system = _load_system(args)
     verdict = check_consistency(system, args.probe_bound)
     code = EXIT_CODES[verdict.kind]
     n = system.size
@@ -86,13 +82,13 @@ def cmd_check(args) -> int:
             "n": n,
             "probe_bound": closure_limit(n, args.probe_bound),
             "fixed_closure": (
-                _matrix_lists(verdict.fixed_closure) if verdict.fixed_closure else None
+                _text_rows(verdict.fixed_closure) if verdict.fixed_closure else None
             ),
             "first_divergent": verdict.first_divergent,
             "verified_up_to": verdict.verified_up_to,
         }
         if closures is not None:
-            doc["closures"] = [_matrix_lists(m) for m in closures]
+            doc["closures"] = [_text_rows(m) for m in closures]
         print(json.dumps(doc, indent=2))
         return code
 
@@ -117,7 +113,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_invariant(args) -> int:
-    system = _load_system(args, _parse_params(args.param))
+    system = _load_system(args)
     report = iterate_shrink(system, args.probe_bound)
 
     if args.format == "json":
@@ -125,13 +121,13 @@ def cmd_invariant(args) -> int:
             "classification": report.kind.value,
             "step": report.step,
             "invariant_generator": (
-                _matrix_lists(report.invariant_generator)
+                _text_rows(report.invariant_generator)
                 if report.invariant_generator
                 else None
             ),
         }
         if args.emit_s:
-            doc["generators"] = [_matrix_lists(m) for m in report.generators]
+            doc["generators"] = [_text_rows(m) for m in report.generators]
         print(json.dumps(doc, indent=2))
         return 0
 
@@ -155,7 +151,7 @@ def cmd_invariant(args) -> int:
 
 def cmd_trajectory(args) -> int:
     seed = tuple(args.seed.split(",")) if args.seed else None
-    system = _load_system(args, _parse_params(args.param))
+    system = _load_system(args)
     try:
         trajectory = synthesize_trajectory(system, args.horizon, seed)
     except InfeasibleHorizon as exc:
@@ -164,24 +160,20 @@ def cmd_trajectory(args) -> int:
     if not validate_trajectory(system, trajectory):
         raise RuntimeError("synthesized trajectory failed validation")
 
+    states, inputs = _text_rows(trajectory.states), _text_rows(trajectory.inputs)
     if args.format == "json":
-        doc = {
-            "horizon": trajectory.horizon,
-            "states": [[format_scalar(v) for v in row] for row in trajectory.states],
-            "inputs": [[format_scalar(v) for v in row] for row in trajectory.inputs],
-        }
+        doc = {"horizon": trajectory.horizon, "states": states, "inputs": inputs}
         print(json.dumps(doc, indent=2))
         return 0
 
-    for k, row in enumerate(trajectory.states, start=1):
-        print(f"x({k}) = " + " ".join(format_scalar(v) for v in row))
-    for k, row in enumerate(trajectory.inputs, start=1):
-        print(f"u({k}) = " + " ".join(format_scalar(v) for v in row))
+    for name, rows in (("x", states), ("u", inputs)):
+        for k, row in enumerate(rows, start=1):
+            print(f"{name}({k}) = " + " ".join(row))
     return 0
 
 
 def cmd_graph(args) -> int:
-    system = _load_system(args, _parse_params(args.param))
+    system = _load_system(args)
     sys.stdout.write(export_dot(system.block_spec(), args.horizon))
     return 0
 

@@ -57,8 +57,12 @@ def _closure(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
                 v = dk[j]
                 if v == NEG_INF:
                     continue
-                if dik + v > di[j]:
-                    di[j] = dik + v
+                try:
+                    s = dik + v
+                except OverflowError:  # an int beyond float range plus +inf
+                    s = POS_INF
+                if s > di[j]:
+                    di[j] = s
     return d
 
 
@@ -251,7 +255,10 @@ class TropicalMatrix:
                     v = brow[j]
                     if v == NEG_INF:
                         continue
-                    s = a + v
+                    try:
+                        s = a + v
+                    except OverflowError:  # an int beyond float range plus +inf
+                        s = POS_INF
                     if s > out[j]:
                         out[j] = s
             grid.append(tuple(out))

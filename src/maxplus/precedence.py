@@ -17,12 +17,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .matrix import TropicalMatrix, aligned
+from .matrix import DimensionMismatch, TropicalMatrix, aligned
 from .semiring import NEG_INF, format_scalar
-
-
-class BlockDimensionMismatch(ValueError):
-    """Blocks of a stage-structured system do not share one square shape."""
 
 
 @dataclass(frozen=True)
@@ -42,7 +38,7 @@ class BlockMatrixSpec:
     def __post_init__(self):
         shapes = {self.within.shape, self.backward.shape, self.forward.shape}
         if len(shapes) != 1 or not self.within.is_square:
-            raise BlockDimensionMismatch(
+            raise DimensionMismatch(
                 "within/backward/forward blocks must share one square shape"
             )
         for block in (self.within, self.backward, self.forward):

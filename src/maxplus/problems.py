@@ -1,10 +1,11 @@
 """Problem files: a JSON document carrying the four constraint matrices.
 
-The document holds the system size ``n``, four ``n x n`` grids under the
-keys ``A`` (dynamics), ``L`` (backward), ``C`` (within) and ``Rtilde``
-(extra forward constraints), and an optional ``params`` object.  Grid
-entries are exact decimals or rationals, the token ``-inf``, or the name of
-a parameter; ``+inf`` is rejected on input.  Parameters are substituted
+The document holds the system size ``n``, an optional ``params`` object and
+four ``n x n`` grids.  :data:`MATRIX_FIELDS` maps each grid's key to the
+:class:`~maxplus.pteg.PtegSystem` block it fills: ``A`` dynamics, ``L``
+backward, ``C`` within, ``Rtilde`` extra forward constraints.  Grid entries
+are exact decimals or rationals, the token ``-inf``, or the name of a
+parameter; ``+inf`` is rejected on input.  Parameters are substituted
 before any validation, with command-line values overriding file defaults.
 
 Numbers may be written as JSON numbers; they are captured as raw text and
@@ -20,7 +21,8 @@ from .pteg import PtegSystem
 from .matrix import TropicalMatrix
 from .semiring import POS_INF, parse_scalar
 
-MATRIX_KEYS = ("A", "L", "C", "Rtilde")
+# Problem-file key -> PtegSystem field, in document order.
+MATRIX_FIELDS = {"A": "dynamics", "L": "backward", "C": "within", "Rtilde": "extra_forward"}
 
 Grid = tuple[tuple[str, ...], ...]
 
@@ -47,30 +49,18 @@ class ProblemFile:
     extra_forward: Grid
     params: dict[str, str] = field(default_factory=dict)
 
-    def grid(self, key: str) -> Grid:
-        return {
-            "A": self.dynamics,
-            "L": self.backward,
-            "C": self.within,
-            "Rtilde": self.extra_forward,
-        }[key]
-
     def instantiate(self, overrides: dict[str, str] | None = None) -> PtegSystem:
         """Substitute parameters, parse every entry and build the system."""
         values = dict(self.params)
         values.update(overrides or {})
-        matrices = {}
-        for key in MATRIX_KEYS:
-            matrices[key] = TropicalMatrix(
+        matrices = {
+            name: TropicalMatrix(
                 [[_resolve_entry(token, values, key) for token in row]
-                 for row in self.grid(key)]
+                 for row in getattr(self, name)]
             )
-        return PtegSystem(
-            dynamics=matrices["A"],
-            backward=matrices["L"],
-            within=matrices["C"],
-            extra_forward=matrices["Rtilde"],
-        )
+            for key, name in MATRIX_FIELDS.items()
+        }
+        return PtegSystem(**matrices)
 
 
 def _resolve_entry(token: str, params: dict[str, str], key: str):
@@ -130,7 +120,7 @@ def parse_problem(text: str) -> ProblemFile:
         n = 0
     if n < 1:
         raise ProblemFormatError('field "n" must be a positive integer')
-    for key in MATRIX_KEYS:
+    for key in MATRIX_FIELDS:
         if key not in raw:
             raise ProblemFormatError(f"missing matrix {key}")
     params_raw = raw.get("params", {})
@@ -146,17 +136,11 @@ def parse_problem(text: str) -> ProblemFile:
         raise ProblemFormatError(
             f"parameter name {name!r} would shadow a scalar token"
         )
-    unknown = set(raw) - set(MATRIX_KEYS) - {"n", "params"}
+    unknown = set(raw) - set(MATRIX_FIELDS) - {"n", "params"}
     if unknown:
         raise ProblemFormatError(f"unknown fields: {sorted(unknown)}")
-    return ProblemFile(
-        size=n,
-        dynamics=_capture_grid(raw["A"], "A", n),
-        backward=_capture_grid(raw["L"], "L", n),
-        within=_capture_grid(raw["C"], "C", n),
-        extra_forward=_capture_grid(raw["Rtilde"], "Rtilde", n),
-        params=dict(params_raw),
-    )
+    grids = {name: _capture_grid(raw[key], key, n) for key, name in MATRIX_FIELDS.items()}
+    return ProblemFile(size=n, params=dict(params_raw), **grids)
 
 
 def parse_problem_file(path) -> ProblemFile:

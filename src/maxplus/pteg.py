@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Sequence
 
 from .matrix import DimensionMismatch, TropicalMatrix, aligned
@@ -48,10 +47,12 @@ class PtegSystem:
     """Problem data: the four square blocks, all free of +inf.
 
     ``extra_forward`` holds user constraints from one occurrence to the next
-    on top of the plant dynamics; None means no extra constraints.  The
-    combined ``forward`` block and the :meth:`block_spec` are computed on
-    first access and cached; they are not fields, so they take no part in
-    ``==`` or ``hash``.
+    on top of the plant dynamics; None means no extra constraints.
+    ``forward = dynamics oplus extra_forward`` and the :meth:`block_spec` are
+    built on construction and are not fields, so they take no part in ``==``
+    or ``hash``.  The spec alone checks shapes and +inf: ``forward`` carries
+    every +inf of ``dynamics`` and ``extra_forward``, and ``+`` rejects a
+    shape clash between those two.
     """
 
     dynamics: TropicalMatrix
@@ -64,31 +65,18 @@ class PtegSystem:
             object.__setattr__(
                 self, "extra_forward", TropicalMatrix.epsilon(self.dynamics.rows)
             )
-        blocks = (self.dynamics, self.backward, self.within, self.extra_forward)
-        shapes = {b.shape for b in blocks}
-        if len(shapes) != 1 or not self.dynamics.is_square:
-            raise DimensionMismatch("all four blocks must share one square shape")
-        for block in blocks:
-            if not block.rmax_valued:
-                raise ValueError("+inf is not a legal entry in problem matrices")
+        forward = self.dynamics + self.extra_forward
+        spec = BlockMatrixSpec(within=self.within, backward=self.backward, forward=forward)
+        object.__setattr__(self, "forward", forward)
+        object.__setattr__(self, "_spec", spec)
 
     @property
     def size(self) -> int:
         return self.dynamics.rows
 
-    @cached_property
-    def forward(self) -> TropicalMatrix:
-        return self.dynamics + self.extra_forward
-
-    @cached_property
-    def _spec(self) -> BlockMatrixSpec:
-        return BlockMatrixSpec(
-            within=self.within, backward=self.backward, forward=self.forward
-        )
-
     def block_spec(self) -> BlockMatrixSpec:
-        """The within, backward and forward blocks; the same object each call,
-        so they are aligned to one scale once per system."""
+        """The within, backward and forward blocks, built and checked on
+        construction; the same object each call, aligned to one scale once."""
         return self._spec
 
 

@@ -55,7 +55,11 @@ def normalized_rows(rows) -> tuple:
 
 
 def _otimes(a, b):
-    return NEG_INF if NEG_INF in (a, b) else a + b
+    if NEG_INF in (a, b):
+        return NEG_INF
+    # spelled out: Fraction + inf converts the Fraction to float, which
+    # overflows beyond the float range
+    return POS_INF if POS_INF in (a, b) else a + b
 
 
 def fraction_add(a: list, b: list) -> list:

@@ -73,6 +73,15 @@ class TestInvariant:
         _, out, _ = run(capsys, "invariant", TWO_NODE)
         assert out.splitlines()[0] == "NonConvergentWeakOpen 40"
 
+    def test_scale_beyond_float_range(self, capsys):
+        # ell = 1e-400 stores the other entries as ints no float can hold
+        code, out, err = run(
+            capsys, "invariant", RAILWAY, "--param", "ell=1e-400", "--emit-s"
+        )
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == "RealEmptyAtStep 0"
+        assert "generator(step 0):" in out
+
     def test_json_with_generators(self, capsys):
         _, out, _ = run(
             capsys, "invariant", RAILWAY, "--format", "json", "--emit-s"
@@ -181,6 +190,21 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err == "error: invalid JSON: nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            ({"A": [[None]]}, "unexpected entry None in matrix A"),
+            ({"params": []}, '"params" must map names to scalar strings'),
+        ],
+    )
+    def test_problem_format_errors(self, capsys, tmp_path, extra, message):
+        doc = {"n": 1, "A": [["0"]], "L": [["0"]], "C": [["0"]], "Rtilde": [["0"]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**doc, **extra}))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_bad_param_syntax(self, capsys):
         code, _, err = run(capsys, "check", RAILWAY, "--param", "ell")

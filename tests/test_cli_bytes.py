@@ -8,6 +8,12 @@ error paths.  A refactoring that keeps verdicts, certificates and messages
 keeps every digest; a deliberate output change re-records the file with::
 
     PYTHONPATH=src python tests/test_cli_bytes.py --record
+
+``--check`` compares with the record using the standard library alone, so
+any interpreter the package supports can run it without pytest; it exits
+non-zero and lists the differing invocations when one differs::
+
+    PYTHONPATH=src python3.10 tests/test_cli_bytes.py --check
 """
 
 from __future__ import annotations
@@ -129,23 +135,34 @@ def digests(workdir: Path) -> dict[str, str]:
         os.chdir(previous)
 
 
+def differences(actual: dict[str, str]) -> list[str]:
+    """Invocations missing from, added to or changed against the record."""
+    expected = json.loads(RECORD.read_text(encoding="utf-8"))
+    return sorted(
+        argv for argv in actual.keys() | expected.keys()
+        if actual.get(argv) != expected.get(argv)
+    )
+
+
 def test_cli_bytes_match_the_record(tmp_path, monkeypatch):
     # argparse wraps its usage lines to the terminal width
     monkeypatch.setenv("COLUMNS", "80")
-    expected = json.loads(RECORD.read_text(encoding="utf-8"))
-    actual = digests(tmp_path)
-    assert sorted(actual) == sorted(expected)
-    changed = [argv for argv in actual if actual[argv] != expected[argv]]
-    assert changed == []
+    assert differences(digests(tmp_path)) == []
 
 
 if __name__ == "__main__":
     import tempfile
 
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: python tests/test_cli_bytes.py --record")
+    if sys.argv[1:] not in (["--record"], ["--check"]):
+        sys.exit("usage: python tests/test_cli_bytes.py --record | --check")
     os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
         record = digests(Path(tmp))
+    if sys.argv[1] == "--check":
+        changed = differences(record)
+        for argv in changed:
+            print(f"differs: {argv}")
+        print(f"{len(changed)} of {len(record)} invocations differ from {RECORD.name}")
+        sys.exit(1 if changed else 0)
     RECORD.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"recorded {len(record)} invocations in {RECORD}")

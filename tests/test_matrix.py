@@ -286,6 +286,18 @@ class TestScaling:
         assert TropicalMatrix([["1/3"]]) != TropicalMatrix([["1/2"]])
 
 
+def test_ints_beyond_float_range_next_to_plus_inf():
+    # a scale of 10**400 stores 3 as 3 * 10**400, which no float can hold;
+    # its sum with +inf must still be +inf, as in the Fraction oracle
+    tiny = Fraction(1, 10**400)
+    a = TropicalMatrix([[tiny, POS_INF], [3, NEG]])
+    b = TropicalMatrix([[POS_INF, 10**400], [-(10**400), tiny]])
+    for x, y in ((a, b), (b, a), (a, a), (b, b)):
+        rx, ry = fraction_rows(x), fraction_rows(y)
+        assert (x @ y).to_rows() == normalized_rows(fraction_matmul(rx, ry))
+        assert x.star().to_rows() == normalized_rows(fraction_star(rx))
+
+
 # Small denominators, and large ones that are pairwise coprime.
 DENOMINATORS = st.one_of(st.integers(1, 6), st.sampled_from([1009, 2003, 2999]))
 

@@ -4,8 +4,8 @@ import pytest
 
 from maxplus import (
     NEG_INF,
-    BlockDimensionMismatch,
     BlockMatrixSpec,
+    DimensionMismatch,
     TropicalMatrix,
     build_block_matrix,
     export_dot,
@@ -71,7 +71,7 @@ class TestBlockMatrix:
             assert top_left(big, small.rows, small.cols) == small
 
     def test_block_shapes_checked(self):
-        with pytest.raises(BlockDimensionMismatch):
+        with pytest.raises(DimensionMismatch):
             BlockMatrixSpec(
                 within=TropicalMatrix.epsilon(2),
                 backward=TropicalMatrix.epsilon(3),

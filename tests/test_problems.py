@@ -83,6 +83,16 @@ def test_plus_inf_rejected_via_parameter():
         (lambda t: t.replace('[["0"]]', '[["0", "1"]]'), "entries per row"),
         (lambda t: t.replace('[["0"]]', '[["0"], ["1"]]'), "rows"),
         (lambda t: t.replace('"Rtilde"', '"extra": 1, "Rtilde"'), "unknown"),
+        *(
+            (lambda t, cell=cell: t.replace('[["0"]]', f"[[{cell}]]"),
+             "unexpected entry .* in matrix A")
+            for cell in ("null", "true", "[0]", "{}")
+        ),
+        *(
+            (lambda t, params=params: t.replace('"Rtilde"', f'"params": {params}, "Rtilde"'),
+             '"params" must map names to scalar strings')
+            for params in ("[]", '{"x": null}')
+        ),
     ],
 )
 def test_malformed_documents(mutate, message):

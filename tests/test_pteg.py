@@ -260,6 +260,22 @@ class TestValidateTrajectory:
         # forward step needs x1(2) >= 2 + x1(1) = 2, but x1(2) = 1
         assert not validate_trajectory(two_node, t)
 
+    # x1(k) >= 1 + x2(k) (within), x1(k) >= x1(k+1) - 5 (backward) and
+    # x1(k+1) >= 2 + x1(k) (forward); each schedule breaks one family only
+    @pytest.mark.parametrize(
+        "states",
+        [((1, 1), (3, 0)), ((1, 0), (7, 0)), ((1, 0), (2, 0))],
+        ids=["within", "backward", "forward"],
+    )
+    def test_each_family_is_checked(self, states):
+        system = PtegSystem(
+            dynamics=TropicalMatrix([[2, NEG], [NEG, NEG]]),
+            backward=TropicalMatrix([[-5, NEG], [NEG, NEG]]),
+            within=TropicalMatrix([[NEG, 1], [NEG, NEG]]),
+        )
+        assert validate_trajectory(system, Trajectory(((1, 0), (3, 0))))
+        assert not validate_trajectory(system, Trajectory(states))
+
     def test_unconstrained_accepts_anything_finite(self):
         t = Trajectory(states=((5, -3), (0, 0)))
         assert validate_trajectory(all_eps_system(), t)

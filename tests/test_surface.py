@@ -14,7 +14,6 @@ SRC = Path(maxplus.__file__).resolve().parent
 
 EXPORTS = sorted(
     [
-        "BlockDimensionMismatch",
         "BlockMatrixSpec",
         "ConsistencyKind",
         "ConsistencyVerdict",
