@@ -28,7 +28,7 @@ from .matrix import (
     image_member,
 )
 from .precedence import (
-    BlockMatrixSpec,
+    PtegSystem,
     build_block_matrix,
     export_dot,
     finite_weak_feasibility,
@@ -37,7 +37,6 @@ from .pteg import (
     ConsistencyKind,
     ConsistencyVerdict,
     InfeasibleHorizon,
-    PtegSystem,
     Trajectory,
     check_consistency,
     closure_sequence,
@@ -74,14 +73,13 @@ __all__ = [
     "NotStarMatrix",
     "TropicalMatrix",
     "image_member",
-    "BlockMatrixSpec",
+    "PtegSystem",
     "build_block_matrix",
     "export_dot",
     "finite_weak_feasibility",
     "ConsistencyKind",
     "ConsistencyVerdict",
     "InfeasibleHorizon",
-    "PtegSystem",
     "Trajectory",
     "check_consistency",
     "closure_sequence",

@@ -160,13 +160,13 @@ def cmd_trajectory(args) -> int:
     if not validate_trajectory(system, trajectory):
         raise RuntimeError("synthesized trajectory failed validation")
 
-    states, inputs = _text_rows(trajectory.states), _text_rows(trajectory.inputs)
+    states = _text_rows(trajectory.states)  # the inputs u(k) = x(k+1) are states[1:]
     if args.format == "json":
-        doc = {"horizon": trajectory.horizon, "states": states, "inputs": inputs}
+        doc = {"horizon": trajectory.horizon, "states": states, "inputs": states[1:]}
         print(json.dumps(doc, indent=2))
         return 0
 
-    for name, rows in (("x", states), ("u", inputs)):
+    for name, rows in (("x", states), ("u", states[1:])):
         for k, row in enumerate(rows, start=1):
             print(f"{name}({k}) = " + " ".join(row))
     return 0
@@ -174,7 +174,7 @@ def cmd_trajectory(args) -> int:
 
 def cmd_graph(args) -> int:
     system = _load_system(args)
-    sys.stdout.write(export_dot(system.block_spec(), args.horizon))
+    sys.stdout.write(export_dot(system, args.horizon))
     return 0
 
 

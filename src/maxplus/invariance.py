@@ -19,8 +19,8 @@ from functools import cached_property
 from typing import Iterator
 
 from .matrix import TropicalMatrix
-from .precedence import BlockMatrixSpec, _closures, _stopping_closure
-from .pteg import PtegSystem, _probe_bound
+from .precedence import PtegSystem, _closures, _stopping_closure
+from .pteg import _probe_bound
 
 
 def roundtrip_closure(system: PtegSystem) -> TropicalMatrix:
@@ -30,13 +30,12 @@ def roundtrip_closure(system: PtegSystem) -> TropicalMatrix:
     going forward one occurrence, moving there, and coming back, combined
     with the purely local constraints.
     """
-    blocks = system.block_spec()
-    inner = blocks.forward @ blocks.within.star() @ blocks.backward
-    return (inner + blocks.within).star()
+    inner = system.forward @ system.within.star() @ system.backward
+    return (inner + system.within).star()
 
 
 def _assemble_generator(
-    blocks: BlockMatrixSpec,
+    system: PtegSystem,
     closure_k: TropicalMatrix,
     closure_k1: TropicalMatrix,
     roundtrip: TropicalMatrix,
@@ -44,20 +43,19 @@ def _assemble_generator(
     anchored = (closure_k + roundtrip).star()
     return TropicalMatrix.from_blocks(
         [
-            [closure_k1, closure_k1 @ blocks.backward @ anchored],
-            [anchored @ blocks.forward @ closure_k1, anchored],
+            [closure_k1, closure_k1 @ system.backward @ anchored],
+            [anchored @ system.forward @ closure_k1, anchored],
         ]
     )
 
 
 def _generators(system: PtegSystem, start: int = 0) -> Iterator[TropicalMatrix]:
     """Generators ``start``, ``start + 1``, ...; generator k reads closures k, k+1."""
-    blocks = system.block_spec()
     roundtrip = roundtrip_closure(system)
-    closures = (closure for _, closure, _ in _closures(blocks))
+    closures = (closure for _, closure, _ in _closures(system))
     pairs = itertools.islice(itertools.pairwise(closures), start, None)
     for closure_k, closure_k1 in pairs:
-        yield _assemble_generator(blocks, closure_k, closure_k1, roundtrip)
+        yield _assemble_generator(system, closure_k, closure_k1, roundtrip)
 
 
 def shrink_generator(system: PtegSystem, k: int) -> TropicalMatrix:
@@ -147,11 +145,10 @@ def iterate_shrink(
     converges at step ``max(j, 2) - 2``.
     """
     probe = _probe_bound(system.size, probe_bound)
-    blocks = system.block_spec()
-    j, closure, fixed = _stopping_closure(blocks, probe + 2)
+    j, closure, fixed = _stopping_closure(system, probe + 2)
     if fixed:
         roundtrip = roundtrip_closure(system)
-        stable = _assemble_generator(blocks, closure, closure, roundtrip)
+        stable = _assemble_generator(system, closure, closure, roundtrip)
         return InvarianceReport(
             InvarianceKind.CONVERGED_NON_EMPTY, max(j, 2) - 2, system, stable
         )

@@ -1,9 +1,9 @@
-"""Precedence constraint systems and their unrolled block matrices.
+"""Fully actuated P-time event graphs and their unrolled precedence graphs.
 
 A precedence system asks for a real vector x with ``x >= A @ x``; entry
 (i, j) of A is the weight of an arc from node j to node i in the precedence
-graph.  Stage-structured systems (one copy of the variables per occurrence
-index) are described by three square blocks and unrolled into a block
+graph.  A :class:`PtegSystem` is stage-structured (one copy of the events
+per occurrence index): its three square blocks unroll into a block
 tridiagonal matrix over any finite horizon.  The closure recurrence of
 :func:`_closures` eliminates that matrix stage by stage, so feasibility and
 the graph export work on the blocks alone, never on the unrolled matrix.
@@ -22,38 +22,51 @@ from .semiring import NEG_INF, format_scalar
 
 
 @dataclass(frozen=True)
-class BlockMatrixSpec:
-    """Per-stage blocks of a stage-structured precedence system.
+class PtegSystem:
+    """A fully actuated P-time event graph: four square blocks free of +inf.
 
+    The plant is ``x(k+1) = dynamics @ x(k) oplus u(k)`` with one free input
+    per event, so ``dynamics`` only adds arcs from stage k to stage k+1.
     ``within`` weights arcs inside one stage, ``backward`` arcs from stage
-    k+1 back to stage k, and ``forward`` arcs from stage k to stage k+1.
-    The blocks are stored at the LCM of their scales (see
-    :func:`~maxplus.matrix.aligned`); their values are the ones given.
+    k+1 back to stage k, and ``extra_forward`` user constraints from stage k
+    to stage k+1 (None means none).  ``forward = dynamics oplus
+    extra_forward`` is built on construction and is not a field, so it takes
+    no part in ``==`` or ``hash``.  Construction makes the one shape and +inf
+    check on ``within``, ``backward`` and ``forward``, and stores those three
+    at the LCM of their scales (see :func:`~maxplus.matrix.aligned`); their
+    values are the ones given.
     """
 
-    within: TropicalMatrix
+    dynamics: TropicalMatrix
     backward: TropicalMatrix
-    forward: TropicalMatrix
+    within: TropicalMatrix
+    extra_forward: TropicalMatrix | None = None
 
     def __post_init__(self):
-        shapes = {self.within.shape, self.backward.shape, self.forward.shape}
-        if len(shapes) != 1 or not self.within.is_square:
+        if self.extra_forward is None:
+            no_extra = TropicalMatrix.epsilon(self.dynamics.rows)
+            object.__setattr__(self, "extra_forward", no_extra)
+        # forward has every +inf of its two terms, and ``+`` rejects a shape clash
+        blocks = (self.within, self.backward, self.dynamics + self.extra_forward)
+        if len({b.shape for b in blocks}) != 1 or not self.within.is_square:
             raise DimensionMismatch(
                 "within/backward/forward blocks must share one square shape"
             )
-        for block in (self.within, self.backward, self.forward):
-            if not block.rmax_valued:
-                raise ValueError("+inf is not a legal constraint weight")
-        blocks = aligned(self.within, self.backward, self.forward)
-        for name, block in zip(("within", "backward", "forward"), blocks):
+        if not all(block.rmax_valued for block in blocks):
+            raise ValueError("+inf is not a legal constraint weight")
+        for name, block in zip(("within", "backward", "forward"), aligned(*blocks)):
             object.__setattr__(self, name, block)
 
     @property
     def size(self) -> int:
         return self.within.rows
 
+    def block_spec(self) -> PtegSystem:
+        """The system itself: the benchmark's cases still ask for it by this name."""
+        return self
 
-def build_block_matrix(spec: BlockMatrixSpec, horizon: int) -> TropicalMatrix:
+
+def build_block_matrix(system: PtegSystem, horizon: int) -> TropicalMatrix:
     """Unroll ``horizon`` stages into one block tridiagonal matrix.
 
     The within block sits on the diagonal, the backward block on the
@@ -63,31 +76,31 @@ def build_block_matrix(spec: BlockMatrixSpec, horizon: int) -> TropicalMatrix:
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    eps = TropicalMatrix.epsilon(spec.size)
+    eps = TropicalMatrix.epsilon(system.size)
     grid = []
     for i in range(horizon):
         row = []
         for j in range(horizon):
             if i == j:
-                row.append(spec.within)
+                row.append(system.within)
             elif j == i + 1:
-                row.append(spec.backward)
+                row.append(system.backward)
             elif j == i - 1:
-                row.append(spec.forward)
+                row.append(system.forward)
             else:
                 row.append(eps)
         grid.append(row)
     return TropicalMatrix.from_blocks(grid)
 
 
-def _next_closure(blocks: BlockMatrixSpec, current: TropicalMatrix) -> TropicalMatrix:
-    nxt = (blocks.backward @ current @ blocks.forward + blocks.within).star()
+def _next_closure(system: PtegSystem, current: TropicalMatrix) -> TropicalMatrix:
+    nxt = (system.backward @ current @ system.forward + system.within).star()
     if not current <= nxt:
         raise RuntimeError("closure sequence lost monotonicity")
     return nxt
 
 
-def _closures(blocks: BlockMatrixSpec) -> Iterator[tuple[int, TropicalMatrix, bool]]:
+def _closures(system: PtegSystem) -> Iterator[tuple[int, TropicalMatrix, bool]]:
     """Yield ``(k, closure_k, fixed)`` for k = 0, 1, 2, ... without end.
 
     Closure 0 is the star of the within block and closure k+1 the star of
@@ -103,10 +116,10 @@ def _closures(blocks: BlockMatrixSpec) -> Iterator[tuple[int, TropicalMatrix, bo
     later index without being computed again.  Entries saturated to +inf
     do not stop the sequence; callers decide when to stop.
     """
-    current = blocks.within.star()
+    current = system.within.star()
     yield 0, current, False
     for k in itertools.count(1):
-        nxt = _next_closure(blocks, current)
+        nxt = _next_closure(system, current)
         if nxt == current:
             for j in itertools.count(k):
                 yield j, current, True
@@ -115,19 +128,19 @@ def _closures(blocks: BlockMatrixSpec) -> Iterator[tuple[int, TropicalMatrix, bo
 
 
 def _stopping_closure(
-    blocks: BlockMatrixSpec, last: int
+    system: PtegSystem, last: int
 ) -> tuple[int, TropicalMatrix, bool]:
     """``(k, closure_k, fixed)`` at the first +inf, first repeat or k = ``last``.
 
     Past a +inf or a repeat nothing changes: +inf entries stay saturated
     and a repeated closure is a fixed point.
     """
-    for k, closure, fixed in _closures(blocks):
+    for k, closure, fixed in _closures(system):
         if fixed or k == last or not closure.rmax_valued:
             return k, closure, fixed
 
 
-def finite_weak_feasibility(spec: BlockMatrixSpec, horizon: int) -> bool:
+def finite_weak_feasibility(system: PtegSystem, horizon: int) -> bool:
     """Exact feasibility certificate for one finite horizon.
 
     True iff the unrolled precedence graph over ``horizon`` stages has no
@@ -148,10 +161,10 @@ def finite_weak_feasibility(spec: BlockMatrixSpec, horizon: int) -> bool:
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    return _stopping_closure(spec, horizon - 1)[1].rmax_valued
+    return _stopping_closure(system, horizon - 1)[1].rmax_valued
 
 
-def export_dot(spec: BlockMatrixSpec, horizon: int) -> str:
+def export_dot(system: PtegSystem, horizon: int) -> str:
     """Render the unrolled precedence graph as deterministic DOT text.
 
     Nodes are labelled ``x_i(k)`` and ordered stage-major, arcs are ordered
@@ -162,7 +175,7 @@ def export_dot(spec: BlockMatrixSpec, horizon: int) -> str:
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    n = spec.size
+    n = system.size
     lines = ["digraph precedence {", "  rankdir=LR;"]
     for stage in range(1, horizon + 1):
         for i in range(1, n + 1):
@@ -171,9 +184,9 @@ def export_dot(spec: BlockMatrixSpec, horizon: int) -> str:
         reach = [
             (target, block.to_rows())
             for target, block in (
-                (stage - 1, spec.backward),
-                (stage, spec.within),
-                (stage + 1, spec.forward),
+                (stage - 1, system.backward),
+                (stage, system.within),
+                (stage + 1, system.forward),
             )
             if 1 <= target <= horizon
         ]

@@ -2,7 +2,7 @@
 
 The document holds the system size ``n``, an optional ``params`` object and
 four ``n x n`` grids.  :data:`MATRIX_FIELDS` maps each grid's key to the
-:class:`~maxplus.pteg.PtegSystem` block it fills: ``A`` dynamics, ``L``
+:class:`~maxplus.precedence.PtegSystem` block it fills: ``A`` dynamics, ``L``
 backward, ``C`` within, ``Rtilde`` extra forward constraints.  Grid entries
 are exact decimals or rationals, the token ``-inf``, or the name of a
 parameter; ``+inf`` is rejected on input.  Parameters are substituted
@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .pteg import PtegSystem
 from .matrix import TropicalMatrix
+from .precedence import PtegSystem
 from .semiring import POS_INF, parse_scalar
 
 # Problem-file key -> PtegSystem field, in document order.

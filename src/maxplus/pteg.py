@@ -8,11 +8,12 @@ index k, the three inequality families of a P-time event graph::
     x(k)   >= within   @ x(k)
     x(k+1) >= forward  @ x(k)        (forward = dynamics oplus extra_forward)
 
-The system is *consistent* when one infinite real schedule satisfies all of
-them, and *weakly consistent* when arbitrarily long finite schedules exist.
-Consistency is decided exactly through the growing-horizon closure sequence;
-weak consistency beyond a configurable probe bound is reported as open, never
-guessed.
+Every analysis takes the :class:`~maxplus.precedence.PtegSystem` holding
+these blocks.  The system is *consistent* when one infinite real schedule
+satisfies all of them, and *weakly consistent* when arbitrarily long finite
+schedules exist.  Consistency is decided exactly through the growing-horizon
+closure sequence; weak consistency beyond a configurable probe bound is
+reported as open, never guessed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .matrix import DimensionMismatch, TropicalMatrix, aligned
 
 # The closure step is bound here too: per-step hooks, such as the tracing in
 # bench/, look it up as ``pteg._next_closure``.
-from .precedence import BlockMatrixSpec, _closures, _next_closure, _stopping_closure
+from .precedence import PtegSystem, _closures, _next_closure, _stopping_closure
 from .semiring import Scalar, as_scalar, is_finite
 
 
@@ -40,44 +41,6 @@ class InfeasibleHorizon(Exception):
     def __init__(self, message: str, reason: str):
         super().__init__(message)
         self.reason = reason
-
-
-@dataclass(frozen=True)
-class PtegSystem:
-    """Problem data: the four square blocks, all free of +inf.
-
-    ``extra_forward`` holds user constraints from one occurrence to the next
-    on top of the plant dynamics; None means no extra constraints.
-    ``forward = dynamics oplus extra_forward`` and the :meth:`block_spec` are
-    built on construction and are not fields, so they take no part in ``==``
-    or ``hash``.  The spec alone checks shapes and +inf: ``forward`` carries
-    every +inf of ``dynamics`` and ``extra_forward``, and ``+`` rejects a
-    shape clash between those two.
-    """
-
-    dynamics: TropicalMatrix
-    backward: TropicalMatrix
-    within: TropicalMatrix
-    extra_forward: TropicalMatrix | None = None
-
-    def __post_init__(self):
-        if self.extra_forward is None:
-            object.__setattr__(
-                self, "extra_forward", TropicalMatrix.epsilon(self.dynamics.rows)
-            )
-        forward = self.dynamics + self.extra_forward
-        spec = BlockMatrixSpec(within=self.within, backward=self.backward, forward=forward)
-        object.__setattr__(self, "forward", forward)
-        object.__setattr__(self, "_spec", spec)
-
-    @property
-    def size(self) -> int:
-        return self.dynamics.rows
-
-    def block_spec(self) -> BlockMatrixSpec:
-        """The within, backward and forward blocks, built and checked on
-        construction; the same object each call, aligned to one scale once."""
-        return self._spec
 
 
 class ConsistencyKind(Enum):
@@ -118,7 +81,7 @@ def closure_sequence(system: PtegSystem, k_max: int) -> list[TropicalMatrix]:
     """
     if k_max < 0:
         raise ValueError("closure count must be non-negative")
-    closures = itertools.islice(_closures(system.block_spec()), k_max + 1)
+    closures = itertools.islice(_closures(system), k_max + 1)
     return [m for _, m, _ in closures]
 
 
@@ -160,7 +123,7 @@ def check_consistency(
     again and again builds an infinite schedule.
     """
     limit = closure_limit(system.size, probe_bound)
-    k, closure, fixed = _stopping_closure(system.block_spec(), limit)
+    k, closure, fixed = _stopping_closure(system, limit)
     if not closure.rmax_valued:
         return ConsistencyVerdict(
             ConsistencyKind.NOT_WEAKLY_CONSISTENT, first_divergent=k
@@ -246,17 +209,16 @@ def synthesize_trajectory(
         if not all(map(is_finite, seed_vec)):
             raise ValueError("seed components must be finite")
 
-    spec = system.block_spec()
     seed_col, zero, within, backward, forward = aligned(
         TropicalMatrix.column(seed_vec),
         TropicalMatrix.column((0,) * n),
-        spec.within,
-        spec.backward,
-        spec.forward,
+        system.within,
+        system.backward,
+        system.forward,
     )
-    blocks = BlockMatrixSpec(within=within, backward=backward, forward=forward)
+    system = PtegSystem(dynamics=forward, backward=backward, within=within)
     tails = []
-    for _, closure, _ in itertools.islice(_closures(blocks), horizon):
+    for _, closure, _ in itertools.islice(_closures(system), horizon):
         if not closure.rmax_valued:
             raise InfeasibleHorizon(
                 f"no schedule over {horizon} occurrences exists:"
@@ -268,11 +230,11 @@ def synthesize_trajectory(
     r = [zero] * horizon
     r[0] = seed_col
     for k in range(horizon - 2, -1, -1):
-        r[k] = r[k] + blocks.backward @ (tails[k + 1] @ r[k + 1])
+        r[k] = r[k] + system.backward @ (tails[k + 1] @ r[k + 1])
     x = tails[0] @ r[0]
     states = [x.column_values()]
     for k in range(1, horizon):
-        x = tails[k] @ (blocks.forward @ x + r[k])
+        x = tails[k] @ (system.forward @ x + r[k])
         states.append(x.column_values())
     return Trajectory(states=tuple(states))
 
@@ -282,14 +244,13 @@ def validate_trajectory(system: PtegSystem, trajectory: Trajectory) -> bool:
     n = system.size
     if any(len(row) != n for row in trajectory.states):
         raise DimensionMismatch("trajectory width does not match the system")
-    blocks = system.block_spec()
     cols = [TropicalMatrix.column(state) for state in trajectory.states]
     for k in range(trajectory.horizon):
-        if not blocks.within @ cols[k] <= cols[k]:
+        if not system.within @ cols[k] <= cols[k]:
             return False
     for k in range(trajectory.horizon - 1):
-        if not blocks.backward @ cols[k + 1] <= cols[k]:
+        if not system.backward @ cols[k + 1] <= cols[k]:
             return False
-        if not blocks.forward @ cols[k] <= cols[k + 1]:
+        if not system.forward @ cols[k] <= cols[k + 1]:
             return False
     return True

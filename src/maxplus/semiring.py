@@ -71,31 +71,44 @@ def format_scalar(value: Scalar) -> str:
 
     The output round-trips through :func:`parse_scalar` to the same value.
     A decimal form is used whenever the denominator divides a power of ten.
+    Text with a run of digits past ``sys.get_int_max_str_digits()`` could
+    not be parsed back, so it raises ValueError naming the value's size.
     """
     if isinstance(value, float):  # tested first: Fraction == float is slow
         if value == NEG_INF:
             return "-inf"
         if value == POS_INF:
             return "+inf"
-    if isinstance(value, int):
-        return str(value)
-    num, den = value.numerator, value.denominator
-    if den == 1:
-        return str(num)
-    rest, twos, fives = den, 0, 0
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    if rest != 1:
-        return f"{num}/{den}"
-    digits = max(twos, fives)
-    scaled = abs(num) * 10**digits // den
-    whole, frac = divmod(scaled, 10**digits)
-    sign = "-" if num < 0 else ""
-    return f"{sign}{whole}.{str(frac).zfill(digits)}"
+    digits = 0  # decimal places; only the decimal form has any
+    try:
+        if isinstance(value, int):
+            return str(value)
+        num, den = value.numerator, value.denominator
+        if den == 1:
+            return str(num)
+        rest, twos, fives = den, 0, 0
+        while rest % 2 == 0:
+            rest //= 2
+            twos += 1
+        while rest % 5 == 0:
+            rest //= 5
+            fives += 1
+        if rest != 1:
+            return f"{num}/{den}"
+        digits = max(twos, fives)
+        if digits > (sys.get_int_max_str_digits() or digits):
+            raise ValueError("the decimal places alone pass the limit")
+        scaled = abs(num) * 10**digits // den
+        whole, frac = divmod(scaled, 10**digits)
+        sign = "-" if num < 0 else ""
+        return f"{sign}{whole}.{str(frac).zfill(digits)}"
+    except ValueError:  # str() of an int past the limit, or the check above
+        widest = max(abs(value.numerator), value.denominator).bit_length()
+        size = max(digits, widest * 30103 // 100000 + 1)  # log10(2) ~ 0.30103
+        raise ValueError(
+            f"cannot write a number of about {size} digits exactly:"
+            f" the limit is {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def is_finite(value: Scalar) -> bool:

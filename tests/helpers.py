@@ -8,7 +8,6 @@ from fractions import Fraction
 from maxplus import (
     NEG_INF,
     POS_INF,
-    BlockMatrixSpec,
     ConsistencyKind,
     ConsistencyVerdict,
     InfeasibleHorizon,
@@ -247,7 +246,7 @@ def shrink_generator_unrolled(system: PtegSystem, k: int) -> TropicalMatrix:
     Materializes the block matrix over k+2 occurrences, stars it, and cuts
     out the leading block of twice the system size.
     """
-    unrolled = build_block_matrix(system.block_spec(), k + 2)
+    unrolled = build_block_matrix(system, k + 2)
     size2 = 2 * system.size
     return top_left(unrolled.star(), size2, size2)
 
@@ -263,7 +262,7 @@ def synthesize_dense(
     n = system.size
     seed = (0,) * n if seed is None else tuple(seed)
     stacked = TropicalMatrix.column(seed + (0,) * (n * (horizon - 1)))
-    unrolled = build_block_matrix(system.block_spec(), horizon)
+    unrolled = build_block_matrix(system, horizon)
     solution = (unrolled.star() @ stacked).column_values()
     if POS_INF in solution:
         raise InfeasibleHorizon("a component is +inf", reason="divergent")
@@ -286,10 +285,10 @@ def validate_trajectory_full(system: PtegSystem, trajectory: Trajectory) -> bool
     return True
 
 
-def export_dot_dense(spec: BlockMatrixSpec, horizon: int) -> str:
+def export_dot_dense(system: PtegSystem, horizon: int) -> str:
     """Oracle for export_dot: scans every entry of the unrolled matrix."""
-    matrix = build_block_matrix(spec, horizon)
-    n = spec.size
+    matrix = build_block_matrix(system, horizon)
+    n = system.size
     lines = ["digraph precedence {", "  rankdir=LR;"]
     for stage in range(1, horizon + 1):
         for i in range(1, n + 1):

@@ -191,5 +191,4 @@ def test_criterion_10_graph_facts():
     with criterion(10, "positive-circuit facts for the worked graphs"):
         two_cycle = TropicalMatrix([[-3, -1], [2, NEG]])
         assert two_cycle.has_positive_circuit()
-        spec = make_railway(-13).block_spec()
-        assert not finite_weak_feasibility(spec, 4)
+        assert not finite_weak_feasibility(make_railway(-13), 4)

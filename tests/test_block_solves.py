@@ -73,9 +73,8 @@ def seeds(draw, n):
 
 @given(systems(), st.integers(1, 8))
 def test_feasibility_matches_positive_circuit_oracle(system, horizon):
-    spec = system.block_spec()
-    feasible = finite_weak_feasibility(spec, horizon)
-    assert feasible == (not build_block_matrix(spec, horizon).has_positive_circuit())
+    feasible = finite_weak_feasibility(system, horizon)
+    assert feasible == (not build_block_matrix(system, horizon).has_positive_circuit())
     assert feasible == closure_sequence(system, horizon - 1)[-1].rmax_valued
 
 
@@ -99,5 +98,4 @@ def test_synthesis_matches_dense_star(data, system, horizon):
 
 @given(systems(), st.integers(1, 8))
 def test_dot_matches_dense_scan(system, horizon):
-    spec = system.block_spec()
-    assert export_dot(spec, horizon) == export_dot_dense(spec, horizon)
+    assert export_dot(system, horizon) == export_dot_dense(system, horizon)

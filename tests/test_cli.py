@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from maxplus import TropicalMatrix, cli, parse_scalar
+from maxplus import TropicalMatrix, cli, format_scalar, parse_scalar
 from maxplus.cli import main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -150,6 +150,26 @@ class TestTrajectory:
         assert all(v == Fraction(v) for v in values)
         assert any(Fraction(v).denominator > 1 for v in values)
 
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_each_state_is_formatted_once(self, capsys, monkeypatch, fmt):
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return format_scalar(value)
+
+        monkeypatch.setattr(cli, "format_scalar", counted)
+        code, out, _ = run(
+            capsys, "trajectory", RAILWAY, "--horizon", "40", "--format", fmt
+        )
+        assert code == 0
+        assert len(calls) == 40 * 4  # n = 4 entries per state
+        if fmt == "json":
+            inputs = json.loads(out)["inputs"]
+        else:
+            inputs = [line for line in out.splitlines() if line.startswith("u(")]
+        assert len(inputs) == 39
+
 
 class TestGraph:
     def test_deterministic_bytes(self, capsys):
@@ -248,6 +268,16 @@ class TestErrors:
         )
         assert code == 1 and out == ""
         assert err == "error: not an exact scalar: '1e-999999999'\n"
+
+    def test_value_past_the_digit_limit(self, capsys):
+        limit = sys.int_info.default_max_str_digits
+        code, out, err = run(capsys, "check", RAILWAY, "--param", f"ell=-1e{limit}")
+        assert code == 1
+        assert out.startswith("verdict: Consistent\n")
+        assert err == (
+            f"error: cannot write a number of about {limit + 1} digits exactly:"
+            f" the limit is {limit} digits\n"
+        )
 
     def test_usage_error(self, capsys):
         assert main(["check"]) == 1

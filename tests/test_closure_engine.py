@@ -229,10 +229,9 @@ def test_integer_kernel_matches_fraction_oracles(drawn, probe):
     assert closure_sequence(system, 8) == closure_sequence_full(system, 8)
     for k in range(3):
         assert shrink_generator(system, k) == shrink_generator_unrolled(system, k)
-    spec = system.block_spec()
     for horizon in range(1, 9):
-        dense = build_block_matrix(spec, horizon)
-        assert finite_weak_feasibility(spec, horizon) == (
+        dense = build_block_matrix(system, horizon)
+        assert finite_weak_feasibility(system, horizon) == (
             not dense.has_positive_circuit()
         )
     for horizon, start in ((2, None), (5, seed)):
@@ -256,12 +255,12 @@ def walk_operands(monkeypatch):
     entries = []
     step = precedence._next_closure
 
-    def recorded(blocks, current):
-        operands = (blocks.within, blocks.backward, blocks.forward, current)
+    def recorded(system, current):
+        operands = (system.within, system.backward, system.forward, current)
         assert len({m._scale for m in operands}) == 1
         for m in operands:
             entries.extend(stored_entries(m))
-        return step(blocks, current)
+        return step(system, current)
 
     monkeypatch.setattr(precedence, "_next_closure", recorded)
     return entries
@@ -272,7 +271,7 @@ def test_closure_walk_runs_on_ints(walk_operands):
     check_consistency(system)
     iterate_shrink(system).generators
     closure_sequence(system, 25)
-    finite_weak_feasibility(system.block_spec(), 30)
+    finite_weak_feasibility(system, 30)
     synthesize_trajectory(system, 5, ("1/3", 0, "-5/7", "1/4"))
     assert len(walk_operands) > 0
     assert not [v for v in walk_operands if isinstance(v, Fraction)]

@@ -51,6 +51,29 @@ class TestPtegSystem:
                 within=TropicalMatrix.epsilon(2),
             )
 
+    @pytest.mark.parametrize("block", ["backward", "within", "extra_forward"])
+    def test_rejects_plus_inf_in_every_block(self, block):
+        names = ("dynamics", "backward", "within")
+        blocks = {name: TropicalMatrix.epsilon(1) for name in names}
+        blocks[block] = TropicalMatrix([["+inf"]])
+        with pytest.raises(ValueError, match=r"\+inf"):
+            PtegSystem(**blocks)
+
+    def test_blocks_are_stored_at_one_scale(self):
+        system = PtegSystem(
+            dynamics=TropicalMatrix([["1/2"]]),
+            backward=TropicalMatrix([["1/3"]]),
+            within=TropicalMatrix([[0]]),
+        )
+        blocks = (system.within, system.backward, system.forward)
+        assert {m._scale for m in blocks} == {6}
+        assert system.backward == TropicalMatrix([["1/3"]])
+        assert system.backward[0, 0] == Fraction(1, 3)
+
+    def test_block_spec_is_the_system(self, two_node):
+        # the benchmark's cases still call block_spec()
+        assert two_node.block_spec() is two_node
+
     def test_extra_forward_defaults_to_no_constraints(self, two_node):
         assert two_node.extra_forward == TropicalMatrix.epsilon(2)
         assert two_node.forward == two_node.dynamics
@@ -123,7 +146,7 @@ class TestClosureSequence:
             n = system.size
             seq = closure_sequence(system, 5)
             for k in range(6):
-                unrolled = build_block_matrix(system.block_spec(), k + 1)
+                unrolled = build_block_matrix(system, k + 1)
                 assert seq[k] == top_left(unrolled.star(), n, n)
 
 
@@ -152,10 +175,10 @@ class TestCheckConsistency:
         # No system is known to repeat after index n^2 + 1; a finite repeat
         # proves consistency at any index (see check_consistency).
         system = railway(Fraction("-14.5"))
-        _, closure, fixed = pteg._stopping_closure(system.block_spec(), 100)
+        _, closure, fixed = pteg._stopping_closure(system, 100)
         assert fixed
         late = (system.size**2 + 7, closure, True)
-        monkeypatch.setattr(pteg, "_stopping_closure", lambda blocks, last: late)
+        monkeypatch.setattr(pteg, "_stopping_closure", lambda system, last: late)
         verdict = check_consistency(system)
         assert verdict.kind is ConsistencyKind.CONSISTENT
         assert verdict.fixed_closure is closure
@@ -174,11 +197,9 @@ class TestCheckConsistency:
             verdict = check_consistency(system)
             seen.add(verdict.kind)
             if verdict.kind is ConsistencyKind.NOT_WEAKLY_CONSISTENT:
-                spec = system.block_spec()
-                assert not finite_weak_feasibility(spec, verdict.first_divergent + 1)
+                assert not finite_weak_feasibility(system, verdict.first_divergent + 1)
             elif verdict.kind is ConsistencyKind.CONSISTENT:
-                spec = system.block_spec()
-                assert all(finite_weak_feasibility(spec, k) for k in range(1, 11))
+                assert all(finite_weak_feasibility(system, k) for k in range(1, 11))
         assert ConsistencyKind.NOT_WEAKLY_CONSISTENT in seen
         assert ConsistencyKind.CONSISTENT in seen
 

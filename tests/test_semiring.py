@@ -161,6 +161,46 @@ class TestDecimalExponent:
             parse_scalar(text)
 
 
+class TestDigitLimit:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            10**EXPONENT_LIMIT,
+            -(10**EXPONENT_LIMIT),
+            Fraction(10**EXPONENT_LIMIT, 3),
+            Fraction(1, 3 * 10**EXPONENT_LIMIT),
+            Fraction(-1, 2 * 10**EXPONENT_LIMIT),
+        ],
+        ids=["int", "negative int", "p/q numerator", "p/q denominator", "decimal"],
+    )
+    def test_value_past_the_limit_names_its_size(self, value):
+        message = (
+            f"cannot write a number of about {EXPONENT_LIMIT + 1} digits exactly:"
+            f" the limit is {EXPONENT_LIMIT} digits"
+        )
+        with pytest.raises(ValueError) as raised:
+            format_scalar(value)
+        assert str(raised.value) == message
+
+    def test_decimal_digits_count_not_the_denominator(self):
+        # 2**-10000 has a 3011-digit denominator but 10000 decimals
+        with pytest.raises(ValueError, match="about 10000 digits"):
+            format_scalar(Fraction(1, 2**10000))
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            10**EXPONENT_LIMIT - 1,
+            Fraction(10**EXPONENT_LIMIT - 1, 3),
+            Fraction(-1, 10**EXPONENT_LIMIT),
+            Fraction(10 ** (2 * EXPONENT_LIMIT) - 1, 10**EXPONENT_LIMIT),
+        ],
+        ids=["int", "p/q", "decimal", "decimal of two long parts"],
+    )
+    def test_value_at_the_limit_round_trips(self, value):
+        assert parse_scalar(format_scalar(value)) == value
+
+
 def test_is_finite():
     assert is_finite(0) and is_finite(Fraction(-1, 2))
     assert not is_finite(NEG_INF) and not is_finite(POS_INF)

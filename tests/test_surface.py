@@ -2,7 +2,8 @@
 
 A name in ``maxplus.__all__`` either has a caller in ``src/maxplus`` outside
 its own definition, or is listed in ``UNCALLED`` with the reason it ships.
-Adding a name to ``__all__`` means adding it to ``EXPORTS`` as well.
+Adding a name to ``__all__`` means adding it to ``EXPORTS`` as well.  The
+modules form layers: each imports only the modules before it in ``LAYERS``.
 """
 
 import ast
@@ -12,9 +13,12 @@ import maxplus
 
 SRC = Path(maxplus.__file__).resolve().parent
 
+# Lowest first.  The one system type, PtegSystem, lives in precedence, so
+# every analysis above it takes the system without a second type.
+LAYERS = ["semiring", "matrix", "precedence", "pteg", "invariance", "problems", "cli"]
+
 EXPORTS = sorted(
     [
-        "BlockMatrixSpec",
         "ConsistencyKind",
         "ConsistencyVerdict",
         "DimensionMismatch",
@@ -97,3 +101,30 @@ def test_every_export_is_called_or_justified():
     referenced = internal_references()
     uncalled = {name for name in maxplus.__all__ if name not in referenced}
     assert uncalled == set(UNCALLED)
+
+
+def relative_imports(module: str) -> set[str]:
+    """The sibling modules ``module`` imports (``from .x import ...``)."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module)
+    return found
+
+
+def test_every_module_has_a_layer():
+    assert {path.stem for path in SRC.glob("*.py")} == set(LAYERS) | {"__init__"}
+
+
+def test_modules_import_only_lower_layers():
+    for rank, module in enumerate(LAYERS):
+        assert relative_imports(module) <= set(LAYERS[:rank]), module
+
+
+def test_one_system_type():
+    assert maxplus.PtegSystem is maxplus.pteg.PtegSystem
+    assert maxplus.PtegSystem is maxplus.precedence.PtegSystem
