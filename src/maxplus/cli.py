@@ -92,23 +92,23 @@ def cmd_check(args) -> int:
         print(json.dumps(doc, indent=2))
         return code
 
-    print(f"verdict: {verdict.kind.value}")
+    lines = [f"verdict: {verdict.kind.value}"]
     if verdict.kind is ConsistencyKind.CONSISTENT:
-        print(f"fixed closure (index {n * n}, stable for every larger horizon):")
-        print(verdict.fixed_closure)
+        lines.append(f"fixed closure (index {n * n}, stable for every larger horizon):")
+        lines.append(str(verdict.fixed_closure))
     elif verdict.kind is ConsistencyKind.NOT_WEAKLY_CONSISTENT:
-        print(f"first divergent closure index: {verdict.first_divergent}")
-        print("no finite schedule spans that many occurrences")
+        lines.append(f"first divergent closure index: {verdict.first_divergent}")
+        lines.append("no finite schedule spans that many occurrences")
     else:
-        print(f"stabilization failed: closure({n * n}) != closure({n * n + 1})")
-        print(
+        lines.append(f"stabilization failed: closure({n * n}) != closure({n * n + 1})")
+        lines.append(
             f"all closures finite up to index {verdict.verified_up_to}"
             " (probe bound); weak consistency undecided"
         )
     if closures is not None:
         for k, matrix in enumerate(closures):
-            print(f"closure({k}):")
-            print(matrix)
+            lines += [f"closure({k}):", str(matrix)]
+    print("\n".join(lines))
     return code
 
 
@@ -131,21 +131,23 @@ def cmd_invariant(args) -> int:
         print(json.dumps(doc, indent=2))
         return 0
 
-    print(f"{report.kind.value} {report.step}")
+    lines = [f"{report.kind.value} {report.step}"]
     if report.kind is InvarianceKind.CONVERGED_NON_EMPTY:
-        print("invariant generator (its image is the maximal controlled-invariant set):")
-        print(report.invariant_generator)
+        lines.append(
+            "invariant generator (its image is the maximal controlled-invariant set):"
+        )
+        lines.append(str(report.invariant_generator))
     elif report.kind is InvarianceKind.REAL_EMPTY_AT_STEP:
-        print(f"no real vector survives {report.step} shrink steps")
+        lines.append(f"no real vector survives {report.step} shrink steps")
     else:
-        print(
+        lines.append(
             "still shrinking at the probe bound;"
             " the maximal invariant contains no real vector"
         )
     if args.emit_s:
         for k, matrix in enumerate(report.generators):
-            print(f"generator(step {k}):")
-            print(matrix)
+            lines += [f"generator(step {k}):", str(matrix)]
+    print("\n".join(lines))
     return 0
 
 
@@ -166,9 +168,13 @@ def cmd_trajectory(args) -> int:
         print(json.dumps(doc, indent=2))
         return 0
 
-    for name, rows in (("x", states), ("u", states[1:])):
-        for k, row in enumerate(rows, start=1):
-            print(f"{name}({k}) = " + " ".join(row))
+    print(
+        "\n".join(
+            f"{name}({k}) = " + " ".join(row)
+            for name, rows in (("x", states), ("u", states[1:]))
+            for k, row in enumerate(rows, start=1)
+        )
+    )
     return 0
 
 

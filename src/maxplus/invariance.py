@@ -130,7 +130,10 @@ def iterate_shrink(
     most n^2 iterations (n the system size), so convergence is always caught
     within the default probe bound of ``10 * n^2``.  Divergence beyond the
     bound (slowly growing positive circuits) is reported as open rather than
-    guessed; raise the bound to settle such cases exactly.
+    guessed; raise the bound to settle such cases exactly.  A large bound
+    costs little: the walk's stop is found in O(log k) segment compositions
+    (see :func:`~maxplus.precedence._stopping_closure`), so the railway at
+    ell = -13.99999 empties at step 200000 in milliseconds.
 
     The class is read off the closure walk that decides consistency; only
     a converged report assembles a generator, the stabilized one.  Generator

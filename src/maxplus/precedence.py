@@ -7,8 +7,12 @@ per occurrence index): its three square blocks unroll into a block
 tridiagonal matrix over any finite horizon.  The closure recurrence of
 :func:`_closures` eliminates that matrix stage by stage, so feasibility and
 the graph export work on the blocks alone, never on the unrolled matrix.
-The three blocks are stored at one common scale, so the recurrence runs on
-``int`` entries and never rescales an operand.
+Where the recurrence first stops (a +inf entry or a repeat) is found by
+:func:`_stopping_closure` in O(log k) compositions of boundary segments,
+whole stretches of the unrolling eliminated down to their first and last
+stage, once a short walk has not stopped.  The three blocks are stored at
+one common scale, so the recurrence runs on ``int`` entries and never
+rescales an operand.
 """
 
 from __future__ import annotations
@@ -100,7 +104,9 @@ def _next_closure(system: PtegSystem, current: TropicalMatrix) -> TropicalMatrix
     return nxt
 
 
-def _closures(system: PtegSystem) -> Iterator[tuple[int, TropicalMatrix, bool]]:
+def _closures(
+    system: PtegSystem, k: int = 0, current: TropicalMatrix | None = None
+) -> Iterator[tuple[int, TropicalMatrix, bool]]:
     """Yield ``(k, closure_k, fixed)`` for k = 0, 1, 2, ... without end.
 
     Closure 0 is the star of the within block and closure k+1 the star of
@@ -114,11 +120,14 @@ def _closures(system: PtegSystem) -> Iterator[tuple[int, TropicalMatrix, bool]]:
     ``fixed`` is True once closure k equals closure k-1.  The recurrence is
     deterministic, so that closure is a fixed point: it is yielded for every
     later index without being computed again.  Entries saturated to +inf
-    do not stop the sequence; callers decide when to stop.
+    do not stop the sequence; callers decide when to stop.  Given ``k`` and
+    ``current``, closure k not repeating its predecessor, the sequence
+    starts there instead of at closure 0.
     """
-    current = system.within.star()
-    yield 0, current, False
-    for k in itertools.count(1):
+    if current is None:
+        current = system.within.star()
+    yield k, current, False
+    for k in itertools.count(k + 1):
         nxt = _next_closure(system, current)
         if nxt == current:
             for j in itertools.count(k):
@@ -127,17 +136,125 @@ def _closures(system: PtegSystem) -> Iterator[tuple[int, TropicalMatrix, bool]]:
         current = nxt
 
 
+# Closure steps walked before the search takes over; at least 1.  At n = 4 a
+# step costs about a fifth of a segment composition, and the search makes
+# about 2 log2(k) compositions, so a stop at a small index is walked to.
+_WALK_BUDGET = 32
+# The search hands back to the walk once the stop lies this few indices on.
+_WALK_FINISH = 16
+
+
+def _compose(system: PtegSystem, a: tuple, b: tuple) -> tuple:
+    """S_(a+b) from S_a followed by S_b, eliminating the two junction stages.
+
+    A segment S_K = (ff, fl, lf, ll) holds the four corners of the star of
+    the K-stage unrolling, between its first stage ("f") and its last ("l"),
+    row = target, column = source; its ff corner is closure K-1.
+
+    Every path of the joined unrolling crosses from the last stage of a to
+    the first stage of b by a forward arc and back by a backward arc, and
+    between crossings it runs inside a or inside b, where its best weights
+    are the corners of S_a and S_b.  So the best weights from b's first
+    stage back to itself are ``j = (b.ff oplus forward @ a.ll @ backward)*``,
+    and a path from a's first stage back to itself either stays in a
+    (a.ff) or runs a.lf, a forward arc, j, a backward arc and a.fl.  The
+    other corners split the same way.  The corners of a star absorb each
+    other (``a.fl @ a.ll = a.fl``, ``a.fl @ a.lf <= a.ff``), +inf entries
+    included, so no other term is needed.
+    """
+    a_ff, a_fl, a_lf, a_ll = a
+    b_ff, b_fl, b_lf, b_ll = b
+    j = (b_ff + system.forward @ a_ll @ system.backward).star()
+    into = a_fl @ system.backward  # a's first stage from b's first stage
+    out = system.forward @ a_lf  # b's first stage from a's first stage
+    from_last = j @ b_fl
+    to_last = b_lf @ j
+    return (
+        a_ff + into @ (j @ out),
+        into @ from_last,
+        to_last @ out,
+        b_ll + to_last @ b_fl,
+    )
+
+
+def _search_start(system: PtegSystem, last: int) -> tuple[int, TropicalMatrix]:
+    """``(k, closure_k)``: no stop up to k, one at most ``_WALK_FINISH + 1`` on.
+
+    The stop is the least index k with f(k), "closure k holds +inf, or
+    k >= 1 and closure k repeats closure k-1", or ``last`` if that is
+    smaller.  f is monotone: closures only grow, so +inf stays, and a
+    repeated closure is a fixed point of the recurrence.  So f can be
+    bisected.  Doubling S_1, S_2, S_4, ... brackets the stop, and a descent
+    over those saved powers halves the bracket until it is at most
+    ``_WALK_FINISH`` long.  f(K) is read off S_K: one closure step from its
+    ff corner, closure K-1, gives closure K.  Called once the walk passed
+    ``_WALK_BUDGET`` without a stop, so indices up to the budget are not
+    probed again.
+    """
+    w = system.within.star()
+    powers = [(w, w, w, w)]  # powers[i] is S_(2^i)
+    lo, segment, start = 1, powers[0], (0, w)
+
+    def start_at(k: int, candidate: tuple) -> tuple | None:
+        # where the walk may restart if there is no stop at index k, else None
+        before = candidate[0]
+        if k <= _WALK_BUDGET:
+            return k - 1, before
+        closure = _next_closure(system, before)
+        if closure == before or not closure.rmax_valued:
+            return None
+        return k, closure
+
+    hi = last
+    while 2 * lo < hi:
+        double = _compose(system, segment, segment)
+        found = start_at(2 * lo, double)
+        if found is None:
+            hi = 2 * lo
+            break
+        powers.append(double)
+        lo, segment, start = 2 * lo, double, found
+    for j in reversed(range(len(powers) - 1)):
+        if hi - lo <= _WALK_FINISH:
+            break
+        mid = lo + (1 << j)
+        if mid >= hi:
+            continue
+        longer = _compose(system, segment, powers[j])
+        found = start_at(mid, longer)
+        if found is None:
+            hi = mid
+        else:
+            lo, segment, start = mid, longer, found
+    return start
+
+
+def _first_stop(
+    closures: Iterator[tuple[int, TropicalMatrix, bool]], last: int
+) -> tuple[int, TropicalMatrix, bool] | None:
+    for k, closure, fixed in closures:
+        if fixed or k == last or not closure.rmax_valued:
+            return k, closure, fixed
+    return None
+
+
 def _stopping_closure(
     system: PtegSystem, last: int
 ) -> tuple[int, TropicalMatrix, bool]:
     """``(k, closure_k, fixed)`` at the first +inf, first repeat or k = ``last``.
 
     Past a +inf or a repeat nothing changes: +inf entries stay saturated
-    and a repeated closure is a fixed point.
+    and a repeated closure is a fixed point.  The closures are walked up to
+    index ``_WALK_BUDGET``; a stop beyond it is found by segment doubling
+    (see :func:`_search_start`) in O(log k) segment compositions, each a
+    star and a few products of n x n blocks, and the last few indices are
+    walked again, so the triple is the one the walk alone returns.
     """
-    for k, closure, fixed in _closures(system):
-        if fixed or k == last or not closure.rmax_valued:
-            return k, closure, fixed
+    walk = itertools.islice(_closures(system), _WALK_BUDGET + 1)
+    stop = _first_stop(walk, last)
+    if stop is None:
+        stop = _first_stop(_closures(system, *_search_start(system, last)), last)
+    return stop
 
 
 def finite_weak_feasibility(system: PtegSystem, horizon: int) -> bool:
@@ -148,8 +265,9 @@ def finite_weak_feasibility(system: PtegSystem, horizon: int) -> bool:
     these stages exist.  The answer is antitone in the horizon: once false,
     it stays false for every longer horizon.
 
-    Decided as "closure ``horizon - 1`` is free of +inf" in
-    O(horizon * n^3), without unrolling.  That closure is the stage-1
+    Decided as "closure ``horizon - 1`` is free of +inf" with O(log
+    horizon) n x n stars and products (see :func:`_stopping_closure`),
+    without unrolling.  That closure is the stage-1
     corner of the star of the unrolling (see :func:`_closures`), so a +inf
     entry in it comes from a positive circuit.  Conversely, take a positive
     circuit on stages s..t of the unrolling.  Every stage carries the same

@@ -51,8 +51,9 @@ class ProblemFile:
 
     def instantiate(self, overrides: dict[str, str] | None = None) -> PtegSystem:
         """Substitute parameters, parse every entry and build the system."""
-        values = dict(self.params)
-        values.update(overrides or {})
+        overrides = overrides or {}
+        _reject_scalar_names(overrides)
+        values = {**self.params, **overrides}
         matrices = {
             name: TropicalMatrix(
                 [[_resolve_entry(token, values, key) for token in row]
@@ -61,6 +62,18 @@ class ProblemFile:
             for key, name in MATRIX_FIELDS.items()
         }
         return PtegSystem(**matrices)
+
+
+def _reject_scalar_names(names) -> None:
+    """A parameter named like a scalar would rewrite every literal entry."""
+    for name in names:
+        try:
+            parse_scalar(name)
+        except ValueError:
+            continue
+        raise ProblemFormatError(
+            f"parameter name {name!r} would shadow a scalar token"
+        )
 
 
 def _resolve_entry(token: str, params: dict[str, str], key: str):
@@ -128,14 +141,7 @@ def parse_problem(text: str) -> ProblemFile:
         isinstance(k, str) and isinstance(v, str) for k, v in params_raw.items()
     ):
         raise ProblemFormatError('"params" must map names to scalar strings')
-    for name in params_raw:
-        try:
-            parse_scalar(name)
-        except ValueError:
-            continue
-        raise ProblemFormatError(
-            f"parameter name {name!r} would shadow a scalar token"
-        )
+    _reject_scalar_names(params_raw)
     unknown = set(raw) - set(MATRIX_FIELDS) - {"n", "params"}
     if unknown:
         raise ProblemFormatError(f"unknown fields: {sorted(unknown)}")

@@ -112,7 +112,11 @@ def check_consistency(
     n^2 + 1).  A +inf entry disproves weak consistency.  A finite repeat
     proves consistency at any index, and the fixed closure persists for all
     longer horizons.  Otherwise the verdict reports how far finiteness was
-    verified instead of guessing.
+    verified instead of guessing.  The first 32 closures are walked; a
+    stop beyond them costs O(log k) segment compositions plus at most 17
+    further steps, not k steps (see
+    :func:`~maxplus.precedence._stopping_closure`), so a first +inf at
+    k = 200001 is found in milliseconds.
 
     Proof for a repeat closure_k = closure_{k+1} = P: a stage-1 state x
     extends over K stages exactly when ``x >= closure_{K-1} @ x``, so for

@@ -35,6 +35,23 @@ def top_left(matrix: TropicalMatrix, rows: int, cols: int) -> TropicalMatrix:
     return TropicalMatrix([row[:cols] for row in matrix.to_rows()[:rows]])
 
 
+def boundary_segment_dense(system: PtegSystem, stages: int) -> tuple:
+    """Oracle for a segment: the four stage corners of the unrolled star.
+
+    ``(ff, fl, lf, ll)`` between the first stage ("f") and the last ("l"),
+    row = target, column = source.
+    """
+    n = system.size
+    rows = build_block_matrix(system, stages).star().to_rows()
+
+    def corner(target: int, source: int) -> TropicalMatrix:
+        band = rows[target * n : (target + 1) * n]
+        return TropicalMatrix([row[source * n : (source + 1) * n] for row in band])
+
+    last = stages - 1
+    return corner(0, 0), corner(0, last), corner(last, 0), corner(last, last)
+
+
 def stored_entries(matrix: TropicalMatrix) -> list:
     """The entries a matrix computes on: its stored grid, not its read values."""
     return [v for row in matrix._data for v in row]

@@ -271,13 +271,20 @@ class TestErrors:
 
     def test_value_past_the_digit_limit(self, capsys):
         limit = sys.int_info.default_max_str_digits
-        code, out, err = run(capsys, "check", RAILWAY, "--param", f"ell=-1e{limit}")
-        assert code == 1
-        assert out.startswith("verdict: Consistent\n")
-        assert err == (
-            f"error: cannot write a number of about {limit + 1} digits exactly:"
-            f" the limit is {limit} digits\n"
-        )
+        for command in ("check", "invariant"):
+            code, out, err = run(capsys, command, RAILWAY, f"--param=ell=-1e{limit}")
+            assert code == 1
+            assert out == ""
+            assert err == (
+                f"error: cannot write a number of about {limit + 1} digits exactly:"
+                f" the limit is {limit} digits\n"
+            )
+
+    @pytest.mark.parametrize("name", ["-inf", "0"])
+    def test_parameter_named_like_a_scalar(self, capsys, name):
+        code, out, err = run(capsys, "check", RAILWAY, f"--param={name}=3")
+        assert code == 1 and out == ""
+        assert err == f"error: parameter name {name!r} would shadow a scalar token\n"
 
     def test_usage_error(self, capsys):
         assert main(["check"]) == 1

@@ -30,6 +30,7 @@ from maxplus import invariance, precedence
 from conftest import TWO_NODE, make_railway
 from helpers import (
     all_eps_system,
+    boundary_segment_dense,
     check_consistency_full,
     identity,
     closure_sequence_full,
@@ -175,6 +176,123 @@ def test_converged_report_assembles_one_generator(count_assembly):
     assert report.kind is InvarianceKind.CONVERGED_NON_EMPTY
     assert count_assembly[0] == 1
     assert report.generators[-1] == report.invariant_generator
+
+
+@st.composite
+def sparse_systems(draw, max_n=4):
+    """Systems signed like :func:`systems`, with ``int`` or Fraction entries.
+
+    A drawn share of 0 to 90% of the entries is -inf, so some systems stop
+    late or not at all within a few dozen closures.
+    """
+    n = draw(st.integers(1, max_n))
+    tenths = draw(st.integers(0, 9))
+    den = draw(st.sampled_from((1, 2, 3, 7)))
+
+    def entry(lo, hi):
+        if draw(st.integers(0, 9)) < tenths:
+            return NEG_INF
+        return Fraction(draw(st.integers(lo * den, hi * den)), den)
+
+    def block(lo, hi):
+        return TropicalMatrix([[entry(lo, hi) for _ in range(n)] for _ in range(n)])
+
+    return PtegSystem(
+        dynamics=block(0, 5),
+        backward=block(-8, 0),
+        within=block(-5, 0),
+        extra_forward=block(-2, 3),
+    )
+
+
+# The railway near its boundary: the first +inf is closure 2m + 1 or a little
+# later for ell = -14 + 1/m, and below -14 the closures repeat.
+railways = st.builds(
+    lambda m, sign: make_railway(-14 + sign * Fraction(1, m)),
+    st.integers(1, 25),
+    st.sampled_from((1, -1)),
+)
+
+
+def stop_of(closures, last):
+    """The walk's ``(k, closure_k, fixed)`` read off a list of closures."""
+    for k, closure in enumerate(closures[: last + 1]):
+        if k and closure == closures[k - 1]:
+            return k, closures[k - 1], True
+        if k == last or not closure.rmax_valued:
+            return k, closure, False
+
+
+def described(stop):
+    k, closure, fixed = stop
+    return k, fixed, [[(type(v), str(v)) for v in row] for row in closure.to_rows()]
+
+
+@settings(max_examples=100)
+@given(st.one_of(sparse_systems(), railways))
+@example(make_railway(Fraction("-13.9")))
+@example(make_railway(-14))
+@example(TWO_NODE)
+def test_search_returns_the_walks_stop(system):
+    """With a walk budget of 1 every stop past index 1 is found by the search.
+
+    A budget of 5 also has the search skip the indices the walk covered.
+    """
+    closures = closure_sequence_full(system, 40)
+    for budget in (1, 5):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(precedence, "_WALK_BUDGET", budget)
+            for last in range(1, 41):
+                stop = precedence._stopping_closure(system, last)
+                assert described(stop) == described(stop_of(closures, last))
+
+
+@settings(max_examples=60)
+@given(sparse_systems(), st.integers(1, 4), st.integers(1, 4))
+@example(make_railway(Fraction("-13.5")), 4, 4)
+def test_composed_segment_is_the_unrolled_star(system, a, b):
+    w = system.within.star()
+    assert boundary_segment_dense(system, 1) == (w, w, w, w)
+    joined = precedence._compose(
+        system, boundary_segment_dense(system, a), boundary_segment_dense(system, b)
+    )
+    assert joined == boundary_segment_dense(system, a + b)
+
+
+@pytest.mark.parametrize(
+    "ell, probe, divergent, steps",
+    [("-13.999", 2100, 2001, 64), ("-13.99999", 300000, 200001, 80)],
+)
+def test_divergence_takes_logarithmically_many_steps(
+    count_steps, ell, probe, divergent, steps
+):
+    system = make_railway(Fraction(ell))
+    verdict = check_consistency(system, probe)
+    assert verdict.kind is ConsistencyKind.NOT_WEAKLY_CONSISTENT
+    assert verdict.first_divergent == divergent
+    assert count_steps[0] <= steps
+    count_steps[0] = 0
+    report = iterate_shrink(system, probe)
+    assert report.kind is InvarianceKind.REAL_EMPTY_AT_STEP
+    assert report.step == divergent - 1
+    assert count_steps[0] <= steps
+
+
+def test_stop_just_past_the_walk_budget():
+    system = make_railway(-14 + Fraction(1, 20))
+    expected = stop_of(closure_sequence_full(system, 50), 50)
+    assert precedence._WALK_BUDGET < expected[0] == 42
+    for last in (42, 50, 2100):
+        stop = precedence._stopping_closure(system, last)
+        assert described(stop) == described(expected)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_divergence_index_near_the_railway_boundary(count_steps, k):
+    system = make_railway(-14 + Fraction(1, 10**k))
+    verdict = check_consistency(system, 10 ** (k + 1))
+    assert verdict.first_divergent == 2 * 10**k + 1
+    assert count_steps[0] <= 100
 
 
 # Small denominators, and large ones whose LCM is a product of coprime factors.

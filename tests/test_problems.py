@@ -141,3 +141,5 @@ def test_param_name_cannot_shadow_scalar_token():
     text = MINIMAL.replace('"Rtilde"', '"params": {"-inf": "0"}, "Rtilde"')
     with pytest.raises(ProblemFormatError, match="shadow"):
         parse_problem(text)
+    with pytest.raises(ProblemFormatError, match="shadow"):
+        parse_problem(MINIMAL).instantiate({"0": "-5"})
