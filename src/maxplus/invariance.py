@@ -132,7 +132,7 @@ def iterate_shrink(
     bound (slowly growing positive circuits) is reported as open rather than
     guessed; raise the bound to settle such cases exactly.  A large bound
     costs little: the walk's stop is found in O(log k) segment compositions
-    (see :func:`~maxplus.precedence._stopping_closure`), so the railway at
+    and probes (see :func:`~maxplus.precedence._stopping_closure`), so the railway at
     ell = -13.99999 empties at step 200000 in milliseconds.
 
     The class is read off the closure walk that decides consistency; only

@@ -136,106 +136,97 @@ def _closures(
         current = nxt
 
 
-# Closure steps walked before the search takes over; at least 1.  At n = 4 a
-# step costs about a fifth of a segment composition, and the search makes
-# about 2 log2(k) compositions, so a stop at a small index is walked to.
+# Closure steps walked before the search takes over; at least 1.  Most
+# stops come early and cost no search set-up.  On the railway (n = 4) a stop
+# up to about 30 indices past the budget costs more to search for than to
+# walk to, one further on less (BENCH_divergence_search.json).
 _WALK_BUDGET = 32
-# The search hands back to the walk once the stop lies this few indices on.
-_WALK_FINISH = 16
 
 
-def _compose(system: PtegSystem, a: tuple, b: tuple) -> tuple:
+def _compose(a: tuple, b: tuple) -> tuple:
     """S_(a+b) from S_a followed by S_b, eliminating the two junction stages.
 
-    A segment S_K = (ff, fl, lf, ll) holds the four corners of the star of
-    the K-stage unrolling, between its first stage ("f") and its last ("l"),
-    row = target, column = source; its ff corner is closure K-1.
+    Write f and l for the first and last stage of the K-stage unrolling,
+    and ff, fl, lf, ll for the corners of its star between them (row =
+    target, column = source).  The segment S_K = (ff, back, ahead, around)
+    holds ff, which is closure K-1, ``back = fl @ backward`` (into f from
+    the stage after l), ``ahead = forward @ lf`` (from f into that stage)
+    and ``around = forward @ ll @ backward`` (from that stage back to
+    itself through l).
 
     Every path of the joined unrolling crosses from the last stage of a to
     the first stage of b by a forward arc and back by a backward arc, and
     between crossings it runs inside a or inside b, where its best weights
     are the corners of S_a and S_b.  So the best weights from b's first
-    stage back to itself are ``j = (b.ff oplus forward @ a.ll @ backward)*``,
-    and a path from a's first stage back to itself either stays in a
-    (a.ff) or runs a.lf, a forward arc, j, a backward arc and a.fl.  The
-    other corners split the same way.  The corners of a star absorb each
-    other (``a.fl @ a.ll = a.fl``, ``a.fl @ a.lf <= a.ff``), +inf entries
-    included, so no other term is needed.
+    stage back to itself are ``j = (b.ff oplus a.around)*``, and a path
+    from a's first stage back to itself either stays in a (a.ff) or leaves
+    and returns (``a.back @ j @ a.ahead``).  The other parts split the same
+    way.  The corners of a star absorb each other (``fl @ ll = fl``,
+    ``fl @ lf <= ff``), +inf entries included, so no other term is needed.
+    Of b only its ff enters the ff of the result.
     """
-    a_ff, a_fl, a_lf, a_ll = a
-    b_ff, b_fl, b_lf, b_ll = b
-    j = (b_ff + system.forward @ a_ll @ system.backward).star()
-    into = a_fl @ system.backward  # a's first stage from b's first stage
-    out = system.forward @ a_lf  # b's first stage from a's first stage
-    from_last = j @ b_fl
-    to_last = b_lf @ j
+    a_ff, a_back, a_ahead, a_around = a
+    b_ff, b_back, b_ahead, b_around = b
+    j = (b_ff + a_around).star()
+    back_j = a_back @ j
+    ahead_j = b_ahead @ j
     return (
-        a_ff + into @ (j @ out),
-        into @ from_last,
-        to_last @ out,
-        b_ll + to_last @ b_fl,
+        a_ff + back_j @ a_ahead,
+        back_j @ b_back,
+        ahead_j @ a_ahead,
+        b_around + ahead_j @ b_back,
     )
 
 
-def _search_start(system: PtegSystem, last: int) -> tuple[int, TropicalMatrix]:
-    """``(k, closure_k)``: no stop up to k, one at most ``_WALK_FINISH + 1`` on.
+def _search_start(
+    system: PtegSystem, k: int, closure: TropicalMatrix, last: int
+) -> tuple[int, TropicalMatrix]:
+    """``(k', closure_k')``, k' >= k: no stop up to k', one by k' + 2.
 
-    The stop is the least index k with f(k), "closure k holds +inf, or
-    k >= 1 and closure k repeats closure k-1", or ``last`` if that is
-    smaller.  f is monotone: closures only grow, so +inf stays, and a
-    repeated closure is a fixed point of the recurrence.  So f can be
-    bisected.  Doubling S_1, S_2, S_4, ... brackets the stop, and a descent
-    over those saved powers halves the bracket until it is at most
-    ``_WALK_FINISH`` long.  f(K) is read off S_K: one closure step from its
-    ff corner, closure K-1, gives closure K.  Called once the walk passed
-    ``_WALK_BUDGET`` without a stop, so indices up to the budget are not
-    probed again.
+    The stop is the least index i with f(i), "closure i holds +inf, or
+    i >= 1 and closure i repeats closure i-1", or ``last`` if that is
+    smaller; there is none up to ``k``.  f is monotone: closures only
+    grow, so +inf stays, and a repeated closure is a fixed point of the
+    recurrence.  So the stop can be searched for.  S_p composed in front
+    of S_(k+1) has closure k+p as its ff, and only closure k, the ff of
+    S_(k+1), enters it (see :func:`_compose`); one closure step on gives
+    closure k+p+1.  Such a probe either moves the start p+1 on or shows a
+    stop by k+p+1.  Probes with p = 1, 2, 4, ..., doubling S_p as they go,
+    bracket the stop; probes with the smaller powers, largest first, then
+    shrink the bracket, which holds at most 2p+1 indices past the start
+    before a probe with p and at most p+1 after it.
     """
     w = system.within.star()
-    powers = [(w, w, w, w)]  # powers[i] is S_(2^i)
-    lo, segment, start = 1, powers[0], (0, w)
+    back = w @ system.backward
+    powers = [(w, back, system.forward @ w, system.forward @ back)]  # S_(2^i)
+    hi = last  # a stop lies by hi
 
-    def start_at(k: int, candidate: tuple) -> tuple | None:
-        # where the walk may restart if there is no stop at index k, else None
-        before = candidate[0]
-        if k <= _WALK_BUDGET:
-            return k - 1, before
-        closure = _next_closure(system, before)
-        if closure == before or not closure.rmax_valued:
-            return None
-        return k, closure
+    def probe(i: int) -> bool:
+        # True if the start moved on, False if hi came down
+        nonlocal k, closure, hi
+        ff, back, ahead, around = powers[i]
+        p = 1 << i
+        jumped = ff + back @ (closure + around).star() @ ahead  # closure k+p
+        if not jumped.rmax_valued:
+            hi = k + p
+            return False
+        nxt = _next_closure(system, jumped)
+        if nxt == jumped or not nxt.rmax_valued:
+            hi = k + p + 1
+            return False
+        k, closure = k + p + 1, nxt
+        return True
 
-    hi = last
-    while 2 * lo < hi:
-        double = _compose(system, segment, segment)
-        found = start_at(2 * lo, double)
-        if found is None:
-            hi = 2 * lo
-            break
-        powers.append(double)
-        lo, segment, start = 2 * lo, double, found
-    for j in reversed(range(len(powers) - 1)):
-        if hi - lo <= _WALK_FINISH:
-            break
-        mid = lo + (1 << j)
-        if mid >= hi:
-            continue
-        longer = _compose(system, segment, powers[j])
-        found = start_at(mid, longer)
-        if found is None:
-            hi = mid
-        else:
-            lo, segment, start = mid, longer, found
-    return start
-
-
-def _first_stop(
-    closures: Iterator[tuple[int, TropicalMatrix, bool]], last: int
-) -> tuple[int, TropicalMatrix, bool] | None:
-    for k, closure, fixed in closures:
-        if fixed or k == last or not closure.rmax_valued:
-            return k, closure, fixed
-    return None
+    i = 0
+    while k + (1 << i) < hi and probe(i):
+        if k + (2 << i) < hi:
+            powers.append(_compose(powers[i], powers[i]))
+            i += 1
+    while i:
+        i -= 1
+        if k + (1 << i) < hi:
+            probe(i)
+    return k, closure
 
 
 def _stopping_closure(
@@ -246,15 +237,19 @@ def _stopping_closure(
     Past a +inf or a repeat nothing changes: +inf entries stay saturated
     and a repeated closure is a fixed point.  The closures are walked up to
     index ``_WALK_BUDGET``; a stop beyond it is found by segment doubling
-    (see :func:`_search_start`) in O(log k) segment compositions, each a
-    star and a few products of n x n blocks, and the last few indices are
-    walked again, so the triple is the one the walk alone returns.
+    (see :func:`_search_start`) in O(log k) probes and segment
+    compositions, each a star and a few products of n x n blocks, and at
+    most two indices are walked again, so the triple is the one the walk
+    alone returns.
     """
-    walk = itertools.islice(_closures(system), _WALK_BUDGET + 1)
-    stop = _first_stop(walk, last)
-    if stop is None:
-        stop = _first_stop(_closures(system, *_search_start(system, last)), last)
-    return stop
+    closures, budget = _closures(system), _WALK_BUDGET
+    while True:
+        k, closure, fixed = next(closures)
+        if fixed or k == last or not closure.rmax_valued:
+            return k, closure, fixed
+        if k == budget:
+            closures = _closures(system, *_search_start(system, k, closure, last))
+            budget = None
 
 
 def finite_weak_feasibility(system: PtegSystem, horizon: int) -> bool:

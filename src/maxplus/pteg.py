@@ -113,8 +113,8 @@ def check_consistency(
     proves consistency at any index, and the fixed closure persists for all
     longer horizons.  Otherwise the verdict reports how far finiteness was
     verified instead of guessing.  The first 32 closures are walked; a
-    stop beyond them costs O(log k) segment compositions plus at most 17
-    further steps, not k steps (see
+    stop beyond them costs O(log k) segment compositions and probes plus
+    at most two further steps, not k steps (see
     :func:`~maxplus.precedence._stopping_closure`), so a first +inf at
     k = 200001 is found in milliseconds.
 

@@ -36,10 +36,11 @@ def top_left(matrix: TropicalMatrix, rows: int, cols: int) -> TropicalMatrix:
 
 
 def boundary_segment_dense(system: PtegSystem, stages: int) -> tuple:
-    """Oracle for a segment: the four stage corners of the unrolled star.
+    """Oracle for a segment, read off the corners of the unrolled star.
 
-    ``(ff, fl, lf, ll)`` between the first stage ("f") and the last ("l"),
-    row = target, column = source.
+    With ff, fl, lf, ll the corners between the first stage ("f") and the
+    last ("l"), row = target, column = source, the segment is ``(ff, fl @
+    backward, forward @ lf, forward @ ll @ backward)``.
     """
     n = system.size
     rows = build_block_matrix(system, stages).star().to_rows()
@@ -49,7 +50,13 @@ def boundary_segment_dense(system: PtegSystem, stages: int) -> tuple:
         return TropicalMatrix([row[source * n : (source + 1) * n] for row in band])
 
     last = stages - 1
-    return corner(0, 0), corner(0, last), corner(last, 0), corner(last, last)
+    backward, forward = system.backward, system.forward
+    return (
+        corner(0, 0),
+        corner(0, last) @ backward,
+        forward @ corner(last, 0),
+        forward @ corner(last, last) @ backward,
+    )
 
 
 def stored_entries(matrix: TropicalMatrix) -> list:

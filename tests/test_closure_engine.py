@@ -236,15 +236,31 @@ def described(stop):
 def test_search_returns_the_walks_stop(system):
     """With a walk budget of 1 every stop past index 1 is found by the search.
 
-    A budget of 5 also has the search skip the indices the walk covered.
+    A budget of 5 starts the search from closure 5.  The search hands the
+    walk a closure at most two indices before the stop.
     """
     closures = closure_sequence_full(system, 40)
+    search = precedence._search_start
+    starts = []
+
+    def recorded(*args):
+        starts.append(search(*args))
+        return starts[-1]
+
     for budget in (1, 5):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(precedence, "_WALK_BUDGET", budget)
+            patch.setattr(precedence, "_search_start", recorded)
             for last in range(1, 41):
+                starts.clear()
+                expected = stop_of(closures, last)
                 stop = precedence._stopping_closure(system, last)
-                assert described(stop) == described(stop_of(closures, last))
+                assert described(stop) == described(expected)
+                assert len(starts) == (expected[0] > budget)
+                for k, closure in starts:
+                    assert budget <= k <= expected[0] <= k + 2
+                    assert k < expected[0] or k == last
+                    assert closure == closures[k]
 
 
 @settings(max_examples=60)
@@ -252,9 +268,11 @@ def test_search_returns_the_walks_stop(system):
 @example(make_railway(Fraction("-13.5")), 4, 4)
 def test_composed_segment_is_the_unrolled_star(system, a, b):
     w = system.within.star()
-    assert boundary_segment_dense(system, 1) == (w, w, w, w)
+    forward, backward = system.forward, system.backward
+    one = (w, w @ backward, forward @ w, forward @ w @ backward)
+    assert boundary_segment_dense(system, 1) == one
     joined = precedence._compose(
-        system, boundary_segment_dense(system, a), boundary_segment_dense(system, b)
+        boundary_segment_dense(system, a), boundary_segment_dense(system, b)
     )
     assert joined == boundary_segment_dense(system, a + b)
 
