@@ -17,6 +17,7 @@ Bad input exits 1; a failed internal invariant exits 5 with one
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -184,7 +185,13 @@ def cmd_graph(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged.
+
+    ``--param`` appends to a copy of its default list, never to the list
+    itself, so no value carries over from one :func:`main` call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="maxplus",
         description="Exact max-plus feasibility analysis of time-window"

@@ -18,7 +18,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterator
 
-from .matrix import TropicalMatrix
+from .matrix import TropicalMatrix, product_star
 from .precedence import PtegSystem, _closures, _stopping_closure
 from .pteg import _probe_bound
 
@@ -30,8 +30,8 @@ def roundtrip_closure(system: PtegSystem) -> TropicalMatrix:
     going forward one occurrence, moving there, and coming back, combined
     with the purely local constraints.
     """
-    inner = system.forward @ system.within.star() @ system.backward
-    return (inner + system.within).star()
+    within = system.within
+    return product_star(system.forward, within.star(), system.backward, within)
 
 
 def _assemble_generator(

@@ -12,6 +12,10 @@ of their denominators, and computes on those ``int``s, which is much faster
 than ``Fraction`` arithmetic.  Operands of two scales are first brought to
 the LCM of both.  Values are divided back only when they are read, into the
 same exact values, normalized (an integral value is always an ``int``).
+
+:func:`product_star` computes ``(left @ middle @ right + base).star()``, the
+closure step of :mod:`maxplus.precedence`, in one grid, without the three
+intermediate matrices.
 """
 
 from __future__ import annotations
@@ -35,28 +39,26 @@ class NotStarMatrix(ValueError):
     """A star matrix (equal to its own Kleene star) was required."""
 
 
-def _closure(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """All-pairs greatest walk weights (walk length >= 1), Floyd-Warshall style.
+def _closure(d: list[list[Scalar]]) -> list[list[Scalar]]:
+    """All-pairs greatest walk weights (walk length >= 1), in place.
 
-    Entry (i, j) is read as "best walk from node j to node i".  The update
-    rule is symmetric in that reading, so the usual triple loop applies.
-    When positive-weight circuits exist some entries may exceed the best
-    simple-path weight; those pairs are exactly the ones later saturated
-    to +inf, so unsaturated entries remain exact.
+    Floyd-Warshall style.  Entry (i, j) is read as "best walk from node j to
+    node i".  The update rule is symmetric in that reading, so the usual
+    triple loop applies.  Each pivot k relaxes through the entries of row k
+    other than -inf, read before the rows are updated; a pivot row of only
+    -inf entries is skipped.  When positive-weight circuits exist some
+    entries may exceed the best simple-path weight; those pairs are exactly
+    the ones later saturated to +inf, so unsaturated entries remain exact.
     """
-    n = len(rows)
-    d = [list(r) for r in rows]
-    for k in range(n):
-        dk = d[k]
-        for i in range(n):
-            di = d[i]
+    for k, dk in enumerate(d):
+        pivot = [(j, v) for j, v in enumerate(dk) if v != NEG_INF]
+        if not pivot:
+            continue
+        for di in d:
             dik = di[k]
             if dik == NEG_INF:
                 continue
-            for j in range(n):
-                v = dk[j]
-                if v == NEG_INF:
-                    continue
+            for j, v in pivot:
                 try:
                     s = dik + v
                 except OverflowError:  # an int beyond float range plus +inf
@@ -66,10 +68,28 @@ def _closure(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     return d
 
 
+def _star(d: list[list[Scalar]], scale: int) -> "TropicalMatrix":
+    """The star of grid ``d``, which it overwrites, stored at ``scale``."""
+    _closure(d)
+    n = len(d)
+    positive = [k for k in range(n) if d[k][k] > 0]
+    for i in range(n):
+        if d[i][i] < 0:
+            d[i][i] = 0
+    for k in positive:
+        # the diagonal is now finite, so k is among its own sources and targets
+        sources = [j for j, v in enumerate(d[k]) if v != NEG_INF]
+        for di in d:
+            if di[k] != NEG_INF:
+                for j in sources:
+                    di[j] = POS_INF
+    return TropicalMatrix._wrap(tuple(map(tuple, d)), scale)
+
+
 class TropicalMatrix:
     """An immutable ``rows x cols`` matrix of max-plus scalars."""
 
-    __slots__ = ("rows", "cols", "_data", "_scale")
+    __slots__ = ("rows", "cols", "_data", "_scale", "_arc_rows")
 
     def __init__(self, data: Iterable[Iterable]):
         grid = tuple(tuple(as_scalar(v) for v in row) for row in data)
@@ -83,11 +103,15 @@ class TropicalMatrix:
         )
         if scale != 1:
             grid = tuple(
-                tuple(v if type(v) is float else (v * scale).numerator for v in row)
+                tuple(
+                    v if type(v) is float else v.numerator * (scale // v.denominator)
+                    for v in row
+                )
                 for row in grid
             )
         self._data = grid
         self._scale = scale
+        self._arc_rows = None
         self.rows = len(grid)
         self.cols = width
 
@@ -97,9 +121,23 @@ class TropicalMatrix:
         self = object.__new__(cls)
         self._data = grid
         self._scale = scale
+        self._arc_rows = None
         self.rows = len(grid)
         self.cols = len(grid[0])
         return self
+
+    def _arcs(self) -> tuple:
+        """Per stored row, its ``(column, entry)`` pairs other than -inf.
+
+        Listed on first use and kept: a constant operand, such as a block
+        of a system, is scanned once, not once per product.
+        """
+        if self._arc_rows is None:
+            self._arc_rows = tuple(
+                tuple([(j, v) for j, v in enumerate(row) if v != NEG_INF])
+                for row in self._data
+            )
+        return self._arc_rows
 
     def _grid_at(self, scale: int) -> tuple:
         """The stored grid at ``scale``, a multiple of this matrix's scale."""
@@ -226,8 +264,10 @@ class TropicalMatrix:
         mine, theirs, scale = self._with(other)
         return TropicalMatrix._wrap(
             tuple(
-                tuple(a if a >= b else b for a, b in zip(ra, rb))
-                for ra, rb in zip(mine, theirs)
+                [
+                    tuple([a if a >= b else b for a, b in zip(ra, rb)])
+                    for ra, rb in zip(mine, theirs)
+                ]
             ),
             scale,
         )
@@ -278,22 +318,7 @@ class TropicalMatrix:
         """
         if not self.is_square:
             raise NotSquare("star is defined for square matrices only")
-        n = self.rows
-        d = _closure(self._data)
-        out = [row[:] for row in d]
-        for i in range(n):
-            if out[i][i] < 0:
-                out[i][i] = 0
-        for k in range(n):
-            if d[k][k] > 0:
-                dk = d[k]
-                sources = [j for j in range(n) if j == k or dk[j] != NEG_INF]
-                targets = [i for i in range(n) if i == k or d[i][k] != NEG_INF]
-                for i in targets:
-                    oi = out[i]
-                    for j in sources:
-                        oi[j] = POS_INF
-        return TropicalMatrix._wrap(tuple(tuple(row) for row in out), self._scale)
+        return _star([list(row) for row in self._data], self._scale)
 
     def has_positive_circuit(self) -> bool:
         """True when some circuit in the precedence graph has weight > 0.
@@ -302,7 +327,7 @@ class TropicalMatrix:
         """
         if not self.is_square:
             raise NotSquare("circuits are defined for square matrices only")
-        d = _closure(self._data)
+        d = _closure([list(row) for row in self._data])
         return any(d[k][k] > 0 for k in range(self.rows))
 
     def is_star_matrix(self) -> bool:
@@ -323,6 +348,63 @@ def aligned(*matrices: TropicalMatrix) -> tuple[TropicalMatrix, ...]:
         m if m._scale == scale else TropicalMatrix._wrap(m._grid_at(scale), scale)
         for m in matrices
     )
+
+
+def product_star(
+    left: TropicalMatrix,
+    middle: TropicalMatrix,
+    right: TropicalMatrix,
+    base: TropicalMatrix,
+) -> TropicalMatrix:
+    """``(left @ middle @ right + base).star()``, built in one grid.
+
+    Row i of ``left @ middle`` runs over the entries of row i of ``left``
+    other than -inf, and each of its entries meets only the entries of the
+    matching row of ``right`` other than -inf; both lists are kept on the
+    two matrices (see ``_arcs``), so constant outer factors are scanned
+    once, not once per call.  Every row starts as its row of ``base``, and
+    the star then runs in place, so no intermediate matrix is built.
+    """
+    if not (
+        left.cols == middle.rows
+        and middle.cols == right.rows
+        and (left.rows, right.cols) == base.shape
+    ):
+        raise DimensionMismatch(
+            f"cannot form {left.shape} @ {middle.shape} @ {right.shape}"
+            f" + {base.shape}"
+        )
+    if not base.is_square:
+        raise NotSquare("star is defined for square matrices only")
+    left, middle, right, base = aligned(left, middle, right, base)
+    between = middle._data
+    right_arcs = right._arcs()
+    width = middle.cols
+    grid = []
+    for arcs, out in zip(left._arcs(), map(list, base._data)):
+        via = [NEG_INF] * width  # row i of left @ middle
+        for s, a in arcs:
+            for t, v in enumerate(between[s]):
+                if v == NEG_INF:
+                    continue
+                try:
+                    x = a + v
+                except OverflowError:  # an int beyond float range plus +inf
+                    x = POS_INF
+                if x > via[t]:
+                    via[t] = x
+        for t, a in enumerate(via):
+            if a == NEG_INF:
+                continue
+            for j, v in right_arcs[t]:
+                try:
+                    x = a + v
+                except OverflowError:
+                    x = POS_INF
+                if x > out[j]:
+                    out[j] = x
+        grid.append(out)
+    return _star(grid, base._scale)
 
 
 def image_member(star_matrix: TropicalMatrix, vector: Sequence) -> bool:

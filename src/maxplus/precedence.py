@@ -7,12 +7,15 @@ per occurrence index): its three square blocks unroll into a block
 tridiagonal matrix over any finite horizon.  The closure recurrence of
 :func:`_closures` eliminates that matrix stage by stage, so feasibility and
 the graph export work on the blocks alone, never on the unrolled matrix.
-Where the recurrence first stops (a +inf entry or a repeat) is found by
-:func:`_stopping_closure` in O(log k) compositions of boundary segments,
-whole stretches of the unrolling eliminated down to their first and last
-stage, once a short walk has not stopped.  The three blocks are stored at
-one common scale, so the recurrence runs on ``int`` entries and never
-rescales an operand.
+One step of it, ``(backward @ closure @ forward oplus within)*``, is one
+call of :func:`~maxplus.matrix.product_star`, which builds the result in
+one grid from the entries of the two outer blocks other than -inf, listed
+once per system.  Where the recurrence first stops (a +inf entry or a
+repeat) is found by :func:`_stopping_closure` in O(log k) compositions of
+boundary segments, whole stretches of the unrolling eliminated down to
+their first and last stage, once a short walk has not stopped.  The three
+blocks are stored at one common scale, so the recurrence runs on ``int``
+entries and never rescales an operand.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .matrix import DimensionMismatch, TropicalMatrix, aligned
+from .matrix import DimensionMismatch, TropicalMatrix, aligned, product_star
 from .semiring import NEG_INF, format_scalar
 
 
@@ -98,7 +101,7 @@ def build_block_matrix(system: PtegSystem, horizon: int) -> TropicalMatrix:
 
 
 def _next_closure(system: PtegSystem, current: TropicalMatrix) -> TropicalMatrix:
-    nxt = (system.backward @ current @ system.forward + system.within).star()
+    nxt = product_star(system.backward, current, system.forward, system.within)
     if not current <= nxt:
         raise RuntimeError("closure sequence lost monotonicity")
     return nxt
@@ -138,8 +141,9 @@ def _closures(
 
 # Closure steps walked before the search takes over; at least 1.  Most
 # stops come early and cost no search set-up.  On the railway (n = 4) a stop
-# up to about 30 indices past the budget costs more to search for than to
-# walk to, one further on less (BENCH_divergence_search.json).
+# up to about 70 indices past the budget costs more to search for than to
+# walk to, up to 1.5 times as much, and one further on less
+# (BENCH_closure_kernel.json).  The step-count tests pin the value.
 _WALK_BUDGET = 32
 
 

@@ -244,17 +244,25 @@ def synthesize_trajectory(
 
 
 def validate_trajectory(system: PtegSystem, trajectory: Trajectory) -> bool:
-    """Exact check of all three inequality families over the whole horizon."""
+    """Exact check of all three inequality families over the whole horizon.
+
+    Two consecutive states stacked, ``[x(k); x(k+1)]``, must satisfy the
+    paired-state lift ``xbar >= [[within, backward], [forward, within]] @
+    xbar``, whose rows are the within family at both occurrences, the
+    backward family and the forward family.  So the stacked pairs, one per
+    column, are built once, aligned with that constraint matrix once (see
+    :func:`~maxplus.matrix.aligned`), and checked by one product.  A single
+    state only has the within family to meet.
+    """
     n = system.size
-    if any(len(row) != n for row in trajectory.states):
+    states = trajectory.states
+    if any(len(row) != n for row in states):
         raise DimensionMismatch("trajectory width does not match the system")
-    cols = [TropicalMatrix.column(state) for state in trajectory.states]
-    for k in range(trajectory.horizon):
-        if not system.within @ cols[k] <= cols[k]:
-            return False
-    for k in range(trajectory.horizon - 1):
-        if not system.backward @ cols[k + 1] <= cols[k]:
-            return False
-        if not system.forward @ cols[k] <= cols[k + 1]:
-            return False
-    return True
+    blocks = [[system.within, system.backward], [system.forward, system.within]]
+    pairs = [x + y for x, y in zip(states, states[1:])]
+    if not pairs:
+        blocks, pairs = [[system.within]], states
+    constraint, stacked = aligned(
+        TropicalMatrix.from_blocks(blocks), TropicalMatrix(zip(*pairs))
+    )
+    return constraint @ stacked <= stacked

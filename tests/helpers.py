@@ -183,7 +183,8 @@ def stacked_constraint(system: PtegSystem) -> TropicalMatrix:
     )
 
 
-def _closure_step(system: PtegSystem, current: TropicalMatrix) -> TropicalMatrix:
+def closure_step_full(system: PtegSystem, current: TropicalMatrix) -> TropicalMatrix:
+    """Oracle for one closure step: four generic matrix operations."""
     return (system.backward @ current @ system.forward + system.within).star()
 
 
@@ -191,11 +192,12 @@ def closure_sequence_full(system: PtegSystem, k_max: int) -> list[TropicalMatrix
     """Oracle for closure_sequence: k_max fresh steps on the unscaled blocks."""
     closures = [system.within.star()]
     for _ in range(k_max):
-        closures.append(_closure_step(system, closures[-1]))
+        closures.append(closure_step_full(system, closures[-1]))
     return closures
 
 
-def _roundtrip_full(system: PtegSystem) -> TropicalMatrix:
+def roundtrip_full(system: PtegSystem) -> TropicalMatrix:
+    """Oracle for roundtrip_closure: four generic matrix operations."""
     inner = system.forward @ system.within.star() @ system.backward
     return (inner + system.within).star()
 
@@ -220,7 +222,7 @@ def check_consistency_full(
         )
     at_stabilization_index = None
     for k in range(1, limit + 1):
-        current = _closure_step(system, current)
+        current = closure_step_full(system, current)
         if not current.rmax_valued:
             return ConsistencyVerdict(
                 ConsistencyKind.NOT_WEAKLY_CONSISTENT, first_divergent=k
@@ -241,16 +243,16 @@ def iterate_shrink_full(system: PtegSystem, probe_bound: int | None = None):
     with :func:`report_fields`.  Works on the unscaled blocks throughout.
     """
     probe = 10 * system.size**2 if probe_bound is None else probe_bound
-    roundtrip = _roundtrip_full(system)
+    roundtrip = roundtrip_full(system)
     closure_k = system.within.star()
-    closure_k1 = _closure_step(system, closure_k)
+    closure_k1 = closure_step_full(system, closure_k)
     generators = []
     for k in range(probe + 1):
         generator = _assemble_generator(system, closure_k, closure_k1, roundtrip)
         generators.append(generator)
         if not generator.rmax_valued:
             return InvarianceKind.REAL_EMPTY_AT_STEP, k, None, tuple(generators)
-        closure_k2 = _closure_step(system, closure_k1)
+        closure_k2 = closure_step_full(system, closure_k1)
         if closure_k2 == closure_k1:
             stable = _assemble_generator(system, closure_k1, closure_k2, roundtrip)
             generators.append(stable)

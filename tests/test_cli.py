@@ -31,6 +31,14 @@ class TestCheck:
         assert "verdict: NotWeaklyConsistent" in out
         assert "first divergent closure index: 3" in out
 
+    def test_param_does_not_leak_into_the_next_call(self, capsys):
+        # the parser is built once per process and reused by every call
+        assert run(capsys, "check", RAILWAY, "--param", "ell=-13")[0] == 2
+        code, out, _ = run(capsys, "check", RAILWAY)
+        assert code == 0 and out.startswith("verdict: Consistent\n")
+        assert run(capsys, "check", RAILWAY, "--param", "ell=-13")[0] == 2
+        assert cli._build_parser() is cli._build_parser()
+
     def test_open_verdict_exit_three(self, capsys):
         code, out, _ = run(capsys, "check", TWO_NODE)
         assert code == 3

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from maxplus import (
     NEG_INF,
+    POS_INF,
     ConsistencyKind,
+    DimensionMismatch,
     InfeasibleHorizon,
     InvarianceKind,
+    NotSquare,
     PtegSystem,
     Trajectory,
     TropicalMatrix,
@@ -26,16 +29,19 @@ from maxplus import (
     validate_trajectory,
 )
 from maxplus import invariance, precedence
+from maxplus.matrix import product_star
 
 from conftest import TWO_NODE, make_railway
 from helpers import (
     all_eps_system,
     boundary_segment_dense,
     check_consistency_full,
+    closure_step_full,
     identity,
     closure_sequence_full,
     iterate_shrink_full,
     report_fields,
+    roundtrip_full,
     shrink_generator_unrolled,
     stored_entries,
     synthesize_dense,
@@ -524,3 +530,104 @@ def test_synthesis_and_validation_compare_ints(monkeypatch):
     assert any(isinstance(v, Fraction) for row in trajectory.states for v in row)
     assert len(operands) > 0
     assert not [v for v in operands if isinstance(v, Fraction)]
+
+
+# The closure-step kernel against the four generic operations it replaced.
+# Small denominators, pairwise coprime large ones, and 10**400, which stores
+# every entry of its matrix as an int beyond float range.
+KERNEL_DENOMINATORS = st.sampled_from([1, 2, 3, 7, 1009, 2003, 10**400])
+
+
+@st.composite
+def kernel_matrix(draw, n, lo, hi, plus_inf):
+    """n x n, about 30% -inf, some rows all -inf, +inf only if ``plus_inf``."""
+
+    def entry():
+        kind = draw(st.integers(0, 9))
+        if kind < 3:
+            return NEG_INF
+        if kind == 3 and plus_inf:
+            return POS_INF
+        return draw(fractions(lo, hi, KERNEL_DENOMINATORS))
+
+    return TropicalMatrix(
+        [NEG_INF] * n if draw(st.integers(0, 5)) == 0 else [entry() for _ in range(n)]
+        for _ in range(n)
+    )
+
+
+@st.composite
+def kernel_operands(draw):
+    """``(system, current)``: within arcs up to +3, so positive circuits occur."""
+    n = draw(st.integers(1, 6))
+    system = PtegSystem(
+        dynamics=draw(kernel_matrix(n, 0, 5, False)),
+        backward=draw(kernel_matrix(n, -8, 2, False)),
+        within=draw(kernel_matrix(n, -5, 3, False)),
+    )
+    return system, draw(kernel_matrix(n, -9, 9, True))
+
+
+@settings(max_examples=150)
+@given(kernel_operands())
+@example((make_railway(Fraction("-14.123")), make_railway(-14).within.star()))
+def test_closure_step_matches_the_four_operation_oracle(operands):
+    """``_next_closure`` is ``(B @ C @ F + W).star()``, or raises if not monotone.
+
+    C is drawn at random, +inf entries included, and is also each of the
+    first closures of the system's own walk, which hold +inf once it
+    diverges.
+    """
+    system, drawn = operands
+    walk = closure_sequence_full(system, 3)
+    for current in (drawn, *walk):
+        expected = closure_step_full(system, current)
+        if current <= expected:
+            step = precedence._next_closure(system, current)
+            assert step == expected
+            assert step.to_rows() == expected.to_rows()
+        else:
+            with pytest.raises(RuntimeError, match="monotonicity"):
+                precedence._next_closure(system, current)
+    assert roundtrip_closure(system) == roundtrip_full(system)
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(*(kernel_matrix(n, -6, 4, True) for _ in range(4)))
+    )
+)
+def test_product_star_on_any_operands(operands):
+    """+inf and empty rows in every operand; positive circuits in the base."""
+    left, middle, right, base = operands
+    expected = (left @ middle @ right + base).star()
+    result = product_star(left, middle, right, base)
+    assert result == expected and result.to_rows() == expected.to_rows()
+
+
+def test_product_star_checks_shapes():
+    square, wide = TropicalMatrix.epsilon(2), TropicalMatrix([[0, 0, 0]] * 2)
+    with pytest.raises(DimensionMismatch):
+        product_star(square, square, wide, square)
+    with pytest.raises(NotSquare):
+        product_star(square, square, wide, wide)
+
+
+def test_block_entries_are_listed_once(monkeypatch):
+    """A walk lists each block's entries once and reuses that list every step."""
+    returned = []
+    arcs = TropicalMatrix._arcs
+
+    def recorded(matrix):
+        result = arcs(matrix)
+        returned.append((matrix, result))
+        return result
+
+    monkeypatch.setattr(TropicalMatrix, "_arcs", recorded)
+    system = make_railway(Fraction("-13.9"))
+    assert len(closure_sequence(system, 20)) == 21
+    assert len(returned) == 40
+    for block in (system.backward, system.forward):
+        lists = [result for matrix, result in returned if matrix is block]
+        assert len(lists) == 20 and all(result is lists[0] for result in lists)

@@ -125,6 +125,14 @@ class TestStar:
         assert s[1, 0] == NEG_INF
         assert s[0, 0] == 0 and s[1, 1] == 0
 
+    def test_plus_inf_passes_along_a_path(self):
+        # arcs 0 -> 1 of weight +inf and 1 -> 2 of weight 0, no circuit
+        m = TropicalMatrix([[NEG, NEG, NEG], [POS_INF, NEG, NEG], [NEG, 0, NEG]])
+        assert m.star() == TropicalMatrix(
+            [[0, NEG, NEG], [POS_INF, 0, NEG], [POS_INF, 0, 0]]
+        )
+        assert not m.has_positive_circuit()
+
 
 class TestPositiveCircuit:
     def test_two_cycle(self):
@@ -318,7 +326,7 @@ def fraction_matrix(draw, n):
 
 @st.composite
 def square_pairs(draw):
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
     return draw(fraction_matrix(n)), draw(fraction_matrix(n))
 
 

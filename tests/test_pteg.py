@@ -297,6 +297,15 @@ class TestValidateTrajectory:
         assert validate_trajectory(system, Trajectory(((1, 0), (3, 0))))
         assert not validate_trajectory(system, Trajectory(states))
 
+    def test_single_state_meets_the_within_family_only(self):
+        system = PtegSystem(
+            dynamics=TropicalMatrix([[2, NEG], [NEG, NEG]]),
+            backward=TropicalMatrix([[-5, NEG], [NEG, NEG]]),
+            within=TropicalMatrix([[NEG, 1], [NEG, NEG]]),
+        )
+        assert validate_trajectory(system, Trajectory(((1, 0),)))
+        assert not validate_trajectory(system, Trajectory(((1, 1),)))
+
     def test_unconstrained_accepts_anything_finite(self):
         t = Trajectory(states=((5, -3), (0, 0)))
         assert validate_trajectory(all_eps_system(), t)
