@@ -18,7 +18,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterator
 
-from .matrix import TropicalMatrix, product_star
+from .matrix import TropicalMatrix, _reclose, product_star
 from .precedence import PtegSystem, _closures, _stopping_closure
 from .pteg import _probe_bound
 
@@ -35,12 +35,9 @@ def roundtrip_closure(system: PtegSystem) -> TropicalMatrix:
 
 
 def _assemble_generator(
-    system: PtegSystem,
-    closure_k: TropicalMatrix,
-    closure_k1: TropicalMatrix,
-    roundtrip: TropicalMatrix,
+    system: PtegSystem, closure_k1: TropicalMatrix, anchored: TropicalMatrix
 ) -> TropicalMatrix:
-    anchored = (closure_k + roundtrip).star()
+    """Generator k from closure k+1 and ``anchored = (closure_k + roundtrip)*``."""
     return TropicalMatrix.from_blocks(
         [
             [closure_k1, closure_k1 @ system.backward @ anchored],
@@ -50,12 +47,27 @@ def _assemble_generator(
 
 
 def _generators(system: PtegSystem, start: int = 0) -> Iterator[TropicalMatrix]:
-    """Generators ``start``, ``start + 1``, ...; generator k reads closures k, k+1."""
+    """Generators ``start``, ``start + 1``, ...; generator k reads closures k, k+1.
+
+    It also reads ``anchored_k = (closure_k + roundtrip)*``.  The closures
+    only grow, so ``anchored_(k+1) = (anchored_k + closure_(k+1))*``: the
+    matrix starred on the right lies between ``closure_(k+1) + roundtrip``
+    and its star.  Where closure k+1 equals closure k it adds nothing to
+    ``anchored_k``, so ``anchored_k`` is re-closed over the entries that grew
+    (see :func:`~maxplus.matrix._reclose`) while both are free of +inf, and
+    starred afresh otherwise.
+    """
     roundtrip = roundtrip_closure(system)
     closures = (closure for _, closure, _ in _closures(system))
     pairs = itertools.islice(itertools.pairwise(closures), start, None)
+    anchored = before = None
     for closure_k, closure_k1 in pairs:
-        yield _assemble_generator(system, closure_k, closure_k1, roundtrip)
+        if before is None or not (anchored.rmax_valued and closure_k.rmax_valued):
+            anchored = (closure_k + roundtrip).star()
+        else:
+            anchored = _reclose(anchored, closure_k, before)
+        yield _assemble_generator(system, closure_k1, anchored)
+        before = closure_k
 
 
 def shrink_generator(system: PtegSystem, k: int) -> TropicalMatrix:
@@ -150,8 +162,8 @@ def iterate_shrink(
     probe = _probe_bound(system.size, probe_bound)
     j, closure, fixed = _stopping_closure(system, probe + 2)
     if fixed:
-        roundtrip = roundtrip_closure(system)
-        stable = _assemble_generator(system, closure, closure, roundtrip)
+        anchored = (closure + roundtrip_closure(system)).star()
+        stable = _assemble_generator(system, closure, anchored)
         return InvarianceReport(
             InvarianceKind.CONVERGED_NON_EMPTY, max(j, 2) - 2, system, stable
         )

@@ -15,7 +15,8 @@ same exact values, normalized (an integral value is always an ``int``).
 
 :func:`product_star` computes ``(left @ middle @ right + base).star()``, the
 closure step of :mod:`maxplus.precedence`, in one grid, without the three
-intermediate matrices.
+intermediate matrices.  ``_reclose`` takes a later step from the one before
+it: it re-closes a star over the arcs that a few grown entries add.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ class NotStarMatrix(ValueError):
     """A star matrix (equal to its own Kleene star) was required."""
 
 
-def _closure(d: list[list[Scalar]]) -> list[list[Scalar]]:
+def _closure(
+    d: list[list[Scalar]], pivots: Iterable[int] | None = None
+) -> list[list[Scalar]]:
     """All-pairs greatest walk weights (walk length >= 1), in place.
 
     Floyd-Warshall style.  Entry (i, j) is read as "best walk from node j to
@@ -49,8 +52,13 @@ def _closure(d: list[list[Scalar]]) -> list[list[Scalar]]:
     -inf entries is skipped.  When positive-weight circuits exist some
     entries may exceed the best simple-path weight; those pairs are exactly
     the ones later saturated to +inf, so unsaturated entries remain exact.
+
+    ``pivots`` (default: every node) are the nodes a walk may pass through;
+    the caller guarantees that every best walk, and some walk around every
+    positive circuit, can be routed through them (see :func:`_reclose`).
     """
-    for k, dk in enumerate(d):
+    for k in range(len(d)) if pivots is None else pivots:
+        dk = d[k]
         pivot = [(j, v) for j, v in enumerate(dk) if v != NEG_INF]
         if not pivot:
             continue
@@ -68,9 +76,15 @@ def _closure(d: list[list[Scalar]]) -> list[list[Scalar]]:
     return d
 
 
-def _star(d: list[list[Scalar]], scale: int) -> "TropicalMatrix":
-    """The star of grid ``d``, which it overwrites, stored at ``scale``."""
-    _closure(d)
+def _star(
+    d: list[list[Scalar]], scale: int, pivots: Iterable[int] | None = None
+) -> "TropicalMatrix":
+    """The star of grid ``d``, which it overwrites, stored at ``scale``.
+
+    ``pivots`` is passed on to :func:`_closure`; the +inf saturation pass
+    always runs over every node.
+    """
+    _closure(d, pivots)
     n = len(d)
     positive = [k for k in range(n) if d[k][k] > 0]
     for i in range(n):
@@ -89,7 +103,7 @@ def _star(d: list[list[Scalar]], scale: int) -> "TropicalMatrix":
 class TropicalMatrix:
     """An immutable ``rows x cols`` matrix of max-plus scalars."""
 
-    __slots__ = ("rows", "cols", "_data", "_scale", "_arc_rows")
+    __slots__ = ("rows", "cols", "_data", "_scale", "_arc_rows", "_arc_cols")
 
     def __init__(self, data: Iterable[Iterable]):
         grid = tuple(tuple(as_scalar(v) for v in row) for row in data)
@@ -111,7 +125,7 @@ class TropicalMatrix:
             )
         self._data = grid
         self._scale = scale
-        self._arc_rows = None
+        self._arc_rows = self._arc_cols = None
         self.rows = len(grid)
         self.cols = width
 
@@ -121,7 +135,7 @@ class TropicalMatrix:
         self = object.__new__(cls)
         self._data = grid
         self._scale = scale
-        self._arc_rows = None
+        self._arc_rows = self._arc_cols = None
         self.rows = len(grid)
         self.cols = len(grid[0])
         return self
@@ -138,6 +152,15 @@ class TropicalMatrix:
                 for row in self._data
             )
         return self._arc_rows
+
+    def _column_arcs(self) -> tuple:
+        """Per stored column, its ``(row, entry)`` pairs other than -inf; kept."""
+        if self._arc_cols is None:
+            self._arc_cols = tuple(
+                tuple([(i, v) for i, v in enumerate(col) if v != NEG_INF])
+                for col in zip(*self._data)
+            )
+        return self._arc_cols
 
     def _grid_at(self, scale: int) -> tuple:
         """The stored grid at ``scale``, a multiple of this matrix's scale."""
@@ -405,6 +428,83 @@ def product_star(
                     out[j] = x
         grid.append(out)
     return _star(grid, base._scale)
+
+
+def _reclose(
+    closed: TropicalMatrix,
+    grown: TropicalMatrix,
+    before: TropicalMatrix,
+    left: TropicalMatrix | None = None,
+    right: TropicalMatrix | None = None,
+) -> TropicalMatrix:
+    """``(closed + left @ delta @ right).star()`` for a star ``closed``.
+
+    ``delta`` holds the entries in which ``grown`` exceeds ``before`` (-inf
+    elsewhere); ``left`` and ``right`` default to the identity.  All five
+    share one scale, ``closed`` and ``grown`` are free of +inf, and
+    ``before <= grown``.  Each grown entry (s, t) adds the arcs
+    ``left[:, s] + grown[s, t] + right[t, :]``, read from the entries of
+    ``left``'s columns and ``right``'s rows other than -inf, listed once per
+    matrix (see ``_arcs``).  Only the arcs above ``closed`` are kept, as the
+    set E; with none, ``closed`` itself is returned, since it is a star.
+
+    Otherwise every walk of ``closed + E`` alternates walks of ``closed``
+    and arcs of E, and ``closed`` absorbs its own walks (``closed @ closed
+    = closed``, diagonal 0).  So it is a walk of ``closed + closed @ E``
+    whose inner nodes are tails of E (an arc of E followed by a walk of
+    ``closed`` is one arc of ``closed @ E``), and a walk of ``closed + E @
+    closed`` whose inner nodes are heads.  Both matrices lie between
+    ``closed + E`` and its star, so their stars are that star, and
+    Floyd-Warshall needs to pivot only over those inner nodes; the smaller
+    set of the two is used.  A positive circuit of ``closed + E`` holds an
+    arc of E, so it passes through such a node, which therefore carries a
+    positive diagonal and reaches, and is reached by, the same nodes: the
+    +inf saturation marks the same pairs as the full star does.
+    """
+    width = closed.cols
+    if left is None or right is None:
+        identity = tuple(((j, 0),) for j in range(width))
+    sources = identity if left is None else left._column_arcs()
+    targets = identity if right is None else right._arcs()
+    c = closed._data
+    arcs: dict[tuple[int, int], Scalar] = {}  # (head, tail) -> weight
+    for s, (g, b) in enumerate(zip(grown._data, before._data)):
+        if g == b:
+            continue
+        via = [NEG_INF] * width  # row s of delta @ right
+        for t, x in enumerate(g):
+            if x != b[t]:
+                for j, v in targets[t]:
+                    v += x
+                    if v > via[j]:
+                        via[j] = v
+        via = [(j, v) for j, v in enumerate(via) if v != NEG_INF]
+        for i, a in sources[s]:
+            ci = c[i]
+            for j, v in via:
+                w = a + v
+                if w > ci[j] and w > arcs.get((i, j), NEG_INF):
+                    arcs[i, j] = w
+    if not arcs:
+        return closed
+    d = [list(row) for row in c]
+    heads = {i for i, _ in arcs}
+    tails = {j for _, j in arcs}
+    if len(tails) <= len(heads):
+        for (t, s), w in arcs.items():  # closed @ E: arc s -> t, then closed
+            for di, ci in zip(d, c):
+                x = ci[t]
+                if x != NEG_INF and x + w > di[s]:
+                    di[s] = x + w
+        pivots = tails
+    else:
+        for (t, s), w in arcs.items():  # E @ closed: closed, then arc s -> t
+            dt = d[t]
+            for j, x in enumerate(c[s]):
+                if x != NEG_INF and w + x > dt[j]:
+                    dt[j] = w + x
+        pivots = heads
+    return _star(d, closed._scale, sorted(pivots))
 
 
 def image_member(star_matrix: TropicalMatrix, vector: Sequence) -> bool:

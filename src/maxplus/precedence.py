@@ -7,10 +7,14 @@ per occurrence index): its three square blocks unroll into a block
 tridiagonal matrix over any finite horizon.  The closure recurrence of
 :func:`_closures` eliminates that matrix stage by stage, so feasibility and
 the graph export work on the blocks alone, never on the unrolled matrix.
-One step of it, ``(backward @ closure @ forward oplus within)*``, is one
-call of :func:`~maxplus.matrix.product_star`, which builds the result in
-one grid from the entries of the two outer blocks other than -inf, listed
-once per system.  Where the recurrence first stops (a +inf entry or a
+The first step of a walk, ``(backward @ closure @ forward oplus
+within)*``, is one call of :func:`~maxplus.matrix.product_star`, which
+builds the result in one grid from the entries of the two outer blocks
+other than -inf, listed once per system.  The closures only grow, so each
+later step re-closes the last closure over the arcs that the entries it
+grew by add (:func:`~maxplus.matrix._reclose`): a step that adds no arc
+above it costs no star, and Floyd-Warshall pivots only over the ends of
+the new arcs.  Where the recurrence first stops (a +inf entry or a
 repeat) is found by :func:`_stopping_closure` in O(log k) compositions of
 boundary segments, whole stretches of the unrolling eliminated down to
 their first and last stage, once a short walk has not stopped.  The three
@@ -24,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .matrix import DimensionMismatch, TropicalMatrix, aligned, product_star
+from .matrix import DimensionMismatch, TropicalMatrix, _reclose, aligned, product_star
 from .semiring import NEG_INF, format_scalar
 
 
@@ -100,8 +104,39 @@ def build_block_matrix(system: PtegSystem, horizon: int) -> TropicalMatrix:
     return TropicalMatrix.from_blocks(grid)
 
 
-def _next_closure(system: PtegSystem, current: TropicalMatrix) -> TropicalMatrix:
-    nxt = product_star(system.backward, current, system.forward, system.within)
+def _next_closure(
+    system: PtegSystem,
+    current: TropicalMatrix,
+    *,
+    previous: TropicalMatrix | None = None,
+) -> TropicalMatrix:
+    """Closure k+1, ``(backward @ current @ forward oplus within)*``.
+
+    ``current`` is closure k; ``previous``, if given, is closure k-1.  With
+    no ``previous``, or +inf in ``current``, the step is one call of
+    :func:`~maxplus.matrix.product_star`.  Otherwise it re-closes
+    ``current`` over what it grew by (:func:`~maxplus.matrix._reclose`),
+    using C_{k+1} = (C_k oplus backward @ delta @ forward)*, where delta
+    holds the entries in which C_k exceeds C_{k-1}.
+
+    Proof.  Write M_k = backward @ C_k @ forward oplus within, so C_k =
+    M_{k-1}*.  The walk checks C_{k-1} <= C_k, so C_k = C_{k-1} oplus
+    delta, and since the product distributes over oplus, M_k = M_{k-1}
+    oplus backward @ delta @ forward.  For any X, (M* oplus X)* = (M oplus
+    X)*: the left side lies between M oplus X and its star.  With M =
+    M_{k-1} that is the identity.  C_k is a star free of +inf, so it
+    absorbs its own walks, and every walk of C_k oplus E, for the set E of
+    new arcs that exceed C_k, switches between C_k and E only at a tail (or
+    a head) of E: pivoting Floyd-Warshall over those nodes is enough.  A
+    step that adds no arc above C_k returns ``current`` itself.
+
+    Either way the result must not lie below ``current``; a closure
+    sequence that shrinks is an internal error.
+    """
+    if previous is None or not current.rmax_valued:
+        nxt = product_star(system.backward, current, system.forward, system.within)
+    else:
+        nxt = _reclose(current, current, previous, system.backward, system.forward)
     if not current <= nxt:
         raise RuntimeError("closure sequence lost monotonicity")
     return nxt
@@ -120,6 +155,12 @@ def _closures(
     backward arc, and in between it is a path of stages 2..k+1, whose best
     weights are closure k-1 because every stage carries the same blocks.
 
+    The closures only grow, so after the first step each step is handed
+    its predecessor too and re-closes only what the last step grew (see
+    :func:`_next_closure` for the proof): C_{k-1} <= C_k <= C_{k+1} gives
+    C_{k+1} = (C_k oplus backward @ delta @ forward)*, with delta the
+    entries in which C_k exceeds C_{k-1}.
+
     ``fixed`` is True once closure k equals closure k-1.  The recurrence is
     deterministic, so that closure is a fixed point: it is yielded for every
     later index without being computed again.  Entries saturated to +inf
@@ -130,20 +171,21 @@ def _closures(
     if current is None:
         current = system.within.star()
     yield k, current, False
+    previous = None
     for k in itertools.count(k + 1):
-        nxt = _next_closure(system, current)
+        nxt = _next_closure(system, current, previous=previous)
         if nxt == current:
             for j in itertools.count(k):
                 yield j, current, True
         yield k, nxt, False
-        current = nxt
+        previous, current = current, nxt
 
 
 # Closure steps walked before the search takes over; at least 1.  Most
-# stops come early and cost no search set-up.  On the railway (n = 4) a stop
-# up to about 70 indices past the budget costs more to search for than to
-# walk to, up to 1.5 times as much, and one further on less
-# (BENCH_closure_kernel.json).  The step-count tests pin the value.
+# stops come early and cost no search set-up.  With re-closing steps, on the
+# railway (n = 4) a stop up to about 75 indices past the budget costs more
+# to search for than to walk to, up to 1.7 times as much, and one further
+# on less (BENCH_delta_closure.json).  The step-count tests pin the value.
 _WALK_BUDGET = 32
 
 
@@ -288,7 +330,8 @@ def export_dot(system: PtegSystem, horizon: int) -> str:
     by (source, target) node index; identical inputs give identical bytes.
     Arcs leaving stage k reach stage k-1 (backward block), k (within) and
     k+1 (forward), read in that order straight from the blocks, so the cost
-    is O(horizon * n^2) and the unrolled matrix is never built.
+    is O(horizon * n^2) and the unrolled matrix is never built.  Each block
+    is read, and each of its labels formatted, once, not once per stage.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -297,25 +340,28 @@ def export_dot(system: PtegSystem, horizon: int) -> str:
     for stage in range(1, horizon + 1):
         for i in range(1, n + 1):
             lines.append(f'  x{i}_{stage} [label="x_{i}({stage})"];')
+    # per block, per source event: (target event, label suffix) of its arcs
+    arcs = [
+        [
+            [
+                (i + 1, f' [label="{format_scalar(w)}"];')
+                for i, w in enumerate(column)
+                if w != NEG_INF
+            ]
+            for column in zip(*block.to_rows())
+        ]
+        for block in (system.backward, system.within, system.forward)
+    ]
     for stage in range(1, horizon + 1):
         reach = [
-            (target, block.to_rows())
-            for target, block in (
-                (stage - 1, system.backward),
-                (stage, system.within),
-                (stage + 1, system.forward),
-            )
+            (f"_{target}", block)
+            for target, block in zip((stage - 1, stage, stage + 1), arcs)
             if 1 <= target <= horizon
         ]
         for j in range(n):
-            for target, rows in reach:
-                for i in range(n):
-                    w = rows[i][j]
-                    if w == NEG_INF:
-                        continue
-                    lines.append(
-                        f'  x{j + 1}_{stage} -> x{i + 1}_{target}'
-                        f' [label="{format_scalar(w)}"];'
-                    )
+            source = f"  x{j + 1}_{stage} -> x"
+            for target, block in reach:
+                for i, label in block[j]:
+                    lines.append(f"{source}{i}{target}{label}")
     lines.append("}")
     return "\n".join(lines) + "\n"

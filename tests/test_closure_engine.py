@@ -1,5 +1,7 @@
 """The shared closure engine against the full-length loops it replaced."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,8 +30,8 @@ from maxplus import (
     synthesize_trajectory,
     validate_trajectory,
 )
-from maxplus import invariance, precedence
-from maxplus.matrix import product_star
+from maxplus import invariance, matrix, precedence
+from maxplus.matrix import aligned, product_star
 
 from conftest import TWO_NODE, make_railway
 from helpers import (
@@ -40,6 +42,7 @@ from helpers import (
     identity,
     closure_sequence_full,
     iterate_shrink_full,
+    random_matrix,
     report_fields,
     roundtrip_full,
     shrink_generator_unrolled,
@@ -82,9 +85,9 @@ def count_steps(monkeypatch):
     calls = [0]
     step = precedence._next_closure
 
-    def counted(system, current):
+    def counted(system, current, *, previous=None):
         calls[0] += 1
-        return step(system, current)
+        return step(system, current, previous=previous)
 
     monkeypatch.setattr(precedence, "_next_closure", counted)
     return calls
@@ -397,12 +400,14 @@ def walk_operands(monkeypatch):
     entries = []
     step = precedence._next_closure
 
-    def recorded(system, current):
+    def recorded(system, current, *, previous=None):
         operands = (system.within, system.backward, system.forward, current)
+        if previous is not None:
+            operands += (previous,)
         assert len({m._scale for m in operands}) == 1
         for m in operands:
             entries.extend(stored_entries(m))
-        return step(system, current)
+        return step(system, current, previous=previous)
 
     monkeypatch.setattr(precedence, "_next_closure", recorded)
     return entries
@@ -606,6 +611,91 @@ def test_product_star_on_any_operands(operands):
     assert result == expected and result.to_rows() == expected.to_rows()
 
 
+def reclosed_with_oracle(closed, grown, before, left, right):
+    """``_reclose`` and ``(closed + left @ delta @ right).star()``."""
+    delta = TropicalMatrix._wrap(
+        tuple(
+            tuple(x if x != y else NEG_INF for x, y in zip(g, b))
+            for g, b in zip(grown._data, before._data)
+        ),
+        closed._scale,
+    )
+    expected = (closed + left @ delta @ right).star()
+    return matrix._reclose(closed, grown, before, left, right), expected
+
+
+@st.composite
+def reclose_operands(draw):
+    """``(base, left, right, before, more)`` at one scale, free of +inf.
+
+    Dense outer blocks give several grown entries per new arc.  Outer
+    entries up to +2 and grown entries up to 0 give positive circuits in
+    about a third of the results; up to +4 and +9, in most of them.
+    """
+    n = draw(st.integers(1, 6))
+    hi, grown = draw(st.sampled_from(((2, (-15, 0)), (4, (-9, 9)))))
+    bounds = ((-6, 0), (-6, hi), (-6, hi), grown, grown)
+    return aligned(*(draw(kernel_matrix(n, lo, up, False)) for lo, up in bounds))
+
+
+@settings(max_examples=150)
+@given(reclose_operands(), st.booleans())
+def test_reclose_on_any_operands(operands, outer):
+    """``_reclose`` is ``(closed + left @ delta @ right).star()``.
+
+    ``delta`` holds the entries in which ``grown`` exceeds ``before``;
+    without outer factors it is added as it is.
+    """
+    base, left, right, before, more = operands
+    closed, grown = base.star(), before + more
+    if outer:
+        result, expected = reclosed_with_oracle(closed, grown, before, left, right)
+    else:
+        eye = identity(base.rows)
+        expected = reclosed_with_oracle(closed, grown, before, eye, eye)[1]
+        result = matrix._reclose(closed, grown, before)
+    assert result == expected and result.to_rows() == expected.to_rows()
+    assert (result is closed) == (expected == closed)
+
+
+@pytest.mark.parametrize("hi, lo", [(2, -15), (1, -12)])
+def test_reclose_on_dense_operands(hi, lo):
+    """Many grown entries lead to each new arc; the greatest must be kept.
+
+    Some of the results hold +inf.
+    """
+    rng = random.Random(4405 + hi)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        closed = random_matrix(rng, n, -6, 0, 0.7).star()
+        left, right = (random_matrix(rng, n, -6, hi, 0.7) for _ in range(2))
+        before = random_matrix(rng, n, lo, 0, 0.7)
+        grown = before + random_matrix(rng, n, lo, 0, 0.7)
+        result, expected = reclosed_with_oracle(closed, grown, before, left, right)
+        assert result == expected
+
+
+def test_reclose_saturates_every_new_positive_circuit():
+    """Two new positive circuits, one per component of ``closed``."""
+    closed = TropicalMatrix(
+        [[0, -1, NEG_INF, NEG_INF], [-1, 0, NEG_INF, NEG_INF],
+         [NEG_INF, NEG_INF, 0, -1], [NEG_INF, NEG_INF, -1, 0]]
+    )
+    grown = TropicalMatrix(
+        [[NEG_INF, 2, NEG_INF, NEG_INF], [NEG_INF] * 4,
+         [NEG_INF, NEG_INF, NEG_INF, 2], [NEG_INF] * 4]
+    )
+    eye = identity(4)
+    result, expected = reclosed_with_oracle(
+        closed, grown, TropicalMatrix.epsilon(4), eye, eye
+    )
+    assert result == expected
+    assert result.to_rows() == tuple(
+        (POS_INF,) * 2 + (NEG_INF,) * 2 if i < 2 else (NEG_INF,) * 2 + (POS_INF,) * 2
+        for i in range(4)
+    )
+
+
 def test_product_star_checks_shapes():
     square, wide = TropicalMatrix.epsilon(2), TropicalMatrix([[0, 0, 0]] * 2)
     with pytest.raises(DimensionMismatch):
@@ -615,19 +705,164 @@ def test_product_star_checks_shapes():
 
 
 def test_block_entries_are_listed_once(monkeypatch):
-    """A walk lists each block's entries once and reuses that list every step."""
+    """A walk lists each block's entries once and reuses that list every step.
+
+    The first step reads the rows of both outer blocks; each later step
+    re-closes its predecessor, reading backward's columns and forward's rows.
+    """
     returned = []
-    arcs = TropicalMatrix._arcs
 
-    def recorded(matrix):
-        result = arcs(matrix)
-        returned.append((matrix, result))
-        return result
+    def recording(name):
+        listed = getattr(TropicalMatrix, name)
 
-    monkeypatch.setattr(TropicalMatrix, "_arcs", recorded)
+        def recorded(matrix):
+            result = listed(matrix)
+            returned.append((matrix, name, result))
+            return result
+
+        return recorded
+
+    for name in ("_arcs", "_column_arcs"):
+        monkeypatch.setattr(TropicalMatrix, name, recording(name))
     system = make_railway(Fraction("-13.9"))
     assert len(closure_sequence(system, 20)) == 21
     assert len(returned) == 40
     for block in (system.backward, system.forward):
-        lists = [result for matrix, result in returned if matrix is block]
-        assert len(lists) == 20 and all(result is lists[0] for result in lists)
+        lists = [(name, result) for matrix, name, result in returned if matrix is block]
+        assert len(lists) == 20
+        for kind in ("_arcs", "_column_arcs"):
+            kept = [result for name, result in lists if name == kind]
+            assert all(result is kept[0] for result in kept)
+    kinds = [name for matrix, name, _ in returned if matrix is system.backward]
+    assert kinds == ["_arcs"] + ["_column_arcs"] * 19
+    assert {name for matrix, name, _ in returned if matrix is system.forward} == {"_arcs"}
+
+
+# The re-closing walk: after its first step, each closure step is handed its
+# predecessor and re-closes only what the last step grew.
+WALK_DENOMINATORS = st.sampled_from([1, 2, 3, 7, 1009, 10**400])
+
+
+@st.composite
+def walk_systems(draw, max_n=5):
+    """Time windows around a 1-periodic schedule, some of them too tight.
+
+    Each finite entry (0 to 100% are -inf) lies a drawn slack of 0 to 6
+    below what the schedule ``p_i + k * lam`` allows, except that backward
+    arcs allow ``drift`` more: a circuit running m occurrences ahead and
+    back gains ``m * drift`` against its slack.  So walks grow for a while,
+    and many reach +inf late and go on past it.
+    """
+    n = draw(st.integers(1, max_n))
+    tenths = draw(st.integers(0, 10))
+    den = draw(WALK_DENOMINATORS)
+    p = [draw(st.integers(0, 20)) for _ in range(n)]
+    lam = draw(st.integers(1, 6))
+    drift = Fraction(draw(st.integers(0, 2)), draw(st.integers(1, 8)))
+
+    def block(shift):
+        def entry(i, j):
+            if draw(st.integers(0, 9)) < tenths:
+                return NEG_INF
+            return p[i] - p[j] + shift - Fraction(draw(st.integers(0, 6 * den)), den)
+
+        return TropicalMatrix([[entry(i, j) for j in range(n)] for i in range(n)])
+
+    return PtegSystem(
+        dynamics=block(lam),
+        backward=block(drift - lam),
+        within=block(0),
+        extra_forward=block(lam),
+    )
+
+
+def typed(matrix):
+    return [[(type(v), v) for v in row] for row in matrix.to_rows()]
+
+
+@settings(max_examples=120)
+@given(st.one_of(walk_systems(), railways))
+@example(make_railway(Fraction("-13.5")))
+@example(make_railway(-14))
+@example(make_railway(Fraction("-14.123")))
+@example(TWO_NODE)
+def test_reclosing_walk_matches_the_full_oracle(system):
+    """Closures 0-12 of the walk, and each step given its predecessor.
+
+    The railway at ell = -13.5 first holds +inf at closure 5, so its walk
+    runs seven closures past it.
+    """
+    expected = closure_sequence_full(system, 12)
+    walk = itertools.islice(precedence._closures(system), 13)
+    for (_, closure, _), oracle in zip(walk, expected):
+        assert closure == oracle
+        assert typed(closure) == typed(oracle)
+    for k in range(1, 12):
+        step = precedence._next_closure(system, expected[k], previous=expected[k - 1])
+        assert step == closure_step_full(system, expected[k]) == expected[k + 1]
+        assert typed(step) == typed(expected[k + 1])
+
+
+@settings(max_examples=40)
+@given(walk_systems(max_n=3))
+@example(make_railway(Fraction("-13.9")))
+@example(make_railway(-14))
+def test_reclosed_generators_match_the_oracles(system):
+    """Generators 0-9 against fresh assembly, 0-3 against the unrolled star."""
+    closures = closure_sequence_full(system, 10)
+    roundtrip = roundtrip_full(system)
+    generators = list(itertools.islice(invariance._generators(system), 10))
+    for k, generator in enumerate(generators):
+        anchored = (closures[k] + roundtrip).star()
+        fresh = invariance._assemble_generator(system, closures[k + 1], anchored)
+        assert generator == fresh and typed(generator) == typed(fresh)
+    for k in range(4):
+        assert generators[k] == shrink_generator_unrolled(system, k)
+    assert shrink_generator(system, 3) == generators[3]
+
+
+@pytest.fixture
+def step_pivots(monkeypatch):
+    """Per closure step: ``(previous given, pivots of each Floyd-Warshall pass)``.
+
+    A pass run outside a closure step is not recorded.
+    """
+    steps, inside = [], []
+    closure = matrix._closure
+    step = precedence._next_closure
+
+    def counted_closure(d, pivots=None):
+        if inside:
+            inside[-1].append(len(d) if pivots is None else len(pivots))
+        return closure(d, pivots)
+
+    def counted_step(system, current, *, previous=None):
+        passes = []
+        steps.append((previous is not None, passes))
+        inside.append(passes)
+        try:
+            return step(system, current, previous=previous)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(matrix, "_closure", counted_closure)
+    monkeypatch.setattr(precedence, "_next_closure", counted_step)
+    return steps
+
+
+@pytest.mark.parametrize("system", [make_railway(-14), make_railway(Fraction("-14.5"))])
+def test_repeat_step_runs_no_star(step_pivots, system):
+    verdict = check_consistency(system)
+    assert verdict.kind is ConsistencyKind.CONSISTENT
+    assert len(step_pivots) >= 2
+    assert step_pivots[-1] == (True, [])
+
+
+def test_railway_steps_pivot_over_one_node(step_pivots):
+    """At ell = -13.99 each step after a walk's first adds arcs from one tail."""
+    verdict = check_consistency(make_railway(Fraction("-13.99")), 2100)
+    assert verdict.first_divergent == 201
+    reclosed = [passes for given, passes in step_pivots if given]
+    assert len(reclosed) == 32
+    assert all(passes == [1] for passes in reclosed)
+    assert all(passes == [4] for given, passes in step_pivots if not given)
