@@ -18,7 +18,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterator
 
-from .matrix import TropicalMatrix, _reclose, product_star
+from .matrix import TropicalMatrix, product_star
 from .precedence import PtegSystem, _closures, _stopping_closure
 from .pteg import _probe_bound
 
@@ -35,9 +35,12 @@ def roundtrip_closure(system: PtegSystem) -> TropicalMatrix:
 
 
 def _assemble_generator(
-    system: PtegSystem, closure_k1: TropicalMatrix, anchored: TropicalMatrix
+    system: PtegSystem,
+    closure_k: TropicalMatrix,
+    closure_k1: TropicalMatrix,
+    roundtrip: TropicalMatrix,
 ) -> TropicalMatrix:
-    """Generator k from closure k+1 and ``anchored = (closure_k + roundtrip)*``."""
+    anchored = (closure_k + roundtrip).star()
     return TropicalMatrix.from_blocks(
         [
             [closure_k1, closure_k1 @ system.backward @ anchored],
@@ -47,27 +50,12 @@ def _assemble_generator(
 
 
 def _generators(system: PtegSystem, start: int = 0) -> Iterator[TropicalMatrix]:
-    """Generators ``start``, ``start + 1``, ...; generator k reads closures k, k+1.
-
-    It also reads ``anchored_k = (closure_k + roundtrip)*``.  The closures
-    only grow, so ``anchored_(k+1) = (anchored_k + closure_(k+1))*``: the
-    matrix starred on the right lies between ``closure_(k+1) + roundtrip``
-    and its star.  Where closure k+1 equals closure k it adds nothing to
-    ``anchored_k``, so ``anchored_k`` is re-closed over the entries that grew
-    (see :func:`~maxplus.matrix._reclose`) while both are free of +inf, and
-    starred afresh otherwise.
-    """
+    """Generators ``start``, ``start + 1``, ...; generator k reads closures k, k+1."""
     roundtrip = roundtrip_closure(system)
     closures = (closure for _, closure, _ in _closures(system))
     pairs = itertools.islice(itertools.pairwise(closures), start, None)
-    anchored = before = None
     for closure_k, closure_k1 in pairs:
-        if before is None or not (anchored.rmax_valued and closure_k.rmax_valued):
-            anchored = (closure_k + roundtrip).star()
-        else:
-            anchored = _reclose(anchored, closure_k, before)
-        yield _assemble_generator(system, closure_k1, anchored)
-        before = closure_k
+        yield _assemble_generator(system, closure_k, closure_k1, roundtrip)
 
 
 def shrink_generator(system: PtegSystem, k: int) -> TropicalMatrix:
@@ -162,8 +150,8 @@ def iterate_shrink(
     probe = _probe_bound(system.size, probe_bound)
     j, closure, fixed = _stopping_closure(system, probe + 2)
     if fixed:
-        anchored = (closure + roundtrip_closure(system)).star()
-        stable = _assemble_generator(system, closure, anchored)
+        roundtrip = roundtrip_closure(system)
+        stable = _assemble_generator(system, closure, closure, roundtrip)
         return InvarianceReport(
             InvarianceKind.CONVERGED_NON_EMPTY, max(j, 2) - 2, system, stable
         )

@@ -434,38 +434,34 @@ def _reclose(
     closed: TropicalMatrix,
     grown: TropicalMatrix,
     before: TropicalMatrix,
-    left: TropicalMatrix | None = None,
-    right: TropicalMatrix | None = None,
+    left: TropicalMatrix,
+    right: TropicalMatrix,
 ) -> TropicalMatrix:
     """``(closed + left @ delta @ right).star()`` for a star ``closed``.
 
     ``delta`` holds the entries in which ``grown`` exceeds ``before`` (-inf
-    elsewhere); ``left`` and ``right`` default to the identity.  All five
-    share one scale, ``closed`` and ``grown`` are free of +inf, and
-    ``before <= grown``.  Each grown entry (s, t) adds the arcs
-    ``left[:, s] + grown[s, t] + right[t, :]``, read from the entries of
-    ``left``'s columns and ``right``'s rows other than -inf, listed once per
-    matrix (see ``_arcs``).  Only the arcs above ``closed`` are kept, as the
-    set E; with none, ``closed`` itself is returned, since it is a star.
+    elsewhere).  All five share one scale, ``closed`` and ``grown`` are
+    free of +inf, and ``before <= grown``.  Each grown entry (s, t) adds
+    the arcs ``left[:, s] + grown[s, t] + right[t, :]``, read from the
+    entries of ``left``'s columns and ``right``'s rows other than -inf,
+    listed once per matrix (see ``_arcs``).  Only the arcs above
+    ``closed`` are kept, as the set E; with none, ``closed`` itself is
+    returned, since it is a star.
 
     Otherwise every walk of ``closed + E`` alternates walks of ``closed``
     and arcs of E, and ``closed`` absorbs its own walks (``closed @ closed
-    = closed``, diagonal 0).  So it is a walk of ``closed + closed @ E``
-    whose inner nodes are tails of E (an arc of E followed by a walk of
-    ``closed`` is one arc of ``closed @ E``), and a walk of ``closed + E @
-    closed`` whose inner nodes are heads.  Both matrices lie between
-    ``closed + E`` and its star, so their stars are that star, and
-    Floyd-Warshall needs to pivot only over those inner nodes; the smaller
-    set of the two is used.  A positive circuit of ``closed + E`` holds an
-    arc of E, so it passes through such a node, which therefore carries a
-    positive diagonal and reaches, and is reached by, the same nodes: the
-    +inf saturation marks the same pairs as the full star does.
+    = closed``, diagonal 0).  An arc of E followed by a walk of ``closed``
+    is one arc of ``closed @ E``, so every such walk is a walk of ``closed
+    + closed @ E`` whose inner nodes are tails of E.  That matrix lies
+    between ``closed + E`` and its star, so its star is that star, and
+    Floyd-Warshall needs to pivot only over the tails.  A positive circuit
+    of ``closed + E`` holds an arc of E, so it passes through a tail, which
+    therefore carries a positive diagonal and reaches, and is reached by,
+    the same nodes: the +inf saturation marks the same pairs as the full
+    star does.
     """
     width = closed.cols
-    if left is None or right is None:
-        identity = tuple(((j, 0),) for j in range(width))
-    sources = identity if left is None else left._column_arcs()
-    targets = identity if right is None else right._arcs()
+    sources, targets = left._column_arcs(), right._arcs()
     c = closed._data
     arcs: dict[tuple[int, int], Scalar] = {}  # (head, tail) -> weight
     for s, (g, b) in enumerate(zip(grown._data, before._data)):
@@ -488,23 +484,12 @@ def _reclose(
     if not arcs:
         return closed
     d = [list(row) for row in c]
-    heads = {i for i, _ in arcs}
-    tails = {j for _, j in arcs}
-    if len(tails) <= len(heads):
-        for (t, s), w in arcs.items():  # closed @ E: arc s -> t, then closed
-            for di, ci in zip(d, c):
-                x = ci[t]
-                if x != NEG_INF and x + w > di[s]:
-                    di[s] = x + w
-        pivots = tails
-    else:
-        for (t, s), w in arcs.items():  # E @ closed: closed, then arc s -> t
-            dt = d[t]
-            for j, x in enumerate(c[s]):
-                if x != NEG_INF and w + x > dt[j]:
-                    dt[j] = w + x
-        pivots = heads
-    return _star(d, closed._scale, sorted(pivots))
+    for (t, s), w in arcs.items():  # closed @ E: arc s -> t, then closed
+        for di, ci in zip(d, c):
+            x = ci[t]
+            if x != NEG_INF and x + w > di[s]:
+                di[s] = x + w
+    return _star(d, closed._scale, sorted({s for _, s in arcs}))
 
 
 def image_member(star_matrix: TropicalMatrix, vector: Sequence) -> bool:

@@ -13,8 +13,8 @@ builds the result in one grid from the entries of the two outer blocks
 other than -inf, listed once per system.  The closures only grow, so each
 later step re-closes the last closure over the arcs that the entries it
 grew by add (:func:`~maxplus.matrix._reclose`): a step that adds no arc
-above it costs no star, and Floyd-Warshall pivots only over the ends of
-the new arcs.  Where the recurrence first stops (a +inf entry or a
+above it costs no star, and Floyd-Warshall pivots only over the tails
+of the new arcs.  Where the recurrence first stops (a +inf entry or a
 repeat) is found by :func:`_stopping_closure` in O(log k) compositions of
 boundary segments, whole stretches of the unrolling eliminated down to
 their first and last stage, once a short walk has not stopped.  The three
@@ -126,9 +126,15 @@ def _next_closure(
     X)*: the left side lies between M oplus X and its star.  With M =
     M_{k-1} that is the identity.  C_k is a star free of +inf, so it
     absorbs its own walks, and every walk of C_k oplus E, for the set E of
-    new arcs that exceed C_k, switches between C_k and E only at a tail (or
-    a head) of E: pivoting Floyd-Warshall over those nodes is enough.  A
-    step that adds no arc above C_k returns ``current`` itself.
+    new arcs that exceed C_k, enters C_k only at a head of E and leaves it
+    only at a tail: folding each arc of E and the walk of C_k after it into
+    one arc of C_k @ E, pivoting Floyd-Warshall over the tails is enough.
+    A step that adds no arc above C_k returns ``current`` itself.
+
+    A first step could re-close too, with delta all of C_k, but then E is
+    nearly dense and building C_k @ E costs more than the pivots it
+    saves: on the consistency corpus that ran about 40% slower than
+    ``product_star`` (BENCH_delta_closure.json, ``first_step_ms``).
 
     Either way the result must not lie below ``current``; a closure
     sequence that shrinks is an internal error.

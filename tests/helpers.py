@@ -244,22 +244,17 @@ def iterate_shrink_full(system: PtegSystem, probe_bound: int | None = None):
     """
     probe = 10 * system.size**2 if probe_bound is None else probe_bound
     roundtrip = roundtrip_full(system)
-
-    def assembled(closure_k, closure_k1):
-        anchored = (closure_k + roundtrip).star()
-        return _assemble_generator(system, closure_k1, anchored)
-
     closure_k = system.within.star()
     closure_k1 = closure_step_full(system, closure_k)
     generators = []
     for k in range(probe + 1):
-        generator = assembled(closure_k, closure_k1)
+        generator = _assemble_generator(system, closure_k, closure_k1, roundtrip)
         generators.append(generator)
         if not generator.rmax_valued:
             return InvarianceKind.REAL_EMPTY_AT_STEP, k, None, tuple(generators)
         closure_k2 = closure_step_full(system, closure_k1)
         if closure_k2 == closure_k1:
-            stable = assembled(closure_k1, closure_k2)
+            stable = _assemble_generator(system, closure_k1, closure_k2, roundtrip)
             generators.append(stable)
             return InvarianceKind.CONVERGED_NON_EMPTY, k, stable, tuple(generators)
         closure_k, closure_k1 = closure_k1, closure_k2

@@ -644,16 +644,13 @@ def test_reclose_on_any_operands(operands, outer):
     """``_reclose`` is ``(closed + left @ delta @ right).star()``.
 
     ``delta`` holds the entries in which ``grown`` exceeds ``before``;
-    without outer factors it is added as it is.
+    with identity outer factors it is added as it is.
     """
     base, left, right, before, more = operands
     closed, grown = base.star(), before + more
-    if outer:
-        result, expected = reclosed_with_oracle(closed, grown, before, left, right)
-    else:
-        eye = identity(base.rows)
-        expected = reclosed_with_oracle(closed, grown, before, eye, eye)[1]
-        result = matrix._reclose(closed, grown, before)
+    if not outer:
+        left = right = identity(base.rows)
+    result, expected = reclosed_with_oracle(closed, grown, before, left, right)
     assert result == expected and result.to_rows() == expected.to_rows()
     assert (result is closed) == (expected == closed)
 
@@ -803,24 +800,6 @@ def test_reclosing_walk_matches_the_full_oracle(system):
         assert typed(step) == typed(expected[k + 1])
 
 
-@settings(max_examples=40)
-@given(walk_systems(max_n=3))
-@example(make_railway(Fraction("-13.9")))
-@example(make_railway(-14))
-def test_reclosed_generators_match_the_oracles(system):
-    """Generators 0-9 against fresh assembly, 0-3 against the unrolled star."""
-    closures = closure_sequence_full(system, 10)
-    roundtrip = roundtrip_full(system)
-    generators = list(itertools.islice(invariance._generators(system), 10))
-    for k, generator in enumerate(generators):
-        anchored = (closures[k] + roundtrip).star()
-        fresh = invariance._assemble_generator(system, closures[k + 1], anchored)
-        assert generator == fresh and typed(generator) == typed(fresh)
-    for k in range(4):
-        assert generators[k] == shrink_generator_unrolled(system, k)
-    assert shrink_generator(system, 3) == generators[3]
-
-
 @pytest.fixture
 def step_pivots(monkeypatch):
     """Per closure step: ``(previous given, pivots of each Floyd-Warshall pass)``.
@@ -859,10 +838,12 @@ def test_repeat_step_runs_no_star(step_pivots, system):
 
 
 def test_railway_steps_pivot_over_one_node(step_pivots):
-    """At ell = -13.99 each step after a walk's first adds arcs from one tail."""
+    """At ell = -13.99 each step after a walk's first adds arcs from one tail.
+
+    The one step walked after the search adds arcs from two.
+    """
     verdict = check_consistency(make_railway(Fraction("-13.99")), 2100)
     assert verdict.first_divergent == 201
     reclosed = [passes for given, passes in step_pivots if given]
-    assert len(reclosed) == 32
-    assert all(passes == [1] for passes in reclosed)
+    assert reclosed == [[1]] * 31 + [[2]]
     assert all(passes == [4] for given, passes in step_pivots if not given)
