@@ -46,11 +46,6 @@ EXIT_INFEASIBLE = 4
 EXIT_INTERNAL = 5
 
 
-def _text_rows(rows) -> list[list[str]]:
-    """Rows of scalars, such as a matrix or a trajectory's states, as text."""
-    return [[format_scalar(v) for v in row] for row in rows]
-
-
 def _load_system(args) -> PtegSystem:
     params = {}
     for pair in args.param:
@@ -83,13 +78,13 @@ def cmd_check(args) -> int:
             "n": n,
             "probe_bound": closure_limit(n, args.probe_bound),
             "fixed_closure": (
-                _text_rows(verdict.fixed_closure) if verdict.fixed_closure else None
+                verdict.fixed_closure.text_rows() if verdict.fixed_closure else None
             ),
             "first_divergent": verdict.first_divergent,
             "verified_up_to": verdict.verified_up_to,
         }
         if closures is not None:
-            doc["closures"] = [_text_rows(m) for m in closures]
+            doc["closures"] = [m.text_rows() for m in closures]
         print(json.dumps(doc, indent=2))
         return code
 
@@ -122,13 +117,13 @@ def cmd_invariant(args) -> int:
             "classification": report.kind.value,
             "step": report.step,
             "invariant_generator": (
-                _text_rows(report.invariant_generator)
+                report.invariant_generator.text_rows()
                 if report.invariant_generator
                 else None
             ),
         }
         if args.emit_s:
-            doc["generators"] = [_text_rows(m) for m in report.generators]
+            doc["generators"] = [m.text_rows() for m in report.generators]
         print(json.dumps(doc, indent=2))
         return 0
 
@@ -163,7 +158,8 @@ def cmd_trajectory(args) -> int:
     if not validate_trajectory(system, trajectory):
         raise RuntimeError("synthesized trajectory failed validation")
 
-    states = _text_rows(trajectory.states)  # the inputs u(k) = x(k+1) are states[1:]
+    # the inputs u(k) = x(k+1) are states[1:]
+    states = [[format_scalar(v) for v in row] for row in trajectory.states]
     if args.format == "json":
         doc = {"horizon": trajectory.horizon, "states": states, "inputs": states[1:]}
         print(json.dumps(doc, indent=2))

@@ -12,7 +12,10 @@ of their denominators, and computes on those ``int``s, which is much faster
 than ``Fraction`` arithmetic.  Operands of two scales are first brought to
 the LCM of both.  Values are divided back only when they are read, into the
 same exact values, normalized (an integral value is always an ``int``).
+Text is written straight from the stored ``int``s (``text_rows``).
 
+:func:`_apply` is the product of a matrix and a vector of stored ``int``s,
+the step of the schedule sweeps of :mod:`maxplus.pteg`.
 :func:`product_star` computes ``(left @ middle @ right + base).star()``, the
 closure step of :mod:`maxplus.precedence`, in one grid, without the three
 intermediate matrices.  ``_reclose`` takes a later step from the one before
@@ -22,10 +25,11 @@ it: it re-closes a star over the arcs that a few grown entries add.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .semiring import NEG_INF, POS_INF, Scalar, as_scalar, format_scalar
+from .semiring import NEG_INF, POS_INF, Scalar, as_scalar, format_ratio
 
 
 class DimensionMismatch(ValueError):
@@ -260,16 +264,35 @@ class TropicalMatrix:
     def __le__(self, other: "TropicalMatrix") -> bool:
         self._check_same_shape(other)
         mine, theirs, _ = self._with(other)
-        return all(a <= b for ra, rb in zip(mine, theirs) for a, b in zip(ra, rb))
+        le = operator.le
+        return all(all(map(le, ra, rb)) for ra, rb in zip(mine, theirs))
+
+    def text_rows(self) -> list[list[str]]:
+        """The entries as :func:`~maxplus.semiring.format_scalar` writes them.
+
+        Read from the stored ``int``s: each is reduced against the scale by
+        their gcd, and each distinct stored value is formatted once.
+        """
+        scale = self._scale
+        texts = {NEG_INF: "-inf", POS_INF: "+inf"}
+        rows = []
+        for row in self._data:
+            out = []
+            for v in row:
+                text = texts.get(v)
+                if text is None:
+                    g = math.gcd(v, scale)
+                    text = texts[v] = format_ratio(v // g, scale // g)
+                out.append(text)
+            rows.append(out)
+        return rows
 
     def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(format_scalar(v) for v in row) for row in self.to_rows()
-        )
+        body = "; ".join(" ".join(row) for row in self.text_rows())
         return f"TropicalMatrix[{body}]"
 
     def __str__(self) -> str:
-        cells = [[format_scalar(v) for v in row] for row in self.to_rows()]
+        cells = self.text_rows()
         width = max(len(c) for row in cells for c in row)
         return "\n".join(" ".join(c.rjust(width) for c in row) for row in cells)
 
@@ -371,6 +394,27 @@ def aligned(*matrices: TropicalMatrix) -> tuple[TropicalMatrix, ...]:
         m if m._scale == scale else TropicalMatrix._wrap(m._grid_at(scale), scale)
         for m in matrices
     )
+
+
+def _apply(matrix: TropicalMatrix, vector: Sequence) -> list:
+    """``matrix @ vector`` on a list of stored values, as a list.
+
+    ``vector`` holds finite ``int``s at the matrix's scale; the result is at
+    that scale too, -inf where a row has no entry other than -inf.  Each row
+    runs over its entries other than -inf, listed once per matrix (see
+    ``_arcs``), so a matrix applied many times is scanned once.  The caller
+    guarantees that ``matrix`` is free of +inf, so only ``int``s are added
+    and no sum can overflow into a float.
+    """
+    out = []
+    for arcs in matrix._arcs():
+        best = NEG_INF
+        for j, v in arcs:
+            v += vector[j]
+            if v > best:
+                best = v
+        out.append(best)
+    return out
 
 
 def product_star(

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .matrix import DimensionMismatch, TropicalMatrix, _reclose, aligned, product_star
-from .semiring import NEG_INF, format_scalar
 
 
 @dataclass(frozen=True)
@@ -137,13 +136,14 @@ def _next_closure(
     ``product_star`` (BENCH_delta_closure.json, ``first_step_ms``).
 
     Either way the result must not lie below ``current``; a closure
-    sequence that shrinks is an internal error.
+    sequence that shrinks is an internal error.  ``current`` itself, a
+    repeat, needs no check.
     """
     if previous is None or not current.rmax_valued:
         nxt = product_star(system.backward, current, system.forward, system.within)
     else:
         nxt = _reclose(current, current, previous, system.backward, system.forward)
-    if not current <= nxt:
+    if nxt is not current and not current <= nxt:
         raise RuntimeError("closure sequence lost monotonicity")
     return nxt
 
@@ -350,11 +350,11 @@ def export_dot(system: PtegSystem, horizon: int) -> str:
     arcs = [
         [
             [
-                (i + 1, f' [label="{format_scalar(w)}"];')
+                (i + 1, f' [label="{w}"];')
                 for i, w in enumerate(column)
-                if w != NEG_INF
+                if w != "-inf"
             ]
-            for column in zip(*block.to_rows())
+            for column in zip(*block.text_rows())
         ]
         for block in (system.backward, system.within, system.forward)
     ]

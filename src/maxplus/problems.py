@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .matrix import TropicalMatrix
 from .precedence import PtegSystem
-from .semiring import POS_INF, parse_scalar
+from .semiring import POS_INF, Scalar, parse_scalar
 
 # Problem-file key -> PtegSystem field, in document order.
 MATRIX_FIELDS = {"A": "dynamics", "L": "backward", "C": "within", "Rtilde": "extra_forward"}
@@ -50,14 +50,26 @@ class ProblemFile:
     params: dict[str, str] = field(default_factory=dict)
 
     def instantiate(self, overrides: dict[str, str] | None = None) -> PtegSystem:
-        """Substitute parameters, parse every entry and build the system."""
+        """Substitute parameters, parse every entry and build the system.
+
+        Each distinct token is parsed once per call.  Only a token that
+        parsed is remembered, so a bad one fails where it first occurs in
+        document order and the error names that matrix.
+        """
         overrides = overrides or {}
         _reject_scalar_names(overrides)
         values = {**self.params, **overrides}
+        parsed: dict[str, Scalar] = {}
+
+        def entry(token: str, key: str) -> Scalar:
+            value = parsed.get(token)
+            if value is None:
+                value = parsed[token] = _resolve_entry(token, values, key)
+            return value
+
         matrices = {
             name: TropicalMatrix(
-                [[_resolve_entry(token, values, key) for token in row]
-                 for row in getattr(self, name)]
+                [[entry(token, key) for token in row] for row in getattr(self, name)]
             )
             for key, name in MATRIX_FIELDS.items()
         }

@@ -21,9 +21,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Sequence
 
-from .matrix import DimensionMismatch, TropicalMatrix, aligned
+from .matrix import DimensionMismatch, TropicalMatrix, _apply, aligned
 
 # The closure step is bound here too: per-step hooks, such as the tracing in
 # bench/, look it up as ``pteg._next_closure``.
@@ -197,9 +198,14 @@ def synthesize_trajectory(
     component is finite: b is finite and a star's diagonal is at least 0,
     so each component is at least its entry of b and never -inf.
 
-    The seed, the zero vector and the blocks are aligned to one scale once
-    (see :func:`~maxplus.matrix.aligned`), so neither sweep rescales an
-    operand.
+    The seed and the blocks are aligned to one scale once (see
+    :func:`~maxplus.matrix.aligned`); the closures share it.  Both sweeps
+    then run on lists of the stored ``int``s, as 4(K-1)+1 matrix-vector
+    products of :func:`~maxplus.matrix._apply`, each O(n^2) over the
+    matrix's entries other than -inf, listed once per matrix (a fixed
+    closure repeated as a tail is one object).  No matrix is built and no
+    operand rescaled; the values are divided back into exact scalars once,
+    when the :class:`Trajectory` is built.
     """
     if horizon < 2:
         raise ValueError("trajectory synthesis needs a horizon of at least 2")
@@ -213,12 +219,8 @@ def synthesize_trajectory(
         if not all(map(is_finite, seed_vec)):
             raise ValueError("seed components must be finite")
 
-    seed_col, zero, within, backward, forward = aligned(
-        TropicalMatrix.column(seed_vec),
-        TropicalMatrix.column((0,) * n),
-        system.within,
-        system.backward,
-        system.forward,
+    seed_col, within, backward, forward = aligned(
+        TropicalMatrix.column(seed_vec), system.within, system.backward, system.forward
     )
     system = PtegSystem(dynamics=forward, backward=backward, within=within)
     tails = []
@@ -231,16 +233,22 @@ def synthesize_trajectory(
             )
         tails.append(closure)
     tails.reverse()  # 0-based lists: tails[k] is T_{k+1}, r[k] is r_{k+1}
-    r = [zero] * horizon
-    r[0] = seed_col
+    # stored ints at the common scale; the zero vector is 0 at every scale
+    r = [[0] * n] * horizon
+    r[0] = [row[0] for row in seed_col._data]
     for k in range(horizon - 2, -1, -1):
-        r[k] = r[k] + system.backward @ (tails[k + 1] @ r[k + 1])
-    x = tails[0] @ r[0]
-    states = [x.column_values()]
+        via = _apply(system.backward, _apply(tails[k + 1], r[k + 1]))
+        r[k] = [a if a >= b else b for a, b in zip(r[k], via)]
+    x = _apply(tails[0], r[0])
+    states = [x]
     for k in range(1, horizon):
-        x = tails[k] @ (system.forward @ x + r[k])
-        states.append(x.column_values())
-    return Trajectory(states=tuple(states))
+        via = _apply(system.forward, x)
+        x = _apply(tails[k], [a if a >= b else b for a, b in zip(via, r[k])])
+        states.append(x)
+    scale = seed_col._scale
+    if scale != 1:
+        states = [[Fraction(v, scale) for v in x] for x in states]
+    return Trajectory(states=states)
 
 
 def validate_trajectory(system: PtegSystem, trajectory: Trajectory) -> bool:

@@ -28,6 +28,15 @@ def as_scalar(value) -> Scalar:
     (see :func:`parse_scalar`).  Finite floats are rejected because they
     would silently lose exactness.
     """
+    # Exact types first: Fraction's metaclass is ABCMeta, so every
+    # isinstance(v, Fraction) goes through abc.__instancecheck__.
+    kind = type(value)
+    if kind is int:
+        return value
+    if kind is Fraction:
+        return int(value) if value.denominator == 1 else value
+    if kind is float and (value == NEG_INF or value == POS_INF):
+        return value
     if isinstance(value, bool):
         raise TypeError("bool is not a max-plus scalar")
     if isinstance(value, int):
@@ -70,20 +79,28 @@ def format_scalar(value: Scalar) -> str:
     """Render a scalar exactly: infinity token, integer, decimal or ``p/q``.
 
     The output round-trips through :func:`parse_scalar` to the same value.
-    A decimal form is used whenever the denominator divides a power of ten.
-    Text with a run of digits past ``sys.get_int_max_str_digits()`` could
-    not be parsed back, so it raises ValueError naming the value's size.
+    See :func:`format_ratio` for the finite forms and the digit limit.
     """
     if isinstance(value, float):  # tested first: Fraction == float is slow
         if value == NEG_INF:
             return "-inf"
         if value == POS_INF:
             return "+inf"
+    if isinstance(value, int):
+        return format_ratio(value, 1)
+    return format_ratio(value.numerator, value.denominator)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """The exact text of ``num / den`` in lowest terms, ``den`` positive.
+
+    An integer, a decimal whenever the denominator divides a power of ten,
+    else ``p/q``.  Text with a run of digits past
+    ``sys.get_int_max_str_digits()`` could not be parsed back, so it raises
+    ValueError naming the value's size.
+    """
     digits = 0  # decimal places; only the decimal form has any
     try:
-        if isinstance(value, int):
-            return str(value)
-        num, den = value.numerator, value.denominator
         if den == 1:
             return str(num)
         rest, twos, fives = den, 0, 0
@@ -103,7 +120,7 @@ def format_scalar(value: Scalar) -> str:
         sign = "-" if num < 0 else ""
         return f"{sign}{whole}.{str(frac).zfill(digits)}"
     except ValueError:  # str() of an int past the limit, or the check above
-        widest = max(abs(value.numerator), value.denominator).bit_length()
+        widest = max(abs(num), den).bit_length()
         size = max(digits, widest * 30103 // 100000 + 1)  # log10(2) ~ 0.30103
         raise ValueError(
             f"cannot write a number of about {size} digits exactly:"

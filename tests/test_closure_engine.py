@@ -30,7 +30,7 @@ from maxplus import (
     synthesize_trajectory,
     validate_trajectory,
 )
-from maxplus import invariance, matrix, precedence
+from maxplus import invariance, matrix, precedence, pteg
 from maxplus.matrix import aligned, product_star
 
 from conftest import TWO_NODE, make_railway
@@ -508,11 +508,25 @@ def test_lowered_railway_state_is_rejected():
     assert not validate_trajectory_full(system, lowered)
 
 
-def test_synthesis_and_validation_compare_ints(monkeypatch):
-    """``@`` and ``<=`` read stored ``int``s; the caller's states stay exact.
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Each ``(matrix, vector)`` the sweep kernel is applied to, in order."""
+    calls = []
+    apply = pteg._apply
 
-    Synthesis aligns its operands once, so no product of its sweeps has to
-    bring two scales together.
+    def recorded(m, vector):
+        calls.append((m, list(vector)))
+        return apply(m, vector)
+
+    monkeypatch.setattr(pteg, "_apply", recorded)
+    return calls
+
+
+def test_synthesis_and_validation_compare_ints(monkeypatch, sweep_calls):
+    """The sweeps, ``@`` and ``<=`` read stored ``int``s; states stay exact.
+
+    Synthesis aligns its operands once, so every matrix of its sweeps is at
+    one scale and every vector holds ``int``s at that scale.
     """
     operands = []
     scale_pairs = []
@@ -530,11 +544,45 @@ def test_synthesis_and_validation_compare_ints(monkeypatch):
         monkeypatch.setattr(TropicalMatrix, name, recorded(method))
     system = make_railway(Fraction("-14.123"))
     trajectory = synthesize_trajectory(system, 40, RAILWAY_SEED)
-    assert scale_pairs and all(s == t for s, t in scale_pairs)
+    assert len(sweep_calls) == 4 * 39 + 1
+    assert len({m._scale for m, _ in sweep_calls}) == 1
+    assert sweep_calls[0][0]._scale > 1
+    assert all(type(v) is int for _, vector in sweep_calls for v in vector)
+    assert not [
+        v for m, _ in sweep_calls for v in stored_entries(m) if isinstance(v, Fraction)
+    ]
     assert validate_trajectory(system, trajectory)
+    assert scale_pairs and all(s == t for s, t in scale_pairs)
     assert any(isinstance(v, Fraction) for row in trajectory.states for v in row)
     assert len(operands) > 0
     assert not [v for v in operands if isinstance(v, Fraction)]
+
+
+@pytest.mark.parametrize("horizon", [2, 3, 7, 40])
+@pytest.mark.parametrize(
+    "system", [make_railway(Fraction("-14.123")), make_railway(-14), TWO_NODE]
+)
+def test_sweeps_make_no_matrix_product(monkeypatch, sweep_calls, system, horizon):
+    """Synthesis over K occurrences: no ``@`` and 4(K-1)+1 sweep products.
+
+    A closure that repeated is one object for every later tail, so the
+    kernel reads its entry lists from one cache.
+    """
+    products = []
+    matmul = TropicalMatrix.__matmul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(TropicalMatrix, "__matmul__", counted)
+    synthesize_trajectory(system, horizon)
+    assert products == []
+    assert len(sweep_calls) == 4 * (horizon - 1) + 1
+    assert len({id(m) for m, _ in sweep_calls[1::2]}) == 2  # backward, forward
+    tails = {id(m) for m, _ in sweep_calls[::2]}
+    fixed = first_repeat(system, horizon)
+    assert len(tails) == (horizon if fixed is None else min(horizon, fixed))
 
 
 # The closure-step kernel against the four generic operations it replaced.
@@ -835,6 +883,31 @@ def test_repeat_step_runs_no_star(step_pivots, system):
     assert verdict.kind is ConsistencyKind.CONSISTENT
     assert len(step_pivots) >= 2
     assert step_pivots[-1] == (True, [])
+
+
+@pytest.mark.parametrize("system", [make_railway(-14), make_railway(Fraction("-14.5"))])
+def test_repeat_step_compares_nothing(monkeypatch, system):
+    """Only a step that returns a new closure checks it against the last."""
+    steps = []
+    compare = TropicalMatrix.__le__
+    step = precedence._next_closure
+
+    def counted_compare(a, b):
+        steps[-1][1] += 1
+        return compare(a, b)
+
+    def counted_step(system, current, *, previous=None):
+        steps.append([None, 0])
+        nxt = step(system, current, previous=previous)
+        steps[-1][0] = nxt is current
+        return nxt
+
+    monkeypatch.setattr(TropicalMatrix, "__le__", counted_compare)
+    monkeypatch.setattr(precedence, "_next_closure", counted_step)
+    assert check_consistency(system).kind is ConsistencyKind.CONSISTENT
+    assert steps[-1] == [True, 0]
+    assert all(compares == 1 for repeat, compares in steps[:-1])
+    assert not any(repeat for repeat, _ in steps[:-1])
 
 
 def test_railway_steps_pivot_over_one_node(step_pivots):

@@ -13,8 +13,11 @@ from maxplus import (
     NotStarMatrix,
     TropicalMatrix,
     as_scalar,
+    format_scalar,
     image_member,
 )
+from maxplus import matrix
+from maxplus.matrix import aligned
 
 from helpers import (
     enumerate_path_star,
@@ -292,6 +295,40 @@ class TestScaling:
         assert len({half_twice, one}) == 1
         assert str(half_twice) == str(one) and repr(half_twice) == repr(one)
         assert TropicalMatrix([["1/3"]]) != TropicalMatrix([["1/2"]])
+
+
+def test_text_is_the_format_of_the_read_values():
+    """Text from the stored ints is the format of each read value, also
+    for a matrix stored at a multiple of its own scale."""
+    rng = random.Random(1406)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        m = random_fraction_matrix(rng, n)
+        other = TropicalMatrix([[Fraction(1, rng.choice([3, 7, 10**400]))]])
+        for version in (m, aligned(m, other)[0]):
+            expected = [[format_scalar(v) for v in row] for row in m.to_rows()]
+            assert version.text_rows() == expected
+            width = max(len(c) for row in expected for c in row)
+            assert str(version) == "\n".join(
+                " ".join(c.rjust(width) for c in row) for row in expected
+            )
+            assert repr(version) == "TropicalMatrix[{}]".format(
+                "; ".join(" ".join(row) for row in expected)
+            )
+
+
+def test_text_formats_each_distinct_value_once(monkeypatch):
+    formatted = []
+    format_ratio = matrix.format_ratio
+
+    def counted(num, den):
+        formatted.append(Fraction(num, den))
+        return format_ratio(num, den)
+
+    monkeypatch.setattr(matrix, "format_ratio", counted)
+    m = TropicalMatrix([["1/2", NEG, "1/2"], [0, "0.5", POS_INF], [NEG, 0, "7/3"]])
+    assert str(m) == " 0.5 -inf  0.5\n   0  0.5 +inf\n-inf    0  7/3"
+    assert sorted(formatted) == [0, Fraction(1, 2), Fraction(7, 3)]
 
 
 def test_ints_beyond_float_range_next_to_plus_inf():

@@ -9,7 +9,9 @@ from maxplus import (
     ProblemFormatError,
     parse_problem,
     parse_problem_file,
+    parse_scalar,
 )
+from maxplus import problems
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -143,3 +145,44 @@ def test_param_name_cannot_shadow_scalar_token():
         parse_problem(text)
     with pytest.raises(ProblemFormatError, match="shadow"):
         parse_problem(MINIMAL).instantiate({"0": "-5"})
+
+
+def test_each_distinct_token_is_parsed_once_per_call(monkeypatch):
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse_scalar(text)
+
+    problem = parse_problem_file(SAMPLES / "railway.json")
+    monkeypatch.setattr(problems, "parse_scalar", counted)
+    for _ in range(2):
+        parsed.clear()
+        problem.instantiate()
+        # 64 entries; "ell" is parsed as its value, "-14"
+        assert sorted(parsed) == sorted(["-14", "-inf", "0", "11", "14", "17", "9"])
+
+
+TWICE_BAD = """
+{"n": 2, "A": [["0", "1/2"], ["-inf", "0"]], "L": [["-inf", "delay"], ["-inf", "-1"]],
+ "C": [["-inf", "-inf"], ["-inf", "-inf"]], "Rtilde": [["delay", "-inf"], ["1/2", "0"]],
+ PARAMS}
+"""
+
+
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        ('"params": {}',
+         "entry 'delay' in matrix L is neither a scalar nor a known parameter"),
+        ('"params": {"delay": "soon"}', "parameter 'delay' has non-scalar value 'soon'"),
+        ('"params": {"delay": "+inf"}', "+inf is rejected in matrix L"),
+    ],
+)
+def test_bad_token_in_two_matrices_fails_at_its_first(params, message):
+    """A token that failed is not remembered: the first occurrence raises."""
+    problem = parse_problem(TWICE_BAD.replace("PARAMS", params))
+    with pytest.raises(ProblemFormatError) as raised:
+        problem.instantiate()
+    assert str(raised.value) == message
+    assert problem.instantiate({"delay": "-3"}).backward[0, 1] == -3

@@ -12,6 +12,7 @@ from maxplus import (
     is_finite,
     parse_scalar,
 )
+from maxplus.matrix import aligned
 
 
 # The semiring operations live in the matrix layer: entrywise max and the
@@ -80,6 +81,24 @@ class TestAsScalar:
     def test_bool_rejected(self):
         with pytest.raises(TypeError):
             as_scalar(True)
+
+    def test_subclasses_keep_their_values(self):
+        class IntLike(int):
+            pass
+
+        class FractionLike(Fraction):
+            pass
+
+        seven, three_quarters = IntLike(7), FractionLike(3, 4)
+        assert as_scalar(seven) is seven
+        assert as_scalar(three_quarters) is three_quarters
+        two = as_scalar(FractionLike(6, 3))
+        assert two == 2 and type(two) is int
+
+    @pytest.mark.parametrize("value", [0.0, -2.5, 1e300, float("nan")])
+    def test_every_finite_float_rejected(self, value):
+        with pytest.raises(TypeError, match="inexact"):
+            as_scalar(value)
 
     def test_infinities_pass(self):
         assert as_scalar(float("-inf")) == NEG_INF
@@ -181,6 +200,12 @@ class TestDigitLimit:
         with pytest.raises(ValueError) as raised:
             format_scalar(value)
         assert str(raised.value) == message
+        # a matrix prints from its stored ints, also at a multiple of the scale
+        single = TropicalMatrix([[value]])
+        for m in (single, aligned(single, TropicalMatrix([["1/7"]]))[0]):
+            with pytest.raises(ValueError) as raised:
+                m.text_rows()
+            assert str(raised.value) == message
 
     def test_decimal_digits_count_not_the_denominator(self):
         # 2**-10000 has a 3011-digit denominator but 10000 decimals
@@ -199,6 +224,7 @@ class TestDigitLimit:
     )
     def test_value_at_the_limit_round_trips(self, value):
         assert parse_scalar(format_scalar(value)) == value
+        assert TropicalMatrix([[value]]).text_rows() == [[format_scalar(value)]]
 
 
 def test_is_finite():
