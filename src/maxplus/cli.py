@@ -148,7 +148,7 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
-    seed = tuple(args.seed.split(",")) if args.seed else None
+    seed = None if args.seed is None else tuple(args.seed.split(","))
     system = _load_system(args)
     try:
         trajectory = synthesize_trajectory(system, args.horizon, seed)

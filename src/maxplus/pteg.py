@@ -19,9 +19,9 @@ reported as open, never guessed.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Sequence
 
 from .matrix import DimensionMismatch, TropicalMatrix, _apply, aligned
@@ -204,8 +204,8 @@ def synthesize_trajectory(
     products of :func:`~maxplus.matrix._apply`, each O(n^2) over the
     matrix's entries other than -inf, listed once per matrix (a fixed
     closure repeated as a tail is one object).  No matrix is built and no
-    operand rescaled; the values are divided back into exact scalars once,
-    when the :class:`Trajectory` is built.
+    operand rescaled; :meth:`~maxplus.matrix.TropicalMatrix.to_rows` divides
+    the states back into exact scalars once, at the end.
     """
     if horizon < 2:
         raise ValueError("trajectory synthesis needs a horizon of at least 2")
@@ -245,32 +245,30 @@ def synthesize_trajectory(
         via = _apply(system.forward, x)
         x = _apply(tails[k], [a if a >= b else b for a, b in zip(via, r[k])])
         states.append(x)
-    scale = seed_col._scale
-    if scale != 1:
-        states = [[Fraction(v, scale) for v in x] for x in states]
-    return Trajectory(states=states)
+    return Trajectory(TropicalMatrix._wrap(states, seed_col._scale).to_rows())
 
 
 def validate_trajectory(system: PtegSystem, trajectory: Trajectory) -> bool:
     """Exact check of all three inequality families over the whole horizon.
 
-    Two consecutive states stacked, ``[x(k); x(k+1)]``, must satisfy the
-    paired-state lift ``xbar >= [[within, backward], [forward, within]] @
-    xbar``, whose rows are the within family at both occurrences, the
-    backward family and the forward family.  So the stacked pairs, one per
-    column, are built once, aligned with that constraint matrix once (see
-    :func:`~maxplus.matrix.aligned`), and checked by one product.  A single
-    state only has the within family to meet.
+    Each state x(k) must meet ``within @ x(k) <= x(k)``, and each pair of
+    consecutive states ``backward @ x(k+1) <= x(k)`` and ``forward @ x(k)
+    <= x(k+1)``.  The states are stored once, as the rows of one matrix
+    aligned with the blocks (see :func:`~maxplus.matrix.aligned`), so the
+    3K-2 products over K states are :func:`~maxplus.matrix._apply` sweeps
+    of stored ``int``s: no product matrix is built, nothing divided back.
     """
-    n = system.size
-    states = trajectory.states
-    if any(len(row) != n for row in states):
+    rows = trajectory.states
+    if any(len(row) != system.size for row in rows):
         raise DimensionMismatch("trajectory width does not match the system")
-    blocks = [[system.within, system.backward], [system.forward, system.within]]
-    pairs = [x + y for x, y in zip(states, states[1:])]
-    if not pairs:
-        blocks, pairs = [[system.within]], states
-    constraint, stacked = aligned(
-        TropicalMatrix.from_blocks(blocks), TropicalMatrix(zip(*pairs))
+    stored, within, backward, forward = aligned(
+        TropicalMatrix(rows), system.within, system.backward, system.forward
     )
-    return constraint @ stacked <= stacked
+    states = stored._data
+    if not all(all(map(operator.le, _apply(within, x), x)) for x in states):
+        return False
+    return all(
+        all(map(operator.le, _apply(backward, y), x))
+        and all(map(operator.le, _apply(forward, x), y))
+        for x, y in zip(states, states[1:])
+    )

@@ -140,6 +140,15 @@ class TestTrajectory:
         first = [parse_scalar(v) for v in out.splitlines()[0].split(" = ")[1].split()]
         assert all(a >= b for a, b in zip(first, (1, 2, 3, 4)))
 
+    @pytest.mark.parametrize("seed", ["", " "])
+    def test_blank_seed_is_rejected(self, capsys, seed):
+        # an empty seed is a seed that does not parse, not a missing one
+        code, out, err = run(
+            capsys, "trajectory", RAILWAY, "--horizon", "2", "--seed", seed
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: not an exact scalar: {seed!r}\n"
+
     def test_exact_fractional_output(self, capsys):
         code, out, _ = run(
             capsys,

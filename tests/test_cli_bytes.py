@@ -10,10 +10,15 @@ keeps every digest; a deliberate output change re-records the file with::
     PYTHONPATH=src python tests/test_cli_bytes.py --record
 
 ``--check`` compares with the record using the standard library alone, so
-any interpreter the package supports can run it without pytest; it exits
-non-zero and lists the differing invocations when one differs::
+any interpreter the package supports can run it without pytest.  It prints
+the interpreter's version and exits non-zero when an invocation differs,
+listing each with its exit code and last stderr line::
 
     PYTHONPATH=src python3.10 tests/test_cli_bytes.py --check
+
+argparse quotes the choices of its ``invalid choice`` message on some
+interpreters and not on others (3.13.13 does not), so that one clause is
+hashed in its quoted form, whichever way it was written.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -113,16 +119,37 @@ def invocations() -> list[list[str]]:
     return out
 
 
-def digest(argv: list[str]) -> str:
+# argparse's own clause, e.g. "(choose from 'human', 'json')" or, on some
+# interpreters, "(choose from human, json)"
+CHOICES = re.compile(r"(: invalid choice: .*) \(choose from (.*)\)$", re.M)
+
+
+def canonical(stderr: str) -> str:
+    """``stderr`` with every choice list of argparse written quoted."""
+
+    def quoted(match):
+        names = (repr(name.strip("'")) for name in match.group(2).split(", "))
+        return f"{match.group(1)} (choose from {', '.join(names)})"
+
+    return CHOICES.sub(quoted, stderr)
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one invocation."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
-    payload = json.dumps([code, stdout.getvalue(), stderr.getvalue()])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def digest(outcome: tuple[int, str, str]) -> str:
+    code, stdout, stderr = outcome
+    payload = json.dumps([code, stdout, canonical(stderr)])
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def digests(workdir: Path) -> dict[str, str]:
-    """Run every invocation from ``workdir`` and map its argv to its digest."""
+def outcomes(workdir: Path) -> dict[str, tuple[int, str, str]]:
+    """Run every invocation from ``workdir`` and map its argv to its outcome."""
     for sample in SAMPLES.glob("*.json"):
         shutil.copy(sample, workdir / sample.name)
     for name, text in BROKEN_FILES.items():
@@ -130,9 +157,13 @@ def digests(workdir: Path) -> dict[str, str]:
     previous = os.getcwd()
     os.chdir(workdir)
     try:
-        return {" ".join(argv): digest(argv) for argv in invocations()}
+        return {" ".join(argv): run(argv) for argv in invocations()}
     finally:
         os.chdir(previous)
+
+
+def digests(ran: dict[str, tuple[int, str, str]]) -> dict[str, str]:
+    return {argv: digest(outcome) for argv, outcome in ran.items()}
 
 
 def differences(actual: dict[str, str]) -> list[str]:
@@ -147,7 +178,28 @@ def differences(actual: dict[str, str]) -> list[str]:
 def test_cli_bytes_match_the_record(tmp_path, monkeypatch):
     # argparse wraps its usage lines to the terminal width
     monkeypatch.setenv("COLUMNS", "80")
-    assert differences(digests(tmp_path)) == []
+    assert differences(digests(outcomes(tmp_path))) == []
+
+
+def test_choice_lists_hash_alike_quoted_or_not(monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(SAMPLES / "railway.json", tmp_path)
+    code, out, err = run(["check", "railway.json", "--format", "xml"])
+    clause = "argument --format: invalid choice: 'xml' (choose from 'human', 'json')"
+    assert canonical(err).splitlines()[-1].endswith(clause)
+    head = canonical(err)[: -len(clause) - 1]
+
+    def hashed(line):
+        return digest((code, out, head + line + "\n"))
+
+    assert hashed(clause) == hashed(clause.replace("'human', 'json'", "human, json"))
+    assert hashed(clause) == digest((code, out, err))
+    # the rejected value, the argument and the choices still count, either way
+    for old, new in (("xml", "yaml"), ("--format", "--fmt"), ("json", "text")):
+        for line in (clause, clause.replace("'human', 'json'", "human, json")):
+            assert hashed(line.replace(old, new)) != hashed(clause)
+    assert digest(run(["check", "railway.json", "--format", "yaml"])) != hashed(clause)
 
 
 if __name__ == "__main__":
@@ -157,11 +209,18 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_cli_bytes.py --record | --check")
     os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
-        record = digests(Path(tmp))
+        ran = outcomes(Path(tmp))
+    record = digests(ran)
     if sys.argv[1] == "--check":
+        print(f"python {sys.version}")
         changed = differences(record)
         for argv in changed:
-            print(f"differs: {argv}")
+            if argv in ran:
+                code, _, stderr = ran[argv]
+                last = stderr.splitlines()[-1] if stderr else ""
+                print(f"differs: {argv}\n  exit {code}, stderr: {last!r}")
+            else:
+                print(f"differs: {argv}\n  not run, only in {RECORD.name}")
         print(f"{len(changed)} of {len(record)} invocations differ from {RECORD.name}")
         sys.exit(1 if changed else 0)
     RECORD.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -467,17 +467,29 @@ def test_consistent_verdict_certificate(system):
     st.integers(2, 6),
     st.integers(0, 10**6),
     st.fractions(min_value=Fraction(1, 13), max_value=3, max_denominator=13),
+    st.sampled_from([-1, 1]),
 )
 @example(
     (make_railway(Fraction("-14.123")), (Fraction(1, 3), 0, 0, Fraction(2, 7))),
     6,
     4,
     Fraction(1, 11),
+    -1,
 )
-def test_validation_matches_fraction_oracle(drawn, horizon, position, drop):
+@example(
+    (make_railway(Fraction("-14.123")), (Fraction(1, 3), 0, 0, Fraction(2, 7))),
+    6,
+    1,
+    Fraction(1, 11),
+    1,
+)
+@example((TWO_NODE, (0, 0)), 3, 0, Fraction(3), 1)  # x1(1) raised above x2(1)
+def test_validation_matches_fraction_oracle(drawn, horizon, position, drop, sign):
     """Scaled validation agrees with the Fraction oracle, valid or not.
 
-    One entry, chosen by ``position``, is pushed down by ``drop``.
+    One entry, chosen by ``position``, is pushed down or up by ``drop``.
+    Every schedule is also checked over its first state alone (K = 1),
+    where only the within family applies.
     """
     system, seed = drawn
     try:
@@ -488,11 +500,13 @@ def test_validation_matches_fraction_oracle(drawn, horizon, position, drop):
     assert validate_trajectory_full(system, trajectory)
     states = [list(row) for row in trajectory.states]
     k, i = divmod(position % (horizon * system.size), system.size)
-    states[k][i] -= drop
-    lowered = Trajectory(states=states)
-    assert validate_trajectory(system, lowered) == validate_trajectory_full(
-        system, lowered
-    )
+    states[k][i] += sign * drop
+    moved = Trajectory(states=states)
+    for checked in (trajectory, moved):
+        for schedule in (checked, Trajectory(states=checked.states[:1])):
+            assert validate_trajectory(system, schedule) == validate_trajectory_full(
+                system, schedule
+            )
 
 
 RAILWAY_SEED = (Fraction(1, 3), 0, 0, Fraction(2, 7))
@@ -523,10 +537,12 @@ def sweep_calls(monkeypatch):
 
 
 def test_synthesis_and_validation_compare_ints(monkeypatch, sweep_calls):
-    """The sweeps, ``@`` and ``<=`` read stored ``int``s; states stay exact.
+    """The sweeps and the closure walk read stored ``int``s; states stay exact.
 
     Synthesis aligns its operands once, so every matrix of its sweeps is at
-    one scale and every vector holds ``int``s at that scale.
+    one scale and every vector holds ``int``s at that scale.  Validation
+    stores the states once with the blocks, so its products are sweeps too:
+    one scale, each vector a state's stored ``int``s.
     """
     operands = []
     scale_pairs = []
@@ -551,11 +567,56 @@ def test_synthesis_and_validation_compare_ints(monkeypatch, sweep_calls):
     assert not [
         v for m, _ in sweep_calls for v in stored_entries(m) if isinstance(v, Fraction)
     ]
-    assert validate_trajectory(system, trajectory)
     assert scale_pairs and all(s == t for s, t in scale_pairs)
-    assert any(isinstance(v, Fraction) for row in trajectory.states for v in row)
     assert len(operands) > 0
     assert not [v for v in operands if isinstance(v, Fraction)]
+    assert any(isinstance(v, Fraction) for row in trajectory.states for v in row)
+
+    walked = len(scale_pairs)
+    sweep_calls.clear()
+    assert validate_trajectory(system, trajectory)
+    assert len(scale_pairs) == walked  # no ``@`` and no ``<=``
+    scales = {m._scale for m, _ in sweep_calls}
+    assert len(scales) == 1 and scales.pop() > 1
+    assert all(type(v) is int for _, vector in sweep_calls for v in vector)
+    assert all(
+        type(v) is int or v == NEG_INF
+        for m, _ in sweep_calls
+        for v in stored_entries(m)
+    )
+    states = trajectory.states
+    read = [tuple(Fraction(v, m._scale) for v in vector) for m, vector in sweep_calls]
+    pairs = [state for x, y in zip(states, states[1:]) for state in (y, x)]
+    assert read == list(states) + pairs
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 7, 40])
+@pytest.mark.parametrize(
+    "system", [make_railway(Fraction("-14.123")), make_railway(-14), TWO_NODE]
+)
+def test_validation_sweeps_three_families(monkeypatch, sweep_calls, system, horizon):
+    """Validating K states: 3K-2 sweep products, no ``@`` and no lift.
+
+    Within once per state, then backward and forward once per consecutive
+    pair, each the system's own block: the zero-seeded states share its scale.
+    """
+    states = synthesize_trajectory(system, max(horizon, 2)).states[:horizon]
+    built = []
+
+    def counted(name):
+        method = getattr(TropicalMatrix, name)
+        return lambda *args: built.append(name) or method(*args)
+
+    monkeypatch.setattr(TropicalMatrix, "__matmul__", counted("__matmul__"))
+    monkeypatch.setattr(TropicalMatrix, "from_blocks", counted("from_blocks"))
+    sweep_calls.clear()
+    assert validate_trajectory(system, Trajectory(states=states))
+    assert built == []
+    assert len(sweep_calls) == 3 * horizon - 2
+    blocks = [m for m, _ in sweep_calls]
+    assert all(m is system.within for m in blocks[:horizon])
+    assert all(m is system.backward for m in blocks[horizon::2])
+    assert all(m is system.forward for m in blocks[horizon + 1 :: 2])
 
 
 @pytest.mark.parametrize("horizon", [2, 3, 7, 40])
