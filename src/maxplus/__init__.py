@@ -23,9 +23,7 @@ from .semiring import (
 from .matrix import (
     DimensionMismatch,
     NotSquare,
-    NotStarMatrix,
     TropicalMatrix,
-    image_member,
 )
 from .precedence import (
     PtegSystem,
@@ -49,7 +47,6 @@ from .invariance import (
     iterate_shrink,
     maximal_invariant,
     roundtrip_closure,
-    shrink_generator,
 )
 from .problems import (
     ProblemFile,
@@ -70,9 +67,7 @@ __all__ = [
     "parse_scalar",
     "DimensionMismatch",
     "NotSquare",
-    "NotStarMatrix",
     "TropicalMatrix",
-    "image_member",
     "PtegSystem",
     "build_block_matrix",
     "export_dot",
@@ -90,7 +85,6 @@ __all__ = [
     "iterate_shrink",
     "maximal_invariant",
     "roundtrip_closure",
-    "shrink_generator",
     "ProblemFile",
     "ProblemFormatError",
     "parse_problem",

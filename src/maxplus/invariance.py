@@ -49,26 +49,18 @@ def _assemble_generator(
     )
 
 
-def _generators(system: PtegSystem, start: int = 0) -> Iterator[TropicalMatrix]:
-    """Generators ``start``, ``start + 1``, ...; generator k reads closures k, k+1."""
+def _generators(system: PtegSystem) -> Iterator[TropicalMatrix]:
+    """Generators 0, 1, 2, ...; generator k reads closures k and k+1.
+
+    Generator k, a star matrix, generates the k-times-shrunk constraint
+    semimodule; it may hold +inf once the shrinking empties out of real
+    vectors.  It equals the stage-(1, 2) corner of the star of the system
+    unrolled over k+2 occurrences.
+    """
     roundtrip = roundtrip_closure(system)
     closures = (closure for _, closure, _ in _closures(system))
-    pairs = itertools.islice(itertools.pairwise(closures), start, None)
-    for closure_k, closure_k1 in pairs:
+    for closure_k, closure_k1 in itertools.pairwise(closures):
         yield _assemble_generator(system, closure_k, closure_k1, roundtrip)
-
-
-def shrink_generator(system: PtegSystem, k: int) -> TropicalMatrix:
-    """Generator (star matrix) of the k-times-shrunk constraint semimodule.
-
-    Assembled in closed form from closures k and k+1 and the roundtrip
-    closure; entries may be +inf once the shrinking empties out of real
-    vectors.  Equals the stage-(1, 2) corner of the star of the constraint
-    system unrolled over k+2 occurrences.
-    """
-    if k < 0:
-        raise ValueError("shrink step must be non-negative")
-    return next(_generators(system, k))
 
 
 class InvarianceKind(Enum):
@@ -126,14 +118,16 @@ def iterate_shrink(
 ) -> InvarianceReport:
     """Classify the shrinking iteration, up to the probe bound.
 
-    When the system is consistent the closure sequence stabilizes after at
-    most n^2 iterations (n the system size), so convergence is always caught
-    within the default probe bound of ``10 * n^2``.  Divergence beyond the
-    bound (slowly growing positive circuits) is reported as open rather than
-    guessed; raise the bound to settle such cases exactly.  A large bound
-    costs little: the walk's stop is found in O(log k) segment compositions
-    and probes (see :func:`~maxplus.precedence._stopping_closure`), so the railway at
-    ell = -13.99999 empties at step 200000 in milliseconds.
+    The class is decided at the closure walk's first repeat or first +inf,
+    whichever comes first, searched no further than the probe bound
+    (default ``10 * n^2``, n the system size).  No bound on the index of
+    the first repeat is proved here, so a repeat past the probe bound, like
+    divergence past it (slowly growing positive circuits), is reported as
+    open rather than guessed; raise the bound to settle such cases exactly.
+    A large bound costs little: the walk's stop is found in O(log k)
+    segment compositions and probes (see
+    :func:`~maxplus.precedence._stopping_closure`), so the railway at ell =
+    -13.99999 empties at step 200000 in milliseconds.
 
     The class is read off the closure walk that decides consistency; only
     a converged report assembles a generator, the stabilized one.  Generator

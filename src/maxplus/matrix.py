@@ -40,26 +40,24 @@ class NotSquare(ValueError):
     """A square matrix was required."""
 
 
-class NotStarMatrix(ValueError):
-    """A star matrix (equal to its own Kleene star) was required."""
+def _star(
+    d: list[list[Scalar]], scale: int, pivots: Iterable[int] | None = None
+) -> "TropicalMatrix":
+    """The star of grid ``d``, which it overwrites, stored at ``scale``.
 
-
-def _closure(
-    d: list[list[Scalar]], pivots: Iterable[int] | None = None
-) -> list[list[Scalar]]:
-    """All-pairs greatest walk weights (walk length >= 1), in place.
-
-    Floyd-Warshall style.  Entry (i, j) is read as "best walk from node j to
-    node i".  The update rule is symmetric in that reading, so the usual
-    triple loop applies.  Each pivot k relaxes through the entries of row k
-    other than -inf, read before the rows are updated; a pivot row of only
-    -inf entries is skipped.  When positive-weight circuits exist some
-    entries may exceed the best simple-path weight; those pairs are exactly
-    the ones later saturated to +inf, so unsaturated entries remain exact.
+    First all-pairs greatest walk weights (walk length >= 1), Floyd-Warshall
+    style.  Entry (i, j) is read as "best walk from node j to node i".  The
+    update rule is symmetric in that reading, so the usual triple loop
+    applies.  Each pivot k relaxes through the entries of row k other than
+    -inf, read before the rows are updated; a pivot row of only -inf
+    entries is skipped.  When positive-weight circuits exist some entries
+    may exceed the best simple-path weight; those pairs are exactly the ones
+    then saturated to +inf, so unsaturated entries remain exact.
 
     ``pivots`` (default: every node) are the nodes a walk may pass through;
     the caller guarantees that every best walk, and some walk around every
     positive circuit, can be routed through them (see :func:`_reclose`).
+    The +inf saturation pass always runs over every node.
     """
     for k in range(len(d)) if pivots is None else pivots:
         dk = d[k]
@@ -77,18 +75,6 @@ def _closure(
                     s = POS_INF
                 if s > di[j]:
                     di[j] = s
-    return d
-
-
-def _star(
-    d: list[list[Scalar]], scale: int, pivots: Iterable[int] | None = None
-) -> "TropicalMatrix":
-    """The star of grid ``d``, which it overwrites, stored at ``scale``.
-
-    ``pivots`` is passed on to :func:`_closure`; the +inf saturation pass
-    always runs over every node.
-    """
-    _closure(d, pivots)
     n = len(d)
     positive = [k for k in range(n) if d[k][k] > 0]
     for i in range(n):
@@ -242,9 +228,6 @@ class TropicalMatrix:
             for row in self._data
         )
 
-    def column_values(self, j: int = 0) -> tuple[Scalar, ...]:
-        return tuple(row[j] for row in self.to_rows())
-
     def __getitem__(self, key: tuple[int, int]) -> Scalar:
         i, j = key
         return self.to_rows()[i][j]
@@ -366,22 +349,6 @@ class TropicalMatrix:
             raise NotSquare("star is defined for square matrices only")
         return _star([list(row) for row in self._data], self._scale)
 
-    def has_positive_circuit(self) -> bool:
-        """True when some circuit in the precedence graph has weight > 0.
-
-        Zero-weight circuits are harmless and do not count.
-        """
-        if not self.is_square:
-            raise NotSquare("circuits are defined for square matrices only")
-        d = _closure([list(row) for row in self._data])
-        return any(d[k][k] > 0 for k in range(self.rows))
-
-    def is_star_matrix(self) -> bool:
-        """True when the matrix equals its own Kleene star."""
-        if not self.is_square:
-            raise NotSquare("star matrices are square")
-        return self.star() == self
-
 
 def aligned(*matrices: TropicalMatrix) -> tuple[TropicalMatrix, ...]:
     """The same matrices, each stored at the LCM of all their scales.
@@ -476,21 +443,20 @@ def product_star(
 
 def _reclose(
     closed: TropicalMatrix,
-    grown: TropicalMatrix,
     before: TropicalMatrix,
     left: TropicalMatrix,
     right: TropicalMatrix,
 ) -> TropicalMatrix:
     """``(closed + left @ delta @ right).star()`` for a star ``closed``.
 
-    ``delta`` holds the entries in which ``grown`` exceeds ``before`` (-inf
-    elsewhere).  All five share one scale, ``closed`` and ``grown`` are
-    free of +inf, and ``before <= grown``.  Each grown entry (s, t) adds
-    the arcs ``left[:, s] + grown[s, t] + right[t, :]``, read from the
-    entries of ``left``'s columns and ``right``'s rows other than -inf,
-    listed once per matrix (see ``_arcs``).  Only the arcs above
-    ``closed`` are kept, as the set E; with none, ``closed`` itself is
-    returned, since it is a star.
+    ``delta`` holds the entries in which ``closed`` exceeds ``before``
+    (-inf elsewhere).  All four share one scale, ``closed`` is free of
+    +inf, and ``before <= closed``.  Each grown entry (s, t) adds the arcs
+    ``left[:, s] + closed[s, t] + right[t, :]``, read from the entries of
+    ``left``'s columns and ``right``'s rows other than -inf, listed once
+    per matrix (see ``_arcs``).  Only the arcs above ``closed`` are kept,
+    as the set E; with none, ``closed`` itself is returned, since it is a
+    star.
 
     Otherwise every walk of ``closed + E`` alternates walks of ``closed``
     and arcs of E, and ``closed`` absorbs its own walks (``closed @ closed
@@ -508,7 +474,7 @@ def _reclose(
     sources, targets = left._column_arcs(), right._arcs()
     c = closed._data
     arcs: dict[tuple[int, int], Scalar] = {}  # (head, tail) -> weight
-    for s, (g, b) in enumerate(zip(grown._data, before._data)):
+    for s, (g, b) in enumerate(zip(c, before._data)):
         if g == b:
             continue
         via = [NEG_INF] * width  # row s of delta @ right
@@ -534,20 +500,3 @@ def _reclose(
             if x != NEG_INF and x + w > di[s]:
                 di[s] = x + w
     return _star(d, closed._scale, sorted({s for _, s in arcs}))
-
-
-def image_member(star_matrix: TropicalMatrix, vector: Sequence) -> bool:
-    """Membership of ``vector`` in the image of a star matrix.
-
-    For a star matrix S the image ``{S @ u}`` coincides with the fixed
-    points of S, so membership reduces to ``S @ x == x``.
-    """
-    if not star_matrix.is_star_matrix():
-        raise NotStarMatrix("membership test requires a star matrix")
-    x = TropicalMatrix.column(vector)
-    if x.rows != star_matrix.cols:
-        raise DimensionMismatch(
-            f"vector of length {x.rows} against matrix {star_matrix.shape}"
-        )
-    return (star_matrix @ x) == x
-

@@ -142,7 +142,7 @@ def _next_closure(
     if previous is None or not current.rmax_valued:
         nxt = product_star(system.backward, current, system.forward, system.within)
     else:
-        nxt = _reclose(current, current, previous, system.backward, system.forward)
+        nxt = _reclose(current, previous, system.backward, system.forward)
     if nxt is not current and not current <= nxt:
         raise RuntimeError("closure sequence lost monotonicity")
     return nxt

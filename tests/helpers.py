@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from maxplus import (
     build_block_matrix,
     format_scalar,
 )
+from maxplus import invariance
 from maxplus.invariance import _assemble_generator
 
 
@@ -57,6 +59,11 @@ def boundary_segment_dense(system: PtegSystem, stages: int) -> tuple:
         forward @ corner(last, 0),
         forward @ corner(last, last) @ backward,
     )
+
+
+def column_values(matrix: TropicalMatrix, j: int = 0) -> tuple:
+    """The read values of column ``j``."""
+    return tuple(row[j] for row in matrix)
 
 
 def stored_entries(matrix: TropicalMatrix) -> list:
@@ -112,6 +119,19 @@ def fraction_star(a: list) -> list:
                     if (i == k or d[i][k] != NEG_INF) and (j == k or d[k][j] != NEG_INF):
                         out[i][j] = POS_INF
     return out
+
+
+def positive_circuit_by_powers(matrix: TropicalMatrix) -> bool:
+    """Independent positive-circuit oracle, by powers, not Floyd-Warshall.
+
+    True when a diagonal entry of A^k is > 0 for some 1 <= k <= n: a
+    positive circuit splits into simple circuits, one of them positive, and
+    a simple circuit has at most n arcs.
+    """
+    n = matrix.rows
+    rows = fraction_rows(matrix)
+    powers = itertools.accumulate(itertools.repeat(rows, n), fraction_matmul)
+    return any(power[i][i] > 0 for power in powers for i in range(n))
 
 
 def random_matrix(rng: random.Random, n: int, lo=-5, hi=5, density=0.5) -> TropicalMatrix:
@@ -266,6 +286,11 @@ def report_fields(report: InvarianceReport):
     return report.kind, report.step, report.invariant_generator, report.generators
 
 
+def shrink_generator(system: PtegSystem, k: int) -> TropicalMatrix:
+    """Generator k of the shrinking iteration, from the library's closed form."""
+    return next(itertools.islice(invariance._generators(system), k, None))
+
+
 def shrink_generator_unrolled(system: PtegSystem, k: int) -> TropicalMatrix:
     """Oracle for shrink_generator, via the unrolled horizon.
 
@@ -289,7 +314,7 @@ def synthesize_dense(
     seed = (0,) * n if seed is None else tuple(seed)
     stacked = TropicalMatrix.column(seed + (0,) * (n * (horizon - 1)))
     unrolled = build_block_matrix(system, horizon)
-    solution = (unrolled.star() @ stacked).column_values()
+    solution = column_values(unrolled.star() @ stacked)
     if POS_INF in solution:
         raise InfeasibleHorizon("a component is +inf", reason="divergent")
     if NEG_INF in solution:

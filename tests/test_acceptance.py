@@ -21,15 +21,16 @@ from maxplus import (
     closure_sequence,
     finite_weak_feasibility,
     iterate_shrink,
-    shrink_generator,
     synthesize_trajectory,
     validate_trajectory,
 )
 
 from conftest import make_railway
 from helpers import (
+    positive_circuit_by_powers,
     random_matrix,
     random_system,
+    shrink_generator,
     shrink_generator_unrolled,
     star_by_powers,
 )
@@ -143,7 +144,7 @@ def test_criterion_7_star_against_power_sum():
         for _ in range(500):
             matrix = random_matrix(rng, rng.randint(1, 4))
             star = matrix.star()
-            circuit = matrix.has_positive_circuit()
+            circuit = positive_circuit_by_powers(matrix)
             assert circuit == (not star.rmax_valued)
             if not circuit:
                 assert star == star_by_powers(matrix)
@@ -190,5 +191,6 @@ def test_criterion_9_verdict_correspondence(corpus, two_node_system):
 def test_criterion_10_graph_facts():
     with criterion(10, "positive-circuit facts for the worked graphs"):
         two_cycle = TropicalMatrix([[-3, -1], [2, NEG]])
-        assert two_cycle.has_positive_circuit()
+        assert positive_circuit_by_powers(two_cycle)
+        assert not two_cycle.star().rmax_valued
         assert not finite_weak_feasibility(make_railway(-13), 4)

@@ -10,11 +10,9 @@ from maxplus import (
     POS_INF,
     DimensionMismatch,
     NotSquare,
-    NotStarMatrix,
     TropicalMatrix,
     as_scalar,
     format_scalar,
-    image_member,
 )
 from maxplus import matrix
 from maxplus.matrix import aligned
@@ -27,6 +25,7 @@ from helpers import (
     fraction_star,
     identity,
     normalized_rows,
+    positive_circuit_by_powers,
     random_matrix,
     star_by_powers,
     stored_entries,
@@ -83,7 +82,7 @@ class TestProduct:
 
     def test_single_dot_products(self):
         out = CHAIN_STEP @ TropicalMatrix.column([0, 0])
-        assert out.column_values() == (2, NEG_INF)
+        assert out.to_rows() == ((2,), (NEG_INF,))
 
     def test_zero_matrix_absorbs(self):
         eps = TropicalMatrix.epsilon(2)
@@ -134,57 +133,82 @@ class TestStar:
         assert m.star() == TropicalMatrix(
             [[0, NEG, NEG], [POS_INF, 0, NEG], [POS_INF, 0, 0]]
         )
-        assert not m.has_positive_circuit()
+        assert not positive_circuit_by_powers(m)
+
+
+@st.composite
+def finite_matrices(draw):
+    """Square matrices free of +inf, rational entries around 0."""
+    n = draw(st.integers(1, 5))
+    den = draw(st.integers(1, 3))
+    entry = st.one_of(
+        st.just(NEG_INF),
+        st.integers(-4 * den, 2 * den).map(lambda v: Fraction(v, den)),
+    )
+    row = st.lists(entry, min_size=n, max_size=n)
+    return TropicalMatrix(draw(st.lists(row, min_size=n, max_size=n)))
 
 
 class TestPositiveCircuit:
+    """``m.star()`` holds +inf exactly when ``m`` has a positive circuit."""
+
+    @given(finite_matrices())
+    def test_star_diverges_iff_powers_find_a_circuit(self, m):
+        assert (not m.star().rmax_valued) == positive_circuit_by_powers(m)
+
     def test_two_cycle(self):
-        assert TWO_CYCLE.has_positive_circuit()
+        assert positive_circuit_by_powers(TWO_CYCLE)
+        assert not TWO_CYCLE.star().rmax_valued
 
     def test_no_arcs(self):
-        assert not TropicalMatrix.epsilon(3).has_positive_circuit()
+        for n in range(1, 4):
+            assert not positive_circuit_by_powers(TropicalMatrix.epsilon(n))
+            assert TropicalMatrix.epsilon(n).star().rmax_valued
 
     def test_zero_weight_loop_benign(self):
-        assert not TropicalMatrix([[0]]).has_positive_circuit()
+        assert not positive_circuit_by_powers(TropicalMatrix([[0]]))
+        assert TropicalMatrix([[0]]).star() == TropicalMatrix([[0]])
 
     def test_not_square(self):
         with pytest.raises(NotSquare):
-            TropicalMatrix([[NEG, NEG]]).has_positive_circuit()
+            TropicalMatrix([[NEG, NEG]]).star()
 
 
 class TestStarMatrixPredicate:
+    """A star matrix S is its own star, ``S.star() == S``."""
+
     def test_identity(self):
-        assert identity(3).is_star_matrix()
+        assert identity(3).star() == identity(3)
 
     def test_closure_of_star_is_itself(self):
         s = TropicalMatrix([[0, NEG], [0, 0]])
         assert s.star() == s
-        assert s.is_star_matrix()
 
     def test_missing_diagonal_zero(self):
-        assert not TWO_CYCLE.is_star_matrix()
+        assert TWO_CYCLE.star() != TWO_CYCLE
 
 
 class TestImageOps:
+    """The image of a star matrix S is its set of fixed points, ``S @ x == x``."""
+
     STAR = TropicalMatrix([[0, NEG], [0, 0]])
 
     def test_identity_fixes_everything(self):
-        assert image_member(identity(2), [3, Fraction(-1, 2)])
+        x = TropicalMatrix.column([3, Fraction(-1, 2)])
+        assert identity(2) @ x == x
 
     def test_member(self):
-        assert image_member(self.STAR, [0, 0])
+        x = TropicalMatrix.column([0, 0])
+        assert self.STAR @ x == x
 
     def test_non_member(self):
         # second component of S @ x is 0, not -1
-        assert not image_member(self.STAR, [0, -1])
-
-    def test_requires_star_matrix(self):
-        with pytest.raises(NotStarMatrix):
-            image_member(CHAIN_STEP, [0, 0])
+        x = TropicalMatrix.column([0, -1])
+        assert self.STAR @ x != x
 
     def test_vector_length_checked(self):
         with pytest.raises(DimensionMismatch):
-            image_member(self.STAR, [0, 0, 0])
+            self.STAR @ TropicalMatrix.column([0, 0, 0])
 
 
 class TestStarProperties:
@@ -194,7 +218,7 @@ class TestStarProperties:
         for _ in range(150):
             m = random_matrix(rng, rng.randint(1, 4))
             star = m.star()
-            circuit = m.has_positive_circuit()
+            circuit = positive_circuit_by_powers(m)
             assert circuit == (not star.rmax_valued)
             if not circuit:
                 assert star == star_by_powers(m)
@@ -266,7 +290,7 @@ class TestScaling:
         m = TropicalMatrix([["1/2"]]) @ half  # stored as 2 at scale 2
         assert m._scale == 2
         assert m.to_rows() == ((1, NEG_INF),)
-        assert type(m[0, 0]) is int and type(m.column_values()[0]) is int
+        assert type(m[0, 0]) is int and type(next(iter(m))[0]) is int
         assert type(TropicalMatrix([[Fraction(4, 2)]])[0, 0]) is int
 
     def test_denominator_is_the_lcm(self):

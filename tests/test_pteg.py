@@ -20,7 +20,7 @@ from maxplus import (
 )
 from maxplus import pteg
 
-from helpers import all_eps_system, identity, random_system, top_left
+from helpers import all_eps_system, column_values, identity, random_system, top_left
 
 NEG = "-inf"
 
@@ -124,7 +124,7 @@ class TestClosureSequence:
             for a, b in zip(seq, seq[1:]):
                 assert a <= b
             for m in seq:
-                assert m.is_star_matrix()
+                assert m.star() == m
 
     def test_stabilization_persists(self):
         rng = random.Random(3302)
@@ -169,7 +169,7 @@ class TestCheckConsistency:
         verdict = check_consistency(railway(-14))
         assert verdict.kind is ConsistencyKind.CONSISTENT
         assert verdict.fixed_closure == RAILWAY_FIXED_CLOSURE
-        assert verdict.fixed_closure.is_star_matrix()
+        assert verdict.fixed_closure.star() == verdict.fixed_closure
 
     def test_late_finite_repeat_is_consistent(self, monkeypatch, railway):
         # No system is known to repeat after index n^2 + 1; a finite repeat
@@ -255,7 +255,7 @@ class TestSynthesizeTrajectory:
         system = railway(-14)
         t = synthesize_trajectory(system, 4)
         for x_k, u_k in zip(t.states, t.inputs):
-            pushed = (system.dynamics @ TropicalMatrix.column(x_k)).column_values()
+            pushed = column_values(system.dynamics @ TropicalMatrix.column(x_k))
             assert all(u >= p for u, p in zip(u_k, pushed))
 
     def test_seed_shifts_first_occurrence(self, railway):

@@ -3,7 +3,11 @@
 A name in ``maxplus.__all__`` either has a caller in ``src/maxplus`` outside
 its own definition, or is listed in ``UNCALLED`` with the reason it ships.
 Adding a name to ``__all__`` means adding it to ``EXPORTS`` as well.  The
-modules form layers: each imports only the modules before it in ``LAYERS``.
+same holds one level down: every public method or property of the classes
+in ``MEMBER_CLASSES`` is read in ``src/maxplus`` or listed in
+``UNREAD_MEMBERS``, and every module-level ``_private`` function is read.
+The modules form layers: each imports only the modules before it in
+``LAYERS``.
 """
 
 import ast
@@ -27,7 +31,6 @@ EXPORTS = sorted(
         "InvarianceReport",
         "NEG_INF",
         "NotSquare",
-        "NotStarMatrix",
         "POS_INF",
         "ProblemFile",
         "ProblemFormatError",
@@ -43,7 +46,6 @@ EXPORTS = sorted(
         "export_dot",
         "finite_weak_feasibility",
         "format_scalar",
-        "image_member",
         "is_finite",
         "iterate_shrink",
         "maximal_invariant",
@@ -51,7 +53,6 @@ EXPORTS = sorted(
         "parse_problem_file",
         "parse_scalar",
         "roundtrip_closure",
-        "shrink_generator",
         "synthesize_trajectory",
         "validate_trajectory",
     ]
@@ -61,36 +62,72 @@ UNCALLED = {
     "__version__": "package metadata",
     "build_block_matrix": "benchmark imports it; the dense test oracles unroll with it",
     "finite_weak_feasibility": "benchmark imports it",
-    "image_member": "paper API: membership in the image of a star matrix",
     "maximal_invariant": "paper API: the maximal controlled-invariant generator",
-    "shrink_generator": "paper API: the k-step generator; test oracle",
+}
+
+MEMBER_CLASSES = {
+    "TropicalMatrix",
+    "PtegSystem",
+    "Trajectory",
+    "ConsistencyVerdict",
+    "InvarianceReport",
+    "ProblemFile",
+}
+
+UNREAD_MEMBERS = {
+    "PtegSystem.block_spec": "benchmark calls it; goes with ROADMAP item 1",
+    "Trajectory.inputs": "paper API: the plant's inputs u(k) = x(k+1)",
 }
 
 
-def internal_references() -> set[str]:
-    """Names read in ``src/maxplus``, except inside their own definition.
+def modules() -> dict[str, ast.Module]:
+    """The parsed modules of ``src/maxplus``, except ``__init__.py``.
 
-    ``__init__.py`` only re-exports, so its imports do not count.
+    ``__init__.py`` only re-exports, so its imports do not count as reads.
     """
-    names = set()
-    for path in SRC.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                own = {stmt.name}
-            elif isinstance(stmt, ast.Assign):
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in SRC.glob("*.py")
+        if path.name != "__init__.py"
+    }
+
+
+def reads(node: ast.AST, own: frozenset) -> set[tuple[str, str]]:
+    """``("name" | "attr", identifier)`` read in ``node``, except in ``own``.
+
+    A read inside a function, method or class of the same name does not
+    count.
+    """
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        own = own | {node.name}
+    found = set()
+    if isinstance(node, ast.Name) and node.id not in own:
+        found.add(("name", node.id))
+    elif isinstance(node, ast.Attribute) and node.attr not in own:
+        found.add(("attr", node.attr))
+    for child in ast.iter_child_nodes(node):
+        found |= reads(child, own)
+    return found
+
+
+def internal_reads() -> set[tuple[str, str]]:
+    """Every read in ``src/maxplus`` outside the definition it reads.
+
+    A module-level assignment does not read the names it binds.
+    """
+    found = set()
+    for tree in modules().values():
+        for stmt in tree.body:
+            own = set()
+            if isinstance(stmt, ast.Assign):
                 own = {t.id for t in stmt.targets if isinstance(t, ast.Name)}
-            else:
-                own = set()
-            read = set()
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    read.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    read.add(node.attr)
-            names |= read - own
-    return names
+            found |= reads(stmt, frozenset(own))
+    return found
+
+
+def internal_references() -> set[str]:
+    """Names read in ``src/maxplus``, as a name or an attribute."""
+    return {name for _, name in internal_reads()}
 
 
 def test_exports_are_pinned():
@@ -101,6 +138,35 @@ def test_every_export_is_called_or_justified():
     referenced = internal_references()
     uncalled = {name for name in maxplus.__all__ if name not in referenced}
     assert uncalled == set(UNCALLED)
+
+
+def test_every_public_member_is_read_or_justified():
+    attributes = {name for kind, name in internal_reads() if kind == "attr"}
+    found, unread = set(), set()
+    for tree in modules().values():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in MEMBER_CLASSES):
+                continue
+            found.add(cls.name)
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    if item.name not in attributes:
+                        unread.add(f"{cls.name}.{item.name}")
+    assert found == MEMBER_CLASSES
+    assert unread == set(UNREAD_MEMBERS)
+
+
+def test_every_private_function_is_read():
+    referenced = internal_references()
+    unread = {
+        f"{module}.{stmt.name}"
+        for module, tree in modules().items()
+        for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef)
+        and stmt.name.startswith("_")
+        and stmt.name not in referenced
+    }
+    assert unread == set()
 
 
 def relative_imports(module: str) -> set[str]:
