@@ -46,7 +46,6 @@ from .invariance import (
     InvarianceReport,
     iterate_shrink,
     maximal_invariant,
-    roundtrip_closure,
 )
 from .problems import (
     ProblemFile,
@@ -84,7 +83,6 @@ __all__ = [
     "InvarianceReport",
     "iterate_shrink",
     "maximal_invariant",
-    "roundtrip_closure",
     "ProblemFile",
     "ProblemFormatError",
     "parse_problem",

@@ -5,9 +5,11 @@ constraints into a single precedence semimodule: the set of stacked vectors
 xbar with ``xbar >= constraint @ xbar``.  A subsemimodule is controlled
 invariant when from every point inside it some input keeps the successor
 inside as well.  The maximal controlled-invariant subsemimodule is obtained
-by iterating a one-step shrinking operation; each iterate is the image of an
-explicitly computable star matrix, and the iteration either stabilizes, or
-empties out of real vectors, or keeps shrinking forever.
+by iterating a one-step shrinking operation; each iterate is the image of a
+star matrix, and the iteration either stabilizes, or empties out of real
+vectors, or keeps shrinking forever.  Generator k is built from closure k
+alone, by the join (:func:`~maxplus.precedence._join`) of the one-stage
+segment to it, the step the stop search of the closure walk also takes.
 """
 
 from __future__ import annotations
@@ -18,49 +20,40 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterator
 
-from .matrix import TropicalMatrix, product_star
-from .precedence import PtegSystem, _closures, _stopping_closure
+from .matrix import TropicalMatrix
+from .precedence import PtegSystem, _closures, _join, _stopping_closure, _unit_segment
 from .pteg import _probe_bound
 
 
-def roundtrip_closure(system: PtegSystem) -> TropicalMatrix:
-    """Closure of the constraints linking one occurrence to itself via the next.
+def _assemble_generator(unit: tuple, closure_k: TropicalMatrix) -> TropicalMatrix:
+    """Generator k ``[[ff, back_j], [j @ forward @ W*, j]]`` from closure k alone.
 
-    Star of ``forward @ within* @ backward oplus within``: the best weight of
-    going forward one occurrence, moving there, and coming back, combined
-    with the purely local constraints.
+    ``(ff, back_j, j)`` is the join of ``unit``, S_1, to closure k.  Proof:
+    generator k is the stage-(1, 2) corner of the star of the (k+2)-stage
+    unrolling.  Split that into stage 1 and the (k+1)-stage stretch after
+    it, whose first-stage corner is closure k.  A walk from stage 2 back to
+    stage 2 stays in the stretch or makes excursions forward @ W* @
+    backward into stage 1: j.  A walk from stage 2 to stage 1 ends after
+    its last crossing: W* @ backward @ j = back_j.  A walk from stage 1 to
+    stage 2 starts with its first crossing: j @ forward @ W*.  A walk from
+    stage 1 to stage 1 is W* oplus back_j @ forward @ W* = ff = C_(k+1).
+    The closed form [[C_(k+1), C_(k+1) @ backward @ A], [A @ forward @
+    C_(k+1), A]], A = (C_k oplus (forward @ W* @ backward oplus W)*)*,
+    agrees: A = j because C_k >= W*, and C_(k+1) @ backward @ j = back_j
+    because j absorbs j @ forward @ W* @ backward @ j.
     """
-    within = system.within
-    return product_star(system.forward, within.star(), system.backward, within)
-
-
-def _assemble_generator(
-    system: PtegSystem,
-    closure_k: TropicalMatrix,
-    closure_k1: TropicalMatrix,
-    roundtrip: TropicalMatrix,
-) -> TropicalMatrix:
-    anchored = (closure_k + roundtrip).star()
-    return TropicalMatrix.from_blocks(
-        [
-            [closure_k1, closure_k1 @ system.backward @ anchored],
-            [anchored @ system.forward @ closure_k1, anchored],
-        ]
-    )
+    ff, back_j, j = _join(unit, closure_k)
+    return TropicalMatrix.from_blocks([[ff, back_j], [j @ unit[2], j]])
 
 
 def _generators(system: PtegSystem) -> Iterator[TropicalMatrix]:
-    """Generators 0, 1, 2, ...; generator k reads closures k and k+1.
+    """Generators 0, 1, 2, ...; generator k generates the k-times-shrunk semimodule.
 
-    Generator k, a star matrix, generates the k-times-shrunk constraint
-    semimodule; it may hold +inf once the shrinking empties out of real
-    vectors.  It equals the stage-(1, 2) corner of the star of the system
-    unrolled over k+2 occurrences.
+    It may hold +inf once the shrinking empties out of real vectors.
     """
-    roundtrip = roundtrip_closure(system)
-    closures = (closure for _, closure, _ in _closures(system))
-    for closure_k, closure_k1 in itertools.pairwise(closures):
-        yield _assemble_generator(system, closure_k, closure_k1, roundtrip)
+    unit = _unit_segment(system)
+    for _, closure_k, _ in _closures(system):
+        yield _assemble_generator(unit, closure_k)
 
 
 class InvarianceKind(Enum):
@@ -88,9 +81,8 @@ class InvarianceReport:
       well; only the shrinking never terminates.)
 
     ``generators`` holds the generators of steps 0 to ``step``, plus the
-    stabilized one (step + 1) when converged.  It is assembled from
-    ``system`` on first read and cached; it is not a field, so it takes no
-    part in ``==``.
+    stabilized one (step + 1) when converged, assembled on first read and
+    cached; it is not a field, so it takes no part in ``==``.
     """
 
     kind: InvarianceKind
@@ -102,12 +94,9 @@ class InvarianceReport:
     def generators(self) -> tuple[TropicalMatrix, ...]:
         """The generators of steps 0 to ``step`` (+ 1 when converged).
 
-        The first read walks the closure recurrence again instead of reusing
-        the walk that classified the report.  Reusing it would mean keeping
-        every closure of that walk, ``step + 2`` matrices (2001 for the
-        railway at ell = -13.999), on every report, also on the many whose
-        generators are never read; the second walk costs time only when the
-        generators are wanted.
+        The first read walks again to the ``step + 1`` closures (+ 1 when
+        converged) they read, rather than keep the classifying walk's
+        closures (2001 for the railway at ell = -13.999) on every report.
         """
         count = self.step + (1 if self.invariant_generator is None else 2)
         return tuple(itertools.islice(_generators(self.system), count))
@@ -131,21 +120,20 @@ def iterate_shrink(
 
     The class is read off the closure walk that decides consistency; only
     a converged report assembles a generator, the stabilized one.  Generator
-    k is the stage-(1, 2) corner of the star of the (k+2)-stage unrolling,
-    whose stage-1 corner is closure k+1, so +inf there is +inf in generator
-    k.  Conversely a +inf in generator k comes from a positive circuit of
-    the unrolling, which moved down to stage 1 makes closure k+1 +inf (see
-    :func:`~maxplus.precedence.finite_weak_feasibility`).  A first +inf at
-    closure d <= probe + 1 thus empties step ``max(d - 1, 0)``.  Generator k
-    reads closures k and k+1 only, so a first repeat at closure j fixes
-    every generator from step j-1 on; for j <= probe + 2 the iteration
-    converges at step ``max(j, 2) - 2``.
+    k reads closure k only; its top-left block is closure k+1, as the join
+    computes it (see :func:`_assemble_generator`), so +inf there is +inf in
+    generator k.  Conversely a +inf in generator k comes from a positive
+    circuit of the (k+2)-stage unrolling, which moved down to stage 1 makes
+    closure k+1 +inf (see :func:`~maxplus.precedence.finite_weak_feasibility`).
+    A first +inf at closure d <= probe + 1 thus empties step ``max(d - 1,
+    0)``, and a first repeat at closure j fixes every generator from step
+    j-1 on: for j <= probe + 2 the iteration converges at step ``max(j, 2)
+    - 2``.
     """
     probe = _probe_bound(system.size, probe_bound)
     j, closure, fixed = _stopping_closure(system, probe + 2)
     if fixed:
-        roundtrip = roundtrip_closure(system)
-        stable = _assemble_generator(system, closure, closure, roundtrip)
+        stable = _assemble_generator(_unit_segment(system), closure)
         return InvarianceReport(
             InvarianceKind.CONVERGED_NON_EMPTY, max(j, 2) - 2, system, stable
         )

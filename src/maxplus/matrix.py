@@ -396,20 +396,9 @@ def product_star(
     other than -inf, and each of its entries meets only the entries of the
     matching row of ``right`` other than -inf; both lists are kept on the
     two matrices (see ``_arcs``), so constant outer factors are scanned
-    once, not once per call.  Every row starts as its row of ``base``, and
-    the star then runs in place, so no intermediate matrix is built.
+    once, not once per call.  Rows start as those of ``base`` and the star
+    runs in place.  The one caller passes the square blocks of one system.
     """
-    if not (
-        left.cols == middle.rows
-        and middle.cols == right.rows
-        and (left.rows, right.cols) == base.shape
-    ):
-        raise DimensionMismatch(
-            f"cannot form {left.shape} @ {middle.shape} @ {right.shape}"
-            f" + {base.shape}"
-        )
-    if not base.is_square:
-        raise NotSquare("star is defined for square matrices only")
     left, middle, right, base = aligned(left, middle, right, base)
     between = middle._data
     right_arcs = right._arcs()

@@ -25,6 +25,7 @@ entries and never rescales an operand.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -195,6 +196,28 @@ def _closures(
 _WALK_BUDGET = 32
 
 
+def _unit_segment(system: PtegSystem) -> tuple:
+    """S_1 = (W*, W* @ backward, forward @ W*, forward @ W* @ backward), W = within."""
+    w = system.within.star()
+    back = w @ system.backward
+    return w, back, system.forward @ w, system.forward @ back
+
+
+def _join(a: tuple, closure: TropicalMatrix) -> tuple:
+    """``(ff, back_j, j)``: segment ``a`` joined to a stretch known by ``closure``.
+
+    ``closure`` is the stretch's corner at its first stage, entered from a's
+    last stage by a forward arc and left back by a backward arc.  So ``j =
+    (closure oplus a.around)*`` is the corner there, ``back_j = a.back @ j``
+    leads from there into a's first stage, and ``ff = a.ff oplus back_j @
+    a.ahead`` is the corner at a's first stage.
+    """
+    a_ff, a_back, a_ahead, a_around = a
+    j = (closure + a_around).star()
+    back_j = a_back @ j
+    return a_ff + back_j @ a_ahead, back_j, j
+
+
 def _compose(a: tuple, b: tuple) -> tuple:
     """S_(a+b) from S_a followed by S_b, eliminating the two junction stages.
 
@@ -206,28 +229,16 @@ def _compose(a: tuple, b: tuple) -> tuple:
     and ``around = forward @ ll @ backward`` (from that stage back to
     itself through l).
 
-    Every path of the joined unrolling crosses from the last stage of a to
-    the first stage of b by a forward arc and back by a backward arc, and
-    between crossings it runs inside a or inside b, where its best weights
-    are the corners of S_a and S_b.  So the best weights from b's first
-    stage back to itself are ``j = (b.ff oplus a.around)*``, and a path
-    from a's first stage back to itself either stays in a (a.ff) or leaves
-    and returns (``a.back @ j @ a.ahead``).  The other parts split the same
-    way.  The corners of a star absorb each other (``fl @ ll = fl``,
-    ``fl @ lf <= ff``), +inf entries included, so no other term is needed.
-    Of b only its ff enters the ff of the result.
+    Between crossings of the junction a path runs inside a or inside b, so
+    :func:`_join` of a and b's ff gives the ff of the result and the corner
+    j at b's first stage, and the other parts split the same way: the
+    corners of a star absorb each other (``fl @ ll = fl``, ``fl @ lf <=
+    ff``), +inf entries included.
     """
-    a_ff, a_back, a_ahead, a_around = a
     b_ff, b_back, b_ahead, b_around = b
-    j = (b_ff + a_around).star()
-    back_j = a_back @ j
+    ff, back_j, j = _join(a, b_ff)
     ahead_j = b_ahead @ j
-    return (
-        a_ff + back_j @ a_ahead,
-        back_j @ b_back,
-        ahead_j @ a_ahead,
-        b_around + ahead_j @ b_back,
-    )
+    return ff, back_j @ b_back, ahead_j @ a[2], b_around + ahead_j @ b_back
 
 
 def _search_start(
@@ -241,24 +252,21 @@ def _search_start(
     grow, so +inf stays, and a repeated closure is a fixed point of the
     recurrence.  So the stop can be searched for.  S_p composed in front
     of S_(k+1) has closure k+p as its ff, and only closure k, the ff of
-    S_(k+1), enters it (see :func:`_compose`); one closure step on gives
+    S_(k+1), enters it (see :func:`_join`); one closure step on gives
     closure k+p+1.  Such a probe either moves the start p+1 on or shows a
     stop by k+p+1.  Probes with p = 1, 2, 4, ..., doubling S_p as they go,
     bracket the stop; probes with the smaller powers, largest first, then
     shrink the bracket, which holds at most 2p+1 indices past the start
     before a probe with p and at most p+1 after it.
     """
-    w = system.within.star()
-    back = w @ system.backward
-    powers = [(w, back, system.forward @ w, system.forward @ back)]  # S_(2^i)
+    powers = [_unit_segment(system)]  # S_(2^i)
     hi = last  # a stop lies by hi
 
     def probe(i: int) -> bool:
         # True if the start moved on, False if hi came down
         nonlocal k, closure, hi
-        ff, back, ahead, around = powers[i]
         p = 1 << i
-        jumped = ff + back @ (closure + around).star() @ ahead  # closure k+p
+        jumped = _join(powers[i], closure)[0]  # closure k+p
         if not jumped.rmax_valued:
             hi = k + p
             return False
@@ -324,7 +332,7 @@ def finite_weak_feasibility(system: PtegSystem, horizon: int) -> bool:
     closure is a fixed point, so the first +inf answers False and the first
     repeat answers True.
     """
-    if horizon < 1:
+    if operator.index(horizon) < 1:
         raise ValueError("horizon must be at least 1")
     return _stopping_closure(system, horizon - 1)[1].rmax_valued
 

@@ -87,8 +87,8 @@ def closure_sequence(system: PtegSystem, k_max: int) -> list[TropicalMatrix]:
 
 
 def _probe_bound(size: int, probe_bound: int | None) -> int:
-    """The probe bound given, or the default ``10 * n^2``; must be positive."""
-    probe = 10 * size * size if probe_bound is None else probe_bound
+    """The probe bound given, or the default ``10 * n^2``; a positive int."""
+    probe = 10 * size * size if probe_bound is None else operator.index(probe_bound)
     if probe < 1:
         raise ValueError("probe bound must be positive")
     return probe

@@ -6,6 +6,8 @@ import itertools
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from maxplus import (
     NEG_INF,
     POS_INF,
@@ -22,7 +24,6 @@ from maxplus import (
     format_scalar,
 )
 from maxplus import invariance
-from maxplus.invariance import _assemble_generator
 
 
 def identity(n: int) -> TropicalMatrix:
@@ -217,9 +218,30 @@ def closure_sequence_full(system: PtegSystem, k_max: int) -> list[TropicalMatrix
 
 
 def roundtrip_full(system: PtegSystem) -> TropicalMatrix:
-    """Oracle for roundtrip_closure: four generic matrix operations."""
+    """``(forward @ within* @ backward oplus within)*``: one occurrence to itself via the next."""
     inner = system.forward @ system.within.star() @ system.backward
     return (inner + system.within).star()
+
+
+def generator_full(
+    system: PtegSystem,
+    closure_k: TropicalMatrix,
+    closure_k1: TropicalMatrix,
+    roundtrip: TropicalMatrix,
+) -> TropicalMatrix:
+    """Oracle for generator k: ``[[C1, C1 @ B @ A], [A @ F @ C1, A]]``.
+
+    C1 is closure k+1, B and F the backward and forward blocks, and A =
+    ``(closure_k oplus roundtrip)*`` with ``roundtrip`` from
+    :func:`roundtrip_full`.
+    """
+    anchored = (closure_k + roundtrip).star()
+    return TropicalMatrix.from_blocks(
+        [
+            [closure_k1, closure_k1 @ system.backward @ anchored],
+            [anchored @ system.forward @ closure_k1, anchored],
+        ]
+    )
 
 
 def check_consistency_full(
@@ -268,13 +290,13 @@ def iterate_shrink_full(system: PtegSystem, probe_bound: int | None = None):
     closure_k1 = closure_step_full(system, closure_k)
     generators = []
     for k in range(probe + 1):
-        generator = _assemble_generator(system, closure_k, closure_k1, roundtrip)
+        generator = generator_full(system, closure_k, closure_k1, roundtrip)
         generators.append(generator)
         if not generator.rmax_valued:
             return InvarianceKind.REAL_EMPTY_AT_STEP, k, None, tuple(generators)
         closure_k2 = closure_step_full(system, closure_k1)
         if closure_k2 == closure_k1:
-            stable = _assemble_generator(system, closure_k1, closure_k2, roundtrip)
+            stable = generator_full(system, closure_k1, closure_k2, roundtrip)
             generators.append(stable)
             return InvarianceKind.CONVERGED_NON_EMPTY, k, stable, tuple(generators)
         closure_k, closure_k1 = closure_k1, closure_k2
@@ -357,3 +379,59 @@ def export_dot_dense(system: PtegSystem, horizon: int) -> str:
             )
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# Hypothesis strategies shared by the property tests.
+
+
+def _block(draw, n, lo, hi):
+    entries = st.one_of(st.just(NEG_INF), st.integers(lo, hi))
+    row = st.lists(entries, min_size=n, max_size=n)
+    return TropicalMatrix(draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@st.composite
+def systems(draw, max_n=4):
+    """Random systems, about half of them consistent.
+
+    Signs follow the usual time windows: forward separations are positive
+    and backward bounds negative, so divergence is not the rule.
+    """
+    n = draw(st.integers(1, max_n))
+    return PtegSystem(
+        dynamics=_block(draw, n, 0, 5),
+        backward=_block(draw, n, -8, 0),
+        within=_block(draw, n, -5, 0),
+        extra_forward=_block(draw, n, -2, 3),
+    )
+
+
+# Small denominators, and large ones whose LCM is a product of coprime factors.
+DENOMINATORS = (st.integers(1, 6), st.integers(1001, 2999))
+
+
+@st.composite
+def fractions(draw, lo, hi, denominators):
+    den = draw(denominators)
+    return Fraction(draw(st.integers(lo * den, hi * den)), den)
+
+
+@st.composite
+def fraction_systems(draw, max_n=3):
+    """``(system, seed)``: Fraction entries, signed like :func:`systems`."""
+    n = draw(st.integers(1, max_n))
+    dens = draw(st.sampled_from(DENOMINATORS))
+
+    def block(lo, hi):
+        entries = st.one_of(st.just(NEG_INF), fractions(lo, hi, dens))
+        row = st.lists(entries, min_size=n, max_size=n)
+        return TropicalMatrix(draw(st.lists(row, min_size=n, max_size=n)))
+
+    system = PtegSystem(
+        dynamics=block(0, 5),
+        backward=block(-8, 0),
+        within=block(-5, 0),
+        extra_forward=block(-2, 3),
+    )
+    seed = draw(st.lists(fractions(-3, 3, dens), min_size=n, max_size=n))
+    return system, tuple(seed)

@@ -1,31 +1,40 @@
 import random
 from fractions import Fraction
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from maxplus import (
     NEG_INF,
     ConsistencyKind,
     InvarianceKind,
-    PtegSystem,
     TropicalMatrix,
     check_consistency,
     closure_sequence,
     iterate_shrink,
     maximal_invariant,
-    roundtrip_closure,
 )
 
+from conftest import TWO_NODE, make_railway
 from helpers import (
     all_eps_system,
     column_values,
+    fraction_systems,
     identity,
     random_system,
     shrink_generator,
     shrink_generator_unrolled,
     stacked_constraint,
+    systems,
     top_left,
 )
 
 NEG = "-inf"
+
+# The railway below ell = -14: its closures repeat, so its iteration converges.
+consistent_railways = st.builds(
+    lambda m: make_railway(-14 - Fraction(1, m)), st.integers(1, 25)
+)
 
 
 def two_node_generator_expected(k):
@@ -64,32 +73,6 @@ class TestLift:
         assert bottom_left == system.forward
 
 
-class TestRoundtripClosure:
-    def test_no_constraints_gives_identity(self):
-        system = PtegSystem(
-            dynamics=TropicalMatrix([[3, NEG], [NEG, NEG]]),
-            backward=TropicalMatrix.epsilon(2),
-            within=TropicalMatrix.epsilon(2),
-        )
-        assert roundtrip_closure(system) == identity(2)
-
-    def test_two_node(self, two_node):
-        assert roundtrip_closure(two_node) == TropicalMatrix([[0, NEG], [0, 0]])
-
-    def test_railway(self, railway):
-        expected = TropicalMatrix(
-            [
-                [0, NEG, NEG, NEG],
-                [NEG, 0, NEG, -5],
-                [NEG, NEG, 0, -5],
-                [NEG, NEG, NEG, 0],
-            ]
-        )
-        closure = roundtrip_closure(railway(-14))
-        assert closure == expected
-        assert closure.rmax_valued
-
-
 class TestShrinkGenerator:
     def test_two_node_closed_form(self, two_node):
         for k in range(5):
@@ -103,14 +86,24 @@ class TestShrinkGenerator:
     def test_unrolled_corner_at_step_zero(self, two_node):
         assert shrink_generator_unrolled(two_node, 0) == stacked_constraint(two_node).star()
 
-    def test_matches_unrolled_oracle(self):
-        rng = random.Random(4401)
-        for _ in range(30):
-            system = random_system(rng, rng.randint(1, 2))
-            for k in range(5):
-                assert shrink_generator(system, k) == shrink_generator_unrolled(
-                    system, k
-                )
+    @settings(max_examples=60)
+    @given(
+        st.one_of(
+            systems(),
+            fraction_systems().map(lambda drawn: drawn[0]),
+            consistent_railways,
+        )
+    )
+    @example(make_railway(-14))
+    @example(all_eps_system())
+    @example(TWO_NODE)
+    def test_matches_unrolled_oracle(self, system):
+        for k in range(5):
+            assert shrink_generator(system, k) == shrink_generator_unrolled(system, k)
+        report = iterate_shrink(system, 6)
+        if report.kind is InvarianceKind.CONVERGED_NON_EMPTY:
+            expected = shrink_generator_unrolled(system, report.step + 1)
+            assert report.invariant_generator == expected
 
     def test_railway_divergence_shows_in_generator(self, railway):
         system = railway(-13)
@@ -238,8 +231,7 @@ class TestOneStepInvariance:
         system = railway(-14)
         generator = maximal_invariant(system)
         n = system.size
-        fixed_closure = closure_sequence(system, 16)[16]
-        anchored = (fixed_closure + roundtrip_closure(system)).star()
+        anchored = TropicalMatrix([row[n:] for row in generator.to_rows()[n:]])
         constraint = stacked_constraint(system)
         checked = 0
         for j in range(generator.cols):

@@ -52,7 +52,6 @@ EXPORTS = sorted(
         "parse_problem",
         "parse_problem_file",
         "parse_scalar",
-        "roundtrip_closure",
         "synthesize_trajectory",
         "validate_trajectory",
     ]
