@@ -8,8 +8,8 @@ be shared freely across threads.
 All of these operations, and the star, are positively homogeneous: scaling
 every entry by the same s > 0 scales the result by s.  A matrix therefore
 stores its finite entries as ``int`` multiples of one private scale, the LCM
-of their denominators, and computes on those ``int``s, which is much faster
-than ``Fraction`` arithmetic.  Operands of two scales are first brought to
+of their denominators (``_stored``), and computes on those ``int``s, which
+is much faster than ``Fraction`` arithmetic.  Operands of two scales are first brought to
 the LCM of both.  Values are divided back only when they are read, into the
 same exact values, normalized (an integral value is always an ``int``).
 Text is written straight from the stored ``int``s (``text_rows``).
@@ -90,6 +90,26 @@ def _star(
     return TropicalMatrix._wrap(tuple(map(tuple, d)), scale)
 
 
+def _stored(grid: tuple) -> tuple[tuple, int]:
+    """Rows of exact scalars as stored values, and the scale they are stored at.
+
+    The scale is the LCM of the denominators; a finite value v is stored as
+    the ``int`` v * scale, and the infinities as they are.
+    """
+    scale = math.lcm(
+        *(v.denominator for row in grid for v in row if type(v) is Fraction)
+    )
+    if scale != 1:
+        grid = tuple(
+            tuple(
+                v if type(v) is float else v.numerator * (scale // v.denominator)
+                for v in row
+            )
+            for row in grid
+        )
+    return grid, scale
+
+
 class TropicalMatrix:
     """An immutable ``rows x cols`` matrix of max-plus scalars."""
 
@@ -102,17 +122,7 @@ class TropicalMatrix:
         width = len(grid[0])
         if any(len(row) != width for row in grid):
             raise ValueError("rows have unequal lengths")
-        scale = math.lcm(
-            *(v.denominator for row in grid for v in row if type(v) is Fraction)
-        )
-        if scale != 1:
-            grid = tuple(
-                tuple(
-                    v if type(v) is float else v.numerator * (scale // v.denominator)
-                    for v in row
-                )
-                for row in grid
-            )
+        grid, scale = _stored(grid)
         self._data = grid
         self._scale = scale
         self._arc_rows = self._arc_cols = None

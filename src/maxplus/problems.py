@@ -9,7 +9,13 @@ parameter; ``+inf`` is rejected on input.  Parameters are substituted
 before any validation, with command-line values overriding file defaults.
 
 Numbers may be written as JSON numbers; they are captured as raw text and
-parsed exactly, so ``0.1`` means one tenth, not the nearest double.
+parsed exactly, so ``0.1`` means one tenth, not the nearest double.  The
+size must be a JSON integer: ``"n": "4"`` is a string, not a size.
+
+:meth:`ProblemFile.instantiate` goes from tokens to the system's blocks in
+one pass: each distinct token is parsed once, all values are stored at one
+scale, the LCM of their denominators, and the four grids of stored values
+are built at that scale.  No grid is rescaled afterwards.
 """
 
 from __future__ import annotations
@@ -17,14 +23,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .matrix import TropicalMatrix
+from .matrix import TropicalMatrix, _stored
 from .precedence import PtegSystem
-from .semiring import POS_INF, Scalar, parse_scalar
+from .semiring import POS_INF, parse_scalar
 
 # Problem-file key -> PtegSystem field, in document order.
 MATRIX_FIELDS = {"A": "dynamics", "L": "backward", "C": "within", "Rtilde": "extra_forward"}
 
 Grid = tuple[tuple[str, ...], ...]
+
+_SIZE_ERROR = 'field "n" must be a positive integer'
 
 
 class ProblemFormatError(ValueError):
@@ -52,28 +60,39 @@ class ProblemFile:
     def instantiate(self, overrides: dict[str, str] | None = None) -> PtegSystem:
         """Substitute parameters, parse every entry and build the system.
 
-        Each distinct token is parsed once per call.  Only a token that
-        parsed is remembered, so a bad one fails where it first occurs in
-        document order and the error names that matrix.
+        One pass: the distinct tokens are collected in document order, each
+        with the matrix where it first occurs, and each is parsed once per
+        call.  So a bad token fails where it first occurs, and the error
+        names that matrix.  The parsed values are stored at one scale, the
+        LCM of all their denominators, and the four grids are built at that
+        scale from the stored values, so the system's blocks start aligned.
         """
         overrides = overrides or {}
         _reject_scalar_names(overrides)
         values = {**self.params, **overrides}
-        parsed: dict[str, Scalar] = {}
-
-        def entry(token: str, key: str) -> Scalar:
-            value = parsed.get(token)
-            if value is None:
-                value = parsed[token] = _resolve_entry(token, values, key)
-            return value
-
-        matrices = {
-            name: TropicalMatrix(
-                [[entry(token, key) for token in row] for row in getattr(self, name)]
-            )
-            for key, name in MATRIX_FIELDS.items()
-        }
-        return PtegSystem(**matrices)
+        n = self.size
+        if n < 1:
+            raise ProblemFormatError(_SIZE_ERROR)
+        grids = {name: getattr(self, name) for name in MATRIX_FIELDS.values()}
+        first: dict[str, str] = {}  # token -> key of the matrix it first occurs in
+        for key, grid in zip(MATRIX_FIELDS, grids.values()):
+            if len(grid) != n or set(map(len, grid)) != {n}:
+                raise ProblemFormatError(f"matrix {key} must be {n} x {n}")
+            for row in grid:
+                for token in row:
+                    if token not in first:
+                        first[token] = key
+        parsed = [_resolve_entry(token, values, key) for token, key in first.items()]
+        (stored,), scale = _stored((parsed,))
+        lookup = dict(zip(first, stored)).__getitem__
+        return PtegSystem(
+            **{
+                name: TropicalMatrix._wrap(
+                    tuple([tuple(map(lookup, row)) for row in grid]), scale
+                )
+                for name, grid in grids.items()
+            }
+        )
 
 
 def _reject_scalar_names(names) -> None:
@@ -119,17 +138,27 @@ def _capture_grid(obj, key: str, n: int) -> Grid:
                 raise ProblemFormatError(
                     f"unexpected entry {cell!r} in matrix {key}"
                 )
-            if cell.strip() in ("+inf", "inf"):
+            token = cell.strip()
+            if token == "+inf" or token == "inf":
                 raise ProblemFormatError(f"+inf is rejected in matrix {key}")
-            out.append(cell.strip())
+            out.append(token)
         grid.append(tuple(out))
     return tuple(grid)
+
+
+class _JsonInteger(str):
+    """The text of a JSON integer, told apart from a JSON string."""
+
+
+# JSON numbers are kept as their text; integers are marked so that only a
+# JSON integer can give the size.
+_DECODER = json.JSONDecoder(parse_float=str, parse_int=_JsonInteger, parse_constant=str)
 
 
 def parse_problem(text: str) -> ProblemFile:
     """Parse a problem document, capturing numeric tokens exactly."""
     try:
-        raw = json.loads(text, parse_float=str, parse_int=str, parse_constant=str)
+        raw = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(
             f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
@@ -138,13 +167,13 @@ def parse_problem(text: str) -> ProblemFile:
         raise ProblemFormatError("invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise ProblemFormatError("problem document must be a JSON object")
-    # JSON numbers arrive as text, so true (an int to Python) is no size.
+    size = raw.get("n")
     try:
-        n = int(raw["n"]) if isinstance(raw.get("n"), str) else 0
-    except ValueError:
+        n = int(size) if type(size) is _JsonInteger else 0
+    except ValueError:  # past the int digit limit
         n = 0
     if n < 1:
-        raise ProblemFormatError('field "n" must be a positive integer')
+        raise ProblemFormatError(_SIZE_ERROR)
     for key in MATRIX_FIELDS:
         if key not in raw:
             raise ProblemFormatError(f"missing matrix {key}")
@@ -158,7 +187,8 @@ def parse_problem(text: str) -> ProblemFile:
     if unknown:
         raise ProblemFormatError(f"unknown fields: {sorted(unknown)}")
     grids = {name: _capture_grid(raw[key], key, n) for key, name in MATRIX_FIELDS.items()}
-    return ProblemFile(size=n, params=dict(params_raw), **grids)
+    params = {name: str(value) for name, value in params_raw.items()}  # unmark integers
+    return ProblemFile(size=n, params=params, **grids)
 
 
 def parse_problem_file(path) -> ProblemFile:

@@ -20,6 +20,10 @@ POS_INF: float = float("inf")
 #: A max-plus scalar.  ``float`` only ever holds one of the two infinities.
 Scalar = Union[int, Fraction, float]
 
+# Text shorter than this never reaches the int digit limit, whatever it is
+# set to, so ``int()`` reads it without a ValueError for its length.
+_SHORT = sys.int_info.str_digits_check_threshold
+
 
 def as_scalar(value) -> Scalar:
     """Coerce ``value`` to a max-plus scalar, keeping finite values exact.
@@ -60,12 +64,23 @@ def parse_scalar(text: str) -> Scalar:
     A decimal exponent ("1e5") may not exceed Python's limit on the digits
     of an ``int`` in text, ``sys.int_info.default_max_str_digits``, in
     magnitude: the exact value of ``1e999999999`` is a 415 MB ``int``.
+
+    A short token of ASCII digits, with an optional leading "-" and an
+    optional "." between two runs of digits, is read with ``int()``; every
+    other token goes through ``Fraction``.  Both give the same value.
     """
     token = text.strip()
     if token == "-inf":
         return NEG_INF
     if token in ("+inf", "inf"):
         return POS_INF
+    if len(token) < _SHORT and token.isascii():
+        whole, dot, places = token.removeprefix("-").partition(".")
+        if whole.isdigit() and (not dot or places.isdigit()):
+            if not dot:
+                return int(token)
+            value = Fraction(int(token.replace(".", "")), 10 ** len(places))
+            return value if value.denominator != 1 else value.numerator
     _, marker, exponent = token.lower().partition("e")
     try:
         if marker and abs(int(exponent)) > sys.int_info.default_max_str_digits:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+import sys
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from maxplus import (
     format_scalar,
 )
 from maxplus import invariance
+from maxplus.problems import MATRIX_FIELDS, ProblemFile, ProblemFormatError, _reject_scalar_names
 
 
 def identity(n: int) -> TropicalMatrix:
@@ -435,3 +438,177 @@ def fraction_systems(draw, max_n=3):
     )
     seed = draw(st.lists(fractions(-3, 3, dens), min_size=n, max_size=n))
     return system, tuple(seed)
+
+
+# Oracles for the problem load path: every token through Fraction, and the
+# four-matrix construction that PtegSystem then aligns.
+
+
+def parse_scalar_by_fraction(text: str):
+    """Oracle for ``parse_scalar``: every finite token as ``as_scalar(Fraction(token))``."""
+    token = text.strip()
+    if token == "-inf":
+        return NEG_INF
+    if token in ("+inf", "inf"):
+        return POS_INF
+    _, marker, exponent = token.lower().partition("e")
+    try:
+        if marker and abs(int(exponent)) > sys.int_info.default_max_str_digits:
+            raise ValueError("decimal exponent out of range")
+        return as_scalar(Fraction(token))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not an exact scalar: {text!r}") from exc
+
+
+def _resolve_by_fraction(token: str, params: dict, key: str):
+    raw = params.get(token, token)
+    try:
+        value = parse_scalar_by_fraction(raw)
+    except ValueError:
+        if token in params:
+            raise ProblemFormatError(
+                f"parameter {token!r} has non-scalar value {raw!r}"
+            ) from None
+        raise ProblemFormatError(
+            f"entry {token!r} in matrix {key} is neither a scalar"
+            " nor a known parameter"
+        ) from None
+    if value == POS_INF:
+        raise ProblemFormatError(f"+inf is rejected in matrix {key}")
+    return value
+
+
+def instantiate_by_matrices(problem: ProblemFile, overrides: dict | None = None) -> PtegSystem:
+    """Oracle for ``ProblemFile.instantiate``: one ``TropicalMatrix`` per grid.
+
+    Each entry goes through ``as_scalar``, each matrix takes the LCM of its
+    own denominators, and ``PtegSystem`` aligns within, backward and forward
+    afterwards; dynamics and extra_forward keep their own scales.
+    """
+    overrides = overrides or {}
+    _reject_scalar_names(overrides)
+    values = {**problem.params, **overrides}
+    parsed: dict = {}
+
+    def entry(token: str, key: str):
+        if token not in parsed:
+            parsed[token] = _resolve_by_fraction(token, values, key)
+        return parsed[token]
+
+    return PtegSystem(
+        **{
+            name: TropicalMatrix(
+                [[entry(token, key) for token in row] for row in getattr(problem, name)]
+            )
+            for key, name in MATRIX_FIELDS.items()
+        }
+    )
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=12)
+_PADDING = st.sampled_from(["", " ", "\t", " \n "])
+
+
+@st.composite
+def plain_numbers(draw):
+    """``-?digits`` or ``-?digits.digits``, the tokens ``parse_scalar`` reads with ``int()``."""
+    sign = draw(st.sampled_from(["", "-"]))
+    places = draw(st.one_of(st.just(""), _DIGITS.map(".".__add__)))
+    return sign + draw(_DIGITS) + places
+
+
+@st.composite
+def near_numbers(draw):
+    """A number that ``parse_scalar`` must not read with ``int()``."""
+    sign = draw(st.sampled_from(["", "-"]))
+    token = draw(plain_numbers())
+    at = draw(st.integers(0, len(token)))
+    return draw(
+        st.sampled_from(
+            [
+                "+" + token.removeprefix("-"),
+                token[:at] + "_" + token[at:],
+                sign + "." + draw(_DIGITS),
+                sign + draw(_DIGITS) + ".",
+                # Arabic-Indic three, fullwidth five, superscript two, NKo one
+                token[:at] + draw(st.sampled_from("\u0663\uff15\u00b2\u07c1")) + token[at:],
+                token[:at] + " " + token[at:],
+                token + "/" + draw(st.sampled_from(["3", "0", "-2", "04", "1_0"])),
+            ]
+        )
+    )
+
+
+@st.composite
+def exponent_numbers(draw):
+    exponent = draw(
+        st.one_of(
+            st.integers(-30, 30).map(str),
+            st.sampled_from(["+3", "4300", "-4300", "4301", "+4301", "", "x", "1_0"]),
+        )
+    )
+    return draw(plain_numbers()) + draw(st.sampled_from("eE")) + exponent
+
+
+@st.composite
+def long_numbers(draw):
+    """Tokens of 4290-4310 digits, around Python's default int digit limit."""
+    length = draw(st.integers(4290, 4310))
+    pattern = draw(st.text("0123456789", min_size=1, max_size=4))
+    digits = (pattern * length)[:length]
+    dot = draw(st.one_of(st.none(), st.integers(1, length - 1)))
+    if dot is not None:
+        digits = digits[:dot] + "." + digits[dot:]
+    return draw(st.sampled_from(["", "-"])) + digits
+
+
+@st.composite
+def scalar_texts(draw):
+    """Scalar-like text for ``parse_scalar``, valid or not, with padding."""
+    token = draw(
+        st.one_of(
+            plain_numbers(),
+            near_numbers(),
+            exponent_numbers(),
+            long_numbers(),
+            st.sampled_from(["-inf", "+inf", "inf", "-", ".", "", "nan", "1/0", "-0", "007"]),
+        )
+    )
+    return draw(_PADDING) + token + draw(_PADDING)
+
+
+# Grid tokens for problem texts: mixed denominators, names and bad tokens.
+_VALUES = st.one_of(
+    st.integers(-20, 20).map(str),
+    st.sampled_from(["-inf", "0.5", "-13.999", "1/3", "-5/6", "7/1001", "0.125", "2.50", " 3 "]),
+)
+_NAMES = st.sampled_from(["a", "b", "c"])
+_BAD = st.sampled_from(["soon", "1/0", "1e99999", "nan", "+inf"])
+
+
+@st.composite
+def problem_texts(draw, max_n=3):
+    """``(text, overrides)``: a problem document that parses, and ``--param`` values.
+
+    Grids mix literal values and parameter names ("a", "b", "c").  About a
+    third of the draws hold one token that is not a scalar, in a grid or
+    as a parameter value (where ``+inf`` is one of them).
+    """
+    n = draw(st.integers(1, max_n))
+    cell = st.one_of(_VALUES, _VALUES, _NAMES)
+    doc: dict = {"n": n}
+    for key in MATRIX_FIELDS:
+        doc[key] = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    # "a" and "b" always have values; "c" may be unknown
+    doc["params"] = draw(
+        st.fixed_dictionaries({"a": _VALUES, "b": _VALUES}, optional={"c": _VALUES})
+    )
+    overrides = draw(st.dictionaries(_NAMES, _VALUES, max_size=2))
+    where = draw(st.sampled_from(["none", "none", "grid", "params", "overrides"]))
+    bad = draw(_BAD)
+    if where == "grid" and bad != "+inf":  # +inf in a grid fails at parse time
+        key = draw(st.sampled_from(list(MATRIX_FIELDS)))
+        doc[key][draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = bad
+    elif where in ("params", "overrides"):
+        (doc["params"] if where == "params" else overrides)[draw(_NAMES)] = bad
+    return json.dumps(doc), overrides

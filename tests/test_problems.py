@@ -1,8 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+from helpers import instantiate_by_matrices, problem_texts
 from maxplus import (
     NEG_INF,
     ProblemFile,
@@ -11,7 +14,7 @@ from maxplus import (
     parse_problem_file,
     parse_scalar,
 )
-from maxplus import problems
+from maxplus import TropicalMatrix, matrix, precedence, problems, semiring
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -102,7 +105,9 @@ def test_malformed_documents(mutate, message):
         parse_problem(mutate(MINIMAL))
 
 
-@pytest.mark.parametrize("size", ["true", "false", "null", "[1]", "1.5"])
+@pytest.mark.parametrize(
+    "size", ["true", "false", "null", "[1]", "1.5", '"1"', '" 4"', '"1_0"']
+)
 def test_size_must_be_a_json_integer(size):
     with pytest.raises(ProblemFormatError, match='field "n" must be a positive integer'):
         parse_problem(MINIMAL.replace('"n": 1', f'"n": {size}'))
@@ -186,3 +191,76 @@ def test_bad_token_in_two_matrices_fails_at_its_first(params, message):
         problem.instantiate()
     assert str(raised.value) == message
     assert problem.instantiate({"delay": "-3"}).backward[0, 1] == -3
+
+
+@settings(max_examples=150)
+@given(problem_texts())
+def test_instantiate_matches_the_four_matrix_route(drawn):
+    """Equal systems, equal stored blocks, or the same error text."""
+    text, overrides = drawn
+    problem = parse_problem(text)
+    try:
+        expected = instantiate_by_matrices(problem, overrides)
+    except ProblemFormatError as exc:
+        with pytest.raises(ProblemFormatError) as raised:
+            problem.instantiate(overrides)
+        assert str(raised.value) == str(exc)
+        return
+    system = problem.instantiate(overrides)
+    assert system == expected
+    # the blocks the analysis reads are stored alike; the old route keeps
+    # dynamics and extra_forward at their own scales, so those compare by value
+    for name in ("within", "backward", "forward"):
+        got, want = getattr(system, name), getattr(expected, name)
+        assert (got._scale, got._data) == (want._scale, want._data)
+
+
+def test_instantiate_builds_the_blocks_aligned(monkeypatch):
+    """No TropicalMatrix.__init__, as_scalar only per distinct Fraction-route
+    token, and PtegSystem's alignment hands back the blocks it was given."""
+    text = TWICE_BAD.replace("PARAMS", '"params": {"delay": "7/3"}')
+    problem = parse_problem(text)
+    as_scalar, real_aligned = semiring.as_scalar, precedence.aligned
+
+    def no_init(self, data):
+        raise AssertionError("instantiate built a TropicalMatrix through __init__")
+
+    coerced = []
+
+    def counted(value):
+        coerced.append(value)
+        return as_scalar(value)
+
+    aligned = []
+
+    def spied(*blocks):
+        out = real_aligned(*blocks)
+        aligned.append((blocks, out))
+        return out
+
+    monkeypatch.setattr(TropicalMatrix, "__init__", no_init)
+    monkeypatch.setattr(semiring, "as_scalar", counted)
+    monkeypatch.setattr(matrix, "as_scalar", counted)
+    monkeypatch.setattr(precedence, "aligned", spied)
+    system = problem.instantiate()
+    # 16 entries; "1/2" (twice) and "delay" = "7/3" (twice) take the Fraction route
+    assert len(coerced) == 2
+    ((given, out),) = aligned
+    assert all(a is b for a, b in zip(given, out))
+    assert all(a is b for a, b in zip((system.within, system.backward, system.forward), out))
+    assert {b._scale for b in (system.dynamics, system.extra_forward, *out)} == {6}
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (lambda p: replace(p, size=0), 'field "n" must be a positive integer'),
+        (lambda p: replace(p, backward=((), ())), "matrix L must be 2 x 2"),
+        (lambda p: replace(p, within=(("0",), ("0", "0"))), "matrix C must be 2 x 2"),
+    ],
+)
+def test_instantiate_checks_the_shape_of_a_built_problem(mutate, message):
+    problem = mutate(parse_problem(TWICE_BAD.replace("PARAMS", '"params": {"delay": "1"}')))
+    with pytest.raises(ProblemFormatError) as raised:
+        problem.instantiate()
+    assert str(raised.value) == message

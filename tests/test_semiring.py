@@ -2,7 +2,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
+from helpers import parse_scalar_by_fraction, scalar_texts
 from maxplus import (
     NEG_INF,
     POS_INF,
@@ -148,6 +150,28 @@ class TestParseFormat:
             parse_scalar("ell")
         with pytest.raises(ValueError):
             parse_scalar("1/0")
+
+    @settings(max_examples=400)
+    @given(scalar_texts())
+    @example(" -0012.500 ")
+    @example("1_0")
+    @example("\u0663")  # Arabic-Indic three: int() and Fraction() both read it
+    @example("1\u00b2")  # superscript two: a digit to isdigit(), not to int()
+    @example("9" * 639)  # the longest token read with int()
+    @example("-" + "9" * 639)
+    @example("0." + "0" * 4299 + "1")
+    def test_matches_the_fraction_route(self, text):
+        """Value, exact type and error text equal ``as_scalar(Fraction(token))``'s."""
+        try:
+            expected = parse_scalar_by_fraction(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                parse_scalar(text)
+            assert str(raised.value) == str(exc)
+            return
+        value = parse_scalar(text)
+        assert type(value) is type(expected)
+        assert value == expected
 
 
 # Python's own limit on the digits of an int written as text.
