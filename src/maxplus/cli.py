@@ -34,7 +34,6 @@ from .pteg import (
     synthesize_trajectory,
     validate_trajectory,
 )
-from .semiring import format_scalar
 
 EXIT_CODES = {
     ConsistencyKind.CONSISTENT: 0,
@@ -159,7 +158,7 @@ def cmd_trajectory(args) -> int:
         raise RuntimeError("synthesized trajectory failed validation")
 
     # the inputs u(k) = x(k+1) are states[1:]
-    states = [[format_scalar(v) for v in row] for row in trajectory.states]
+    states = trajectory.table.text_rows()
     if args.format == "json":
         doc = {"horizon": trajectory.horizon, "states": states, "inputs": states[1:]}
         print(json.dumps(doc, indent=2))

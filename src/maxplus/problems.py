@@ -66,6 +66,10 @@ class ProblemFile:
         names that matrix.  The parsed values are stored at one scale, the
         LCM of all their denominators, and the four grids are built at that
         scale from the stored values, so the system's blocks start aligned.
+
+        An override must name a parameter the file declares in ``params``
+        or uses in a grid, so a misspelled name fails instead of leaving
+        the default in place; a declared parameter no grid uses is accepted.
         """
         overrides = overrides or {}
         _reject_scalar_names(overrides)
@@ -82,6 +86,9 @@ class ProblemFile:
                 for token in row:
                     if token not in first:
                         first[token] = key
+        for name in overrides:
+            if name not in self.params and name not in first:
+                raise ProblemFormatError(f"unknown parameter {name!r}")
         parsed = [_resolve_entry(token, values, key) for token, key in first.items()]
         (stored,), scale = _stored((parsed,))
         lookup = dict(zip(first, stored)).__getitem__

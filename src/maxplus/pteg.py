@@ -144,24 +144,25 @@ def check_consistency(
 class Trajectory:
     """A finite schedule: states x(1..K) and inputs u(1..K-1) = x(2..K).
 
-    Only the states are stored.  Callers that also pass the inputs must
-    pass the successor states.
+    Only the states are stored, as the rows of one K x n matrix, ``table``;
+    a :class:`~maxplus.matrix.TropicalMatrix` passed as ``states`` is kept.
+    Callers that also pass the inputs must pass the successor states.
     """
 
-    states: tuple[tuple[Scalar, ...], ...]
+    table: TropicalMatrix
 
     def __init__(self, states, inputs=None):
-        states = tuple(tuple(as_scalar(v) for v in row) for row in states)
-        object.__setattr__(self, "states", states)
-        if not states:
-            raise ValueError("a trajectory needs at least one state")
-        width = len(states[0])
-        if any(len(row) != width for row in states):
-            raise ValueError("state vectors have unequal lengths")
-        if not all(is_finite(v) for row in states for v in row):
+        table = states if isinstance(states, TropicalMatrix) else TropicalMatrix(states)
+        object.__setattr__(self, "table", table)
+        if not all(is_finite(v) for row in table._data for v in row):
             raise ValueError("trajectory entries must be finite")
-        if inputs is not None and Trajectory(states[:1] + tuple(inputs)) != self:
+        if inputs is not None and Trajectory((self.states[0], *inputs)) != self:
             raise ValueError("inputs must replay the successor states")
+
+    @property
+    def states(self) -> tuple[tuple[Scalar, ...], ...]:
+        """x(1..K), the rows of ``table`` as exact scalars."""
+        return self.table.to_rows()
 
     @property
     def inputs(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -170,7 +171,7 @@ class Trajectory:
 
     @property
     def horizon(self) -> int:
-        return len(self.states)
+        return self.table.rows
 
 
 def synthesize_trajectory(
@@ -198,54 +199,53 @@ def synthesize_trajectory(
     component is finite: b is finite and a star's diagonal is at least 0,
     so each component is at least its entry of b and never -inf.
 
-    The seed and the blocks are aligned to one scale once (see
-    :func:`~maxplus.matrix.aligned`); the closures share it.  Both sweeps
-    then run on lists of the stored ``int``s, as 4(K-1)+1 matrix-vector
-    products of :func:`~maxplus.matrix._apply`, each O(n^2) over the
-    matrix's entries other than -inf, listed once per matrix (a fixed
-    closure repeated as a tail is one object).  No matrix is built and no
-    operand rescaled; :meth:`~maxplus.matrix.TropicalMatrix.to_rows` divides
-    the states back into exact scalars once, at the end.
+    The closures are walked on the system at its own scale; a fixed closure
+    stands for every later tail as one object.  The seed, ``backward``,
+    ``forward`` and the walked closures are then aligned once (see
+    :func:`~maxplus.matrix.aligned`), and both sweeps run on lists of the
+    stored ``int``s, as 4(K-1)+1 matrix-vector products of
+    :func:`~maxplus.matrix._apply`, each O(n^2) over the matrix's entries
+    other than -inf, listed once per matrix.  The states are stored as the
+    sweeps give them, as the rows of the trajectory's ``table``.
     """
     if horizon < 2:
         raise ValueError("trajectory synthesis needs a horizon of at least 2")
     n = system.size
-    if seed is None:
-        seed_vec: tuple[Scalar, ...] = (0,) * n
-    else:
-        seed_vec = tuple(as_scalar(v) for v in seed)
-        if len(seed_vec) != n:
-            raise DimensionMismatch(f"seed must have {n} components")
-        if not all(map(is_finite, seed_vec)):
-            raise ValueError("seed components must be finite")
+    seed_vec = tuple(map(as_scalar, (0,) * n if seed is None else seed))
+    if len(seed_vec) != n:
+        raise DimensionMismatch(f"seed must have {n} components")
+    if not all(map(is_finite, seed_vec)):
+        raise ValueError("seed components must be finite")
 
-    seed_col, within, backward, forward = aligned(
-        TropicalMatrix.column(seed_vec), system.within, system.backward, system.forward
-    )
-    system = PtegSystem(dynamics=forward, backward=backward, within=within)
-    tails = []
-    for _, closure, _ in itertools.islice(_closures(system), horizon):
+    walked = []
+    for _, closure, fixed in itertools.islice(_closures(system), horizon):
+        if fixed:
+            break
         if not closure.rmax_valued:
             raise InfeasibleHorizon(
                 f"no schedule over {horizon} occurrences exists:"
                 " the unrolled constraints force an event time to +inf",
                 reason="divergent",
             )
-        tails.append(closure)
-    tails.reverse()  # 0-based lists: tails[k] is T_{k+1}, r[k] is r_{k+1}
+        walked.append(closure)
+    seed_col, backward, forward, *walked = aligned(
+        TropicalMatrix.column(seed_vec), system.backward, system.forward, *walked
+    )
+    # 0-based lists: tails[k] is T_{k+1} = closure_{K-k-1}, r[k] is r_{k+1}
+    tails = [walked[-1]] * (horizon - len(walked)) + walked[::-1]
     # stored ints at the common scale; the zero vector is 0 at every scale
     r = [[0] * n] * horizon
-    r[0] = [row[0] for row in seed_col._data]
+    r[0] = [v for (v,) in seed_col._data]
     for k in range(horizon - 2, -1, -1):
-        via = _apply(system.backward, _apply(tails[k + 1], r[k + 1]))
+        via = _apply(backward, _apply(tails[k + 1], r[k + 1]))
         r[k] = [a if a >= b else b for a, b in zip(r[k], via)]
     x = _apply(tails[0], r[0])
-    states = [x]
+    states = [tuple(x)]
     for k in range(1, horizon):
-        via = _apply(system.forward, x)
+        via = _apply(forward, x)
         x = _apply(tails[k], [a if a >= b else b for a, b in zip(via, r[k])])
-        states.append(x)
-    return Trajectory(TropicalMatrix._wrap(states, seed_col._scale).to_rows())
+        states.append(tuple(x))
+    return Trajectory(TropicalMatrix._wrap(tuple(states), seed_col._scale))
 
 
 def validate_trajectory(system: PtegSystem, trajectory: Trajectory) -> bool:
@@ -253,18 +253,18 @@ def validate_trajectory(system: PtegSystem, trajectory: Trajectory) -> bool:
 
     Each state x(k) must meet ``within @ x(k) <= x(k)``, and each pair of
     consecutive states ``backward @ x(k+1) <= x(k)`` and ``forward @ x(k)
-    <= x(k+1)``.  The states are stored once, as the rows of one matrix
-    aligned with the blocks (see :func:`~maxplus.matrix.aligned`), so the
-    3K-2 products over K states are :func:`~maxplus.matrix._apply` sweeps
-    of stored ``int``s: no product matrix is built, nothing divided back.
+    <= x(k+1)``.  The trajectory's ``table`` is aligned with the blocks
+    (see :func:`~maxplus.matrix.aligned`), so the 3K-2 products over K
+    states are :func:`~maxplus.matrix._apply` sweeps of stored ``int``s:
+    no product matrix is built, nothing divided back.
     """
-    rows = trajectory.states
-    if any(len(row) != system.size for row in rows):
+    table = trajectory.table
+    if table.cols != system.size:
         raise DimensionMismatch("trajectory width does not match the system")
-    stored, within, backward, forward = aligned(
-        TropicalMatrix(rows), system.within, system.backward, system.forward
+    table, within, backward, forward = aligned(
+        table, system.within, system.backward, system.forward
     )
-    states = stored._data
+    states = table._data
     if not all(all(map(operator.le, _apply(within, x), x)) for x in states):
         return False
     return all(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -26,6 +27,7 @@ from maxplus import (
     format_scalar,
 )
 from maxplus import invariance
+from maxplus.matrix import DimensionMismatch, _apply, aligned
 from maxplus.problems import MATRIX_FIELDS, ProblemFile, ProblemFormatError, _reject_scalar_names
 
 
@@ -361,6 +363,29 @@ def validate_trajectory_full(system: PtegSystem, trajectory: Trajectory) -> bool
     return True
 
 
+def validate_trajectory_by_rows(system: PtegSystem, trajectory: Trajectory) -> bool:
+    """Oracle for validate_trajectory: the states read back and stored again.
+
+    The rows of ``trajectory.states`` become a new matrix at the LCM of
+    their own denominators, aligned with the blocks, and are checked by
+    the same sweeps of stored ``int``s.
+    """
+    rows = trajectory.states
+    if any(len(row) != system.size for row in rows):
+        raise DimensionMismatch("trajectory width does not match the system")
+    stored, within, backward, forward = aligned(
+        TropicalMatrix(rows), system.within, system.backward, system.forward
+    )
+    states = stored._data
+    if not all(all(map(operator.le, _apply(within, x), x)) for x in states):
+        return False
+    return all(
+        all(map(operator.le, _apply(backward, y), x))
+        and all(map(operator.le, _apply(forward, x), y))
+        for x, y in zip(states, states[1:])
+    )
+
+
 def export_dot_dense(system: PtegSystem, horizon: int) -> str:
     """Oracle for export_dot: scans every entry of the unrolled matrix."""
     matrix = build_block_matrix(system, horizon)
@@ -483,10 +508,16 @@ def instantiate_by_matrices(problem: ProblemFile, overrides: dict | None = None)
 
     Each entry goes through ``as_scalar``, each matrix takes the LCM of its
     own denominators, and ``PtegSystem`` aligns within, backward and forward
-    afterwards; dynamics and extra_forward keep their own scales.
+    afterwards; dynamics and extra_forward keep their own scales.  An
+    override that is neither declared nor used in a grid is rejected first.
     """
     overrides = overrides or {}
     _reject_scalar_names(overrides)
+    grids = [getattr(problem, name) for name in MATRIX_FIELDS.values()]
+    used = {token for grid in grids for row in grid for token in row}
+    for name in overrides:
+        if name not in problem.params and name not in used:
+            raise ProblemFormatError(f"unknown parameter {name!r}")
     values = {**problem.params, **overrides}
     parsed: dict = {}
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from maxplus import TropicalMatrix, cli, format_scalar, parse_scalar
+from maxplus import TropicalMatrix, cli, parse_scalar
 from maxplus.cli import main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -169,23 +169,33 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("fmt", ["human", "json"])
     def test_each_state_is_formatted_once(self, capsys, monkeypatch, fmt):
-        calls = []
+        """One ``text_rows`` call, on the trajectory's table; u(k) is x(k+1)."""
+        formatted, synthesized = [], []
+        text_rows, synthesize = TropicalMatrix.text_rows, cli.synthesize_trajectory
 
-        def counted(value):
-            calls.append(value)
-            return format_scalar(value)
+        def counted(matrix):
+            formatted.append(matrix)
+            return text_rows(matrix)
 
-        monkeypatch.setattr(cli, "format_scalar", counted)
+        def kept(*args):
+            synthesized.append(synthesize(*args))
+            return synthesized[-1]
+
+        monkeypatch.setattr(TropicalMatrix, "text_rows", counted)
+        monkeypatch.setattr(cli, "synthesize_trajectory", kept)
         code, out, _ = run(
             capsys, "trajectory", RAILWAY, "--horizon", "40", "--format", fmt
         )
         assert code == 0
-        assert len(calls) == 40 * 4  # n = 4 entries per state
+        assert len(formatted) == 1 and formatted[0] is synthesized[0].table
         if fmt == "json":
-            inputs = json.loads(out)["inputs"]
+            doc = json.loads(out)
+            states, inputs = doc["states"], doc["inputs"]
         else:
-            inputs = [line for line in out.splitlines() if line.startswith("u(")]
-        assert len(inputs) == 39
+            rows = [line.split(" = ") for line in out.splitlines()]
+            states = [row for name, row in rows if name.startswith("x(")]
+            inputs = [row for name, row in rows if name.startswith("u(")]
+        assert len(states) == 40 and inputs == states[1:]
 
 
 class TestGraph:
@@ -250,6 +260,26 @@ class TestErrors:
     def test_unknown_parameter_value(self, capsys):
         code, _, err = run(capsys, "check", RAILWAY, "--param", "ell=oops")
         assert code == 1 and "oops" in err
+
+    def test_misspelled_parameter_is_rejected(self, capsys):
+        code, out, err = run(capsys, "check", RAILWAY, "--param", "elll=-13")
+        assert code == 1 and out == ""
+        assert err == "error: unknown parameter 'elll'\n"
+
+    def test_declared_parameter_may_go_unused(self, capsys, tmp_path):
+        doc = {
+            "n": 1,
+            "A": [["1"]],
+            "L": [["-inf"]],
+            "C": [["-inf"]],
+            "Rtilde": [["-inf"]],
+            "params": {"spare": "2"},
+        }
+        path = tmp_path / "spare.json"
+        path.write_text(json.dumps(doc))
+        plain = run(capsys, "check", str(path))
+        assert plain[0] == 0
+        assert run(capsys, "check", str(path), "--param", "spare=5") == plain
 
     def test_bad_probe_bound(self, capsys):
         code, _, err = run(capsys, "check", RAILWAY, "--probe-bound", "0")

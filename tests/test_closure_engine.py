@@ -633,6 +633,79 @@ def test_sweeps_make_no_matrix_product(monkeypatch, sweep_calls, system, horizon
     assert len(tails) == (horizon if fixed is None else min(horizon, fixed))
 
 
+@pytest.fixture
+def stored_again(monkeypatch):
+    """Counts of the calls that build a system or store or divide back values."""
+    counts = collections.Counter()
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapped)
+
+    counted(PtegSystem, "__post_init__")
+    counted(TropicalMatrix, "__init__")
+    counted(TropicalMatrix, "to_rows")
+    return counts
+
+
+@pytest.mark.parametrize("seed", [None, (3, 0, -2, 1)])
+@pytest.mark.parametrize("horizon", [2, 3, 7, 40])
+@pytest.mark.parametrize("system", [make_railway(Fraction("-14.123")), make_railway(-14)])
+def test_schedule_is_stored_once(sweep_calls, stored_again, system, horizon, seed):
+    """Synthesis walks the caller's system and keeps what its sweeps give.
+
+    It builds no ``PtegSystem`` and calls ``to_rows`` nowhere; with no seed
+    or an integer one, every tail is at the system's own scale and a fixed
+    closure repeated as a tail is one object.  Validation reads the
+    trajectory's table as it is: no matrix built from rows, nothing
+    divided back.
+    """
+    trajectory = synthesize_trajectory(system, horizon, seed)
+    assert stored_again["__post_init__"] == stored_again["to_rows"] == 0
+    tails = [m for m, _ in sweep_calls[::2]]
+    assert {m._scale for m, _ in sweep_calls} == {system.within._scale}
+    fixed = first_repeat(system, horizon)
+    assert len({id(m) for m in tails}) == min(horizon, fixed or horizon)
+    assert trajectory.table._scale == system.within._scale
+
+    stored_again.clear()
+    sweep_calls.clear()
+    assert validate_trajectory(system, trajectory)
+    assert stored_again == {}
+    rows = [vector for _, vector in sweep_calls[:horizon]]
+    assert rows == [list(row) for row in trajectory.table._data]
+
+
+def test_seed_denominator_leaves_the_walk_at_the_system_scale(monkeypatch, sweep_calls):
+    """A seed that adds a denominator rescales the walked closures once.
+
+    The walk itself runs on the system's blocks at their own scale; the
+    sweeps run at the LCM with the seed's, and the states are the dense
+    oracle's.
+    """
+    system, seed = make_railway(-14), (0, 0, 0, Fraction(1, 3))
+    walked = []
+    closures = pteg._closures
+
+    def recorded(*args):
+        for step in closures(*args):
+            walked.append(step[1])
+            yield step
+
+    monkeypatch.setattr(pteg, "_closures", recorded)
+    trajectory = synthesize_trajectory(system, 9, seed)
+    assert walked and {m._scale for m in walked} == {system.within._scale} == {1}
+    assert {m._scale for m, _ in sweep_calls} == {3}
+    fixed = first_repeat(system, 9)
+    assert len({id(m) for m, _ in sweep_calls[::2]}) == min(9, fixed or 9)
+    assert trajectory.states == synthesize_dense(system, 9, seed)
+
+
 # The closure-step kernel against the four generic operations it replaced.
 # Small denominators, pairwise coprime large ones, and 10**400, which stores
 # every entry of its matrix as an int beyond float range.

@@ -264,3 +264,22 @@ def test_instantiate_checks_the_shape_of_a_built_problem(mutate, message):
     with pytest.raises(ProblemFormatError) as raised:
         problem.instantiate()
     assert str(raised.value) == message
+
+
+def test_override_must_name_a_declared_or_used_parameter():
+    """Checked after the name and shape checks, before any token is parsed."""
+    problem = parse_problem(
+        TWICE_BAD.replace("PARAMS", '"params": {"delay": "soon", "spare": "1"}')
+    )
+    with pytest.raises(ProblemFormatError) as raised:
+        problem.instantiate({"dleay": "-3"})
+    assert str(raised.value) == "unknown parameter 'dleay'"
+    with pytest.raises(ProblemFormatError, match="shadow"):
+        problem.instantiate({"dleay": "1", "0": "1"})
+    with pytest.raises(ProblemFormatError, match="matrix C must be 2 x 2"):
+        replace(problem, within=(("0",), ("0", "0"))).instantiate({"dleay": "1"})
+    # used in a grid but not declared, or declared but used nowhere: accepted
+    undeclared = parse_problem(TWICE_BAD.replace("PARAMS", '"params": {}'))
+    expected = undeclared.instantiate({"delay": "-3"})
+    assert expected.backward[0, 1] == -3
+    assert problem.instantiate({"delay": "-3", "spare": "5"}) == expected

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from maxplus import (
     NEG_INF,
@@ -11,16 +13,26 @@ from maxplus import (
     PtegSystem,
     Trajectory,
     TropicalMatrix,
+    as_scalar,
     build_block_matrix,
     check_consistency,
     closure_sequence,
     finite_weak_feasibility,
+    format_scalar,
     synthesize_trajectory,
     validate_trajectory,
 )
 from maxplus import pteg
 
-from helpers import all_eps_system, column_values, identity, random_system, top_left
+from helpers import (
+    all_eps_system,
+    column_values,
+    fractions,
+    identity,
+    random_system,
+    top_left,
+    validate_trajectory_by_rows,
+)
 
 NEG = "-inf"
 
@@ -222,9 +234,66 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(states=((0, 0), (1,)))
 
+    @pytest.mark.parametrize("states", [(), ((),), ((), ())])
+    def test_no_state_or_zero_width_is_rejected(self, states):
+        with pytest.raises(ValueError):
+            Trajectory(states=states)
+
     def test_horizon(self):
         t = Trajectory(states=((0, 0), (1, 1)))
         assert t.horizon == 2
+
+
+# 10**400 stores every entry as an int beyond float range.
+TABLE_DENOMINATORS = st.sampled_from([1, 2, 3, 7, 10**400])
+
+
+@st.composite
+def state_tables(draw):
+    """``(values, system)``: K x n exact values and a system of width n."""
+    k, n = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    value = fractions(-20, 20, TABLE_DENOMINATORS)
+    values = [[draw(value) for _ in range(n)] for _ in range(k)]
+    entry = st.one_of(
+        st.just(NEG_INF), st.just(NEG_INF), fractions(-6, 2, TABLE_DENOMINATORS)
+    )
+    blocks = [
+        TropicalMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+        for _ in range(3)
+    ]
+    return values, PtegSystem(dynamics=blocks[0], backward=blocks[1], within=blocks[2])
+
+
+@given(state_tables(), st.data())
+def test_table_backed_trajectory_reads_like_the_rows(drawn, data):
+    """The stored table gives the rows as ``as_scalar`` normalizes them.
+
+    Each entry is written as an ``int`` (when integral), a ``Fraction`` or
+    a string; trajectories of the same values compare and hash equal
+    whichever way they were written, and validation agrees with the route
+    that reads the states back and stores them again.
+    """
+    values, system = drawn
+
+    def written(v):
+        forms = [v, str(v)] + ([int(v)] if v.denominator == 1 else [])
+        return data.draw(st.sampled_from(forms))
+
+    rows = [[written(v) for v in row] for row in values]
+    t = Trajectory(rows)
+    expected = tuple(tuple(as_scalar(v) for v in row) for row in rows)
+    assert [[(type(v), v) for v in row] for row in t.states] == [
+        [(type(v), v) for v in row] for row in expected
+    ]
+    assert t.horizon == len(rows) and t.inputs == expected[1:]
+    for other in (
+        Trajectory([[Fraction(v) for v in row] for row in values]),
+        Trajectory([[str(v) for v in row] for row in values]),
+        Trajectory(expected),
+    ):
+        assert other == t and hash(other) == hash(t)
+    assert t.table.text_rows() == [[format_scalar(v) for v in row] for row in t.states]
+    assert validate_trajectory(system, t) == validate_trajectory_by_rows(system, t)
 
 
 class TestSynthesizeTrajectory:

@@ -61,6 +61,8 @@ UNCALLED = {
     "__version__": "package metadata",
     "build_block_matrix": "benchmark imports it; the dense test oracles unroll with it",
     "finite_weak_feasibility": "benchmark imports it",
+    "format_scalar": "public inverse of parse_scalar; the tests and the benchmark's"
+    " tracing bind it",
     "maximal_invariant": "paper API: the maximal controlled-invariant generator",
 }
 
