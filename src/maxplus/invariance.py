@@ -15,14 +15,14 @@ segment to it, the step the stop search of the closure walk also takes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
 from functools import cached_property
-from typing import Iterator
 
 from .matrix import TropicalMatrix
 from .precedence import PtegSystem, _closures, _join, _stopping_closure, _unit_segment
 from .pteg import _probe_bound
+from .semiring import _Record
 
 
 def _assemble_generator(unit: tuple, closure_k: TropicalMatrix) -> TropicalMatrix:
@@ -62,8 +62,7 @@ class InvarianceKind(Enum):
     NON_CONVERGENT_WEAK_OPEN = "NonConvergentWeakOpen"
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(_Record):
     """Outcome of :func:`iterate_shrink` for ``system``.
 
     ``step`` is the classifying step:
@@ -88,7 +87,12 @@ class InvarianceReport:
     kind: InvarianceKind
     step: int
     system: PtegSystem
-    invariant_generator: TropicalMatrix | None = None
+    invariant_generator: TropicalMatrix | None
+
+    def __init__(self, kind, step, system, invariant_generator=None):
+        self.__dict__.update(
+            kind=kind, step=step, system=system, invariant_generator=invariant_generator
+        )
 
     @cached_property
     def generators(self) -> tuple[TropicalMatrix, ...]:

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
 
 from .semiring import NEG_INF, POS_INF, Scalar, as_scalar, format_ratio
 

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from .matrix import DimensionMismatch, TropicalMatrix, _reclose, aligned, product_star
+from .semiring import _Record
 
 
-@dataclass(frozen=True)
-class PtegSystem:
+class PtegSystem(_Record):
     """A fully actuated P-time event graph: four square blocks free of +inf.
 
     The plant is ``x(k+1) = dynamics @ x(k) oplus u(k)`` with one free input
@@ -51,22 +50,24 @@ class PtegSystem:
     dynamics: TropicalMatrix
     backward: TropicalMatrix
     within: TropicalMatrix
-    extra_forward: TropicalMatrix | None = None
+    extra_forward: TropicalMatrix
 
-    def __post_init__(self):
-        if self.extra_forward is None:
-            no_extra = TropicalMatrix.epsilon(self.dynamics.rows)
-            object.__setattr__(self, "extra_forward", no_extra)
+    def __init__(self, dynamics, backward, within, extra_forward=None):
+        if extra_forward is None:
+            extra_forward = TropicalMatrix.epsilon(dynamics.rows)
         # forward has every +inf of its two terms, and ``+`` rejects a shape clash
-        blocks = (self.within, self.backward, self.dynamics + self.extra_forward)
-        if len({b.shape for b in blocks}) != 1 or not self.within.is_square:
+        blocks = (within, backward, dynamics + extra_forward)
+        if len({b.shape for b in blocks}) != 1 or not within.is_square:
             raise DimensionMismatch(
                 "within/backward/forward blocks must share one square shape"
             )
         if not all(block.rmax_valued for block in blocks):
             raise ValueError("+inf is not a legal constraint weight")
-        for name, block in zip(("within", "backward", "forward"), aligned(*blocks)):
-            object.__setattr__(self, name, block)
+        within, backward, forward = aligned(*blocks)
+        self.__dict__.update(
+            dynamics=dynamics, backward=backward, within=within,
+            extra_forward=extra_forward, forward=forward,
+        )
 
     @property
     def size(self) -> int:

@@ -21,11 +21,10 @@ are built at that scale.  No grid is rescaled afterwards.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .matrix import TropicalMatrix, _stored
 from .precedence import PtegSystem
-from .semiring import POS_INF, parse_scalar
+from .semiring import POS_INF, _Record, parse_scalar
 
 # Problem-file key -> PtegSystem field, in document order.
 MATRIX_FIELDS = {"A": "dynamics", "L": "backward", "C": "within", "Rtilde": "extra_forward"}
@@ -46,16 +45,24 @@ class ProblemFormatError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class ProblemFile:
-    """Parsed but not yet instantiated problem data (entries still tokens)."""
+class ProblemFile(_Record):
+    """Parsed but not yet instantiated problem data (entries still tokens).
+
+    ``params`` defaults to a new empty dict for each file.
+    """
 
     size: int
     dynamics: Grid
     backward: Grid
     within: Grid
     extra_forward: Grid
-    params: dict[str, str] = field(default_factory=dict)
+    params: dict[str, str]
+
+    def __init__(self, size, dynamics, backward, within, extra_forward, params=None):
+        self.__dict__.update(
+            size=size, dynamics=dynamics, backward=backward, within=within,
+            extra_forward=extra_forward, params={} if params is None else params,
+        )
 
     def instantiate(self, overrides: dict[str, str] | None = None) -> PtegSystem:
         """Substitute parameters, parse every entry and build the system.

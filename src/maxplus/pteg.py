@@ -20,16 +20,16 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from collections.abc import Sequence
 from enum import Enum
-from typing import Sequence
+from functools import cached_property
 
 from .matrix import DimensionMismatch, TropicalMatrix, _apply, aligned
 
 # The closure step is bound here too: per-step hooks, such as the tracing in
 # bench/, look it up as ``pteg._next_closure``.
 from .precedence import PtegSystem, _closures, _next_closure, _stopping_closure
-from .semiring import Scalar, as_scalar, is_finite
+from .semiring import Scalar, _Record, as_scalar, is_finite
 
 
 class InfeasibleHorizon(Exception):
@@ -50,8 +50,7 @@ class ConsistencyKind(Enum):
     NOT_WEAKLY_CONSISTENT = "NotWeaklyConsistent"
 
 
-@dataclass(frozen=True)
-class ConsistencyVerdict:
+class ConsistencyVerdict(_Record):
     """Outcome of :func:`check_consistency` with its certificate.
 
     Exactly one certificate field is set, matching ``kind``:
@@ -66,9 +65,17 @@ class ConsistencyVerdict:
     """
 
     kind: ConsistencyKind
-    fixed_closure: TropicalMatrix | None = None
-    first_divergent: int | None = None
-    verified_up_to: int | None = None
+    fixed_closure: TropicalMatrix | None
+    first_divergent: int | None
+    verified_up_to: int | None
+
+    def __init__(
+        self, kind, fixed_closure=None, first_divergent=None, verified_up_to=None
+    ):
+        self.__dict__.update(
+            kind=kind, fixed_closure=fixed_closure,
+            first_divergent=first_divergent, verified_up_to=verified_up_to,
+        )
 
 
 def closure_sequence(system: PtegSystem, k_max: int) -> list[TropicalMatrix]:
@@ -80,6 +87,7 @@ def closure_sequence(system: PtegSystem, k_max: int) -> list[TropicalMatrix]:
     further occurrences ahead.  The sequence grows monotonically; once an
     entry saturates to +inf it stays saturated.
     """
+    k_max = operator.index(k_max)
     if k_max < 0:
         raise ValueError("closure count must be non-negative")
     closures = itertools.islice(_closures(system), k_max + 1)
@@ -140,28 +148,28 @@ def check_consistency(
     )
 
 
-@dataclass(frozen=True, init=False)
-class Trajectory:
+class Trajectory(_Record):
     """A finite schedule: states x(1..K) and inputs u(1..K-1) = x(2..K).
 
     Only the states are stored, as the rows of one K x n matrix, ``table``;
     a :class:`~maxplus.matrix.TropicalMatrix` passed as ``states`` is kept.
     Callers that also pass the inputs must pass the successor states.
+    ``table`` is the one field; ``states`` is read off it once and cached.
     """
 
     table: TropicalMatrix
 
     def __init__(self, states, inputs=None):
         table = states if isinstance(states, TropicalMatrix) else TropicalMatrix(states)
-        object.__setattr__(self, "table", table)
+        self.__dict__["table"] = table
         if not all(is_finite(v) for row in table._data for v in row):
             raise ValueError("trajectory entries must be finite")
         if inputs is not None and Trajectory((self.states[0], *inputs)) != self:
             raise ValueError("inputs must replay the successor states")
 
-    @property
+    @cached_property
     def states(self) -> tuple[tuple[Scalar, ...], ...]:
-        """x(1..K), the rows of ``table`` as exact scalars."""
+        """x(1..K), the rows of ``table`` as exact scalars, divided back once."""
         return self.table.to_rows()
 
     @property
@@ -208,6 +216,7 @@ def synthesize_trajectory(
     other than -inf, listed once per matrix.  The states are stored as the
     sweeps give them, as the rows of the trajectory's ``table``.
     """
+    horizon = operator.index(horizon)
     if horizon < 2:
         raise ValueError("trajectory synthesis needs a horizon of at least 2")
     n = system.size

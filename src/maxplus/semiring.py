@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from typing import Union
 
 NEG_INF: float = float("-inf")
 POS_INF: float = float("inf")
 
 #: A max-plus scalar.  ``float`` only ever holds one of the two infinities.
-Scalar = Union[int, Fraction, float]
+Scalar = int | Fraction | float
 
 # Text shorter than this never reaches the int digit limit, whatever it is
 # set to, so ``int()`` reads it without a ValueError for its length.
@@ -146,3 +145,38 @@ def format_ratio(num: int, den: int) -> str:
 def is_finite(value: Scalar) -> bool:
     return value != NEG_INF and value != POS_INF
 
+
+class _Record:
+    """A frozen record over the fields its subclass annotates, in that order.
+
+    ``==``, ``hash``, ``repr`` and ``__match_args__`` are over the fields,
+    as a frozen dataclass's are.  Assignment and deletion raise
+    AttributeError, so a subclass's ``__init__`` stores the fields with
+    ``self.__dict__.update``; ``pickle`` and ``copy`` restore them the same
+    way.  A value derived into ``__dict__`` beside them (or cached there by
+    ``functools.cached_property``) stays out of ``==``, ``hash`` and ``repr``.
+    """
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = zip(self.__match_args__, self._fields())
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -7,7 +7,9 @@ import json
 import operator
 import random
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from hypothesis import strategies as st
 
@@ -25,6 +27,7 @@ from maxplus import (
     as_scalar,
     build_block_matrix,
     format_scalar,
+    is_finite,
 )
 from maxplus import invariance
 from maxplus.matrix import DimensionMismatch, _apply, aligned
@@ -407,6 +410,108 @@ def export_dot_dense(system: PtegSystem, horizon: int) -> str:
             )
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# Frozen-dataclass twins of the five library records, declared as the
+# records were before they moved onto ``semiring._Record``: the reference
+# for their equality, hash, repr, signatures and immutability.  Each twin
+# takes its record's name, so the two ``repr`` texts compare directly.
+
+
+def _named_as(record):
+    def rename(twin):
+        twin.__name__ = twin.__qualname__ = record.__name__
+        return twin
+
+    return rename
+
+
+@_named_as(PtegSystem)
+@dataclass(frozen=True)
+class PtegSystemTwin:
+    dynamics: TropicalMatrix
+    backward: TropicalMatrix
+    within: TropicalMatrix
+    extra_forward: TropicalMatrix | None = None
+
+    def __post_init__(self):
+        if self.extra_forward is None:
+            no_extra = TropicalMatrix.epsilon(self.dynamics.rows)
+            object.__setattr__(self, "extra_forward", no_extra)
+        blocks = (self.within, self.backward, self.dynamics + self.extra_forward)
+        if len({b.shape for b in blocks}) != 1 or not self.within.is_square:
+            raise DimensionMismatch(
+                "within/backward/forward blocks must share one square shape"
+            )
+        if not all(block.rmax_valued for block in blocks):
+            raise ValueError("+inf is not a legal constraint weight")
+        for name, block in zip(("within", "backward", "forward"), aligned(*blocks)):
+            object.__setattr__(self, name, block)
+
+
+@_named_as(ConsistencyVerdict)
+@dataclass(frozen=True)
+class ConsistencyVerdictTwin:
+    kind: ConsistencyKind
+    fixed_closure: TropicalMatrix | None = None
+    first_divergent: int | None = None
+    verified_up_to: int | None = None
+
+
+@_named_as(Trajectory)
+@dataclass(frozen=True, init=False)
+class TrajectoryTwin:
+    table: TropicalMatrix
+
+    def __init__(self, states, inputs=None):
+        table = states if isinstance(states, TropicalMatrix) else TropicalMatrix(states)
+        object.__setattr__(self, "table", table)
+        if not all(is_finite(v) for row in table._data for v in row):
+            raise ValueError("trajectory entries must be finite")
+        if inputs is not None and TrajectoryTwin((self.states[0], *inputs)) != self:
+            raise ValueError("inputs must replay the successor states")
+
+    @property
+    def states(self):
+        return self.table.to_rows()
+
+    @property
+    def inputs(self):
+        return self.states[1:]
+
+
+@_named_as(InvarianceReport)
+@dataclass(frozen=True)
+class InvarianceReportTwin:
+    kind: InvarianceKind
+    step: int
+    system: PtegSystem
+    invariant_generator: TropicalMatrix | None = None
+
+    @cached_property
+    def generators(self):
+        count = self.step + (1 if self.invariant_generator is None else 2)
+        return tuple(itertools.islice(invariance._generators(self.system), count))
+
+
+@_named_as(ProblemFile)
+@dataclass(frozen=True)
+class ProblemFileTwin:
+    size: int
+    dynamics: tuple
+    backward: tuple
+    within: tuple
+    extra_forward: tuple
+    params: dict[str, str] = field(default_factory=dict)
+
+
+RECORD_TWINS = {
+    PtegSystem: PtegSystemTwin,
+    ConsistencyVerdict: ConsistencyVerdictTwin,
+    Trajectory: TrajectoryTwin,
+    InvarianceReport: InvarianceReportTwin,
+    ProblemFile: ProblemFileTwin,
+}
 
 
 # Hypothesis strategies shared by the property tests.

@@ -642,12 +642,12 @@ def stored_again(monkeypatch):
         method = getattr(cls, name)
 
         def wrapped(*args, **kwargs):
-            counts[name] += 1
+            counts[f"{cls.__name__}.{name}"] += 1
             return method(*args, **kwargs)
 
         monkeypatch.setattr(cls, name, wrapped)
 
-    counted(PtegSystem, "__post_init__")
+    counted(PtegSystem, "__init__")
     counted(TropicalMatrix, "__init__")
     counted(TropicalMatrix, "to_rows")
     return counts
@@ -666,7 +666,7 @@ def test_schedule_is_stored_once(sweep_calls, stored_again, system, horizon, see
     divided back.
     """
     trajectory = synthesize_trajectory(system, horizon, seed)
-    assert stored_again["__post_init__"] == stored_again["to_rows"] == 0
+    assert stored_again["PtegSystem.__init__"] == stored_again["TropicalMatrix.to_rows"] == 0
     tails = [m for m, _ in sweep_calls[::2]]
     assert {m._scale for m, _ in sweep_calls} == {system.within._scale}
     fixed = first_repeat(system, horizon)

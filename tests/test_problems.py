@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -251,12 +250,18 @@ def test_instantiate_builds_the_blocks_aligned(monkeypatch):
     assert {b._scale for b in (system.dynamics, system.extra_forward, *out)} == {6}
 
 
+def changed(problem: ProblemFile, **fields) -> ProblemFile:
+    """A new ``ProblemFile`` with ``problem``'s fields, but for ``fields``."""
+    kept = {name: getattr(problem, name) for name in ProblemFile.__match_args__}
+    return ProblemFile(**{**kept, **fields})
+
+
 @pytest.mark.parametrize(
     "mutate,message",
     [
-        (lambda p: replace(p, size=0), 'field "n" must be a positive integer'),
-        (lambda p: replace(p, backward=((), ())), "matrix L must be 2 x 2"),
-        (lambda p: replace(p, within=(("0",), ("0", "0"))), "matrix C must be 2 x 2"),
+        (lambda p: changed(p, size=0), 'field "n" must be a positive integer'),
+        (lambda p: changed(p, backward=((), ())), "matrix L must be 2 x 2"),
+        (lambda p: changed(p, within=(("0",), ("0", "0"))), "matrix C must be 2 x 2"),
     ],
 )
 def test_instantiate_checks_the_shape_of_a_built_problem(mutate, message):
@@ -277,7 +282,7 @@ def test_override_must_name_a_declared_or_used_parameter():
     with pytest.raises(ProblemFormatError, match="shadow"):
         problem.instantiate({"dleay": "1", "0": "1"})
     with pytest.raises(ProblemFormatError, match="matrix C must be 2 x 2"):
-        replace(problem, within=(("0",), ("0", "0"))).instantiate({"dleay": "1"})
+        changed(problem, within=(("0",), ("0", "0"))).instantiate({"dleay": "1"})
     # used in a grid but not declared, or declared but used nowhere: accepted
     undeclared = parse_problem(TWICE_BAD.replace("PARAMS", '"params": {}'))
     expected = undeclared.instantiate({"delay": "-3"})

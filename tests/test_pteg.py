@@ -119,6 +119,11 @@ class TestClosureSequence:
         assert len(closure_sequence(two_node, 0)) == 1
         assert len(closure_sequence(two_node, 7)) == 8
 
+    @pytest.mark.parametrize("count", [2.5, Fraction(5, 2)])
+    def test_non_integral_count_is_a_type_error(self, two_node, count):
+        with pytest.raises(TypeError):
+            closure_sequence(two_node, count)
+
     def test_saturation_is_absorbing(self, railway):
         seq = closure_sequence(railway(-13), 6)
         first = next(k for k, m in enumerate(seq) if not m.rmax_valued)
@@ -243,6 +248,30 @@ class TestTrajectory:
         t = Trajectory(states=((0, 0), (1, 1)))
         assert t.horizon == 2
 
+    def test_states_are_divided_back_once(self, monkeypatch, railway):
+        """``states`` is cached: five reads of it and ``inputs``, one ``to_rows``."""
+        t = synthesize_trajectory(railway(Fraction("-14.123")), 40)
+        expected = t.table.to_rows()
+        divided = []
+        to_rows = TropicalMatrix.to_rows
+
+        def counted(matrix):
+            divided.append(matrix)
+            return to_rows(matrix)
+
+        monkeypatch.setattr(TropicalMatrix, "to_rows", counted)
+        reads = [t.states, t.inputs, t.states, t.inputs, t.states]
+        assert divided == [t.table]
+
+        def typed(rows):
+            assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+            return [[(type(v), v) for v in row] for row in rows]
+
+        for states in reads[::2]:
+            assert typed(states) == typed(expected)
+        for inputs in reads[1::2]:
+            assert typed(inputs) == typed(expected[1:])
+
 
 # 10**400 stores every entry as an int beyond float range.
 TABLE_DENOMINATORS = st.sampled_from([1, 2, 3, 7, 10**400])
@@ -342,6 +371,11 @@ class TestSynthesizeTrajectory:
     def test_horizon_validation(self, two_node):
         with pytest.raises(ValueError):
             synthesize_trajectory(two_node, 1)
+
+    @pytest.mark.parametrize("horizon", [2.5, Fraction(5, 2)])
+    def test_non_integral_horizon_is_a_type_error(self, two_node, horizon):
+        with pytest.raises(TypeError):
+            synthesize_trajectory(two_node, horizon)
 
 
 class TestValidateTrajectory:

@@ -11,6 +11,9 @@ The modules form layers: each imports only the modules before it in
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import maxplus
@@ -195,3 +198,22 @@ def test_modules_import_only_lower_layers():
 def test_one_system_type():
     assert maxplus.PtegSystem is maxplus.pteg.PtegSystem
     assert maxplus.PtegSystem is maxplus.precedence.PtegSystem
+
+
+# What ``dataclasses`` and ``typing`` load; none of it is needed at run time.
+START_UP_EXCLUDED = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+
+
+def test_import_loads_no_introspection_modules():
+    """A fresh ``python -S`` that imports the package and its CLI loads none.
+
+    It counts modules, not time, so it holds on a loaded machine.  ``-S``
+    keeps ``site`` (which may load ``typing`` itself) out of the count.
+    """
+    code = "import sys, maxplus, maxplus.cli; print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    command = [sys.executable, "-S", "-c", code]
+    run = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+    loaded = run.stdout.split()
+    assert "maxplus.cli" in loaded
+    assert START_UP_EXCLUDED.isdisjoint(loaded)
