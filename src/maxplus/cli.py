@@ -11,14 +11,17 @@ All numeric output is exact.  ``--param name=value`` substitutes named
 entries in the problem file, so one file describes a whole parameter sweep.
 The default probe bound is ``10 * n^2``; override it with ``--probe-bound``.
 Bad input exits 1; a failed internal invariant exits 5 with one
-``error: internal:`` line.
+``error: internal:`` line.  A reader that closes stdout early (``| head``)
+ends the output quietly, and the exit code stays the command's own.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 
 from .invariance import InvarianceKind, iterate_shrink
@@ -43,6 +46,22 @@ EXIT_CODES = {
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 4
 EXIT_INTERNAL = 5
+
+
+def _write(text: str) -> None:
+    """Write ``text`` to stdout and flush it; a closed pipe drops the rest.
+
+    stdout is then pointed at the null device, so the interpreter's flush
+    at exit does not fail on the unwritten rest again.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        with contextlib.suppress(OSError):
+            os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _load_system(args) -> PtegSystem:
@@ -84,7 +103,7 @@ def cmd_check(args) -> int:
         }
         if closures is not None:
             doc["closures"] = [m.text_rows() for m in closures]
-        print(json.dumps(doc, indent=2))
+        _write(json.dumps(doc, indent=2) + "\n")
         return code
 
     lines = [f"verdict: {verdict.kind.value}"]
@@ -103,7 +122,7 @@ def cmd_check(args) -> int:
     if closures is not None:
         for k, matrix in enumerate(closures):
             lines += [f"closure({k}):", str(matrix)]
-    print("\n".join(lines))
+    _write("\n".join(lines) + "\n")
     return code
 
 
@@ -123,7 +142,7 @@ def cmd_invariant(args) -> int:
         }
         if args.emit_s:
             doc["generators"] = [m.text_rows() for m in report.generators]
-        print(json.dumps(doc, indent=2))
+        _write(json.dumps(doc, indent=2) + "\n")
         return 0
 
     lines = [f"{report.kind.value} {report.step}"]
@@ -142,7 +161,7 @@ def cmd_invariant(args) -> int:
     if args.emit_s:
         for k, matrix in enumerate(report.generators):
             lines += [f"generator(step {k}):", str(matrix)]
-    print("\n".join(lines))
+    _write("\n".join(lines) + "\n")
     return 0
 
 
@@ -161,22 +180,23 @@ def cmd_trajectory(args) -> int:
     states = trajectory.table.text_rows()
     if args.format == "json":
         doc = {"horizon": trajectory.horizon, "states": states, "inputs": states[1:]}
-        print(json.dumps(doc, indent=2))
+        _write(json.dumps(doc, indent=2) + "\n")
         return 0
 
-    print(
+    _write(
         "\n".join(
             f"{name}({k}) = " + " ".join(row)
             for name, rows in (("x", states), ("u", states[1:]))
             for k, row in enumerate(rows, start=1)
         )
+        + "\n"
     )
     return 0
 
 
 def cmd_graph(args) -> int:
     system = _load_system(args)
-    sys.stdout.write(export_dot(system, args.horizon))
+    _write(export_dot(system, args.horizon))
     return 0
 
 

@@ -20,8 +20,8 @@ from enum import Enum
 from functools import cached_property
 
 from .matrix import TropicalMatrix
-from .precedence import PtegSystem, _closures, _join, _stopping_closure, _unit_segment
-from .pteg import _probe_bound
+from .precedence import PtegSystem, _closures, _join, _unit_segment
+from .pteg import _stop
 from .semiring import _Record
 
 
@@ -74,10 +74,10 @@ class InvarianceReport(_Record):
       and contains real vectors.
     - REAL_EMPTY_AT_STEP: the least k whose generator contains +inf, so from
       that step on the iterates contain no real vector at all.
-    - NON_CONVERGENT_WEAK_OPEN: the probe bound; every generator up to it
-      is finite and still strictly shrinking, so no classification within
-      the bound.  (The true limit contains no real vector in this case as
-      well; only the shrinking never terminates.)
+    - NON_CONVERGENT_WEAK_OPEN: P (:func:`~maxplus.pteg.closure_limit`);
+      every generator up to it is finite and still strictly shrinking, so no
+      classification within the bound.  (The true limit contains no real
+      vector in this case as well; only the shrinking never terminates.)
 
     ``generators`` holds the generators of steps 0 to ``step``, plus the
     stabilized one (step + 1) when converged, assembled on first read and
@@ -111,41 +111,36 @@ def iterate_shrink(
 ) -> InvarianceReport:
     """Classify the shrinking iteration, up to the probe bound.
 
-    The class is decided at the closure walk's first repeat or first +inf,
-    whichever comes first, searched no further than the probe bound
-    (default ``10 * n^2``, n the system size).  No bound on the index of
-    the first repeat is proved here, so a repeat past the probe bound, like
-    divergence past it (slowly growing positive circuits), is reported as
-    open rather than guessed; raise the bound to settle such cases exactly.
-    A large bound costs little: the walk's stop is found in O(log k)
-    segment compositions and probes (see
-    :func:`~maxplus.precedence._stopping_closure`), so the railway at ell =
-    -13.99999 empties at step 200000 in milliseconds.
+    The class is read off the stop that decides consistency
+    (:func:`~maxplus.pteg._stop`), searched up to closure P + 2 for the
+    walk limit P.  No bound on the first repeat's index is proved here, so
+    a repeat past it, like divergence past it (slowly growing positive
+    circuits), is reported as open at step P; a larger bound settles such
+    cases, at little cost: the railway at ell = -13.99999 empties at step
+    200000 in milliseconds.
 
-    The class is read off the closure walk that decides consistency; only
-    a converged report assembles a generator, the stabilized one.  Generator
-    k reads closure k only; its top-left block is closure k+1, as the join
-    computes it (see :func:`_assemble_generator`), so +inf there is +inf in
-    generator k.  Conversely a +inf in generator k comes from a positive
-    circuit of the (k+2)-stage unrolling, which moved down to stage 1 makes
-    closure k+1 +inf (see :func:`~maxplus.precedence.finite_weak_feasibility`).
-    A first +inf at closure d <= probe + 1 thus empties step ``max(d - 1,
-    0)``, and a first repeat at closure j fixes every generator from step
-    j-1 on: for j <= probe + 2 the iteration converges at step ``max(j, 2)
-    - 2``.
+    Only a converged report assembles a generator, the stabilized one.
+    Generator k reads closure k only; its top-left block is closure k+1, as
+    the join computes it (see :func:`_assemble_generator`), so +inf there is
+    +inf in generator k.  Conversely a +inf in generator k comes from a
+    positive circuit of the (k+2)-stage unrolling, which moved down to stage
+    1 makes closure k+1 +inf (see
+    :func:`~maxplus.precedence.finite_weak_feasibility`).  A first +inf at
+    closure d thus empties step ``max(d - 1, 0)``, and a first repeat at
+    closure j fixes every generator from step j-1 on, so the iteration
+    converges at step ``max(j, 2) - 2``.
     """
-    probe = _probe_bound(system.size, probe_bound)
-    j, closure, fixed = _stopping_closure(system, probe + 2)
+    j, closure, fixed, limit = _stop(system, probe_bound)
     if fixed:
         stable = _assemble_generator(_unit_segment(system), closure)
         return InvarianceReport(
             InvarianceKind.CONVERGED_NON_EMPTY, max(j, 2) - 2, system, stable
         )
-    if not closure.rmax_valued and j <= probe + 1:
+    if not closure.rmax_valued:
         return InvarianceReport(
             InvarianceKind.REAL_EMPTY_AT_STEP, max(j - 1, 0), system
         )
-    return InvarianceReport(InvarianceKind.NON_CONVERGENT_WEAK_OPEN, probe, system)
+    return InvarianceReport(InvarianceKind.NON_CONVERGENT_WEAK_OPEN, limit, system)
 
 
 def maximal_invariant(

@@ -140,6 +140,10 @@ class TropicalMatrix:
         self.cols = len(grid[0])
         return self
 
+    def __reduce__(self):
+        # with __slots__ and no __dict__, pickle protocols 0 and 1 need this
+        return TropicalMatrix._wrap, (self._data, self._scale)
+
     def _arcs(self) -> tuple:
         """Per stored row, its ``(column, entry)`` pairs other than -inf.
 

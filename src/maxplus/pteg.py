@@ -59,9 +59,9 @@ class ConsistencyVerdict(_Record):
       for every longer horizon.
     - NOT_WEAKLY_CONSISTENT: ``first_divergent`` is the least closure index
       containing +inf.
-    - NOT_CONSISTENT_WEAK_OPEN: ``verified_up_to`` is the probe limit; all
-      closures up to it are finite and none repeated, so weak consistency
-      remains undecided beyond the probe bound.
+    - NOT_CONSISTENT_WEAK_OPEN: ``verified_up_to`` is P (:func:`closure_limit`),
+      a true lower bound: all closures up to P + 2 are finite and none
+      repeated, so weak consistency remains undecided beyond the bound.
     """
 
     kind: ConsistencyKind
@@ -94,20 +94,26 @@ def closure_sequence(system: PtegSystem, k_max: int) -> list[TropicalMatrix]:
     return [m for _, m, _ in closures]
 
 
-def _probe_bound(size: int, probe_bound: int | None) -> int:
-    """The probe bound given, or the default ``10 * n^2``; a positive int."""
+def closure_limit(size: int, probe_bound: int | None) -> int:
+    """P: ``probe_bound`` (default ``10 * n^2``), at least n^2 + 1.
+
+    The one walk limit: :func:`_stop` searches closures up to P + 2, the
+    closure that decides shrink step P.
+    """
     probe = 10 * size * size if probe_bound is None else operator.index(probe_bound)
     if probe < 1:
         raise ValueError("probe bound must be positive")
-    return probe
+    return max(probe, size * size + 1)
 
 
-def closure_limit(size: int, probe_bound: int | None) -> int:
-    """Largest closure index :func:`check_consistency` may compute.
+def _stop(system: PtegSystem, probe_bound: int | None) -> tuple:
+    """``(k, closure_k, fixed, P)``: the first +inf, first repeat or k = P + 2.
 
-    The probe bound (default ``10 * n^2``), raised to at least n^2 + 1.
+    P is :func:`closure_limit`.  Both :func:`check_consistency` and
+    :func:`~maxplus.invariance.iterate_shrink` only relabel this stop.
     """
-    return max(_probe_bound(size, probe_bound), size * size + 1)
+    limit = closure_limit(system.size, probe_bound)
+    return (*_stopping_closure(system, limit + 2), limit)
 
 
 def check_consistency(
@@ -115,15 +121,14 @@ def check_consistency(
 ) -> ConsistencyVerdict:
     """Decide consistency exactly; probe weak consistency up to a bound.
 
-    With n the system size, the closure sequence is iterated until an entry
-    saturates to +inf, a closure repeats its predecessor, or the index
-    reaches the limit (``probe_bound``, default ``10 * n^2``, but at least
-    n^2 + 1).  A +inf entry disproves weak consistency.  A finite repeat
-    proves consistency at any index, and the fixed closure persists for all
-    longer horizons.  Otherwise the verdict reports how far finiteness was
-    verified instead of guessing.  The first 32 closures are walked; a
-    stop beyond them costs O(log k) segment compositions and probes plus
-    at most two further steps, not k steps (see
+    The closure sequence is walked until an entry saturates to +inf, a
+    closure repeats its predecessor, or the index reaches P + 2, P =
+    :func:`closure_limit` of ``probe_bound`` (see :func:`_stop`).  A +inf
+    entry disproves weak consistency.  A finite repeat proves consistency
+    at any index, and the fixed closure persists for all longer horizons.
+    Otherwise the verdict reports P, a true lower bound on how far
+    finiteness was verified, instead of guessing.  A stop past closure 32
+    costs O(log k) segment compositions, not k steps (see
     :func:`~maxplus.precedence._stopping_closure`), so a first +inf at
     k = 200001 is found in milliseconds.
 
@@ -135,8 +140,7 @@ def check_consistency(
     one occurrence or two consecutive ones, so choosing such successors
     again and again builds an infinite schedule.
     """
-    limit = closure_limit(system.size, probe_bound)
-    k, closure, fixed = _stopping_closure(system, limit)
+    k, closure, fixed, limit = _stop(system, probe_bound)
     if not closure.rmax_valued:
         return ConsistencyVerdict(
             ConsistencyKind.NOT_WEAKLY_CONSISTENT, first_divergent=k

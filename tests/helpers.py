@@ -258,7 +258,8 @@ def check_consistency_full(
     """Oracle for check_consistency: always iterates to index n^2 + 1.
 
     Consistent when closures n^2 and n^2 + 1 agree, divergent at the first
-    closure with +inf, otherwise iterated on up to the probe bound.
+    closure with +inf, otherwise iterated on up to closure P + 2, for P the
+    probe bound raised to at least n^2 + 1; open cases report P.
     """
     n = system.size
     stabilization_index = n * n
@@ -271,7 +272,7 @@ def check_consistency_full(
             ConsistencyKind.NOT_WEAKLY_CONSISTENT, first_divergent=0
         )
     at_stabilization_index = None
-    for k in range(1, limit + 1):
+    for k in range(1, limit + 3):
         current = closure_step_full(system, current)
         if not current.rmax_valued:
             return ConsistencyVerdict(
@@ -291,24 +292,31 @@ def iterate_shrink_full(system: PtegSystem, probe_bound: int | None = None):
 
     Returns ``(kind, step, invariant_generator, generators)``; compare it
     with :func:`report_fields`.  Works on the unscaled blocks throughout.
+    P is the probe bound raised to at least n^2 + 1.  Step P looks for a
+    repeat at closure P + 2, and step P + 1 only for +inf there (generator
+    P + 1 holds closure P + 2).  Open cases report step P and generators 0
+    to P.
     """
-    probe = 10 * system.size**2 if probe_bound is None else probe_bound
+    n = system.size
+    limit = max(10 * n * n if probe_bound is None else probe_bound, n * n + 1)
     roundtrip = roundtrip_full(system)
     closure_k = system.within.star()
     closure_k1 = closure_step_full(system, closure_k)
     generators = []
-    for k in range(probe + 1):
+    for k in range(limit + 2):
         generator = generator_full(system, closure_k, closure_k1, roundtrip)
         generators.append(generator)
         if not generator.rmax_valued:
             return InvarianceKind.REAL_EMPTY_AT_STEP, k, None, tuple(generators)
+        if k > limit:
+            break
         closure_k2 = closure_step_full(system, closure_k1)
         if closure_k2 == closure_k1:
             stable = generator_full(system, closure_k1, closure_k2, roundtrip)
             generators.append(stable)
             return InvarianceKind.CONVERGED_NON_EMPTY, k, stable, tuple(generators)
         closure_k, closure_k1 = closure_k1, closure_k2
-    return InvarianceKind.NON_CONVERGENT_WEAK_OPEN, probe, None, tuple(generators)
+    return InvarianceKind.NON_CONVERGENT_WEAK_OPEN, limit, None, tuple(generators[:-1])
 
 
 def report_fields(report: InvarianceReport):

@@ -181,8 +181,7 @@ def test_criterion_9_verdict_correspondence(corpus, two_node_system):
         for system in corpus + extras:
             probe = 10 * system.size**2
             report = iterate_shrink(system, probe)
-            # closure divergence shows one index later than generator divergence
-            verdict = check_consistency(system, probe + 1)
+            verdict = check_consistency(system, probe)
             assert pairing[report.kind] is verdict.kind
             seen.add(report.kind)
         assert seen == set(pairing)

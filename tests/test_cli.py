@@ -1,4 +1,6 @@
+import io
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -339,6 +341,51 @@ class TestErrors:
     def test_horizon_too_short(self, capsys):
         code, _, err = run(capsys, "trajectory", RAILWAY, "--horizon", "1")
         assert code == 1 and "at least 2" in err
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away, as after ``maxplus ... | head -1``."""
+
+    def __init__(self, fd=None):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return super().fileno() if self.fd is None else self.fd
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("check", RAILWAY, "--emit-pi"), 0),
+            (("check", RAILWAY, "--param", "ell=-13", "--format", "json"), 2),
+            (("check", TWO_NODE, "--emit-pi"), 3),
+            (("invariant", RAILWAY, "--emit-s"), 0),
+            (("trajectory", RAILWAY, "--horizon", "5"), 0),
+            (("graph", RAILWAY, "--horizon", "3"), 0),
+        ],
+    )
+    def test_exit_code_is_the_commands_own(self, capsys, monkeypatch, argv, expected):
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(list(argv))
+        assert code == expected
+        assert capsys.readouterr().err == ""
+
+    def test_unwritten_rest_goes_to_the_null_device(self, monkeypatch, tmp_path):
+        # the interpreter flushes stdout once more at exit; that must not fail
+        path = tmp_path / "stdout"
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+            assert main(["check", RAILWAY]) == 0
+            os.write(fd, b"rest of the report")
+        finally:
+            os.close(fd)
+        assert path.read_bytes() == b""
 
 
 class TestInternalErrors:

@@ -4,15 +4,18 @@ Every invocation runs through ``cli.main`` in-process, and the sha256 of its
 exit code, stdout and stderr is compared with ``cli_bytes.json``.  The list
 covers both samples, all four subcommands, rational railway windows on both
 sides of the consistency threshold ell = -14, every output option and the
-error paths.  A refactoring that keeps verdicts, certificates and messages
-keeps every digest; a deliberate output change re-records the file with::
+error paths.  The record keeps each invocation's exit code beside its
+digest.  A refactoring that keeps verdicts, certificates and messages keeps
+every digest; a deliberate output change re-records the file with::
 
     PYTHONPATH=src python tests/test_cli_bytes.py --record
 
 ``--check`` compares with the record using the standard library alone, so
 any interpreter the package supports can run it without pytest.  It prints
-the interpreter's version and exits non-zero when an invocation differs,
-listing each with its exit code and last stderr line::
+the interpreter's version and exits non-zero when an invocation differs.
+Both options list each invocation that differs (changed, new or dropped)
+with its exit code in the record and now and its last stderr line, then
+the count, so a re-record reports what it rewrote::
 
     PYTHONPATH=src python3.10 tests/test_cli_bytes.py --check
 
@@ -88,6 +91,15 @@ ERRORS = (
     ["check", "two_node.json", "--param", "ell=1"],
 ) + tuple(["check", name] for name in BROKEN_FILES)
 
+# One probe bound, one stop: the railway at ell = -13.9 first holds +inf at
+# closure 21, which both commands reach at these bounds.
+SAME_BOUND = tuple(
+    [command, "railway.json", "--param", "ell=-13.9", "--format", "human",
+     "--probe-bound", probe]
+    for command in ("check", "invariant")
+    for probe in ("19", "20")
+)
+
 
 def invocations() -> list[list[str]]:
     """The fixed argument lists, in a stable order."""
@@ -115,7 +127,7 @@ def invocations() -> list[list[str]]:
                     out.append(argv + ["--format", fmt])
         for horizon in ("1", "3"):
             out.append(["graph", name, *params, "--horizon", horizon])
-    out.extend(list(argv) for argv in ERRORS)
+    out.extend(list(argv) for argv in ERRORS + SAME_BOUND)
     return out
 
 
@@ -162,23 +174,50 @@ def outcomes(workdir: Path) -> dict[str, tuple[int, str, str]]:
         os.chdir(previous)
 
 
-def digests(ran: dict[str, tuple[int, str, str]]) -> dict[str, str]:
-    return {argv: digest(outcome) for argv, outcome in ran.items()}
+def digests(ran: dict[str, tuple[int, str, str]]) -> dict[str, list]:
+    """Each invocation's ``[exit code, digest]``, as the record keeps it."""
+    return {argv: [outcome[0], digest(outcome)] for argv, outcome in ran.items()}
 
 
-def differences(actual: dict[str, str]) -> list[str]:
-    """Invocations missing from, added to or changed against the record."""
-    expected = json.loads(RECORD.read_text(encoding="utf-8"))
+def load_record() -> dict[str, list]:
+    return json.loads(RECORD.read_text(encoding="utf-8"))
+
+
+def differences(actual: dict[str, list], expected: dict[str, list]) -> list[str]:
+    """Invocations missing from, added to or changed against ``expected``."""
     return sorted(
         argv for argv in actual.keys() | expected.keys()
         if actual.get(argv) != expected.get(argv)
     )
 
 
+def describe(argv: str, ran: dict, expected: dict[str, list]) -> str:
+    """One differing invocation, its exit code in the record and now."""
+    was = f"exit {expected[argv][0]}" if argv in expected else "not recorded"
+    if argv not in ran:
+        return f"{argv}\n  {was}, now not run"
+    code, _, stderr = ran[argv]
+    last = stderr.splitlines()[-1] if stderr else ""
+    return f"{argv}\n  {was}, now exit {code}, stderr: {last!r}"
+
+
 def test_cli_bytes_match_the_record(tmp_path, monkeypatch):
     # argparse wraps its usage lines to the terminal width
     monkeypatch.setenv("COLUMNS", "80")
-    assert differences(digests(outcomes(tmp_path))) == []
+    assert differences(digests(outcomes(tmp_path)), load_record()) == []
+
+
+def test_differences_name_both_exit_codes():
+    ran = {"a": (0, "", ""), "b": (2, "", "error: x\n")}
+    expected = {"a": [3, "old"], "c": [1, "gone"]}
+    actual = digests(ran)
+    assert differences(actual, expected) == ["a", "b", "c"]
+    assert describe("a", ran, expected) == "a\n  exit 3, now exit 0, stderr: ''"
+    assert describe("b", ran, expected) == (
+        "b\n  not recorded, now exit 2, stderr: 'error: x'"
+    )
+    assert describe("c", ran, expected) == "c\n  exit 1, now not run"
+    assert differences(actual, actual) == []
 
 
 def test_choice_lists_hash_alike_quoted_or_not(monkeypatch, tmp_path):
@@ -210,18 +249,16 @@ if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
         ran = outcomes(Path(tmp))
-    record = digests(ran)
+    record, expected = digests(ran), load_record()
     if sys.argv[1] == "--check":
         print(f"python {sys.version}")
-        changed = differences(record)
-        for argv in changed:
-            if argv in ran:
-                code, _, stderr = ran[argv]
-                last = stderr.splitlines()[-1] if stderr else ""
-                print(f"differs: {argv}\n  exit {code}, stderr: {last!r}")
-            else:
-                print(f"differs: {argv}\n  not run, only in {RECORD.name}")
-        print(f"{len(changed)} of {len(record)} invocations differ from {RECORD.name}")
+    changed = differences(record, expected)
+    for argv in changed:
+        print(f"differs: {describe(argv, ran, expected)}")
+    print(f"{len(changed)} of {len(record)} invocations differ from {RECORD.name}")
+    if sys.argv[1] == "--check":
         sys.exit(1 if changed else 0)
-    RECORD.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    # one invocation a line, so a re-record's diff shows only what changed
+    lines = [f" {json.dumps(argv)}: {json.dumps(record[argv])}" for argv in sorted(record)]
+    RECORD.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
     print(f"recorded {len(record)} invocations in {RECORD}")

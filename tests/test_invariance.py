@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +36,13 @@ NEG = "-inf"
 consistent_railways = st.builds(
     lambda m: make_railway(-14 - Fraction(1, m)), st.integers(1, 25)
 )
+
+
+PAIRING = {
+    InvarianceKind.CONVERGED_NON_EMPTY: ConsistencyKind.CONSISTENT,
+    InvarianceKind.REAL_EMPTY_AT_STEP: ConsistencyKind.NOT_WEAKLY_CONSISTENT,
+    InvarianceKind.NON_CONVERGENT_WEAK_OPEN: ConsistencyKind.NOT_CONSISTENT_WEAK_OPEN,
+}
 
 
 def two_node_generator_expected(k):
@@ -179,18 +187,48 @@ class TestIterateShrink:
 
     def test_verdict_coherence(self):
         rng = random.Random(4404)
-        pairing = {
-            InvarianceKind.CONVERGED_NON_EMPTY: ConsistencyKind.CONSISTENT,
-            InvarianceKind.REAL_EMPTY_AT_STEP: ConsistencyKind.NOT_WEAKLY_CONSISTENT,
-            InvarianceKind.NON_CONVERGENT_WEAK_OPEN: ConsistencyKind.NOT_CONSISTENT_WEAK_OPEN,
-        }
         for _ in range(40):
             system = random_system(rng, rng.randint(1, 3))
             probe = 10 * system.size**2
             report = iterate_shrink(system, probe)
-            # closure divergence shows one index later than generator divergence
-            verdict = check_consistency(system, probe + 1)
-            assert pairing[report.kind] is verdict.kind
+            verdict = check_consistency(system, probe)
+            assert PAIRING[report.kind] is verdict.kind
+
+    @settings(max_examples=80)
+    @given(
+        st.one_of(systems(), fraction_systems().map(lambda drawn: drawn[0])),
+        st.integers(1, 40),
+    )
+    @example(make_railway(-14), 1)
+    @example(TWO_NODE, 1)
+    def test_one_stop_two_views(self, system, probe):
+        verdict = check_consistency(system, probe)
+        report = iterate_shrink(system, probe)
+        assert PAIRING[report.kind] is verdict.kind
+        n = system.size
+        if verdict.kind is ConsistencyKind.CONSISTENT:
+            # the first repeat j is at step + 2, or at 1 for step 0
+            closures = closure_sequence(system, report.step + 2)
+            j = next(k for k in range(1, len(closures)) if closures[k] == closures[k - 1])
+            assert report.step == max(j, 2) - 2
+            assert top_left(report.invariant_generator, n, n) == verdict.fixed_closure
+        elif verdict.kind is ConsistencyKind.NOT_WEAKLY_CONSISTENT:
+            assert report.step == max(verdict.first_divergent - 1, 0)
+        else:
+            assert report.step == verdict.verified_up_to == max(probe, n * n + 1)
+
+    @pytest.mark.parametrize(
+        "ell, probe, divergent",
+        [("-13.9", 19, 21), ("-13.9", 20, 21), ("-13.9875", 161, 162)],
+    )
+    def test_same_bound_same_decision(self, ell, probe, divergent):
+        system = make_railway(Fraction(ell))
+        verdict = check_consistency(system, probe)
+        assert verdict.kind is ConsistencyKind.NOT_WEAKLY_CONSISTENT
+        assert verdict.first_divergent == divergent
+        report = iterate_shrink(system, probe)
+        assert report.kind is InvarianceKind.REAL_EMPTY_AT_STEP
+        assert report.step == divergent - 1
 
 
 class TestMaximalInvariant:

@@ -220,7 +220,7 @@ def test_records_survive_pickle_and_copy(index, read):
     record = samples()[index]
     if read:
         derived(record)
-    protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)
+    protocols = range(0, pickle.HIGHEST_PROTOCOL + 1)
     clones = [pickle.loads(pickle.dumps(record, p)) for p in protocols]
     for clone in [*clones, copy.copy(record), copy.deepcopy(record)]:
         assert type(clone) is type(record)
