@@ -111,8 +111,9 @@ def cmd_check(args) -> int:
         lines.append(f"fixed closure (index {n * n}, stable for every larger horizon):")
         lines.append(str(verdict.fixed_closure))
     elif verdict.kind is ConsistencyKind.NOT_WEAKLY_CONSISTENT:
-        lines.append(f"first divergent closure index: {verdict.first_divergent}")
-        lines.append("no finite schedule spans that many occurrences")
+        d = verdict.first_divergent  # closure d spans d + 1 occurrences
+        lines.append(f"first divergent closure index: {d}")
+        lines.append(f"no schedule over {d + 1} occurrence{'s' if d else ''} exists")
     else:
         lines.append(f"stabilization failed: closure({n * n}) != closure({n * n + 1})")
         lines.append(

@@ -15,7 +15,6 @@ segment to it, the step the stop search of the closure walk also takes.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
 from enum import Enum
 from functools import cached_property
 
@@ -44,16 +43,6 @@ def _assemble_generator(unit: tuple, closure_k: TropicalMatrix) -> TropicalMatri
     """
     ff, back_j, j = _join(unit, closure_k)
     return TropicalMatrix.from_blocks([[ff, back_j], [j @ unit[2], j]])
-
-
-def _generators(system: PtegSystem) -> Iterator[TropicalMatrix]:
-    """Generators 0, 1, 2, ...; generator k generates the k-times-shrunk semimodule.
-
-    It may hold +inf once the shrinking empties out of real vectors.
-    """
-    unit = _unit_segment(system)
-    for _, closure_k, _ in _closures(system):
-        yield _assemble_generator(unit, closure_k)
 
 
 class InvarianceKind(Enum):
@@ -103,7 +92,9 @@ class InvarianceReport(_Record):
         closures (2001 for the railway at ell = -13.999) on every report.
         """
         count = self.step + (1 if self.invariant_generator is None else 2)
-        return tuple(itertools.islice(_generators(self.system), count))
+        unit = _unit_segment(self.system)
+        walk = itertools.islice(_closures(self.system), count)
+        return tuple(_assemble_generator(unit, closure) for _, closure, _ in walk)
 
 
 def iterate_shrink(

@@ -9,17 +9,19 @@ All of these operations, and the star, are positively homogeneous: scaling
 every entry by the same s > 0 scales the result by s.  A matrix therefore
 stores its finite entries as ``int`` multiples of one private scale, the LCM
 of their denominators (``_stored``), and computes on those ``int``s, which
-is much faster than ``Fraction`` arithmetic.  Operands of two scales are first brought to
-the LCM of both.  Values are divided back only when they are read, into the
-same exact values, normalized (an integral value is always an ``int``).
+is much faster than ``Fraction`` arithmetic.  Operands of two scales are
+first brought to the LCM of both.  Values are divided back only when they
+are read, into the same exact values, normalized (an integral value is
+always an ``int``).
 Text is written straight from the stored ``int``s (``text_rows``).
 
-:func:`_apply` is the product of a matrix and a vector of stored ``int``s,
-the step of the schedule sweeps of :mod:`maxplus.pteg`.
-:func:`product_star` computes ``(left @ middle @ right + base).star()``, the
-closure step of :mod:`maxplus.precedence`, in one grid, without the three
-intermediate matrices.  ``_reclose`` takes a later step from the one before
-it: it re-closes a star over the arcs that a few grown entries add.
+Every product reads its factors' entries other than -inf from lists kept on
+each matrix (``_arcs``), so a factor used again is scanned once: the right
+factor of ``@``, the matrix of :func:`_apply` (times a vector of stored
+``int``s, the step of the schedule sweeps of :mod:`maxplus.pteg`) and the
+three factors of :func:`product_star`, ``(left @ middle @ right +
+base).star()`` in one grid, the closure step of :mod:`maxplus.precedence`.
+``_reclose`` re-closes a star over the arcs that a few grown entries add.
 """
 
 from __future__ import annotations
@@ -244,7 +246,8 @@ class TropicalMatrix:
 
     def __getitem__(self, key: tuple[int, int]) -> Scalar:
         i, j = key
-        return self.to_rows()[i][j]
+        v = self._data[i][j]
+        return v if type(v) is float else as_scalar(Fraction(v, self._scale))
 
     def __iter__(self) -> Iterator[tuple[Scalar, ...]]:
         return iter(self.to_rows())
@@ -259,6 +262,8 @@ class TropicalMatrix:
         return hash(self.to_rows())
 
     def __le__(self, other: "TropicalMatrix") -> bool:
+        if not isinstance(other, TropicalMatrix):
+            return NotImplemented
         self._check_same_shape(other)
         mine, theirs, _ = self._with(other)
         le = operator.le
@@ -316,28 +321,24 @@ class TropicalMatrix:
         )
 
     def __matmul__(self, other: "TropicalMatrix") -> "TropicalMatrix":
-        """Max-plus product."""
+        """Max-plus product; each entry spreads over a row of ``other._arcs()``."""
         if not isinstance(other, TropicalMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        mine, b, scale = self._with(other)
+        if self._scale != other._scale:
+            self, other = aligned(self, other)
+        arcs = other._arcs()
         width = other.cols
-        inner = self.cols
         grid = []
-        for arow in mine:
+        for arow in self._data:
             out = [NEG_INF] * width
-            for t in range(inner):
-                a = arow[t]
+            for a, brow in zip(arow, arcs):
                 if a == NEG_INF:
                     continue
-                brow = b[t]
-                for j in range(width):
-                    v = brow[j]
-                    if v == NEG_INF:
-                        continue
+                for j, v in brow:
                     try:
                         s = a + v
                     except OverflowError:  # an int beyond float range plus +inf
@@ -345,7 +346,7 @@ class TropicalMatrix:
                     if s > out[j]:
                         out[j] = s
             grid.append(tuple(out))
-        return TropicalMatrix._wrap(tuple(grid), scale)
+        return TropicalMatrix._wrap(tuple(grid), self._scale)
 
     # -- path algebra ---------------------------------------------------
 
@@ -406,24 +407,21 @@ def product_star(
 ) -> TropicalMatrix:
     """``(left @ middle @ right + base).star()``, built in one grid.
 
-    Row i of ``left @ middle`` runs over the entries of row i of ``left``
-    other than -inf, and each of its entries meets only the entries of the
-    matching row of ``right`` other than -inf; both lists are kept on the
-    two matrices (see ``_arcs``), so constant outer factors are scanned
-    once, not once per call.  Rows start as those of ``base`` and the star
-    runs in place.  The one caller passes the square blocks of one system.
+    Like every product here it reads arc lists (see ``_arcs``), kept on
+    the matrices, so constant factors are scanned once, not once per call:
+    each entry of row i of ``left`` other than -inf spreads over a row of
+    ``middle``'s list into row i of ``left @ middle``, and each entry of
+    that over a row of ``right``'s.  Rows start as those of ``base`` and the
+    star runs in place.  The one caller passes the blocks of one system.
     """
     left, middle, right, base = aligned(left, middle, right, base)
-    between = middle._data
-    right_arcs = right._arcs()
+    between, right_arcs = middle._arcs(), right._arcs()
     width = middle.cols
     grid = []
     for arcs, out in zip(left._arcs(), map(list, base._data)):
         via = [NEG_INF] * width  # row i of left @ middle
         for s, a in arcs:
-            for t, v in enumerate(between[s]):
-                if v == NEG_INF:
-                    continue
+            for t, v in between[s]:
                 try:
                     x = a + v
                 except OverflowError:  # an int beyond float range plus +inf

@@ -7,14 +7,14 @@ per occurrence index): its three square blocks unroll into a block
 tridiagonal matrix over any finite horizon.  The closure recurrence of
 :func:`_closures` eliminates that matrix stage by stage, so feasibility and
 the graph export work on the blocks alone, never on the unrolled matrix.
-The first step of a walk, ``(backward @ closure @ forward oplus
-within)*``, is one call of :func:`~maxplus.matrix.product_star`, which
-builds the result in one grid from the entries of the two outer blocks
-other than -inf, listed once per system.  The closures only grow, so each
-later step re-closes the last closure over the arcs that the entries it
-grew by add (:func:`~maxplus.matrix._reclose`): a step that adds no arc
-above it costs no star, and Floyd-Warshall pivots only over the tails
-of the new arcs.  Where the recurrence first stops (a +inf entry or a
+Every product reads its right factors' arc lists, the entries other than
+-inf kept on each matrix, so a block is listed once per system.  The first step
+of a walk, ``(backward @ closure @ forward oplus within)*``, is one call of
+:func:`~maxplus.matrix.product_star`, in one grid.  The closures only
+grow, so each later step re-closes the last closure over the arcs that the
+entries it grew by add (:func:`~maxplus.matrix._reclose`): a step that adds
+no arc above it costs no star, and Floyd-Warshall pivots only over the
+tails of the new arcs.  Where the recurrence first stops (a +inf entry or a
 repeat) is found by :func:`_stopping_closure` in O(log k) compositions of
 boundary segments, whole stretches of the unrolling eliminated down to
 their first and last stage, once a short walk has not stopped.  The three

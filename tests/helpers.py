@@ -29,7 +29,7 @@ from maxplus import (
     format_scalar,
     is_finite,
 )
-from maxplus import invariance
+from maxplus import invariance, precedence
 from maxplus.matrix import DimensionMismatch, _apply, aligned
 from maxplus.problems import MATRIX_FIELDS, ProblemFile, ProblemFormatError, _reject_scalar_names
 
@@ -326,7 +326,8 @@ def report_fields(report: InvarianceReport):
 
 def shrink_generator(system: PtegSystem, k: int) -> TropicalMatrix:
     """Generator k of the shrinking iteration, from the library's closed form."""
-    return next(itertools.islice(invariance._generators(system), k, None))
+    _, closure, _ = next(itertools.islice(precedence._closures(system), k, None))
+    return invariance._assemble_generator(precedence._unit_segment(system), closure)
 
 
 def shrink_generator_unrolled(system: PtegSystem, k: int) -> TropicalMatrix:
@@ -499,7 +500,9 @@ class InvarianceReportTwin:
     @cached_property
     def generators(self):
         count = self.step + (1 if self.invariant_generator is None else 2)
-        return tuple(itertools.islice(invariance._generators(self.system), count))
+        unit = precedence._unit_segment(self.system)
+        walk = itertools.islice(precedence._closures(self.system), count)
+        return tuple(invariance._assemble_generator(unit, c) for _, c, _ in walk)
 
 
 @_named_as(ProblemFile)

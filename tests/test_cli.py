@@ -1,13 +1,20 @@
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from maxplus import TropicalMatrix, cli, parse_scalar
+from maxplus import (
+    TropicalMatrix,
+    cli,
+    finite_weak_feasibility,
+    parse_problem_file,
+    parse_scalar,
+)
 from maxplus.cli import main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -32,6 +39,28 @@ class TestCheck:
         assert code == 2
         assert "verdict: NotWeaklyConsistent" in out
         assert "first divergent closure index: 3" in out
+
+    @pytest.mark.parametrize("ell", ["-13.9", "-13.5", "-13"])
+    def test_divergence_names_the_least_infeasible_horizon(self, capsys, ell):
+        """Closure d spans d + 1 occurrences: H = d + 1 fails, H - 1 does not."""
+        code, out, _ = run(capsys, "check", RAILWAY, "--param", f"ell={ell}")
+        assert code == 2
+        match = re.search(r"^no schedule over (\d+) occurrences exists$", out, re.M)
+        horizon = int(match[1])
+        system = parse_problem_file(RAILWAY).instantiate({"ell": ell})
+        assert not finite_weak_feasibility(system, horizon)
+        if horizon > 1:
+            assert finite_weak_feasibility(system, horizon - 1)
+
+    def test_divergence_at_closure_zero_names_one_occurrence(self, capsys, tmp_path):
+        loop = {"n": 1, "A": [["0"]], "L": [["-inf"]], "C": [["1"]], "Rtilde": [["-inf"]]}
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(loop), encoding="utf-8")
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 2
+        assert out.endswith(
+            "first divergent closure index: 0\nno schedule over 1 occurrence exists\n"
+        )
 
     def test_param_does_not_leak_into_the_next_call(self, capsys):
         # the parser is built once per process and reused by every call

@@ -38,9 +38,14 @@ from helpers import (
     closure_step_full,
     identity,
     closure_sequence_full,
+    fraction_add,
+    fraction_matmul,
+    fraction_rows,
+    fraction_star,
     fraction_systems,
     fractions,
     iterate_shrink_full,
+    normalized_rows,
     random_matrix,
     report_fields,
     shrink_generator,
@@ -768,11 +773,16 @@ def test_closure_step_matches_the_four_operation_oracle(operands):
     )
 )
 def test_product_star_on_any_operands(operands):
-    """+inf and empty rows in every operand; positive circuits in the base."""
-    left, middle, right, base = operands
-    expected = (left @ middle @ right + base).star()
-    result = product_star(left, middle, right, base)
-    assert result == expected and result.to_rows() == expected.to_rows()
+    """+inf and empty rows in every operand; positive circuits in the base.
+
+    The oracle is the plain-Fraction one: ``@`` and ``star`` share the
+    kernel's loops.
+    """
+    left, middle, right, base = map(fraction_rows, operands)
+    expected = fraction_star(
+        fraction_add(fraction_matmul(fraction_matmul(left, middle), right), base)
+    )
+    assert product_star(*operands).to_rows() == normalized_rows(expected)
 
 
 def below(closed, lower):
@@ -868,12 +878,9 @@ def test_reclose_saturates_every_new_positive_circuit():
     )
 
 
-def test_block_entries_are_listed_once(monkeypatch):
-    """A walk lists each block's entries once and reuses that list every step.
-
-    The first step reads the rows of both outer blocks; each later step
-    re-closes its predecessor, reading backward's columns and forward's rows.
-    """
+@pytest.fixture
+def listings(monkeypatch):
+    """Every call of ``_arcs`` and ``_column_arcs``, as ``(matrix, name, result)``."""
     returned = []
 
     def recording(name):
@@ -888,18 +895,54 @@ def test_block_entries_are_listed_once(monkeypatch):
 
     for name in ("_arcs", "_column_arcs"):
         monkeypatch.setattr(TropicalMatrix, name, recording(name))
+    return returned
+
+
+def test_block_entries_are_listed_once(listings):
+    """A walk lists each block's entries once and reuses that list every step.
+
+    The first step reads the rows of both outer blocks and of its middle
+    factor, closure 0; each later step re-closes its predecessor, reading
+    backward's columns and forward's rows.
+    """
     system = make_railway(Fraction("-13.9"))
     assert len(closure_sequence(system, 20)) == 21
-    assert len(returned) == 40
+    assert len(listings) == 41
     for block in (system.backward, system.forward):
-        lists = [(name, result) for matrix, name, result in returned if matrix is block]
+        lists = [(name, result) for matrix, name, result in listings if matrix is block]
         assert len(lists) == 20
         for kind in ("_arcs", "_column_arcs"):
             kept = [result for name, result in lists if name == kind]
             assert all(result is kept[0] for result in kept)
-    kinds = [name for matrix, name, _ in returned if matrix is system.backward]
+    kinds = [name for matrix, name, _ in listings if matrix is system.backward]
     assert kinds == ["_arcs"] + ["_column_arcs"] * 19
-    assert {name for matrix, name, _ in returned if matrix is system.forward} == {"_arcs"}
+    assert {name for matrix, name, _ in listings if matrix is system.forward} == {"_arcs"}
+    blocks = (system.backward, system.forward)
+    (first,) = [entry for entry in listings if entry[0] not in blocks]
+    assert first[0] == system.within.star() and first[1] == "_arcs"
+
+
+def test_generators_list_the_unit_segment_once(listings, monkeypatch):
+    """Each generator reads ``unit[2]`` as the right factor of two products.
+
+    The railway at ell = -13.9 empties at step 20: 21 generators, one
+    segment, and one list of its entries read 42 times.
+    """
+    units = []
+    unit_segment = precedence._unit_segment
+
+    def kept(system):
+        units.append(unit_segment(system))
+        return units[-1]
+
+    monkeypatch.setattr(invariance, "_unit_segment", kept)
+    report = iterate_shrink(make_railway(Fraction("-13.9")))
+    del listings[:]
+    assert len(report.generators) == 21
+    ahead = units[-1][2]
+    lists = [result for matrix, _, result in listings if matrix is ahead]
+    assert len(units) == 1 and len(lists) == 42
+    assert all(result is lists[0] for result in lists)
 
 
 # The re-closing walk: after its first step, each closure step is handed its

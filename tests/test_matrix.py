@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from maxplus import (
@@ -413,3 +413,79 @@ def test_operations_store_ints_and_match_fraction_oracle(pair):
     assert a <= a + b and b <= a + b
     assert (a == b) == (ra == rb)
     assert TropicalMatrix(ra) == a and hash(TropicalMatrix(ra)) == hash(a)
+
+
+def test_order_with_a_non_matrix_is_a_type_error():
+    m = TropicalMatrix([[1, 2], [3, 4]])
+    with pytest.raises(TypeError):
+        m <= 3
+    with pytest.raises(TypeError):
+        3 >= m
+
+
+def typed_rows(rows) -> list:
+    return [[(type(v), v) for v in row] for row in rows]
+
+
+@given(st.integers(1, 6).flatmap(fraction_matrix))
+@example(TropicalMatrix([[Fraction(i - j, 3) for j in range(16)] for i in range(16)]))
+def test_an_entry_read_divides_back_that_entry_alone(m):
+    """``m[i, j]``, negative indices too, reads ``to_rows()`` without calling it."""
+    expected = typed_rows(m.to_rows())
+    divided = []
+    to_rows = TropicalMatrix.to_rows
+
+    def counted(matrix):
+        divided.append(matrix)
+        return to_rows(matrix)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TropicalMatrix, "to_rows", counted)
+        read = [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+        back = [[m[i - m.rows, j - m.cols] for j in range(m.cols)] for i in range(m.rows)]
+        for key in ((m.rows, 0), (0, m.cols), (-m.rows - 1, 0)):
+            with pytest.raises(IndexError):
+                m[key]
+    assert divided == []
+    assert typed_rows(read) == typed_rows(back) == expected
+
+
+# Denominators of mixed sizes, up to one beyond float range, and offsets
+# that store ints beyond float range next to +inf.
+WIDE_DENOMINATORS = st.sampled_from([1, 2, 3, 1009, 10**400])
+
+
+@st.composite
+def wide_matrix(draw, rows, cols):
+    """Some rows only -inf; entries -inf, +inf or wide rationals."""
+
+    def entry():
+        kind = draw(st.integers(0, 9))
+        if kind < 2:
+            return NEG_INF
+        if kind == 2:
+            return POS_INF
+        den = draw(WIDE_DENOMINATORS)
+        offset = draw(st.sampled_from([0, 0, 10**400, -(10**400)]))
+        return Fraction(draw(st.integers(-9 * den, 9 * den)), den) + offset
+
+    return TropicalMatrix(
+        [NEG_INF] * cols if draw(st.integers(0, 5)) == 0 else [entry() for _ in range(cols)]
+        for _ in range(rows)
+    )
+
+
+@st.composite
+def rectangular_pairs(draw):
+    n, m, p = (draw(st.integers(1, 6)) for _ in range(3))
+    return draw(wide_matrix(n, m)), draw(wide_matrix(m, p))
+
+
+@given(rectangular_pairs())
+def test_rectangular_product_matches_fraction_oracle(pair):
+    """n x m by m x p at two scales: the kernel against the plain-Fraction product."""
+    a, b = pair
+    product = a @ b
+    assert product.shape == (a.rows, b.cols) and stores_ints(product)
+    oracle = fraction_matmul(fraction_rows(a), fraction_rows(b))
+    assert product.to_rows() == normalized_rows(oracle)
