@@ -13,6 +13,8 @@ The default probe bound is ``10 * n^2``; override it with ``--probe-bound``.
 Bad input exits 1; a failed internal invariant exits 5 with one
 ``error: internal:`` line.  A reader that closes stdout early (``| head``)
 ends the output quietly, and the exit code stays the command's own.
+Each ``cmd_*`` handler returns its exit code and its whole stdout text, and
+only :func:`main` writes stdout, once, so a failure leaves no half report.
 """
 
 from __future__ import annotations
@@ -48,22 +50,6 @@ EXIT_INFEASIBLE = 4
 EXIT_INTERNAL = 5
 
 
-def _write(text: str) -> None:
-    """Write ``text`` to stdout and flush it; a closed pipe drops the rest.
-
-    stdout is then pointed at the null device, so the interpreter's flush
-    at exit does not fail on the unwritten rest again.
-    """
-    try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        with contextlib.suppress(OSError):
-            os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-
-
 def _load_system(args) -> PtegSystem:
     params = {}
     for pair in args.param:
@@ -74,8 +60,22 @@ def _load_system(args) -> PtegSystem:
     return parse_problem_file(args.file).instantiate(params)
 
 
-def cmd_check(args) -> int:
-    system = _load_system(args)
+def _json_text(doc: dict, key: str | None = None, matrices=None) -> str:
+    """``doc`` as indented JSON, with ``matrices`` listed under ``key``."""
+    if matrices is not None:
+        doc[key] = [m.text_rows() for m in matrices]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _human_text(lines: list, label: str | None = None, matrices=None) -> str:
+    """The report ``lines``, then each of ``matrices`` under ``label.format(k)``."""
+    if matrices is not None:
+        for k, matrix in enumerate(matrices):
+            lines += [label.format(k), str(matrix)]
+    return "\n".join(lines) + "\n"
+
+
+def cmd_check(args, system: PtegSystem) -> tuple[int, str]:
     verdict = check_consistency(system, args.probe_bound)
     code = EXIT_CODES[verdict.kind]
     n = system.size
@@ -101,10 +101,7 @@ def cmd_check(args) -> int:
             "first_divergent": verdict.first_divergent,
             "verified_up_to": verdict.verified_up_to,
         }
-        if closures is not None:
-            doc["closures"] = [m.text_rows() for m in closures]
-        _write(json.dumps(doc, indent=2) + "\n")
-        return code
+        return code, _json_text(doc, "closures", closures)
 
     lines = [f"verdict: {verdict.kind.value}"]
     if verdict.kind is ConsistencyKind.CONSISTENT:
@@ -120,16 +117,12 @@ def cmd_check(args) -> int:
             f"all closures finite up to index {verdict.verified_up_to}"
             " (probe bound); weak consistency undecided"
         )
-    if closures is not None:
-        for k, matrix in enumerate(closures):
-            lines += [f"closure({k}):", str(matrix)]
-    _write("\n".join(lines) + "\n")
-    return code
+    return code, _human_text(lines, "closure({}):", closures)
 
 
-def cmd_invariant(args) -> int:
-    system = _load_system(args)
+def cmd_invariant(args, system: PtegSystem) -> tuple[int, str]:
     report = iterate_shrink(system, args.probe_bound)
+    generators = report.generators if args.emit_s else None
 
     if args.format == "json":
         doc = {
@@ -141,10 +134,7 @@ def cmd_invariant(args) -> int:
                 else None
             ),
         }
-        if args.emit_s:
-            doc["generators"] = [m.text_rows() for m in report.generators]
-        _write(json.dumps(doc, indent=2) + "\n")
-        return 0
+        return 0, _json_text(doc, "generators", generators)
 
     lines = [f"{report.kind.value} {report.step}"]
     if report.kind is InvarianceKind.CONVERGED_NON_EMPTY:
@@ -159,21 +149,16 @@ def cmd_invariant(args) -> int:
             "still shrinking at the probe bound;"
             " the maximal invariant contains no real vector"
         )
-    if args.emit_s:
-        for k, matrix in enumerate(report.generators):
-            lines += [f"generator(step {k}):", str(matrix)]
-    _write("\n".join(lines) + "\n")
-    return 0
+    return 0, _human_text(lines, "generator(step {}):", generators)
 
 
-def cmd_trajectory(args) -> int:
+def cmd_trajectory(args, system: PtegSystem) -> tuple[int, str]:
     seed = None if args.seed is None else tuple(args.seed.split(","))
-    system = _load_system(args)
     try:
         trajectory = synthesize_trajectory(system, args.horizon, seed)
     except InfeasibleHorizon as exc:
         print(f"infeasible ({exc.reason}): {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return EXIT_INFEASIBLE, ""
     if not validate_trajectory(system, trajectory):
         raise RuntimeError("synthesized trajectory failed validation")
 
@@ -181,24 +166,19 @@ def cmd_trajectory(args) -> int:
     states = trajectory.table.text_rows()
     if args.format == "json":
         doc = {"horizon": trajectory.horizon, "states": states, "inputs": states[1:]}
-        _write(json.dumps(doc, indent=2) + "\n")
-        return 0
+        return 0, _json_text(doc)
 
-    _write(
-        "\n".join(
+    return 0, _human_text(
+        [
             f"{name}({k}) = " + " ".join(row)
             for name, rows in (("x", states), ("u", states[1:]))
             for k, row in enumerate(rows, start=1)
-        )
-        + "\n"
+        ]
     )
-    return 0
 
 
-def cmd_graph(args) -> int:
-    system = _load_system(args)
-    _write(export_dot(system, args.horizon))
-    return 0
+def cmd_graph(args, system: PtegSystem) -> tuple[int, str]:
+    return 0, export_dot(system, args.horizon)
 
 
 @functools.cache
@@ -215,7 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, handler):
+        p.set_defaults(handler=handler)
         p.add_argument("file", help="problem file (JSON)")
         p.add_argument(
             "--param",
@@ -226,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     p_check = sub.add_parser("check", help="decide consistency")
-    common(p_check)
+    common(p_check, cmd_check)
     p_check.add_argument("--probe-bound", type=int, default=None, metavar="N")
     p_check.add_argument("--format", choices=("human", "json"), default="human")
     p_check.add_argument(
@@ -234,10 +215,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the full closure-matrix sequence",
     )
-    p_check.set_defaults(handler=cmd_check)
 
     p_inv = sub.add_parser("invariant", help="compute the maximal invariant")
-    common(p_inv)
+    common(p_inv, cmd_invariant)
     p_inv.add_argument("--probe-bound", type=int, default=None, metavar="N")
     p_inv.add_argument("--format", choices=("human", "json"), default="human")
     p_inv.add_argument(
@@ -245,10 +225,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the full generator-matrix sequence",
     )
-    p_inv.set_defaults(handler=cmd_invariant)
 
     p_traj = sub.add_parser("trajectory", help="synthesize a finite schedule")
-    common(p_traj)
+    common(p_traj, cmd_trajectory)
     p_traj.add_argument("--horizon", type=int, required=True, metavar="K")
     p_traj.add_argument(
         "--seed",
@@ -257,12 +236,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="finite seed vector for the first occurrence (default: zeros)",
     )
     p_traj.add_argument("--format", choices=("human", "json"), default="human")
-    p_traj.set_defaults(handler=cmd_trajectory)
 
     p_graph = sub.add_parser("graph", help="emit the precedence graph as DOT")
-    common(p_graph)
+    common(p_graph, cmd_graph)
     p_graph.add_argument("--horizon", type=int, required=True, metavar="K")
-    p_graph.set_defaults(handler=cmd_graph)
 
     return parser
 
@@ -274,7 +251,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else 0
     try:
-        return args.handler(args)
+        code, text = args.handler(args, _load_system(args))
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # point stdout at the null device, so the interpreter's flush at
+            # exit does not fail on the unwritten rest again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            with contextlib.suppress(OSError):
+                os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return code
     except (ProblemFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

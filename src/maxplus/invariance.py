@@ -14,13 +14,12 @@ segment to it, the step the stop search of the closure walk also takes.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from functools import cached_property
 
 from .matrix import TropicalMatrix
-from .precedence import PtegSystem, _closures, _join, _unit_segment
-from .pteg import _stop
+from .precedence import PtegSystem, _join, _unit_segment
+from .pteg import _stop, closure_sequence
 from .semiring import _Record
 
 
@@ -93,8 +92,8 @@ class InvarianceReport(_Record):
         """
         count = self.step + (1 if self.invariant_generator is None else 2)
         unit = _unit_segment(self.system)
-        walk = itertools.islice(_closures(self.system), count)
-        return tuple(_assemble_generator(unit, closure) for _, closure, _ in walk)
+        closures = closure_sequence(self.system, count - 1)
+        return tuple(_assemble_generator(unit, closure) for closure in closures)
 
 
 def iterate_shrink(

@@ -191,6 +191,8 @@ class TropicalMatrix:
     @classmethod
     def epsilon(cls, n: int) -> "TropicalMatrix":
         """The n x n all ``-inf`` matrix (the additive zero)."""
+        if n < 1:
+            raise ValueError("matrix must have at least one row and one column")
         return cls._wrap(tuple((NEG_INF,) * n for _ in range(n)), 1)
 
     @classmethod
@@ -200,6 +202,8 @@ class TropicalMatrix:
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence["TropicalMatrix"]]) -> "TropicalMatrix":
         """Assemble a matrix from a rectangular grid of blocks."""
+        if not blocks or any(len(b) != len(blocks[0]) for b in blocks):
+            raise DimensionMismatch("blocks do not form a non-empty rectangular grid")
         for brow in blocks:
             heights = {b.rows for b in brow}
             if len(heights) != 1:

@@ -417,6 +417,37 @@ class TestClosedStdout:
         assert path.read_bytes() == b""
 
 
+class FullDisk(io.StringIO):
+    """A stdout on a full disk: every write fails."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+WRITING_COMMANDS = [
+    ("check", RAILWAY, "--emit-pi"),
+    ("invariant", RAILWAY, "--emit-s", "--format", "json"),
+    ("trajectory", RAILWAY, "--horizon", "5"),
+    ("graph", RAILWAY, "--horizon", "3"),
+]
+
+
+class TestFailedWrite:
+    @pytest.mark.parametrize("argv", WRITING_COMMANDS)
+    def test_one_error_line_and_exit_one(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdout", FullDisk())
+        assert main(list(argv)) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("argv", WRITING_COMMANDS)
+    def test_handler_returns_its_text_unwritten(self, capsys, monkeypatch, argv):
+        code, out, _ = run(capsys, *argv)
+        args = cli._build_parser().parse_args(list(argv))
+        system = cli._load_system(args)
+        monkeypatch.setattr(sys, "stdout", FullDisk())
+        assert args.handler(args, system) == (code, out)
+
+
 class TestInternalErrors:
     @pytest.mark.parametrize(
         "argv",

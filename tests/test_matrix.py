@@ -52,6 +52,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TropicalMatrix([])
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_epsilon_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="at least one row and one column"):
+            TropicalMatrix.epsilon(n)
+
+    @pytest.mark.parametrize("widths", [[], [1, 2], [2, 1]], ids=repr)
+    def test_from_blocks_rejects_empty_or_ragged_grid(self, widths):
+        a = TropicalMatrix([[1]])
+        with pytest.raises(DimensionMismatch):
+            TropicalMatrix.from_blocks([[a] * width for width in widths])
+
     def test_finite_float_rejected(self):
         with pytest.raises(TypeError):
             TropicalMatrix([[0.5]])

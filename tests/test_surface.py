@@ -7,7 +7,7 @@ same holds one level down: every public method or property of the classes
 in ``MEMBER_CLASSES`` is read in ``src/maxplus`` or listed in
 ``UNREAD_MEMBERS``, and every module-level ``_private`` function is read.
 The modules form layers: each imports only the modules before it in
-``LAYERS``.
+``LAYERS``.  In ``cli`` only ``main`` writes stdout.
 """
 
 import ast
@@ -193,6 +193,35 @@ def test_every_module_has_a_layer():
 def test_modules_import_only_lower_layers():
     for rank, module in enumerate(LAYERS):
         assert relative_imports(module) <= set(LAYERS[:rank]), module
+
+
+def stdout_writers(tree: ast.Module) -> set[str]:
+    """Functions in ``tree`` that name ``sys.stdout`` or ``print`` to it."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            named = (
+                isinstance(node, ast.Attribute)
+                and node.attr == "stdout"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "sys"
+            )
+            printed = (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "print"
+                and not any(k.arg == "file" for k in node.keywords)
+            )
+            if named or printed:
+                found.add(func.name)
+    return found
+
+
+def test_only_main_writes_stdout():
+    """The CLI handlers return their text; ``main`` writes it, once."""
+    assert stdout_writers(modules()["cli"]) == {"main"}
 
 
 def test_one_system_type():
