@@ -22,9 +22,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _encode
 
 from .invariance import InvarianceKind, iterate_shrink
 from .precedence import export_dot
@@ -61,10 +61,29 @@ def _load_system(args) -> PtegSystem:
 
 
 def _json_text(doc: dict, key: str | None = None, matrices=None) -> str:
-    """``doc`` as indented JSON, with ``matrices`` listed under ``key``."""
+    """``doc``, ``matrices`` under ``key``, as ``json.dumps(doc, indent=2)`` writes it.
+
+    Any indent would send ``json.dumps`` to its pure-Python encoder.
+    """
     if matrices is not None:
         doc[key] = [m.text_rows() for m in matrices]
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_value(doc, "\n") + "\n"
+
+
+def _json_value(value, newline: str) -> str:
+    """``value`` (str, int, None, dict or list) at the indent ending ``newline``."""
+    if type(value) is str:
+        return _encode(value)
+    if type(value) is not dict and type(value) is not list:
+        return "null" if value is None else str(value)
+    if not value:
+        return "{}" if type(value) is dict else "[]"
+    inner = newline + "  "
+    if type(value) is dict:
+        items = [f"{_encode(k)}: {_json_value(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    items = [_encode(v) if type(v) is str else _json_value(v, inner) for v in value]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def _human_text(lines: list, label: str | None = None, matrices=None) -> str:

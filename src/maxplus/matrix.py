@@ -17,11 +17,13 @@ Text is written straight from the stored ``int``s (``text_rows``).
 
 Every product reads its factors' entries other than -inf from lists kept on
 each matrix (``_arcs``), so a factor used again is scanned once: the right
-factor of ``@``, the matrix of :func:`_apply` (times a vector of stored
-``int``s, the step of the schedule sweeps of :mod:`maxplus.pteg`) and the
-three factors of :func:`product_star`, ``(left @ middle @ right +
-base).star()`` in one grid, the closure step of :mod:`maxplus.precedence`.
-``_reclose`` re-closes a star over the arcs that a few grown entries add.
+factor of ``@`` (:func:`_product`, also ``base + left @ right``), the
+matrix of :func:`_apply` (times a vector of stored ``int``s, the step of
+the schedule sweeps of :mod:`maxplus.pteg`) and the three factors of
+:func:`product_star`, ``(left @ middle @ right + base).star()`` in one
+grid, the closure step of :mod:`maxplus.precedence`.  ``_close_over``
+re-closes a star over a few arcs, ``_reclose`` over those a few grown
+entries add.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .semiring import NEG_INF, POS_INF, Scalar, as_scalar, format_ratio
 
@@ -112,10 +115,40 @@ def _stored(grid: tuple) -> tuple[tuple, int]:
     return grid, scale
 
 
+def _product(left, right, base=None):
+    """``left @ right``, or ``base + left @ right`` in one grid; ``@`` is this.
+
+    Entries of ``left`` other than -inf spread over rows of ``right._arcs()``.
+    """
+    if not isinstance(right, TropicalMatrix):
+        return NotImplemented
+    if left.cols != right.rows:
+        raise DimensionMismatch(f"cannot multiply {left.shape} by {right.shape}")
+    if base is not None and not left._scale == right._scale == base._scale:
+        left, right, base = aligned(left, right, base)
+    elif left._scale != right._scale:
+        left, right = aligned(left, right)
+    rows = repeat((NEG_INF,) * right.cols) if base is None else base._data
+    arcs, grid = right._arcs(), []
+    for arow, out in zip(left._data, map(list, rows)):
+        for a, brow in zip(arow, arcs):
+            if a == NEG_INF:
+                continue
+            for j, v in brow:
+                try:
+                    s = a + v
+                except OverflowError:  # an int beyond float range plus +inf
+                    s = POS_INF
+                if s > out[j]:
+                    out[j] = s
+        grid.append(tuple(out))
+    return TropicalMatrix._wrap(tuple(grid), left._scale)
+
+
 class TropicalMatrix:
     """An immutable ``rows x cols`` matrix of max-plus scalars."""
 
-    __slots__ = ("rows", "cols", "_data", "_scale", "_arc_rows", "_arc_cols")
+    __slots__ = ("rows", "cols", "_data", "_scale", "_finite", "_arc_rows", "_arc_cols")
 
     def __init__(self, data: Iterable[Iterable]):
         grid = tuple(tuple(as_scalar(v) for v in row) for row in data)
@@ -127,7 +160,7 @@ class TropicalMatrix:
         grid, scale = _stored(grid)
         self._data = grid
         self._scale = scale
-        self._arc_rows = self._arc_cols = None
+        self._finite = self._arc_rows = self._arc_cols = None
         self.rows = len(grid)
         self.cols = width
 
@@ -137,7 +170,7 @@ class TropicalMatrix:
         self = object.__new__(cls)
         self._data = grid
         self._scale = scale
-        self._arc_rows = self._arc_cols = None
+        self._finite = self._arc_rows = self._arc_cols = None
         self.rows = len(grid)
         self.cols = len(grid[0])
         return self
@@ -235,8 +268,10 @@ class TropicalMatrix:
 
     @property
     def rmax_valued(self) -> bool:
-        """True when no entry is ``+inf``."""
-        return all(POS_INF not in row for row in self._data)
+        """True when no entry is ``+inf``; found on first read and kept."""
+        if self._finite is None:
+            self._finite = all(POS_INF not in row for row in self._data)
+        return self._finite
 
     def to_rows(self) -> tuple[tuple[Scalar, ...], ...]:
         """The entries, divided back from the stored scale and normalized."""
@@ -268,10 +303,10 @@ class TropicalMatrix:
     def __le__(self, other: "TropicalMatrix") -> bool:
         if not isinstance(other, TropicalMatrix):
             return NotImplemented
-        self._check_same_shape(other)
+        if self.rows != other.rows or self.cols != other.cols:
+            self._check_same_shape(other)
         mine, theirs, _ = self._with(other)
-        le = operator.le
-        return all(all(map(le, ra, rb)) for ra, rb in zip(mine, theirs))
+        return all(map(operator.le, chain(*mine), chain(*theirs)))
 
     def text_rows(self) -> list[list[str]]:
         """The entries as :func:`~maxplus.semiring.format_scalar` writes them.
@@ -324,33 +359,7 @@ class TropicalMatrix:
             scale,
         )
 
-    def __matmul__(self, other: "TropicalMatrix") -> "TropicalMatrix":
-        """Max-plus product; each entry spreads over a row of ``other._arcs()``."""
-        if not isinstance(other, TropicalMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise DimensionMismatch(
-                f"cannot multiply {self.shape} by {other.shape}"
-            )
-        if self._scale != other._scale:
-            self, other = aligned(self, other)
-        arcs = other._arcs()
-        width = other.cols
-        grid = []
-        for arow in self._data:
-            out = [NEG_INF] * width
-            for a, brow in zip(arow, arcs):
-                if a == NEG_INF:
-                    continue
-                for j, v in brow:
-                    try:
-                        s = a + v
-                    except OverflowError:  # an int beyond float range plus +inf
-                        s = POS_INF
-                    if s > out[j]:
-                        out[j] = s
-            grid.append(tuple(out))
-        return TropicalMatrix._wrap(tuple(grid), self._scale)
+    __matmul__ = _product  # ``a @ b`` is the kernel with no base
 
     # -- path algebra ---------------------------------------------------
 
@@ -446,6 +455,35 @@ def product_star(
     return _star(grid, base._scale)
 
 
+def _close_over(closed: TropicalMatrix, arcs: dict) -> TropicalMatrix:
+    """``(closed + E)*`` for a star ``closed`` free of +inf.
+
+    E holds the finite ``arcs``, ``{(head, tail): weight}``, each above its
+    entry of ``closed`` and at its scale; with none, ``closed`` is returned.
+    Every walk of ``closed + E`` alternates walks of ``closed`` and arcs of
+    E, and ``closed`` absorbs its own walks (``closed @ closed = closed``,
+    diagonal 0).  An arc of E followed by a walk of ``closed`` is one arc
+    of ``closed @ E``, so every such walk is a walk of ``closed + closed @
+    E`` whose inner nodes are tails of E.  That matrix lies between
+    ``closed + E`` and its star, so its star is that star, and
+    Floyd-Warshall needs to pivot only over the tails.  A positive circuit
+    of ``closed + E`` holds an arc of E, so it passes through a tail, which
+    therefore carries a positive diagonal and reaches, and is reached by,
+    the same nodes: the +inf saturation marks the same pairs as the full
+    star does.
+    """
+    if not arcs:
+        return closed
+    c = closed._data
+    d = [list(row) for row in c]
+    for (t, s), w in arcs.items():  # closed @ E: arc s -> t, then closed
+        for di, ci in zip(d, c):
+            x = ci[t]
+            if x != NEG_INF and x + w > di[s]:
+                di[s] = x + w
+    return _star(d, closed._scale, sorted({s for _, s in arcs}))
+
+
 def _reclose(
     closed: TropicalMatrix,
     before: TropicalMatrix,
@@ -460,24 +498,10 @@ def _reclose(
     ``left[:, s] + closed[s, t] + right[t, :]``, read from the entries of
     ``left``'s columns and ``right``'s rows other than -inf, listed once
     per matrix (see ``_arcs``).  Only the arcs above ``closed`` are kept,
-    as the set E; with none, ``closed`` itself is returned, since it is a
-    star.
-
-    Otherwise every walk of ``closed + E`` alternates walks of ``closed``
-    and arcs of E, and ``closed`` absorbs its own walks (``closed @ closed
-    = closed``, diagonal 0).  An arc of E followed by a walk of ``closed``
-    is one arc of ``closed @ E``, so every such walk is a walk of ``closed
-    + closed @ E`` whose inner nodes are tails of E.  That matrix lies
-    between ``closed + E`` and its star, so its star is that star, and
-    Floyd-Warshall needs to pivot only over the tails.  A positive circuit
-    of ``closed + E`` holds an arc of E, so it passes through a tail, which
-    therefore carries a positive diagonal and reaches, and is reached by,
-    the same nodes: the +inf saturation marks the same pairs as the full
-    star does.
+    and ``closed`` is re-closed over them (:func:`_close_over`).
     """
-    width = closed.cols
+    c, width = closed._data, closed.cols
     sources, targets = left._column_arcs(), right._arcs()
-    c = closed._data
     arcs: dict[tuple[int, int], Scalar] = {}  # (head, tail) -> weight
     for s, (g, b) in enumerate(zip(c, before._data)):
         if g == b:
@@ -496,12 +520,4 @@ def _reclose(
                 w = a + v
                 if w > ci[j] and w > arcs.get((i, j), NEG_INF):
                     arcs[i, j] = w
-    if not arcs:
-        return closed
-    d = [list(row) for row in c]
-    for (t, s), w in arcs.items():  # closed @ E: arc s -> t, then closed
-        for di, ci in zip(d, c):
-            x = ci[t]
-            if x != NEG_INF and x + w > di[s]:
-                di[s] = x + w
-    return _star(d, closed._scale, sorted({s for _, s in arcs}))
+    return _close_over(closed, arcs)

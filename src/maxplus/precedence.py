@@ -17,9 +17,10 @@ no arc above it costs no star, and Floyd-Warshall pivots only over the
 tails of the new arcs.  Where the recurrence first stops (a +inf entry or a
 repeat) is found by :func:`_stopping_closure` in O(log k) compositions of
 boundary segments, whole stretches of the unrolling eliminated down to
-their first and last stage, once a short walk has not stopped.  The three
-blocks are stored at one common scale, so the recurrence runs on ``int``
-entries and never rescales an operand.
+their first and last stage, once a short walk has not stopped; its joins
+and closure steps re-close known closures too.  The three blocks are
+stored at one common scale, so the recurrence runs on ``int`` entries and
+never rescales an operand.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import itertools
 import operator
 from collections.abc import Iterator
 
-from .matrix import DimensionMismatch, TropicalMatrix, _reclose, aligned, product_star
+from .matrix import DimensionMismatch, TropicalMatrix, aligned, product_star
+from .matrix import _close_over, _product, _reclose
 from .semiring import _Record
 
 
@@ -113,24 +115,24 @@ def _next_closure(
 ) -> TropicalMatrix:
     """Closure k+1, ``(backward @ current @ forward oplus within)*``.
 
-    ``current`` is closure k; ``previous``, if given, is closure k-1.  With
-    no ``previous``, or +inf in ``current``, the step is one call of
+    ``current`` is closure k; ``previous``, if given, is a closure C_i, i <
+    k (C_{k-1} in the walk, the closure a probe jumped from in the search).
+    With no ``previous``, or +inf in ``current``, the step is one call of
     :func:`~maxplus.matrix.product_star`.  Otherwise it re-closes
     ``current`` over what it grew by (:func:`~maxplus.matrix._reclose`),
     using C_{k+1} = (C_k oplus backward @ delta @ forward)*, where delta
-    holds the entries in which C_k exceeds C_{k-1}.
+    holds the entries in which C_k exceeds C_i.
 
     Proof.  Write M_k = backward @ C_k @ forward oplus within, so C_k =
-    M_{k-1}*.  The walk checks C_{k-1} <= C_k, so C_k = C_{k-1} oplus
-    delta, and since the product distributes over oplus, M_k = M_{k-1}
-    oplus backward @ delta @ forward.  For any X, (M* oplus X)* = (M oplus
-    X)*: the left side lies between M oplus X and its star.  With M =
-    M_{k-1} that is the identity.  C_k is a star free of +inf, so it
-    absorbs its own walks, and every walk of C_k oplus E, for the set E of
-    new arcs that exceed C_k, enters C_k only at a head of E and leaves it
-    only at a tail: folding each arc of E and the walk of C_k after it into
-    one arc of C_k @ E, pivoting Floyd-Warshall over the tails is enough.
-    A step that adds no arc above C_k returns ``current`` itself.
+    M_{k-1}*.  The closures only grow, so C_k = C_i oplus delta, and since
+    the product distributes over oplus, M_k = M_i oplus backward @ delta @
+    forward.  Now M_i <= C_{i+1} <= C_k, so M_k <= C_k oplus backward @
+    delta @ forward, and both terms lie below M_k*: C_k = M_{k-1}* <= M_k*.
+    So that matrix lies between M_k and its star, and its star is C_{k+1}.
+    ``previous`` may not be ``current`` itself: with i = k, delta is empty
+    and the step would return C_k.  C_k is a star free of +inf, re-closed
+    over the new arcs above it (:func:`~maxplus.matrix._close_over`); a
+    step that adds none returns ``current`` itself.
 
     A first step could re-close too, with delta all of C_k, but then E is
     nearly dense and building C_k @ E costs more than the pivots it
@@ -182,7 +184,7 @@ def _closures(
     previous = None
     for k in itertools.count(k + 1):
         nxt = _next_closure(system, current, previous=previous)
-        if nxt == current:
+        if nxt is current or nxt == current:
             for j in itertools.count(k):
                 yield j, current, True
         yield k, nxt, False
@@ -190,10 +192,10 @@ def _closures(
 
 
 # Closure steps walked before the search takes over; at least 1.  Most
-# stops come early and cost no search set-up.  With re-closing steps, on the
-# railway (n = 4) a stop up to about 75 indices past the budget costs more
-# to search for than to walk to, up to 1.7 times as much, and one further
-# on less (BENCH_delta_closure.json).  The step-count tests pin the value.
+# stops come early and cost no search set-up.  On the railway (n = 4) a stop
+# up to about 90 indices past the budget costs more to search for than to
+# walk to, up to 1.7 times as much at 7-10 past it, and one from about 110
+# past it on less (BENCH_stop_search.json).  The step-count tests pin it.
 _WALK_BUDGET = 32
 
 
@@ -211,12 +213,19 @@ def _join(a: tuple, closure: TropicalMatrix) -> tuple:
     last stage by a forward arc and left back by a backward arc.  So ``j =
     (closure oplus a.around)*`` is the corner there, ``back_j = a.back @ j``
     leads from there into a's first stage, and ``ff = a.ff oplus back_j @
-    a.ahead`` is the corner at a's first stage.
+    a.ahead`` is the corner at a's first stage.  When the star ``closure``
+    and ``around`` are free of +inf, j re-closes ``closure`` (``_close_over``).
     """
     a_ff, a_back, a_ahead, a_around = a
-    j = (closure + a_around).star()
+    if closure.rmax_valued and a_around.rmax_valued:
+        closure, a_around = aligned(closure, a_around)
+        rows = enumerate(zip(a_around._arcs(), closure._data))
+        above = {(i, t): w for i, (arcs, ci) in rows for t, w in arcs if w > ci[t]}
+        j = _close_over(closure, above)
+    else:
+        j = (closure + a_around).star()
     back_j = a_back @ j
-    return a_ff + back_j @ a_ahead, back_j, j
+    return _product(back_j, a_ahead, a_ff), back_j, j
 
 
 def _compose(a: tuple, b: tuple) -> tuple:
@@ -239,7 +248,7 @@ def _compose(a: tuple, b: tuple) -> tuple:
     b_ff, b_back, b_ahead, b_around = b
     ff, back_j, j = _join(a, b_ff)
     ahead_j = b_ahead @ j
-    return ff, back_j @ b_back, ahead_j @ a[2], b_around + ahead_j @ b_back
+    return ff, back_j @ b_back, ahead_j @ a[2], _product(ahead_j, b_back, b_around)
 
 
 def _search_start(
@@ -253,12 +262,13 @@ def _search_start(
     grow, so +inf stays, and a repeated closure is a fixed point of the
     recurrence.  So the stop can be searched for.  S_p composed in front
     of S_(k+1) has closure k+p as its ff, and only closure k, the ff of
-    S_(k+1), enters it (see :func:`_join`); one closure step on gives
-    closure k+p+1.  Such a probe either moves the start p+1 on or shows a
-    stop by k+p+1.  Probes with p = 1, 2, 4, ..., doubling S_p as they go,
-    bracket the stop; probes with the smaller powers, largest first, then
-    shrink the bracket, which holds at most 2p+1 indices past the start
-    before a probe with p and at most p+1 after it.
+    S_(k+1), enters it (see :func:`_join`); one closure step on, re-closed
+    from closure k, gives closure k+p+1.  Such a probe either moves the
+    start p+1 on or shows a stop by k+p+1.  Probes with p = 1, 2, 4, ...,
+    doubling S_p as they go, bracket the stop; probes with the smaller
+    powers, largest first, then shrink the bracket, which holds at most
+    2p+1 indices past the start before a probe with p and at most p+1
+    after it.
     """
     powers = [_unit_segment(system)]  # S_(2^i)
     hi = last  # a stop lies by hi
@@ -271,8 +281,8 @@ def _search_start(
         if not jumped.rmax_valued:
             hi = k + p
             return False
-        nxt = _next_closure(system, jumped)
-        if nxt == jumped or not nxt.rmax_valued:
+        nxt = _next_closure(system, jumped, previous=closure)
+        if nxt is jumped or not nxt.rmax_valued:  # a repeat re-closes to jumped
             hi = k + p + 1
             return False
         k, closure = k + p + 1, nxt

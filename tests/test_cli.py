@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from maxplus import (
     TropicalMatrix,
@@ -227,6 +229,20 @@ class TestTrajectory:
             states = [row for name, row in rows if name.startswith("x(")]
             inputs = [row for name, row in rows if name.startswith("u(")]
         assert len(states) == 40 and inputs == states[1:]
+
+
+# What the CLI's JSON documents hold: strings, ints and None as values, and
+# matrices as lists (possibly empty) of lists of strings, nested a few deep.
+json_texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+json_leaves = st.one_of(st.none(), st.integers(-(10**30), 10**30), json_texts)
+json_values = st.recursive(
+    json_leaves, lambda inner: st.lists(inner, max_size=4), max_leaves=40
+)
+
+
+@given(st.dictionaries(json_texts, json_values, max_size=6))
+def test_json_text_is_the_standard_librarys(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 class TestGraph:

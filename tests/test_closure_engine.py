@@ -168,16 +168,29 @@ def test_converged_report_assembles_one_generator(count_assembly):
     assert report.generators[-1] == report.invariant_generator
 
 
-def test_generator_costs_one_star_and_three_products(monkeypatch):
-    """Past S_1, each assembly is one join and one product: 1 star, 3 ``@``."""
+def test_generator_costs_one_reclosing_and_three_products(monkeypatch):
+    """Past S_1, each assembly is one join and one product.
+
+    The join re-closes closure k over the arcs of S_1's around above it and
+    makes two products, one of them with a base; no full star runs.
+    """
     ops = collections.Counter()
-    for name in ("star", "__matmul__"):
 
-        def counted(self, *args, _name=name, _method=getattr(TropicalMatrix, name)):
-            ops[_name] += 1
-            return _method(self, *args)
+    def counting(name, function):
+        def counted(*args):
+            ops[name] += 1
+            return function(*args)
 
-        monkeypatch.setattr(TropicalMatrix, name, counted)
+        return counted
+
+    monkeypatch.setattr(TropicalMatrix, "star", counting("star", TropicalMatrix.star))
+    monkeypatch.setattr(
+        TropicalMatrix, "__matmul__", counting("product", TropicalMatrix.__matmul__)
+    )
+    monkeypatch.setattr(precedence, "_product", counting("product", matrix._product))
+    monkeypatch.setattr(
+        precedence, "_close_over", counting("reclose", matrix._close_over)
+    )
     costs = []
     assemble = invariance._assemble_generator
 
@@ -190,7 +203,7 @@ def test_generator_costs_one_star_and_three_products(monkeypatch):
     monkeypatch.setattr(invariance, "_assemble_generator", measured)
     assert len(iterate_shrink(make_railway(Fraction("-13.9"))).generators) == 21
     assert iterate_shrink(make_railway(-14)).invariant_generator is not None
-    assert costs == [collections.Counter(star=1, __matmul__=3)] * 22
+    assert costs == [collections.Counter(reclose=1, product=3)] * 22
 
 
 @pytest.mark.parametrize(
@@ -306,6 +319,53 @@ def test_composed_segment_is_the_unrolled_star(system, a, b):
         boundary_segment_dense(system, a), boundary_segment_dense(system, b)
     )
     assert joined == boundary_segment_dense(system, a + b)
+
+
+def join_full(a, closure):
+    """Oracle for ``precedence._join``: the full star and fresh sums."""
+    a_ff, a_back, a_ahead, a_around = a
+    j = (closure + a_around).star()
+    back_j = a_back @ j
+    return a_ff + back_j @ a_ahead, back_j, j
+
+
+some_systems = st.one_of(
+    sparse_systems(), fraction_systems().map(lambda pair: pair[0]), railways
+)
+
+
+@settings(max_examples=60)
+@given(some_systems, st.integers(1, 3))
+@example(make_railway(Fraction("-13.5")), 3)
+@example(make_railway(Fraction("-13.99")), 2)
+def test_reclosing_join_is_the_full_star(system, stages):
+    """Every closure 0-8, at the system's scale and at its own, +inf or not.
+
+    The dense segment's corners are each stored at their own scale, so the
+    join's operands mix scales.
+    """
+    segment = boundary_segment_dense(system, stages)
+    for closure in closure_sequence_full(system, 8):
+        for stored in (closure, TropicalMatrix(closure.to_rows())):
+            joined = precedence._join(segment, stored)
+            expected = join_full(segment, stored)
+            assert joined == expected
+            assert [typed(m) for m in joined] == [typed(m) for m in expected]
+
+
+@settings(max_examples=60)
+@given(some_systems)
+@example(make_railway(Fraction("-13.5")))
+@example(make_railway(Fraction("-13.99")))
+def test_any_earlier_closure_re_closes_a_later_one(system):
+    """``previous`` may be any closure before ``current``, not only the last."""
+    closures = closure_sequence_full(system, 10)
+    for m, current in enumerate(closures):
+        full = precedence._next_closure(system, current)
+        for previous in closures[:m]:
+            step = precedence._next_closure(system, current, previous=previous)
+            assert step == full
+            assert typed(step) == typed(full)
 
 
 @pytest.mark.parametrize(
@@ -1073,12 +1133,47 @@ def test_repeat_step_compares_nothing(monkeypatch, system):
 
 
 def test_railway_steps_pivot_over_one_node(step_pivots):
-    """At ell = -13.99 each step after a walk's first adds arcs from one tail.
+    """At ell = -13.99 each re-closing step adds arcs from one tail or two.
 
-    The one step walked after the search adds arcs from two.
+    The walk's 31 re-closing steps and the first 8 probe steps (each
+    re-closes closure k+p given closure k) add arcs from one tail; the last
+    probe's step and the one re-closing step walked after the search add
+    arcs from two.  Only the first step of each walk, before the search and
+    after it, is a full star.
     """
     verdict = check_consistency(make_railway(Fraction("-13.99")), 2100)
     assert verdict.first_divergent == 201
     reclosed = [passes for given, passes in step_pivots if given]
-    assert reclosed == [[1]] * 31 + [[2]]
-    assert all(passes == [4] for given, passes in step_pivots if not given)
+    assert reclosed == [[1]] * 31 + [[1]] * 8 + [[2]] + [[2]]
+    assert [passes for given, passes in step_pivots if not given] == [[4], [4]]
+
+
+@pytest.fixture
+def search_work(monkeypatch):
+    """Floyd-Warshall pivots of every pass and ``product_star`` calls."""
+    work = collections.Counter()
+    star, step = matrix._star, precedence.product_star
+
+    def counted_star(d, scale, pivots=None):
+        work["pivots"] += len(d) if pivots is None else len(pivots)
+        return star(d, scale, pivots)
+
+    def counted_step(*args):
+        work["product_star"] += 1
+        return step(*args)
+
+    monkeypatch.setattr(matrix, "_star", counted_star)
+    monkeypatch.setattr(precedence, "product_star", counted_step)
+    return work
+
+
+def test_slow_divergence_pivots_over_few_nodes(search_work):
+    """Joins and probe steps re-close: 92 pivots, against 227 with full stars.
+
+    The two full closure steps are the walk's first and the first after
+    the search.
+    """
+    verdict = check_consistency(make_railway(Fraction("-13.999")), 2100)
+    assert verdict.first_divergent == 2001
+    assert search_work["pivots"] <= 100
+    assert search_work["product_star"] == 2

@@ -86,6 +86,13 @@ class TestEntrywiseMax:
         with pytest.raises(DimensionMismatch):
             TropicalMatrix.epsilon(2) + TropicalMatrix.epsilon(3)
 
+    @pytest.mark.parametrize("shapes", [((2, 2), (3, 3)), ((2, 3), (3, 2))])
+    def test_order_checks_shapes(self, shapes):
+        """``<=`` compares entries in one flat run; 2 x 3 and 3 x 2 hold as many."""
+        a, b = (TropicalMatrix([[0] * cols] * rows) for rows, cols in shapes)
+        with pytest.raises(DimensionMismatch):
+            a <= b
+
 
 class TestProduct:
     def test_identity_neutral(self):
@@ -487,16 +494,68 @@ def wide_matrix(draw, rows, cols):
 
 
 @st.composite
-def rectangular_pairs(draw):
+def rectangular_products(draw):
+    """``(a, b, base)``: n x m, m x p and n x p, each at its own scale."""
     n, m, p = (draw(st.integers(1, 6)) for _ in range(3))
-    return draw(wide_matrix(n, m)), draw(wide_matrix(m, p))
+    return draw(wide_matrix(n, m)), draw(wide_matrix(m, p)), draw(wide_matrix(n, p))
 
 
-@given(rectangular_pairs())
-def test_rectangular_product_matches_fraction_oracle(pair):
-    """n x m by m x p at two scales: the kernel against the plain-Fraction product."""
-    a, b = pair
+@given(rectangular_products())
+def test_rectangular_product_matches_fraction_oracle(operands):
+    """n x m by m x p at two scales: the kernel against the plain-Fraction product.
+
+    With a base, the same kernel adds the product to it in one grid.
+    """
+    a, b, base = operands
     product = a @ b
     assert product.shape == (a.rows, b.cols) and stores_ints(product)
     oracle = fraction_matmul(fraction_rows(a), fraction_rows(b))
     assert product.to_rows() == normalized_rows(oracle)
+    based = matrix._product(a, b, base)
+    assert stores_ints(based)
+    assert based.to_rows() == normalized_rows(fraction_add(fraction_rows(base), oracle))
+
+
+@st.composite
+def stars_and_arcs(draw):
+    """``(closed, weights)``: a star free of +inf and a mask of candidate arcs.
+
+    The star closes weights of at most 0, so it has no positive circuit;
+    the candidates reach up to 9, so closing over them can add some.
+    """
+    n = draw(st.integers(1, 6))
+
+    def matrix_of(lo, hi, share):
+        def entry():
+            if draw(st.integers(0, 9)) < share:
+                return NEG_INF
+            den = draw(DENOMINATORS)
+            return Fraction(draw(st.integers(lo * den, hi * den)), den)
+
+        return TropicalMatrix([[entry() for _ in range(n)] for _ in range(n)])
+
+    return matrix_of(-9, 0, 4).star(), matrix_of(-9, 9, draw(st.integers(3, 9)))
+
+
+@given(stars_and_arcs())
+def test_close_over_is_the_full_star(operands):
+    """Re-closing a star over the arcs above it pivots over their tails only."""
+    closed, weights = aligned(*operands)
+    above = {
+        (i, j): w
+        for i, (row, crow) in enumerate(zip(weights._data, closed._data))
+        for j, (w, c) in enumerate(zip(row, crow))
+        if w > c
+    }
+    arcs = TropicalMatrix._wrap(
+        tuple(
+            tuple(above.get((i, j), NEG_INF) for j in range(closed.cols))
+            for i in range(closed.rows)
+        ),
+        closed._scale,
+    )
+    result = matrix._close_over(closed, above)
+    assert result == (closed + arcs).star()
+    assert stores_ints(result)
+    if not above:
+        assert result is closed

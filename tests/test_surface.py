@@ -7,7 +7,9 @@ same holds one level down: every public method or property of the classes
 in ``MEMBER_CLASSES`` is read in ``src/maxplus`` or listed in
 ``UNREAD_MEMBERS``, and every module-level ``_private`` function is read.
 The modules form layers: each imports only the modules before it in
-``LAYERS``.  In ``cli`` only ``main`` writes stdout.
+``LAYERS``.  In ``cli`` only ``main`` writes stdout.  A matrix's stored
+grid and scale, and the caches kept on it, are set only where
+``MATRIX_STATE`` allows.
 """
 
 import ast
@@ -246,3 +248,46 @@ def test_import_loads_no_introspection_modules():
     loaded = run.stdout.split()
     assert "maxplus.cli" in loaded
     assert START_UP_EXCLUDED.isdisjoint(loaded)
+
+
+# Where each slot of a TropicalMatrix may be assigned.  The two constructors
+# set the grid and the scale and mark each cache unknown; only the reader
+# that fills a cache assigns it besides.  A matrix never changes after
+# that, so its kept +inf flag and arc lists cannot go stale.
+MATRIX_STATE = {
+    "_data": {"__init__", "_wrap"},
+    "_scale": {"__init__", "_wrap"},
+    "_finite": {"__init__", "_wrap", "rmax_valued"},
+    "_arc_rows": {"__init__", "_wrap", "_arcs"},
+    "_arc_cols": {"__init__", "_wrap", "_column_arcs"},
+}
+
+
+def attribute_stores(node: ast.AST, where: str = "<module>") -> set[tuple[str, str]]:
+    """``(function, attribute)`` for each attribute ``node`` assigns or deletes.
+
+    ``setattr`` and ``__setattr__`` calls count for each string constant
+    they are passed.
+    """
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name
+    found = set()
+    if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+        found.add((where, node.attr))
+    elif isinstance(node, ast.Call):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name in ("setattr", "__setattr__"):
+            for arg in node.args:
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                    found.add((where, arg.value))
+    for child in ast.iter_child_nodes(node):
+        found |= attribute_stores(child, where)
+    return found
+
+
+def test_matrix_state_is_set_only_where_it_is_kept():
+    stores = set()
+    for tree in modules().values():
+        stores |= attribute_stores(tree)
+    for attr, allowed in MATRIX_STATE.items():
+        assert {where for where, name in stores if name == attr} == allowed, attr
