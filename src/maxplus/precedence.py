@@ -26,12 +26,13 @@ never rescales an operand.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections.abc import Iterator
 
 from .matrix import DimensionMismatch, TropicalMatrix, aligned, product_star
 from .matrix import _close_over, _product, _reclose
-from .semiring import _Record
+from .semiring import NEG_INF, _Record, format_ratio
 
 
 class PtegSystem(_Record):
@@ -153,7 +154,10 @@ def _next_closure(
 
 
 def _closures(
-    system: PtegSystem, k: int = 0, current: TropicalMatrix | None = None
+    system: PtegSystem,
+    k: int = 0,
+    current: TropicalMatrix | None = None,
+    previous: TropicalMatrix | None = None,
 ) -> Iterator[tuple[int, TropicalMatrix, bool]]:
     """Yield ``(k, closure_k, fixed)`` for k = 0, 1, 2, ... without end.
 
@@ -176,12 +180,12 @@ def _closures(
     later index without being computed again.  Entries saturated to +inf
     do not stop the sequence; callers decide when to stop.  Given ``k`` and
     ``current``, closure k not repeating its predecessor, the sequence
-    starts there instead of at closure 0.
+    starts there instead of at closure 0; ``previous``, if given, is a
+    closure C_i, i < k, and the first step re-closes from it too.
     """
     if current is None:
         current = system.within.star()
     yield k, current, False
-    previous = None
     for k in itertools.count(k + 1):
         nxt = _next_closure(system, current, previous=previous)
         if nxt is current or nxt == current:
@@ -253,8 +257,8 @@ def _compose(a: tuple, b: tuple) -> tuple:
 
 def _search_start(
     system: PtegSystem, k: int, closure: TropicalMatrix, last: int
-) -> tuple[int, TropicalMatrix]:
-    """``(k', closure_k')``, k' >= k: no stop up to k', one by k' + 2.
+) -> tuple[int, TropicalMatrix, TropicalMatrix | None]:
+    """``(k', closure_k', previous)``, k' >= k: no stop up to k', one by k' + 2.
 
     The stop is the least index i with f(i), "closure i holds +inf, or
     i >= 1 and closure i repeats closure i-1", or ``last`` if that is
@@ -268,14 +272,17 @@ def _search_start(
     doubling S_p as they go, bracket the stop; probes with the smaller
     powers, largest first, then shrink the bracket, which holds at most
     2p+1 indices past the start before a probe with p and at most p+1
-    after it.
+    after it.  ``previous`` is closure k'-1, the jump of the last probe
+    that moved the start (None if none did), so the walk on from k'
+    re-closes from its first step (see :func:`_next_closure`).
     """
     powers = [_unit_segment(system)]  # S_(2^i)
     hi = last  # a stop lies by hi
+    previous = None
 
     def probe(i: int) -> bool:
         # True if the start moved on, False if hi came down
-        nonlocal k, closure, hi
+        nonlocal k, closure, hi, previous
         p = 1 << i
         jumped = _join(powers[i], closure)[0]  # closure k+p
         if not jumped.rmax_valued:
@@ -285,7 +292,7 @@ def _search_start(
         if nxt is jumped or not nxt.rmax_valued:  # a repeat re-closes to jumped
             hi = k + p + 1
             return False
-        k, closure = k + p + 1, nxt
+        k, closure, previous = k + p + 1, nxt, jumped
         return True
 
     i = 0
@@ -297,7 +304,7 @@ def _search_start(
         i -= 1
         if k + (1 << i) < hi:
             probe(i)
-    return k, closure
+    return k, closure, previous
 
 
 def _stopping_closure(
@@ -354,39 +361,43 @@ def export_dot(system: PtegSystem, horizon: int) -> str:
     Nodes are labelled ``x_i(k)`` and ordered stage-major, arcs are ordered
     by (source, target) node index; identical inputs give identical bytes.
     Arcs leaving stage k reach stage k-1 (backward block), k (within) and
-    k+1 (forward), read in that order straight from the blocks, so the cost
-    is O(horizon * n^2) and the unrolled matrix is never built.  Each block
-    is read, and each of its labels formatted, once, not once per stage.
+    k+1 (forward), read in that order straight from the blocks, so the
+    unrolled matrix is never built.  Every stage carries the same blocks,
+    so each block's arcs are read, and each label formatted, once: the text
+    of a first, an interior and a last stage is built once, with marker
+    characters for k-1, k and k+1 that each stage fills in by ``replace``.
     """
+    horizon = operator.index(horizon)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    n = system.size
-    lines = ["digraph precedence {", "  rankdir=LR;"]
-    for stage in range(1, horizon + 1):
-        for i in range(1, n + 1):
-            lines.append(f'  x{i}_{stage} [label="x_{i}({stage})"];')
-    # per block, per source event: (target event, label suffix) of its arcs
-    arcs = [
+    blocks = (system.backward, system.within, system.forward)
+    scale, texts = system.within._scale, {}  # the blocks share one scale
+    for v in dict.fromkeys(v for block in blocks for row in block._data for v in row):
+        if v != NEG_INF:
+            g = math.gcd(v, scale)
+            texts[v] = f' [label="{format_ratio(v // g, scale // g)}"];\n'
+    # per block, per source event j: its arc lines, "\0\1\2" for k-1, k, k+1
+    back, within, ahead = (
         [
-            [
-                (i + 1, f' [label="{w}"];')
-                for i, w in enumerate(column)
-                if w != "-inf"
-            ]
-            for column in zip(*block.text_rows())
+            "".join(f"  x{j}_\1 -> x{i + 1}_{to}{texts[v]}" for i, v in arcs)
+            for j, arcs in enumerate(block._column_arcs(), 1)
         ]
-        for block in (system.backward, system.within, system.forward)
-    ]
-    for stage in range(1, horizon + 1):
-        reach = [
-            (f"_{target}", block)
-            for target, block in zip((stage - 1, stage, stage + 1), arcs)
-            if 1 <= target <= horizon
-        ]
-        for j in range(n):
-            source = f"  x{j + 1}_{stage} -> x"
-            for target, block in reach:
-                for i, label in block[j]:
-                    lines.append(f"{source}{i}{target}{label}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        for block, to in zip(blocks, "\0\1\2")
+    )
+
+    def stage(*parts):  # one stage's arcs, source by source
+        return "".join(map("".join, zip(*parts)))
+
+    if horizon == 1:
+        stages = [stage(within)]
+    else:
+        inner = [stage(back, within, ahead)] * (horizon - 2)
+        stages = [stage(within, ahead), *inner, stage(back, within)]
+    n = system.size
+    nodes = "".join(f'  x{i}_\1 [label="x_{i}(\1)"];\n' for i in range(1, n + 1))
+    text = ["digraph precedence {\n  rankdir=LR;\n"]
+    text += [nodes.replace("\1", str(k)) for k in range(1, horizon + 1)]
+    for k, arcs in enumerate(stages, 1):
+        arcs = arcs.replace("\0", str(k - 1)).replace("\2", str(k + 1))
+        text.append(arcs.replace("\1", str(k)))
+    return "".join(text) + "}\n"

@@ -29,7 +29,7 @@ from .matrix import DimensionMismatch, TropicalMatrix, _apply, aligned
 # The closure step is bound here too: per-step hooks, such as the tracing in
 # bench/, look it up as ``pteg._next_closure``.
 from .precedence import PtegSystem, _closures, _next_closure, _stopping_closure
-from .semiring import Scalar, _Record, as_scalar, is_finite
+from .semiring import NEG_INF, POS_INF, Scalar, _Record, as_scalar, is_finite
 
 
 class InfeasibleHorizon(Exception):
@@ -166,7 +166,7 @@ class Trajectory(_Record):
     def __init__(self, states, inputs=None):
         table = states if isinstance(states, TropicalMatrix) else TropicalMatrix(states)
         self.__dict__["table"] = table
-        if not all(is_finite(v) for row in table._data for v in row):
+        if any(NEG_INF in row or POS_INF in row for row in table._data):
             raise ValueError("trajectory entries must be finite")
         if inputs is not None and Trajectory((self.states[0], *inputs)) != self:
             raise ValueError("inputs must replay the successor states")
@@ -204,6 +204,14 @@ def synthesize_trajectory(
     - forward sweep: ``x_1 = T_1 @ r_1`` and
       ``x_k = T_k @ (forward @ x_{k-1} oplus r_k)``.
 
+    The backward sweep stops at its fixed point.  A closure that repeated
+    stands for every longer tail as one object, so once ``T_k`` is
+    ``T_{k+1}`` the same holds for every smaller k.  If also ``r_k =
+    r_{k+1}`` for some k >= 2, then ``r_{k-1} = 0 oplus backward @ T_k @
+    r_k`` is ``r_k`` whenever k-1 >= 2 (b is 0 there), and by induction
+    ``r_j = r_k`` for 2 <= j <= k; only ``r_1 = b_1 oplus backward @ T_2 @
+    r_2`` is left to compute.
+
     The closures only grow, so ``T_1`` is the largest.  If it holds +inf the
     unrolled graph has a positive circuit (see
     :func:`~maxplus.precedence.finite_weak_feasibility`), some component is
@@ -215,10 +223,11 @@ def synthesize_trajectory(
     stands for every later tail as one object.  The seed, ``backward``,
     ``forward`` and the walked closures are then aligned once (see
     :func:`~maxplus.matrix.aligned`), and both sweeps run on lists of the
-    stored ``int``s, as 4(K-1)+1 matrix-vector products of
-    :func:`~maxplus.matrix._apply`, each O(n^2) over the matrix's entries
-    other than -inf, listed once per matrix.  The states are stored as the
-    sweeps give them, as the rows of the trajectory's ``table``.
+    stored ``int``s, as at most 4(K-1)+1 matrix-vector products of
+    :func:`~maxplus.matrix._apply` (2K-1 forward, at most 2(K-1) backward),
+    each O(n^2) over the matrix's entries other than -inf, listed once per
+    matrix.  The states are stored as the sweeps give them, as the rows of
+    the trajectory's ``table``.
     """
     horizon = operator.index(horizon)
     if horizon < 2:
@@ -248,10 +257,14 @@ def synthesize_trajectory(
     tails = [walked[-1]] * (horizon - len(walked)) + walked[::-1]
     # stored ints at the common scale; the zero vector is 0 at every scale
     r = [[0] * n] * horizon
-    r[0] = [v for (v,) in seed_col._data]
-    for k in range(horizon - 2, -1, -1):
+    for k in range(horizon - 2, 0, -1):
         via = _apply(backward, _apply(tails[k + 1], r[k + 1]))
-        r[k] = [a if a >= b else b for a, b in zip(r[k], via)]
+        r[k] = [v if v >= 0 else 0 for v in via]
+        if r[k] == r[k + 1] and tails[k] is tails[k + 1]:  # a fixed point
+            r[1:k] = [r[k]] * (k - 1)
+            break
+    via = _apply(backward, _apply(tails[1], r[1]))
+    r[0] = [a if a >= b else b for (a,), b in zip(seed_col._data, via)]
     x = _apply(tails[0], r[0])
     states = [tuple(x)]
     for k in range(1, horizon):

@@ -155,8 +155,21 @@ PAST_THE_HORIZON = PtegSystem(
 )
 
 
+# Its backward sweep reaches the fixed point (0, 3), not the zero vector,
+# so the stages the sweep skips must take that value.
+LIFTED_FIXED_POINT = PtegSystem(
+    dynamics=TropicalMatrix.epsilon(2),
+    backward=rows("-inf -inf; 3 -inf"),
+    within=TropicalMatrix.epsilon(2),
+)
+
+
+# Horizons up to 12 reach the backward sweep's fixed point, where it stops.
 @settings(max_examples=60)
-@given(wide_systems(), st.integers(2, 6))
+@given(wide_systems(), st.integers(2, 12))
+@example((make_railway(Fraction("-14.123")), None), 20)
+@example((make_railway(Fraction("-14.123")), [Fraction(1, 3), 0, 0, 2]), 20)
+@example((LIFTED_FIXED_POINT, None), 6)
 @example((PAST_THE_HORIZON, [-2, -3, 4]), 2)
 @example((PAST_THE_HORIZON, None), 4)
 @example((make_railway(-13), None), 8)  # infeasible from horizon 8 on
@@ -186,6 +199,8 @@ def test_sweeps_match_dense_star_on_wide_values(drawn, horizon):
         ]
 
 
-@given(systems(), st.integers(1, 8))
+# Wide systems add labels beyond float range, decimals and p/q forms;
+# horizons past 9 add two-digit stage numbers.
+@given(st.one_of(systems(), wide_systems().map(lambda d: d[0])), st.integers(1, 12))
 def test_dot_matches_dense_scan(system, horizon):
     assert export_dot(system, horizon) == export_dot_dense(system, horizon)

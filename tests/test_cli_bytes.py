@@ -125,7 +125,8 @@ def invocations() -> list[list[str]]:
                     if seed is not None:
                         argv += ["--seed", seed]
                     out.append(argv + ["--format", fmt])
-        for horizon in ("1", "3"):
+        # 2: no interior stage; 12: two-digit stage numbers
+        for horizon in ("1", "2", "3", "12"):
             out.append(["graph", name, *params, "--horizon", horizon])
     out.extend(list(argv) for argv in ERRORS + SAME_BOUND)
     return out

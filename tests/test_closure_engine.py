@@ -281,7 +281,8 @@ def test_search_returns_the_walks_stop(system):
     """With a walk budget of 1 every stop past index 1 is found by the search.
 
     A budget of 5 starts the search from closure 5.  The search hands the
-    walk a closure at most two indices before the stop.
+    walk a closure at most two indices before the stop, and its predecessor
+    whenever a probe moved the start.
     """
     closures = closure_sequence_full(system, 40)
     search = precedence._search_start
@@ -301,10 +302,12 @@ def test_search_returns_the_walks_stop(system):
                 stop = precedence._stopping_closure(system, last)
                 assert described(stop) == described(expected)
                 assert len(starts) == (expected[0] > budget)
-                for k, closure in starts:
+                for k, closure, previous in starts:
                     assert budget <= k <= expected[0] <= k + 2
                     assert k < expected[0] or k == last
                     assert closure == closures[k]
+                    assert (previous is None) == (k == budget)
+                    assert previous is None or previous == closures[k - 1]
 
 
 @settings(max_examples=60)
@@ -608,7 +611,7 @@ def test_synthesis_and_validation_compare_ints(monkeypatch, sweep_calls):
         monkeypatch.setattr(TropicalMatrix, name, recorded(method))
     system = make_railway(Fraction("-14.123"))
     trajectory = synthesize_trajectory(system, 40, RAILWAY_SEED)
-    assert len(sweep_calls) == 4 * 39 + 1
+    assert len(sweep_calls) == 2 * 40 - 1 + 10  # backward: 5 steps to its fixed point
     assert len({m._scale for m, _ in sweep_calls}) == 1
     assert sweep_calls[0][0]._scale > 1
     assert all(type(v) is int for _, vector in sweep_calls for v in vector)
@@ -667,12 +670,20 @@ def test_validation_sweeps_three_families(monkeypatch, sweep_calls, system, hori
     assert all(m is system.forward for m in blocks[horizon + 1 :: 2])
 
 
+# Products of the backward sweep, by horizon: 2(K-1) up to its fixed point.
+# The railways' closures repeat and their sweeps stop after five steps; the
+# closures of TWO_NODE never repeat, so its sweep runs to the end.
+BACKWARD_PRODUCTS = {
+    make_railway(Fraction("-14.123")): {2: 2, 3: 4, 7: 10, 40: 10},
+    make_railway(-14): {2: 2, 3: 4, 7: 10, 40: 10},
+    TWO_NODE: {2: 2, 3: 4, 7: 12, 40: 78},
+}
+
+
 @pytest.mark.parametrize("horizon", [2, 3, 7, 40])
-@pytest.mark.parametrize(
-    "system", [make_railway(Fraction("-14.123")), make_railway(-14), TWO_NODE]
-)
+@pytest.mark.parametrize("system", list(BACKWARD_PRODUCTS))
 def test_sweeps_make_no_matrix_product(monkeypatch, sweep_calls, system, horizon):
-    """Synthesis over K occurrences: no ``@`` and 4(K-1)+1 sweep products.
+    """Synthesis over K occurrences: no ``@``, 2K-1 forward sweep products.
 
     A closure that repeated is one object for every later tail, so the
     kernel reads its entry lists from one cache.
@@ -687,11 +698,23 @@ def test_sweeps_make_no_matrix_product(monkeypatch, sweep_calls, system, horizon
     monkeypatch.setattr(TropicalMatrix, "__matmul__", counted)
     synthesize_trajectory(system, horizon)
     assert products == []
-    assert len(sweep_calls) == 4 * (horizon - 1) + 1
+    assert len(sweep_calls) == 2 * horizon - 1 + BACKWARD_PRODUCTS[system][horizon]
     assert len({id(m) for m, _ in sweep_calls[1::2]}) == 2  # backward, forward
     tails = {id(m) for m, _ in sweep_calls[::2]}
     fixed = first_repeat(system, horizon)
     assert len(tails) == (horizon if fixed is None else min(horizon, fixed))
+
+
+@pytest.mark.parametrize("seed", [None, RAILWAY_SEED])
+def test_backward_sweep_stops_at_its_fixed_point(sweep_calls, seed):
+    """The backward sweep's work does not grow with the horizon past its fixed point."""
+    system = make_railway(Fraction("-14.123"))
+    backward = []
+    for horizon in (40, 80):
+        sweep_calls.clear()
+        synthesize_trajectory(system, horizon, seed)
+        backward.append(len(sweep_calls) - (2 * horizon - 1))
+    assert backward == [10, 10]
 
 
 @pytest.fixture
@@ -1136,16 +1159,17 @@ def test_railway_steps_pivot_over_one_node(step_pivots):
     """At ell = -13.99 each re-closing step adds arcs from one tail or two.
 
     The walk's 31 re-closing steps and the first 8 probe steps (each
-    re-closes closure k+p given closure k) add arcs from one tail; the last
-    probe's step and the one re-closing step walked after the search add
-    arcs from two.  Only the first step of each walk, before the search and
-    after it, is a full star.
+    re-closes closure k+p given closure k) add arcs from one tail, the last
+    probe's step from two.  The walk after the search is handed the last
+    moving probe's jump as its predecessor, so its first step re-closes
+    too, from one tail, and its second from two.  Only the first step of
+    the whole walk is a full star.
     """
     verdict = check_consistency(make_railway(Fraction("-13.99")), 2100)
     assert verdict.first_divergent == 201
     reclosed = [passes for given, passes in step_pivots if given]
-    assert reclosed == [[1]] * 31 + [[1]] * 8 + [[2]] + [[2]]
-    assert [passes for given, passes in step_pivots if not given] == [[4], [4]]
+    assert reclosed == [[1]] * 31 + [[1]] * 8 + [[2]] + [[1], [2]]
+    assert [passes for given, passes in step_pivots if not given] == [[4]]
 
 
 @pytest.fixture
@@ -1168,12 +1192,12 @@ def search_work(monkeypatch):
 
 
 def test_slow_divergence_pivots_over_few_nodes(search_work):
-    """Joins and probe steps re-close: 92 pivots, against 227 with full stars.
+    """Joins and probe steps re-close: 90 pivots, against 227 with full stars.
 
-    The two full closure steps are the walk's first and the first after
-    the search.
+    The one full closure step is the walk's first: the step after the
+    search re-closes from the last moving probe's jump.
     """
     verdict = check_consistency(make_railway(Fraction("-13.999")), 2100)
     assert verdict.first_divergent == 2001
     assert search_work["pivots"] <= 100
-    assert search_work["product_star"] == 2
+    assert search_work["product_star"] == 1

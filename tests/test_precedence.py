@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,10 @@ from maxplus import (
     build_block_matrix,
     export_dot,
     finite_weak_feasibility,
+    synthesize_trajectory,
 )
+from maxplus import precedence
+from maxplus.semiring import format_ratio
 
 from conftest import make_railway
 from helpers import random_matrix, top_left
@@ -143,6 +147,36 @@ class TestDotExport:
         assert len(arcs) == len(weights)
         assert '  x4_1 -> x2_2 [label="9"];' in arcs
         assert '  x4_2 -> x4_1 [label="-13"];' in arcs
+
+    @pytest.mark.parametrize("horizon", ["3", 2.5, Fraction(5, 2)])
+    def test_horizon_is_read_as_an_index(self, horizon):
+        """The export reads its horizon as its two siblings do."""
+        for route in (export_dot, finite_weak_feasibility, synthesize_trajectory):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                route(two_node_system(), horizon)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 12, 40])
+    def test_labels_are_read_once_per_block(self, monkeypatch, horizon):
+        """Each block's arcs are listed once, each distinct label formatted once."""
+        system = make_railway(Fraction(-85, 6))
+        listed, formatted = [], []
+        column_arcs = TropicalMatrix._column_arcs
+
+        def listing(matrix):
+            listed.append(matrix)
+            return column_arcs(matrix)
+
+        def formatting(num, den):
+            formatted.append(Fraction(num, den))
+            return format_ratio(num, den)
+
+        monkeypatch.setattr(TropicalMatrix, "_column_arcs", listing)
+        monkeypatch.setattr(precedence, "format_ratio", formatting)
+        export_dot(system, horizon)
+        blocks = [system.backward, system.within, system.forward]
+        assert list(map(id, listed)) == list(map(id, blocks))
+        labels = {v for block in blocks for row in block for v in row if v != NEG_INF}
+        assert sorted(formatted) == sorted(labels)
 
     def test_five_stage_chain_structure(self):
         dot = export_dot(two_node_system(), 5)
