@@ -13,8 +13,10 @@ The default probe bound is ``10 * n^2``; override it with ``--probe-bound``.
 Bad input exits 1; a failed internal invariant exits 5 with one
 ``error: internal:`` line.  A reader that closes stdout early (``| head``)
 ends the output quietly, and the exit code stays the command's own.
-Each ``cmd_*`` handler returns its exit code and its whole stdout text, and
-only :func:`main` writes stdout, once, so a failure leaves no half report.
+Each ``cmd_*`` handler returns its exit code and its whole stdout text, or
+raises.  Only :func:`main` writes either stream, stdout once, and only it
+turns a failure into its exit code (1, 4 or 5), so a failure leaves stdout
+empty and writes one line to stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from json.encoder import encode_basestring_ascii as _encode
 
 from .invariance import InvarianceKind, iterate_shrink
 from .precedence import export_dot
-from .problems import ProblemFormatError, parse_problem_file
+from .problems import parse_problem_file
 from .pteg import (
     ConsistencyKind,
     InfeasibleHorizon,
@@ -173,11 +175,7 @@ def cmd_invariant(args, system: PtegSystem) -> tuple[int, str]:
 
 def cmd_trajectory(args, system: PtegSystem) -> tuple[int, str]:
     seed = None if args.seed is None else tuple(args.seed.split(","))
-    try:
-        trajectory = synthesize_trajectory(system, args.horizon, seed)
-    except InfeasibleHorizon as exc:
-        print(f"infeasible ({exc.reason}): {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE, ""
+    trajectory = synthesize_trajectory(system, args.horizon, seed)
     if not validate_trajectory(system, trajectory):
         raise RuntimeError("synthesized trajectory failed validation")
 
@@ -282,7 +280,10 @@ def main(argv=None) -> int:
                 os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return code
-    except (ProblemFormatError, ValueError, OSError) as exc:
+    except InfeasibleHorizon as exc:
+        print(f"infeasible ({exc.reason}): {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

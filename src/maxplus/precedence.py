@@ -89,7 +89,7 @@ def build_block_matrix(system: PtegSystem, horizon: int) -> TropicalMatrix:
     else is -inf.  The leading (horizon-1) stages of the result coincide
     with the unrolling one stage shorter.
     """
-    if horizon < 1:
+    if operator.index(horizon) < 1:
         raise ValueError("horizon must be at least 1")
     eps = TropicalMatrix.epsilon(system.size)
     grid = []
@@ -132,22 +132,25 @@ def _next_closure(
     So that matrix lies between M_k and its star, and its star is C_{k+1}.
     ``previous`` may not be ``current`` itself: with i = k, delta is empty
     and the step would return C_k.  C_k is a star free of +inf, re-closed
-    over the new arcs above it (:func:`~maxplus.matrix._close_over`); a
-    step that adds none returns ``current`` itself.
+    over the new arcs above it (:func:`~maxplus.matrix._close_over`).
 
     A first step could re-close too, with delta all of C_k, but then E is
     nearly dense and building C_k @ E costs more than the pivots it
     saves: on the consistency corpus that ran about 40% slower than
     ``product_star`` (BENCH_delta_closure.json, ``first_step_ms``).
 
-    Either way the result must not lie below ``current``; a closure
-    sequence that shrinks is an internal error.  ``current`` itself, a
-    repeat, needs no check.
+    The result is ``current`` itself exactly when closure k+1 equals closure
+    k: ``product_star``'s is compared once, and a re-closing over no arc
+    returns ``current`` (an arc lifts the entry under it).  So a repeat is
+    one object, tested with ``is``.  Any other result must lie above
+    ``current``; a shrinking sequence is an internal error.
     """
-    if previous is None or not current.rmax_valued:
-        nxt = product_star(system.backward, current, system.forward, system.within)
-    else:
+    if previous is not None and current.rmax_valued:
         nxt = _reclose(current, previous, system.backward, system.forward)
+    else:
+        nxt = product_star(system.backward, current, system.forward, system.within)
+        if nxt == current:
+            return current
     if nxt is not current and not current <= nxt:
         raise RuntimeError("closure sequence lost monotonicity")
     return nxt
@@ -175,10 +178,11 @@ def _closures(
     C_{k+1} = (C_k oplus backward @ delta @ forward)*, with delta the
     entries in which C_k exceeds C_{k-1}.
 
-    ``fixed`` is True once closure k equals closure k-1.  The recurrence is
+    ``fixed`` is True once closure k is closure k-1, the one object
+    :func:`_next_closure` returns for a repeat.  The recurrence is
     deterministic, so that closure is a fixed point: it is yielded for every
-    later index without being computed again.  Entries saturated to +inf
-    do not stop the sequence; callers decide when to stop.  Given ``k`` and
+    later index without being computed again.  Entries saturated to +inf do
+    not stop the sequence; callers decide when to stop.  Given ``k`` and
     ``current``, closure k not repeating its predecessor, the sequence
     starts there instead of at closure 0; ``previous``, if given, is a
     closure C_i, i < k, and the first step re-closes from it too.
@@ -188,7 +192,7 @@ def _closures(
     yield k, current, False
     for k in itertools.count(k + 1):
         nxt = _next_closure(system, current, previous=previous)
-        if nxt is current or nxt == current:
+        if nxt is current:
             for j in itertools.count(k):
                 yield j, current, True
         yield k, nxt, False
@@ -261,20 +265,21 @@ def _search_start(
     """``(k', closure_k', previous)``, k' >= k: no stop up to k', one by k' + 2.
 
     The stop is the least index i with f(i), "closure i holds +inf, or
-    i >= 1 and closure i repeats closure i-1", or ``last`` if that is
-    smaller; there is none up to ``k``.  f is monotone: closures only
-    grow, so +inf stays, and a repeated closure is a fixed point of the
-    recurrence.  So the stop can be searched for.  S_p composed in front
-    of S_(k+1) has closure k+p as its ff, and only closure k, the ff of
+    i >= 1 and closure i repeats closure i-1", or ``last`` if that is smaller;
+    there is none up to ``k``.  f is monotone: closures only grow, so +inf
+    stays, and a repeated closure is a fixed point of the recurrence, which
+    :func:`_next_closure` returns as the closure it was given (``nxt is
+    jumped``).  So the stop can be searched for.  S_p composed in front of
+    S_(k+1) has closure k+p as its ff, and only closure k, the ff of
     S_(k+1), enters it (see :func:`_join`); one closure step on, re-closed
     from closure k, gives closure k+p+1.  Such a probe either moves the
     start p+1 on or shows a stop by k+p+1.  Probes with p = 1, 2, 4, ...,
     doubling S_p as they go, bracket the stop; probes with the smaller
-    powers, largest first, then shrink the bracket, which holds at most
-    2p+1 indices past the start before a probe with p and at most p+1
-    after it.  ``previous`` is closure k'-1, the jump of the last probe
-    that moved the start (None if none did), so the walk on from k'
-    re-closes from its first step (see :func:`_next_closure`).
+    powers, largest first, then shrink the bracket, which holds at most 2p+1
+    indices past the start before a probe with p and at most p+1 after it.
+    ``previous`` is closure k'-1, the jump of the last probe that moved the
+    start (None if none did), so the walk on from k' re-closes from its
+    first step (see :func:`_next_closure`).
     """
     powers = [_unit_segment(system)]  # S_(2^i)
     hi = last  # a stop lies by hi
@@ -289,7 +294,7 @@ def _search_start(
             hi = k + p
             return False
         nxt = _next_closure(system, jumped, previous=closure)
-        if nxt is jumped or not nxt.rmax_valued:  # a repeat re-closes to jumped
+        if nxt is jumped or not nxt.rmax_valued:  # a repeat is jumped itself
             hi = k + p + 1
             return False
         k, closure, previous = k + p + 1, nxt, jumped

@@ -204,13 +204,13 @@ def synthesize_trajectory(
     - forward sweep: ``x_1 = T_1 @ r_1`` and
       ``x_k = T_k @ (forward @ x_{k-1} oplus r_k)``.
 
-    The backward sweep stops at its fixed point.  A closure that repeated
-    stands for every longer tail as one object, so once ``T_k`` is
-    ``T_{k+1}`` the same holds for every smaller k.  If also ``r_k =
-    r_{k+1}`` for some k >= 2, then ``r_{k-1} = 0 oplus backward @ T_k @
-    r_k`` is ``r_k`` whenever k-1 >= 2 (b is 0 there), and by induction
-    ``r_j = r_k`` for 2 <= j <= k; only ``r_1 = b_1 oplus backward @ T_2 @
-    r_2`` is left to compute.
+    The backward sweep stops at its fixed point.  A repeated closure is one
+    object (see :func:`~maxplus.precedence._next_closure`) standing for
+    every longer tail, so once ``T_k`` is ``T_{k+1}`` the same holds for
+    every smaller k.  If also ``r_k = r_{k+1}`` for some k >= 2, then
+    ``r_{k-1} = 0 oplus backward @ T_k @ r_k`` is ``r_k`` whenever k-1 >= 2
+    (b is 0 there), and by induction ``r_j = r_k`` for 2 <= j <= k; only
+    ``r_1 = b_1 oplus backward @ T_2 @ r_2`` is left to compute.
 
     The closures only grow, so ``T_1`` is the largest.  If it holds +inf the
     unrolled graph has a positive circuit (see

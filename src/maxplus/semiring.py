@@ -31,27 +31,18 @@ def as_scalar(value) -> Scalar:
     (see :func:`parse_scalar`).  Finite floats are rejected because they
     would silently lose exactness.
     """
-    # Exact types first: Fraction's metaclass is ABCMeta, so every
-    # isinstance(v, Fraction) goes through abc.__instancecheck__.
-    kind = type(value)
-    if kind is int:
-        return value
-    if kind is Fraction:
-        return int(value) if value.denominator == 1 else value
-    if kind is float and (value == NEG_INF or value == POS_INF):
-        return value
     if isinstance(value, bool):
         raise TypeError("bool is not a max-plus scalar")
     if isinstance(value, int):
         return value
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else value
     if isinstance(value, float):
         if value == NEG_INF or value == POS_INF:
             return value
         raise TypeError(
             f"finite float {value!r} is inexact; pass an int, Fraction or string"
         )
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else value
     if isinstance(value, str):
         return parse_scalar(value)
     raise TypeError(f"cannot interpret {value!r} as a max-plus scalar")

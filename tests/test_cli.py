@@ -2,6 +2,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +36,14 @@ class TestCheck:
         code, out, _ = run(capsys, "check", RAILWAY)
         assert code == 0
         assert "verdict: Consistent" in out
+
+    def test_module_runs_as_a_script(self):
+        env = {**os.environ, "PYTHONPATH": str(SAMPLES.parent / "src")}
+        command = [sys.executable, "-m", "maxplus.cli", "check", RAILWAY]
+        done = subprocess.run(command, env=env, capture_output=True, text=True)
+        assert done.returncode == 0
+        assert done.stdout.startswith("verdict: Consistent\n")
+        assert done.stderr == ""
 
     def test_not_weakly_consistent_exit_two(self, capsys):
         code, out, _ = run(capsys, "check", RAILWAY, "--param", "ell=-13")
@@ -148,7 +157,8 @@ class TestTrajectory:
             capsys, "trajectory", RAILWAY, "--param", "ell=-13", "--horizon", "8"
         )
         assert code == 4
-        assert "infeasible (divergent)" in err
+        assert out == ""
+        assert err.startswith("infeasible (divergent): ") and err.count("\n") == 1
 
     def test_unconstrained_stays_at_zero(self, capsys, tmp_path):
         doc = {
@@ -454,6 +464,12 @@ class TestFailedWrite:
         monkeypatch.setattr(sys, "stdout", FullDisk())
         assert main(list(argv)) == 1
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+    def test_infeasible_horizon_writes_no_stdout(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", FullDisk())
+        argv = ["trajectory", RAILWAY, "--param", "ell=-13", "--horizon", "8"]
+        assert main(argv) == 4
+        assert capsys.readouterr().err.startswith("infeasible (divergent): ")
 
     @pytest.mark.parametrize("argv", WRITING_COMMANDS)
     def test_handler_returns_its_text_unwritten(self, capsys, monkeypatch, argv):

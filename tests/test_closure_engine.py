@@ -371,6 +371,20 @@ def test_any_earlier_closure_re_closes_a_later_one(system):
             assert typed(step) == typed(full)
 
 
+@settings(max_examples=60)
+@given(st.one_of(systems(), fraction_systems().map(lambda pair: pair[0]), railways))
+@example(all_eps_system())
+@example(make_railway(-14))
+@example(make_railway(Fraction("-13.5")))
+def test_a_repeat_is_the_closure_itself(system):
+    """A step returns ``current`` itself exactly when it repeats it, +inf or not."""
+    closures = closure_sequence_full(system, 17)
+    for m, current in enumerate(closures):
+        for previous in [None, *closures[:m]]:
+            nxt = precedence._next_closure(system, current, previous=previous)
+            assert (nxt is current) == (nxt == current)
+
+
 @pytest.mark.parametrize(
     "ell, probe, divergent, steps",
     [("-13.999", 2100, 2001, 64), ("-13.99999", 300000, 200001, 80)],

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -62,6 +63,18 @@ class TestConstruction:
         a = TropicalMatrix([[1]])
         with pytest.raises(DimensionMismatch):
             TropicalMatrix.from_blocks([[a] * width for width in widths])
+
+    @pytest.mark.parametrize(
+        "shapes, message",
+        [
+            ([[(1, 1), (2, 1)]], "unequal heights"),
+            ([[(1, 1)], [(1, 2)]], "unequal widths"),
+        ],
+    )
+    def test_from_blocks_rejects_mismatched_blocks(self, shapes, message):
+        grid = [[TropicalMatrix([[0] * c] * r) for r, c in band] for band in shapes]
+        with pytest.raises(DimensionMismatch, match=message):
+            TropicalMatrix.from_blocks(grid)
 
     def test_finite_float_rejected(self):
         with pytest.raises(TypeError):
@@ -439,6 +452,12 @@ def test_order_with_a_non_matrix_is_a_type_error():
         m <= 3
     with pytest.raises(TypeError):
         3 >= m
+
+
+@pytest.mark.parametrize("operation", [operator.matmul, operator.add])
+def test_arithmetic_with_a_non_matrix_is_a_type_error(operation):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        operation(TropicalMatrix([[1, 2], [3, 4]]), 3)
 
 
 def typed_rows(rows) -> list:

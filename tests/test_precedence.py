@@ -104,6 +104,10 @@ class TestWeakFeasibility:
         )
         assert finite_weak_feasibility(system, 1)
 
+    def test_horizon_positive(self):
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            finite_weak_feasibility(two_node_system(), 0)
+
     def test_antitone_in_horizon(self):
         system = make_railway(-13)
         values = [finite_weak_feasibility(system, k) for k in range(1, 7)]
@@ -150,8 +154,10 @@ class TestDotExport:
 
     @pytest.mark.parametrize("horizon", ["3", 2.5, Fraction(5, 2)])
     def test_horizon_is_read_as_an_index(self, horizon):
-        """The export reads its horizon as its two siblings do."""
-        for route in (export_dot, finite_weak_feasibility, synthesize_trajectory):
+        """Every route that unrolls a horizon reads it as an index."""
+        for route in (
+            build_block_matrix, export_dot, finite_weak_feasibility, synthesize_trajectory
+        ):
             with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
                 route(two_node_system(), horizon)
 

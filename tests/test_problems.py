@@ -105,7 +105,11 @@ def test_malformed_documents(mutate, message):
 
 
 @pytest.mark.parametrize(
-    "size", ["true", "false", "null", "[1]", "1.5", '"1"', '" 4"', '"1_0"']
+    "size",
+    [
+        "true", "false", "null", "[1]", "1.5", '"1"', '" 4"', '"1_0"',
+        pytest.param("9" * 5000, id="5000 digits"),
+    ],
 )
 def test_size_must_be_a_json_integer(size):
     with pytest.raises(ProblemFormatError, match='field "n" must be a positive integer'):

@@ -124,6 +124,10 @@ class TestClosureSequence:
         with pytest.raises(TypeError):
             closure_sequence(two_node, count)
 
+    def test_negative_count_rejected(self, two_node):
+        with pytest.raises(ValueError, match="closure count must be non-negative"):
+            closure_sequence(two_node, -1)
+
     def test_saturation_is_absorbing(self, railway):
         seq = closure_sequence(railway(-13), 6)
         first = next(k for k, m in enumerate(seq) if not m.rmax_valued)

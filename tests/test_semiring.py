@@ -91,15 +91,27 @@ class TestAsScalar:
         class FractionLike(Fraction):
             pass
 
+        class FloatLike(float):
+            pass
+
         seven, three_quarters = IntLike(7), FractionLike(3, 4)
         assert as_scalar(seven) is seven
         assert as_scalar(three_quarters) is three_quarters
+        top = FloatLike("inf")
+        assert as_scalar(top) is top
+        with pytest.raises(TypeError, match="inexact"):
+            as_scalar(FloatLike(0.5))
         two = as_scalar(FractionLike(6, 3))
         assert two == 2 and type(two) is int
 
     @pytest.mark.parametrize("value", [0.0, -2.5, 1e300, float("nan")])
     def test_every_finite_float_rejected(self, value):
         with pytest.raises(TypeError, match="inexact"):
+            as_scalar(value)
+
+    @pytest.mark.parametrize("value", [None, 1j])
+    def test_other_types_rejected(self, value):
+        with pytest.raises(TypeError, match="cannot interpret"):
             as_scalar(value)
 
     def test_infinities_pass(self):

@@ -7,8 +7,8 @@ same holds one level down: every public method or property of the classes
 in ``MEMBER_CLASSES`` is read in ``src/maxplus`` or listed in
 ``UNREAD_MEMBERS``, and every module-level ``_private`` function is read.
 The modules form layers: each imports only the modules before it in
-``LAYERS``.  In ``cli`` only ``main`` writes stdout.  A matrix's stored
-grid and scale, and the caches kept on it, are set only where
+``LAYERS``.  In ``cli`` only ``main`` writes stdout or stderr.  A matrix's
+stored grid and scale, and the caches kept on it, are set only where
 ``MATRIX_STATE`` allows.
 """
 
@@ -197,8 +197,8 @@ def test_modules_import_only_lower_layers():
         assert relative_imports(module) <= set(LAYERS[:rank]), module
 
 
-def stdout_writers(tree: ast.Module) -> set[str]:
-    """Functions in ``tree`` that name ``sys.stdout`` or ``print`` to it."""
+def stream_writers(tree: ast.Module) -> set[str]:
+    """Functions in ``tree`` that call ``print`` or name a ``sys`` stream."""
     found = set()
     for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -206,7 +206,7 @@ def stdout_writers(tree: ast.Module) -> set[str]:
         for node in ast.walk(func):
             named = (
                 isinstance(node, ast.Attribute)
-                and node.attr == "stdout"
+                and node.attr in ("stdout", "stderr")
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "sys"
             )
@@ -214,7 +214,6 @@ def stdout_writers(tree: ast.Module) -> set[str]:
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
                 and node.func.id == "print"
-                and not any(k.arg == "file" for k in node.keywords)
             )
             if named or printed:
                 found.add(func.name)
@@ -222,8 +221,8 @@ def stdout_writers(tree: ast.Module) -> set[str]:
 
 
 def test_only_main_writes_stdout():
-    """The CLI handlers return their text; ``main`` writes it, once."""
-    assert stdout_writers(modules()["cli"]) == {"main"}
+    """The CLI handlers return their text or raise; ``main`` writes both streams."""
+    assert stream_writers(modules()["cli"]) == {"main"}
 
 
 def test_one_system_type():
