@@ -12,8 +12,8 @@ of their denominators (``_stored``), and computes on those ``int``s, which
 is much faster than ``Fraction`` arithmetic.  Operands of two scales are
 first brought to the LCM of both.  Values are divided back only when they
 are read, into the same exact values, normalized (an integral value is
-always an ``int``).
-Text is written straight from the stored ``int``s (``text_rows``).
+always an ``int``).  Text is written straight from the stored ``int``s
+(``_texts``).
 
 Every product reads its factors' entries other than -inf from lists kept on
 each matrix (``_arcs``), so a factor used again is scanned once: the right
@@ -113,6 +113,22 @@ def _stored(grid: tuple) -> tuple[tuple, int]:
             for row in grid
         )
     return grid, scale
+
+
+def _texts(scale: int, stored: Iterable) -> dict:
+    """Each distinct value of ``stored``, stored at ``scale``, mapped to its text.
+
+    The infinities get their tokens.  A finite value is reduced against the
+    scale by their gcd and written by :func:`~maxplus.semiring.format_ratio`,
+    once per distinct value, as :func:`~maxplus.semiring.format_scalar`
+    writes the value it stands for.
+    """
+    texts = {NEG_INF: "-inf", POS_INF: "+inf"}
+    for v in stored:
+        if v not in texts:
+            g = math.gcd(v, scale)
+            texts[v] = format_ratio(v // g, scale // g)
+    return texts
 
 
 def _product(left, right, base=None):
@@ -311,22 +327,10 @@ class TropicalMatrix:
     def text_rows(self) -> list[list[str]]:
         """The entries as :func:`~maxplus.semiring.format_scalar` writes them.
 
-        Read from the stored ``int``s: each is reduced against the scale by
-        their gcd, and each distinct stored value is formatted once.
+        Read from the stored ``int``s (see :func:`_texts`).
         """
-        scale = self._scale
-        texts = {NEG_INF: "-inf", POS_INF: "+inf"}
-        rows = []
-        for row in self._data:
-            out = []
-            for v in row:
-                text = texts.get(v)
-                if text is None:
-                    g = math.gcd(v, scale)
-                    text = texts[v] = format_ratio(v // g, scale // g)
-                out.append(text)
-            rows.append(out)
-        return rows
+        texts = _texts(self._scale, chain(*self._data))
+        return [[texts[v] for v in row] for row in self._data]
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(row) for row in self.text_rows())
@@ -395,11 +399,9 @@ def _apply(matrix: TropicalMatrix, vector: Sequence) -> list:
     """``matrix @ vector`` on a list of stored values, as a list.
 
     ``vector`` holds finite ``int``s at the matrix's scale; the result is at
-    that scale too, -inf where a row has no entry other than -inf.  Each row
-    runs over its entries other than -inf, listed once per matrix (see
-    ``_arcs``), so a matrix applied many times is scanned once.  The caller
-    guarantees that ``matrix`` is free of +inf, so only ``int``s are added
-    and no sum can overflow into a float.
+    that scale too, -inf where a row has no entry other than -inf.  The
+    caller guarantees that ``matrix`` is free of +inf, so only ``int``s are
+    added and no sum can overflow into a float.
     """
     out = []
     for arcs in matrix._arcs():
@@ -420,10 +422,8 @@ def product_star(
 ) -> TropicalMatrix:
     """``(left @ middle @ right + base).star()``, built in one grid.
 
-    Like every product here it reads arc lists (see ``_arcs``), kept on
-    the matrices, so constant factors are scanned once, not once per call:
-    each entry of row i of ``left`` other than -inf spreads over a row of
-    ``middle``'s list into row i of ``left @ middle``, and each entry of
+    Each entry of row i of ``left`` other than -inf spreads over a row of
+    ``middle``'s arcs into row i of ``left @ middle``, and each entry of
     that over a row of ``right``'s.  Rows start as those of ``base`` and the
     star runs in place.  The one caller passes the blocks of one system.
     """
@@ -495,10 +495,9 @@ def _reclose(
     ``delta`` holds the entries in which ``closed`` exceeds ``before``
     (-inf elsewhere).  All four share one scale, ``closed`` is free of
     +inf, and ``before <= closed``.  Each grown entry (s, t) adds the arcs
-    ``left[:, s] + closed[s, t] + right[t, :]``, read from the entries of
-    ``left``'s columns and ``right``'s rows other than -inf, listed once
-    per matrix (see ``_arcs``).  Only the arcs above ``closed`` are kept,
-    and ``closed`` is re-closed over them (:func:`_close_over`).
+    ``left[:, s] + closed[s, t] + right[t, :]``, read from the arcs of
+    ``left``'s columns and ``right``'s rows.  Only the arcs above ``closed``
+    are kept, and ``closed`` is re-closed over them (:func:`_close_over`).
     """
     c, width = closed._data, closed.cols
     sources, targets = left._column_arcs(), right._arcs()

@@ -7,32 +7,29 @@ per occurrence index): its three square blocks unroll into a block
 tridiagonal matrix over any finite horizon.  The closure recurrence of
 :func:`_closures` eliminates that matrix stage by stage, so feasibility and
 the graph export work on the blocks alone, never on the unrolled matrix.
-Every product reads its right factors' arc lists, the entries other than
--inf kept on each matrix, so a block is listed once per system.  The first step
-of a walk, ``(backward @ closure @ forward oplus within)*``, is one call of
-:func:`~maxplus.matrix.product_star`, in one grid.  The closures only
-grow, so each later step re-closes the last closure over the arcs that the
-entries it grew by add (:func:`~maxplus.matrix._reclose`): a step that adds
-no arc above it costs no star, and Floyd-Warshall pivots only over the
-tails of the new arcs.  Where the recurrence first stops (a +inf entry or a
-repeat) is found by :func:`_stopping_closure` in O(log k) compositions of
-boundary segments, whole stretches of the unrolling eliminated down to
-their first and last stage, once a short walk has not stopped; its joins
-and closure steps re-close known closures too.  The three blocks are
-stored at one common scale, so the recurrence runs on ``int`` entries and
-never rescales an operand.
+The first step of a walk, ``(backward @ closure @ forward oplus within)*``,
+is one call of :func:`~maxplus.matrix.product_star`, in one grid.  The
+closures only grow, so each later step re-closes the last closure over the
+arcs that the entries it grew by add (:func:`~maxplus.matrix._reclose`): a
+step that adds no arc above it costs no star, and Floyd-Warshall pivots
+only over the tails of the new arcs.  Where the recurrence first stops (a
++inf entry or a repeat) is found by :func:`_stopping_closure` in O(log k)
+compositions of boundary segments, whole stretches of the unrolling
+eliminated down to their first and last stage, once a short walk has not
+stopped; its joins and closure steps re-close known closures too.  The
+three blocks are stored at one common scale, so the recurrence runs on
+``int`` entries and never rescales an operand.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from collections.abc import Iterator
 
 from .matrix import DimensionMismatch, TropicalMatrix, aligned, product_star
-from .matrix import _close_over, _product, _reclose
-from .semiring import NEG_INF, _Record, format_ratio
+from .matrix import _close_over, _product, _reclose, _texts
+from .semiring import _Record
 
 
 class PtegSystem(_Record):
@@ -376,15 +373,12 @@ def export_dot(system: PtegSystem, horizon: int) -> str:
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     blocks = (system.backward, system.within, system.forward)
-    scale, texts = system.within._scale, {}  # the blocks share one scale
-    for v in dict.fromkeys(v for block in blocks for row in block._data for v in row):
-        if v != NEG_INF:
-            g = math.gcd(v, scale)
-            texts[v] = f' [label="{format_ratio(v // g, scale // g)}"];\n'
+    stored = (v for block in blocks for row in block._data for v in row)
+    texts = _texts(system.within._scale, stored)  # the blocks share one scale
     # per block, per source event j: its arc lines, "\0\1\2" for k-1, k, k+1
     back, within, ahead = (
         [
-            "".join(f"  x{j}_\1 -> x{i + 1}_{to}{texts[v]}" for i, v in arcs)
+            "".join(f'  x{j}_\1 -> x{i + 1}_{to} [label="{texts[v]}"];\n' for i, v in arcs)
             for j, arcs in enumerate(block._column_arcs(), 1)
         ]
         for block, to in zip(blocks, "\0\1\2")

@@ -33,15 +33,14 @@ from .semiring import NEG_INF, POS_INF, Scalar, _Record, as_scalar, is_finite
 
 
 class InfeasibleHorizon(Exception):
-    """No finite schedule of the requested length could be produced.
+    """No finite schedule of the requested length exists.
 
-    ``reason`` is ``"divergent"``: the constraint closure blows up to +inf,
-    so no schedule of this length exists at all.
+    The constraint closure blows up to +inf, so no schedule of this length
+    exists at all.  That is the one case: ``reason``, a class attribute,
+    names it ``"divergent"`` for the CLI's ``infeasible (divergent)`` line.
     """
 
-    def __init__(self, message: str, reason: str):
-        super().__init__(message)
-        self.reason = reason
+    reason = "divergent"
 
 
 class ConsistencyKind(Enum):
@@ -225,9 +224,8 @@ def synthesize_trajectory(
     :func:`~maxplus.matrix.aligned`), and both sweeps run on lists of the
     stored ``int``s, as at most 4(K-1)+1 matrix-vector products of
     :func:`~maxplus.matrix._apply` (2K-1 forward, at most 2(K-1) backward),
-    each O(n^2) over the matrix's entries other than -inf, listed once per
-    matrix.  The states are stored as the sweeps give them, as the rows of
-    the trajectory's ``table``.
+    each O(n^2).  The states are stored as the sweeps give them, as the rows
+    of the trajectory's ``table``.
     """
     horizon = operator.index(horizon)
     if horizon < 2:
@@ -246,8 +244,7 @@ def synthesize_trajectory(
         if not closure.rmax_valued:
             raise InfeasibleHorizon(
                 f"no schedule over {horizon} occurrences exists:"
-                " the unrolled constraints force an event time to +inf",
-                reason="divergent",
+                " the unrolled constraints force an event time to +inf"
             )
         walked.append(closure)
     seed_col, backward, forward, *walked = aligned(

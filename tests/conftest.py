@@ -31,6 +31,15 @@ def two_node() -> PtegSystem:
     return TWO_NODE
 
 
+# Three events whose first repeat is closure 5, the largest index found at
+# n = 3 (ROADMAP item 9); C and Rtilde are all -inf.
+REPEAT_AT_FIVE = PtegSystem(
+    dynamics=TropicalMatrix([[NEG, NEG, 9], [NEG, NEG, NEG], [-1, NEG, NEG]]),
+    backward=TropicalMatrix([[NEG, NEG, -2], [NEG, -6, -9], [NEG, 0, NEG]]),
+    within=TropicalMatrix.epsilon(3),
+)
+
+
 RAILWAY_DYNAMICS = TropicalMatrix(
     [
         [0, 17, NEG, NEG],

@@ -346,8 +346,10 @@ def synthesize_dense(
 ) -> tuple[tuple, ...]:
     """Oracle for synthesize_trajectory: the unrolled star applied to [seed, 0, ...].
 
-    Returns the states, or raises :class:`InfeasibleHorizon` with reason
-    ``"divergent"`` on a +inf component and ``"unreachable"`` on a -inf one.
+    Returns the states, or raises :class:`InfeasibleHorizon` on a +inf
+    component.  A -inf component cannot occur: b is finite and a star's
+    diagonal is at least 0 (the proof in ``synthesize_trajectory``'s
+    docstring), so the oracle fails with ``AssertionError`` if one does.
     """
     n = system.size
     seed = (0,) * n if seed is None else tuple(seed)
@@ -355,9 +357,9 @@ def synthesize_dense(
     unrolled = build_block_matrix(system, horizon)
     solution = column_values(unrolled.star() @ stacked)
     if POS_INF in solution:
-        raise InfeasibleHorizon("a component is +inf", reason="divergent")
+        raise InfeasibleHorizon("a component is +inf")
     if NEG_INF in solution:
-        raise InfeasibleHorizon("a component is -inf", reason="unreachable")
+        raise AssertionError("a component is -inf, though no star can give one")
     return tuple(solution[k * n : (k + 1) * n] for k in range(horizon))
 
 

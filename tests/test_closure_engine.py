@@ -1,9 +1,11 @@
 """The shared closure engine against the full-length loops it replaced."""
 
+import ast
 import collections
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +32,8 @@ from maxplus import (
 from maxplus import invariance, matrix, precedence, pteg
 from maxplus.matrix import aligned, product_star
 
-from conftest import TWO_NODE, make_railway
+from certificate import certifies_consistency
+from conftest import REPEAT_AT_FIVE, TWO_NODE, make_railway
 from helpers import (
     all_eps_system,
     boundary_segment_dense,
@@ -94,6 +97,7 @@ def count_assembly(monkeypatch):
 @example(make_railway(Fraction("-13.9")), 6)
 @example(make_railway(Fraction("-13.5")), 6)
 @example(TWO_NODE, 3)
+@example(REPEAT_AT_FIVE, 6)
 def test_engine_matches_full_loops(system, probe):
     assert check_consistency(system, probe) == check_consistency_full(system, probe)
     report = iterate_shrink(system, probe)
@@ -114,6 +118,15 @@ def test_first_repeat_at_index_one_converges_at_step_zero(count_steps):
     assert report.step == 0
     assert len(report.generators) == 2
     assert report_fields(report) == iterate_shrink_full(system, 1)
+
+
+def test_first_repeat_at_index_five():
+    """Closure 5 repeats closure 4, and no earlier closure repeats."""
+    assert first_repeat(REPEAT_AT_FIVE, 5) == 5
+    assert check_consistency(REPEAT_AT_FIVE).kind is ConsistencyKind.CONSISTENT
+    report = iterate_shrink(REPEAT_AT_FIVE)
+    assert report.kind is InvarianceKind.CONVERGED_NON_EMPTY
+    assert report.step == 3
 
 
 @pytest.mark.parametrize("probe", [1, 2, 3])
@@ -515,15 +528,51 @@ def test_returned_values_are_normalized(ell):
 @given(st.one_of(systems(), fraction_systems(max_n=4).map(lambda drawn: drawn[0])))
 @example(make_railway(-14))
 @example(make_railway(Fraction("-14.5")))
+@example(make_railway(-20))
 @example(all_eps_system())
+@example(TWO_NODE)
+@example(REPEAT_AT_FIVE)
 def test_consistent_verdict_certificate(system):
-    """A Consistent verdict's closure passes one step on the raw blocks."""
+    """A Consistent verdict's closure passes one step on the raw blocks.
+
+    It also passes the independent checker, which rejects it with one entry
+    made +inf, one diagonal entry made -1, or one entry lowered below a
+    finite entry of ``within``.
+    """
     verdict = check_consistency(system)
     if verdict.kind is not ConsistencyKind.CONSISTENT:
         return
     p = verdict.fixed_closure
     assert p.rmax_valued
     assert p == (system.backward @ p @ system.forward + system.within).star()
+    blocks = [m.to_rows() for m in (system.within, system.backward, system.forward)]
+    rows = p.to_rows()
+    assert certifies_consistency(rows, *blocks)
+    below_within = [
+        (i, j, v - 1)
+        for i, row in enumerate(blocks[0])
+        for j, v in enumerate(row)
+        if v != NEG_INF
+    ]
+    n = system.size
+    for i, j, v in [(0, 0, POS_INF), (n - 1, n - 1, -1), *below_within[:1]]:
+        mutant = [list(row) for row in rows]
+        mutant[i][j] = v
+        assert not certifies_consistency(mutant, *blocks)
+
+
+def test_certificate_checker_is_independent():
+    """The checker imports nothing from the modules whose verdicts it checks."""
+    source = Path(__file__).with_name("certificate.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert not imported & {"maxplus.matrix", "maxplus.precedence", "maxplus.pteg"}
 
 
 @settings(max_examples=50)

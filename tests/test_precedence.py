@@ -13,7 +13,7 @@ from maxplus import (
     finite_weak_feasibility,
     synthesize_trajectory,
 )
-from maxplus import precedence
+from maxplus import matrix
 from maxplus.semiring import format_ratio
 
 from conftest import make_railway
@@ -168,16 +168,16 @@ class TestDotExport:
         listed, formatted = [], []
         column_arcs = TropicalMatrix._column_arcs
 
-        def listing(matrix):
-            listed.append(matrix)
-            return column_arcs(matrix)
+        def listing(block):
+            listed.append(block)
+            return column_arcs(block)
 
         def formatting(num, den):
             formatted.append(Fraction(num, den))
             return format_ratio(num, den)
 
         monkeypatch.setattr(TropicalMatrix, "_column_arcs", listing)
-        monkeypatch.setattr(precedence, "format_ratio", formatting)
+        monkeypatch.setattr(matrix, "format_ratio", formatting)
         export_dot(system, horizon)
         blocks = [system.backward, system.within, system.forward]
         assert list(map(id, listed)) == list(map(id, blocks))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -352,6 +354,19 @@ class TestSynthesizeTrajectory:
         with pytest.raises(InfeasibleHorizon) as info:
             synthesize_trajectory(railway(-13), 8)
         assert info.value.reason == "divergent"
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [copy.copy, copy.deepcopy, lambda exc: pickle.loads(pickle.dumps(exc))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_infeasible_horizon_survives_a_round_trip(self, railway, round_trip):
+        with pytest.raises(InfeasibleHorizon) as info:
+            synthesize_trajectory(railway(-13), 6)
+        again = round_trip(info.value)
+        assert type(again) is InfeasibleHorizon
+        assert again.args == info.value.args
+        assert again.reason == "divergent"
 
     def test_inputs_dominate_dynamics(self, railway):
         system = railway(-14)

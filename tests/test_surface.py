@@ -7,9 +7,10 @@ same holds one level down: every public method or property of the classes
 in ``MEMBER_CLASSES`` is read in ``src/maxplus`` or listed in
 ``UNREAD_MEMBERS``, and every module-level ``_private`` function is read.
 The modules form layers: each imports only the modules before it in
-``LAYERS``.  In ``cli`` only ``main`` writes stdout or stderr.  A matrix's
-stored grid and scale, and the caches kept on it, are set only where
-``MATRIX_STATE`` allows.
+``LAYERS``.  In ``cli`` only ``main`` writes stdout or stderr.  Only
+``matrix._texts`` writes a stored value as text.  A matrix's stored grid
+and scale, and the caches kept on it, are set only where ``MATRIX_STATE``
+allows.
 """
 
 import ast
@@ -223,6 +224,38 @@ def stream_writers(tree: ast.Module) -> set[str]:
 def test_only_main_writes_stdout():
     """The CLI handlers return their text or raise; ``main`` writes both streams."""
     assert stream_writers(modules()["cli"]) == {"main"}
+
+
+def name_reads(node: ast.AST, where: str = "<module>") -> set[tuple[str, str]]:
+    """``(function, identifier)`` for each name or attribute in ``node``.
+
+    ``math.gcd`` counts as ``gcd``; an import binds a name and does not count.
+    """
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name
+    found = set()
+    if isinstance(node, ast.Name):
+        found.add((where, node.id))
+    elif isinstance(node, ast.Attribute):
+        found.add((where, node.attr))
+    for child in ast.iter_child_nodes(node):
+        found |= name_reads(child, where)
+    return found
+
+
+def test_one_writer_for_stored_value_text():
+    """Only ``matrix._texts`` turns a stored value into text.
+
+    It reduces the value against its scale (``math.gcd``) and writes the
+    ratio (``format_ratio``, also read in ``semiring``, which defines it).
+    """
+    sites = {"format_ratio": set(), "gcd": set()}
+    for module, tree in modules().items():
+        for where, name in name_reads(tree):
+            if name in sites:
+                sites[name].add((module, where))
+    outside = {site for site in sites["format_ratio"] if site[0] != "semiring"}
+    assert outside == sites["gcd"] == {("matrix", "_texts")}
 
 
 def test_one_system_type():
