@@ -3,8 +3,8 @@
 Every invocation runs through ``cli.main`` in-process, and the sha256 of its
 exit code, stdout and stderr is compared with ``cli_bytes.json``.  The list
 covers both samples, all four subcommands, rational railway windows on both
-sides of the consistency threshold ell = -14, every output option and the
-error paths.  The record keeps each invocation's exit code beside its
+sides of the consistency threshold ell = -14, every output option, the
+error paths and the help text.  The record keeps each invocation's exit code beside its
 digest.  A refactoring that keeps verdicts, certificates and messages keeps
 every digest; a deliberate output change re-records the file with::
 
@@ -91,6 +91,11 @@ ERRORS = (
     ["check", "two_node.json", "--param", "ell=1"],
 ) + tuple(["check", name] for name in BROKEN_FILES)
 
+# Usage and help text, as argparse lays it out at 80 columns.
+HELP = (["--help"],) + tuple(
+    [command, "--help"] for command in ("check", "invariant", "trajectory", "graph")
+)
+
 # One probe bound, one stop: the railway at ell = -13.9 first holds +inf at
 # closure 21, which both commands reach at these bounds.
 SAME_BOUND = tuple(
@@ -128,7 +133,7 @@ def invocations() -> list[list[str]]:
         # 2: no interior stage; 12: two-digit stage numbers
         for horizon in ("1", "2", "3", "12"):
             out.append(["graph", name, *params, "--horizon", horizon])
-    out.extend(list(argv) for argv in ERRORS + SAME_BOUND)
+    out.extend(list(argv) for argv in ERRORS + SAME_BOUND + HELP)
     return out
 
 
