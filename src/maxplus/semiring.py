@@ -51,9 +51,10 @@ def as_scalar(value) -> Scalar:
 def parse_scalar(text: str) -> Scalar:
     """Parse an exact decimal ("-13.999"), rational ("7/3") or infinity token.
 
-    A decimal exponent ("1e5") may not exceed Python's limit on the digits
-    of an ``int`` in text, ``sys.int_info.default_max_str_digits``, in
-    magnitude: the exact value of ``1e999999999`` is a 415 MB ``int``.
+    A finite token is an optional sign, digits with an optional "." and
+    exponent ("-2.5e-3"), or ``p/q``, with no "_" or inner space on any
+    interpreter.  The exponent is at most ``default_max_str_digits`` (of
+    ``sys.int_info``) in magnitude: ``1e999999999`` is a 415 MB ``int``.
 
     A short token of ASCII digits, with an optional leading "-" and an
     optional "." between two runs of digits, is read with ``int()``; every
@@ -73,6 +74,8 @@ def parse_scalar(text: str) -> Scalar:
             return value if value.denominator != 1 else value.numerator
     _, marker, exponent = token.lower().partition("e")
     try:
+        if "_" in token or len(token.split()) != 1:  # newer Fractions read these
+            raise ValueError("underscore or inner space")
         if marker and abs(int(exponent)) > sys.int_info.default_max_str_digits:
             raise ValueError("decimal exponent out of range")
         return as_scalar(Fraction(token))

@@ -155,6 +155,14 @@ def test_param_name_cannot_shadow_scalar_token():
         parse_problem(MINIMAL).instantiate({"0": "-5"})
 
 
+def test_underscore_and_spaced_tokens_are_names_not_scalars():
+    text = MINIMAL.replace('"Rtilde"', '"params": {"1_000": "2"}, "Rtilde"')
+    with pytest.raises(ProblemFormatError, match="neither a scalar"):
+        parse_problem(text.replace('[["0"]]', '[["1 /2"]]')).instantiate()
+    system = parse_problem(text.replace('[["0"]]', '[["1_000"]]')).instantiate()
+    assert system.dynamics[0, 0] == 2
+
+
 def test_each_distinct_token_is_parsed_once_per_call(monkeypatch):
     parsed = []
 

@@ -163,6 +163,22 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             parse_scalar("1/0")
 
+    # Fraction reads "_" from 3.11 on and spaces around "/" from 3.12 on.
+    @pytest.mark.parametrize(
+        "text", ["1_000", "1.0_0", "1e1_0", "1 /2", "1/ 2", "1\t/2", "1\xa0/2"]
+    )
+    def test_one_grammar_on_every_interpreter(self, text):
+        with pytest.raises(ValueError, match="not an exact scalar"):
+            parse_scalar(text)
+
+    @pytest.mark.parametrize(
+        "text,value", [(".5", Fraction(1, 2)), ("5.", 5), ("+5", 5), ("1E2", 100), ("-0", 0)]
+    )
+    def test_optional_parts_of_a_token(self, text, value):
+        parsed = parse_scalar(text)
+        assert parsed == value
+        assert type(parsed) is type(value)
+
     @settings(max_examples=400)
     @given(scalar_texts())
     @example(" -0012.500 ")
@@ -173,7 +189,11 @@ class TestParseFormat:
     @example("-" + "9" * 639)
     @example("0." + "0" * 4299 + "1")
     def test_matches_the_fraction_route(self, text):
-        """Value, exact type and error text equal ``as_scalar(Fraction(token))``'s."""
+        """Value, exact type and error text equal the oracle's.
+
+        It reads every token as ``as_scalar(Fraction(token))`` once it has
+        rejected "_" and inner spaces.
+        """
         try:
             expected = parse_scalar_by_fraction(text)
         except ValueError as exc:
