@@ -202,6 +202,7 @@ def cmd_graph(args, system: PtegSystem) -> tuple[int, str]:
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; parsing leaves it unchanged.
 
+    One row a subcommand, its flags in order after ``file`` and ``--param``.
     ``--param`` appends to a copy of its default list, never to the list
     itself, so no value carries over from one :func:`main` call to the next.
     """
@@ -211,53 +212,35 @@ def _build_parser() -> argparse.ArgumentParser:
         " constrained event systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, handler):
-        p.set_defaults(handler=handler)
-        p.add_argument("file", help="problem file (JSON)")
-        p.add_argument(
-            "--param",
-            action="append",
-            default=[],
-            metavar="NAME=VALUE",
-            help="substitute a named parameter (repeatable)",
-        )
-
-    p_check = sub.add_parser("check", help="decide consistency")
-    common(p_check, cmd_check)
-    p_check.add_argument("--probe-bound", type=int, default=None, metavar="N")
-    p_check.add_argument("--format", choices=("human", "json"), default="human")
-    p_check.add_argument(
-        "--emit-pi",
-        action="store_true",
-        help="print the full closure-matrix sequence",
+    param = "--param", dict(
+        action="append", default=[], metavar="NAME=VALUE",
+        help="substitute a named parameter (repeatable)",
     )
-
-    p_inv = sub.add_parser("invariant", help="compute the maximal invariant")
-    common(p_inv, cmd_invariant)
-    p_inv.add_argument("--probe-bound", type=int, default=None, metavar="N")
-    p_inv.add_argument("--format", choices=("human", "json"), default="human")
-    p_inv.add_argument(
-        "--emit-s",
-        action="store_true",
-        help="print the full generator-matrix sequence",
+    probe = "--probe-bound", dict(type=int, metavar="N")
+    fmt = "--format", dict(choices=("human", "json"), default="human")
+    horizon = "--horizon", dict(type=int, required=True, metavar="K")
+    emit_pi = "--emit-pi", dict(
+        action="store_true", help="print the full closure-matrix sequence"
     )
-
-    p_traj = sub.add_parser("trajectory", help="synthesize a finite schedule")
-    common(p_traj, cmd_trajectory)
-    p_traj.add_argument("--horizon", type=int, required=True, metavar="K")
-    p_traj.add_argument(
-        "--seed",
-        default=None,
+    emit_s = "--emit-s", dict(
+        action="store_true", help="print the full generator-matrix sequence"
+    )
+    seed = "--seed", dict(
         metavar="V1,V2,...",
         help="finite seed vector for the first occurrence (default: zeros)",
     )
-    p_traj.add_argument("--format", choices=("human", "json"), default="human")
-
-    p_graph = sub.add_parser("graph", help="emit the precedence graph as DOT")
-    common(p_graph, cmd_graph)
-    p_graph.add_argument("--horizon", type=int, required=True, metavar="K")
-
+    rows = (
+        ("check", cmd_check, "decide consistency", (probe, fmt, emit_pi)),
+        ("invariant", cmd_invariant, "compute the maximal invariant", (probe, fmt, emit_s)),
+        ("trajectory", cmd_trajectory, "synthesize a finite schedule", (horizon, seed, fmt)),
+        ("graph", cmd_graph, "emit the precedence graph as DOT", (horizon,)),
+    )
+    for name, handler, help_text, flags in rows:
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(handler=handler)
+        command.add_argument("file", help="problem file (JSON)")
+        for flag, spec in (param, *flags):
+            command.add_argument(flag, **spec)
     return parser
 
 

@@ -7,7 +7,8 @@ same holds one level down: every public method or property of the classes
 in ``MEMBER_CLASSES`` is read in ``src/maxplus`` or listed in
 ``UNREAD_MEMBERS``, and every module-level ``_private`` function is read.
 The modules form layers: each imports only the modules before it in
-``LAYERS``.  In ``cli`` only ``main`` writes stdout or stderr.  Only
+``LAYERS``.  In ``cli`` only ``main`` writes stdout or stderr, and each
+option string is written once.  Only
 ``matrix._texts`` writes a stored value as text.  A matrix's stored grid
 and scale, and the caches kept on it, are set only where ``MATRIX_STATE``
 allows.
@@ -219,6 +220,21 @@ def stream_writers(tree: ast.Module) -> set[str]:
             if named or printed:
                 found.add(func.name)
     return found
+
+
+CLI_OPTIONS = (
+    "--format", "--probe-bound", "--horizon", "--param", "--seed", "--emit-pi", "--emit-s"
+)
+
+
+def test_each_cli_option_is_specified_once():
+    """Subcommands that share a flag share its one spec in ``cli._build_parser``."""
+    constants = [
+        node.value for node in ast.walk(modules()["cli"]) if isinstance(node, ast.Constant)
+    ]
+    assert {option: constants.count(option) for option in CLI_OPTIONS} == dict.fromkeys(
+        CLI_OPTIONS, 1
+    )
 
 
 def test_only_main_writes_stdout():
