@@ -1,14 +1,43 @@
-"""An independent checker for the certificate of a Consistent verdict.
+"""Independent checkers for a Consistent verdict's certificate and a schedule.
 
-It reads rows of plain values and computes in ``fractions.Fraction``, and
-it imports nothing from ``maxplus``, so no fault of the library's matrices
-or closure engine can vouch for itself here.
+They read rows of plain values and compute in ``fractions.Fraction``, and
+they import nothing from ``maxplus``, so no fault of the library's matrices,
+closure engine or schedule synthesis can vouch for itself here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import inf
+
+
+def exact(rows):
+    """``rows`` with -inf as None and every other value a Fraction."""
+    return [[None if v == -inf else Fraction(v) for v in row] for row in rows]
+
+
+def times(a, b):
+    """The max-plus product of two exact row matrices."""
+    return [
+        [
+            max(
+                (x + b[t][j] for t, x in enumerate(row)
+                 if x is not None and b[t][j] is not None),
+                default=None,
+            )
+            for j in range(len(b[0]))
+        ]
+        for row in a
+    ]
+
+
+def below(a, b):
+    """Entrywise ``a <= b`` of two exact row matrices, None the least."""
+    return all(
+        x is None or (y is not None and x <= y)
+        for ra, rb in zip(a, b)
+        for x, y in zip(ra, rb)
+    )
 
 
 def certifies_consistency(p, within, backward, forward) -> bool:
@@ -28,34 +57,28 @@ def certifies_consistency(p, within, backward, forward) -> bool:
     """
     if any(v == inf for row in p for v in row):
         return False
-
-    def exact(rows):  # -inf as None, every other value a Fraction
-        return [[None if v == -inf else Fraction(v) for v in row] for row in rows]
-
-    def times(a, b):
-        return [
-            [
-                max(
-                    (x + b[t][j] for t, x in enumerate(row)
-                     if x is not None and b[t][j] is not None),
-                    default=None,
-                )
-                for j in range(len(b[0]))
-            ]
-            for row in a
-        ]
-
-    def below(a, b):
-        return all(
-            x is None or (y is not None and x <= y)
-            for ra, rb in zip(a, b)
-            for x, y in zip(ra, rb)
-        )
-
     p, within, backward, forward = map(exact, (p, within, backward, forward))
     return (
         all(row[i] is not None and row[i] >= 0 for i, row in enumerate(p))
         and below(times(p, p), p)
         and below(within, p)
         and below(times(times(backward, p), forward), p)
+    )
+
+
+def certifies_schedule(states, within, backward, forward) -> bool:
+    """True when the rows ``states``, x(1..K), are a finite schedule of the system.
+
+    The blocks are as for :func:`certifies_consistency`; each state is a
+    row of n finite values.  Each x(k) must satisfy ``within @ x(k) <=
+    x(k)``, and each consecutive pair ``backward @ x(k+1) <= x(k)`` and
+    ``forward @ x(k) <= x(k+1)``, products and order in the max-plus sense.
+    """
+    if any(len(row) != len(within) or inf in row or -inf in row for row in states):
+        return False
+    within, backward, forward = map(exact, (within, backward, forward))
+    columns = [[[v] for v in row] for row in exact(states)]
+    return all(below(times(within, x), x) for x in columns) and all(
+        below(times(backward, y), x) and below(times(forward, x), y)
+        for x, y in zip(columns, columns[1:])
     )

@@ -32,7 +32,7 @@ from maxplus import (
 from maxplus import invariance, matrix, precedence, pteg
 from maxplus.matrix import aligned, product_star
 
-from certificate import certifies_consistency
+from certificate import certifies_consistency, certifies_schedule
 from conftest import REPEAT_AT_FIVE, TWO_NODE, make_railway
 from helpers import (
     all_eps_system,
@@ -559,6 +559,59 @@ def test_consistent_verdict_certificate(system):
         mutant = [list(row) for row in rows]
         mutant[i][j] = v
         assert not certifies_consistency(mutant, *blocks)
+
+
+def check_schedule_certificate(system, horizon, seed=None) -> int:
+    """Check the schedule ``synthesize_trajectory`` returns against the checker.
+
+    The schedule passes it, and on each table made from the schedule by one
+    entry raised or lowered by 1 the checker and ``validate_trajectory``
+    agree.  An entry lowered below a tight forward constraint, where
+    ``forward @ x(k)`` meets ``x(k+1)``, fails both.  Returns the number of
+    such tight entries, or -1 for an infeasible horizon.
+    """
+    try:
+        trajectory = synthesize_trajectory(system, horizon, seed)
+    except InfeasibleHorizon:
+        return -1
+    blocks = [m.to_rows() for m in (system.within, system.backward, system.forward)]
+    rows = trajectory.states
+    assert certifies_schedule(rows, *blocks)
+    tight = {
+        (k + 1, i)
+        for k, (x, y) in enumerate(zip(rows, rows[1:]))
+        for i, weights in enumerate(blocks[2])
+        if max(w + v for w, v in zip(weights, x)) == y[i]
+    }
+    for k, i, step in itertools.product(range(horizon), range(system.size), (-1, 1)):
+        mutant = [list(row) for row in rows]
+        mutant[k][i] += step
+        verdict = certifies_schedule(mutant, *blocks)
+        assert verdict == validate_trajectory(system, Trajectory(mutant))
+        if step == -1 and (k, i) in tight:
+            assert not verdict
+    return len(tight)
+
+
+@settings(max_examples=80)
+@given(
+    st.one_of(
+        systems().map(lambda system: (system, None)),
+        fraction_systems(max_n=4),
+    ),
+    st.integers(2, 7),
+)
+@example((make_railway(-14), None), 6)
+@example((make_railway(Fraction("-14.5")), None), 6)
+@example((make_railway(-20), None), 6)
+def test_synthesized_schedule_certificate(drawn, horizon):
+    system, seed = drawn
+    check_schedule_certificate(system, horizon, seed)
+
+
+@pytest.mark.parametrize("ell", [-14, Fraction("-14.5"), -20])
+def test_railway_schedule_has_tight_forward_constraints(ell):
+    assert check_schedule_certificate(make_railway(ell), 6) > 0
 
 
 def test_certificate_checker_is_independent():
