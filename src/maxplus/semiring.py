@@ -51,10 +51,10 @@ def as_scalar(value) -> Scalar:
 def parse_scalar(text: str) -> Scalar:
     """Parse an exact decimal ("-13.999"), rational ("7/3") or infinity token.
 
-    A finite token is an optional sign, digits with an optional "." and
-    exponent ("-2.5e-3"), or ``p/q``, with no "_" or inner space on any
-    interpreter.  The exponent is at most ``default_max_str_digits`` (of
-    ``sys.int_info``) in magnitude: ``1e999999999`` is a 415 MB ``int``.
+    A finite token is a sign, digits, "." and exponent ("-2.5e-3"), all but
+    the digits optional, or a ratio ``p/q``; no interpreter reads one with
+    "_" or an inner space.  The exponent's magnitude is at most
+    ``sys.int_info.default_max_str_digits``: ``1e999999999`` is a 415 MB ``int``.
 
     A short token of ASCII digits, with an optional leading "-" and an
     optional "." between two runs of digits, is read with ``int()``; every

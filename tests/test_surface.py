@@ -8,10 +8,9 @@ in ``MEMBER_CLASSES`` is read in ``src/maxplus`` or listed in
 ``UNREAD_MEMBERS``, and every module-level ``_private`` function is read.
 The modules form layers: each imports only the modules before it in
 ``LAYERS``.  In ``cli`` only ``main`` writes stdout or stderr, and each
-option string is written once.  Only
-``matrix._texts`` writes a stored value as text.  A matrix's stored grid
-and scale, and the caches kept on it, are set only where ``MATRIX_STATE``
-allows.
+option string is written once.  Only ``matrix._texts`` writes a stored
+value as text.  A matrix's stored grid and scale, and the caches kept on
+it, are set only where ``MATRIX_STATE`` allows.
 """
 
 import ast
