@@ -109,6 +109,18 @@ SAME_BOUND = tuple(
 )
 
 
+# Ways to spell one request that argparse reads alike: an abbreviated flag,
+# values joined by "=", "--" before the file, help after it, an unknown flag.
+SHAPES = (
+    ["check", "railway.json", "--probe", "5"],
+    ["check", "railway.json", "--format=json"],
+    ["check", "railway.json", "--param=ell=-13"],
+    ["check", "--", "railway.json"],
+    ["check", "railway.json", "-h"],
+    ["check", "railway.json", "--bogus"],
+)
+
+
 def invocations() -> list[list[str]]:
     """The fixed argument lists, in a stable order."""
     systems = [("two_node.json", [])] + [
@@ -136,7 +148,7 @@ def invocations() -> list[list[str]]:
         # 2: no interior stage; 12: two-digit stage numbers
         for horizon in ("1", "2", "3", "12"):
             out.append(["graph", name, *params, "--horizon", horizon])
-    out.extend(list(argv) for argv in ERRORS + SAME_BOUND + HELP)
+    out.extend(list(argv) for argv in ERRORS + SAME_BOUND + HELP + SHAPES)
     return out
 
 
