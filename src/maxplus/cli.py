@@ -199,12 +199,13 @@ def cmd_graph(args, system: PtegSystem) -> tuple[int, str]:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; parsing leaves it unchanged.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and each subcommand's own parser by name, built once per process.
 
     One row a subcommand, its flags in order after ``file`` and ``--param``.
-    ``--param`` appends to a copy of its default list, never to the list
-    itself, so no value carries over from one :func:`main` call to the next.
+    Parsing leaves them unchanged: ``--param`` appends to a copy of its
+    default list, never to the list itself, so no value carries over from
+    one :func:`main` call to the next.
     """
     parser = argparse.ArgumentParser(
         prog="maxplus",
@@ -235,19 +236,36 @@ def _build_parser() -> argparse.ArgumentParser:
         ("trajectory", cmd_trajectory, "synthesize a finite schedule", (horizon, seed, fmt)),
         ("graph", cmd_graph, "emit the precedence graph as DOT", (horizon,)),
     )
+    commands = {}
     for name, handler, help_text, flags in rows:
-        command = sub.add_parser(name, help=help_text)
+        command = commands[name] = sub.add_parser(name, help=help_text)
         command.set_defaults(handler=handler)
         command.add_argument("file", help="problem file (JSON)")
         for flag, spec in (param, *flags):
             command.add_argument(flag, **spec)
-    return parser
+    return parser, commands
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """``argv`` parsed as the top-level parser parses it, and mostly without it.
+
+    The top-level parser hands everything after the subcommand's name to
+    that subcommand's parser, so when ``argv[0]`` names one and its parser
+    reads all the rest, that namespace is the answer.  Otherwise the
+    top-level parser runs, and writes its own usage and errors.
+    """
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else 0
     try:

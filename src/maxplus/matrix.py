@@ -19,11 +19,13 @@ Every product reads its factors' entries other than -inf from lists kept on
 each matrix (``_arcs``), so a factor used again is scanned once: the right
 factor of ``@`` (:func:`_product`, also ``base + left @ right``), the
 matrix of :func:`_apply` (times a vector of stored ``int``s, the step of
-the schedule sweeps of :mod:`maxplus.pteg`) and the three factors of
-:func:`product_star`, ``(left @ middle @ right + base).star()`` in one
-grid, the closure step of :mod:`maxplus.precedence`.  ``_close_over``
-re-closes a star over a few arcs, ``_reclose`` over those a few grown
-entries add.
+the schedule sweeps of :mod:`maxplus.pteg`) and the outer factors of
+:func:`_triple_product`, ``left @ middle @ right + base`` in one grid,
+whose middle factor is read row by row as stored: :func:`product_star`,
+the first closure step of :mod:`maxplus.precedence`, stars that grid in
+place, and the stop search's probes keep it.  ``_close_over`` re-closes a
+star over a few arcs, such as those a few grown entries add
+(``_grown_arcs``).
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _star(
 
     ``pivots`` (default: every node) are the nodes a walk may pass through;
     the caller guarantees that every best walk, and some walk around every
-    positive circuit, can be routed through them (see :func:`_reclose`).
+    positive circuit, can be routed through them (see :func:`_close_over`).
     The +inf saturation pass always runs over every node.
     """
     for k in range(len(d)) if pivots is None else pivots:
@@ -414,27 +416,31 @@ def _apply(matrix: TropicalMatrix, vector: Sequence) -> list:
     return out
 
 
-def product_star(
+def _triple_product(
     left: TropicalMatrix,
     middle: TropicalMatrix,
     right: TropicalMatrix,
     base: TropicalMatrix,
-) -> TropicalMatrix:
-    """``(left @ middle @ right + base).star()``, built in one grid.
+) -> tuple[list[list], int]:
+    """``left @ middle @ right + base`` as a grid of row lists, and its scale.
 
     Each entry of row i of ``left`` other than -inf spreads over a row of
-    ``middle``'s arcs into row i of ``left @ middle``, and each entry of
-    that over a row of ``right``'s.  Rows start as those of ``base`` and the
-    star runs in place.  The one caller passes the blocks of one system.
+    ``middle`` into row i of ``left @ middle``, and each entry of that over
+    a row of ``right``'s arcs.  Rows start as those of ``base``.  The outer
+    factors are a system's blocks or a segment's corners, read again and
+    again, so their arcs are listed once and kept; the middle factor is a
+    closure used once, so its stored rows are read as they are.
     """
     left, middle, right, base = aligned(left, middle, right, base)
-    between, right_arcs = middle._arcs(), right._arcs()
+    between, right_arcs = middle._data, right._arcs()
     width = middle.cols
     grid = []
     for arcs, out in zip(left._arcs(), map(list, base._data)):
         via = [NEG_INF] * width  # row i of left @ middle
         for s, a in arcs:
-            for t, v in between[s]:
+            for t, v in enumerate(between[s]):
+                if v == NEG_INF:
+                    continue
                 try:
                     x = a + v
                 except OverflowError:  # an int beyond float range plus +inf
@@ -452,7 +458,21 @@ def product_star(
                 if x > out[j]:
                     out[j] = x
         grid.append(out)
-    return _star(grid, base._scale)
+    return grid, base._scale
+
+
+def product_star(
+    left: TropicalMatrix,
+    middle: TropicalMatrix,
+    right: TropicalMatrix,
+    base: TropicalMatrix,
+) -> TropicalMatrix:
+    """``(left @ middle @ right + base).star()``, built in one grid.
+
+    The grid of :func:`_triple_product`, starred in place.  The one caller
+    passes the blocks of one system.
+    """
+    return _star(*_triple_product(left, middle, right, base))
 
 
 def _close_over(closed: TropicalMatrix, arcs: dict) -> TropicalMatrix:
@@ -484,20 +504,22 @@ def _close_over(closed: TropicalMatrix, arcs: dict) -> TropicalMatrix:
     return _star(d, closed._scale, sorted({s for _, s in arcs}))
 
 
-def _reclose(
+def _grown_arcs(
     closed: TropicalMatrix,
     before: TropicalMatrix,
     left: TropicalMatrix,
     right: TropicalMatrix,
-) -> TropicalMatrix:
-    """``(closed + left @ delta @ right).star()`` for a star ``closed``.
+) -> dict:
+    """The arcs of ``left @ delta @ right`` above ``closed``, ``{(head, tail): weight}``.
 
     ``delta`` holds the entries in which ``closed`` exceeds ``before``
     (-inf elsewhere).  All four share one scale, ``closed`` is free of
     +inf, and ``before <= closed``.  Each grown entry (s, t) adds the arcs
     ``left[:, s] + closed[s, t] + right[t, :]``, read from the arcs of
-    ``left``'s columns and ``right``'s rows.  Only the arcs above ``closed``
-    are kept, and ``closed`` is re-closed over them (:func:`_close_over`).
+    ``left``'s columns and ``right``'s rows; only those above their entry
+    of ``closed`` are kept, the greatest per pair.  An arc not above
+    ``closed`` changes no entry of the star, so ``(closed + left @ delta @
+    right).star()`` is ``closed`` re-closed over these (:func:`_close_over`).
     """
     c, width = closed._data, closed.cols
     sources, targets = left._column_arcs(), right._arcs()
@@ -519,4 +541,5 @@ def _reclose(
                 w = a + v
                 if w > ci[j] and w > arcs.get((i, j), NEG_INF):
                     arcs[i, j] = w
-    return _close_over(closed, arcs)
+    return arcs
+

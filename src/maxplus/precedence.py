@@ -10,15 +10,17 @@ the graph export work on the blocks alone, never on the unrolled matrix.
 The first step of a walk, ``(backward @ closure @ forward oplus within)*``,
 is one call of :func:`~maxplus.matrix.product_star`, in one grid.  The
 closures only grow, so each later step re-closes the last closure over the
-arcs that the entries it grew by add (:func:`~maxplus.matrix._reclose`): a
+arcs that the entries it grew by add (:func:`~maxplus.matrix._grown_arcs`): a
 step that adds no arc above it costs no star, and Floyd-Warshall pivots
 only over the tails of the new arcs.  Where the recurrence first stops (a
 +inf entry or a repeat) is found by :func:`_stopping_closure` in O(log k)
 compositions of boundary segments, whole stretches of the unrolling
 eliminated down to their first and last stage, once a short walk has not
-stopped; its joins and closure steps re-close known closures too.  The
-three blocks are stored at one common scale, so the recurrence runs on
-``int`` entries and never rescales an operand.
+stopped; its joins re-close known closures too.  Its probes make no
+closure step: each builds one closure and tells from the arcs a step would
+add whether the next closure repeats it.  The three blocks are stored at
+one common scale, so the recurrence runs on ``int`` entries and never
+rescales an operand.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import operator
 from collections.abc import Iterator
 
 from .matrix import DimensionMismatch, TropicalMatrix, aligned, product_star
-from .matrix import _close_over, _product, _reclose, _texts
+from .matrix import _close_over, _grown_arcs, _product, _texts, _triple_product
 from .semiring import _Record
 
 
@@ -114,10 +116,11 @@ def _next_closure(
     """Closure k+1, ``(backward @ current @ forward oplus within)*``.
 
     ``current`` is closure k; ``previous``, if given, is a closure C_i, i <
-    k (C_{k-1} in the walk, the closure a probe jumped from in the search).
+    k (C_{k-1} in the walk; on the first step after the search, the closure
+    the last probe that moved the start jumped from).
     With no ``previous``, or +inf in ``current``, the step is one call of
     :func:`~maxplus.matrix.product_star`.  Otherwise it re-closes
-    ``current`` over what it grew by (:func:`~maxplus.matrix._reclose`),
+    ``current`` over what it grew by (:func:`~maxplus.matrix._grown_arcs`),
     using C_{k+1} = (C_k oplus backward @ delta @ forward)*, where delta
     holds the entries in which C_k exceeds C_i.
 
@@ -143,7 +146,7 @@ def _next_closure(
     ``current``; a shrinking sequence is an internal error.
     """
     if previous is not None and current.rmax_valued:
-        nxt = _reclose(current, previous, system.backward, system.forward)
+        nxt = _close_over(current, _grown_arcs(current, previous, system.backward, system.forward))
     else:
         nxt = product_star(system.backward, current, system.forward, system.within)
         if nxt == current:
@@ -198,9 +201,9 @@ def _closures(
 
 # Closure steps walked before the search takes over; at least 1.  Most
 # stops come early and cost no search set-up.  On the railway (n = 4) a stop
-# up to about 90 indices past the budget costs more to search for than to
-# walk to, up to 1.7 times as much at 7-10 past it, and one from about 110
-# past it on less (BENCH_stop_search.json).  The step-count tests pin it.
+# up to about 80 indices past the budget costs more to search for than to
+# walk to, up to 1.7 times as much at 4-19 past it, and one from about 90
+# past it on less (BENCH_probe_repeat_test.json).  The step-count tests pin it.
 _WALK_BUDGET = 32
 
 
@@ -211,26 +214,45 @@ def _unit_segment(system: PtegSystem) -> tuple:
     return w, back, system.forward @ w, system.forward @ back
 
 
-def _join(a: tuple, closure: TropicalMatrix) -> tuple:
-    """``(ff, back_j, j)``: segment ``a`` joined to a stretch known by ``closure``.
+def _corner(a: tuple, closure: TropicalMatrix) -> TropicalMatrix:
+    """``j = (closure oplus a.around)*``: a stretch known by ``closure`` behind ``a``.
 
     ``closure`` is the stretch's corner at its first stage, entered from a's
-    last stage by a forward arc and left back by a backward arc.  So ``j =
-    (closure oplus a.around)*`` is the corner there, ``back_j = a.back @ j``
-    leads from there into a's first stage, and ``ff = a.ff oplus back_j @
-    a.ahead`` is the corner at a's first stage.  When the star ``closure``
-    and ``around`` are free of +inf, j re-closes ``closure`` (``_close_over``).
+    last stage by a forward arc and left back by a backward arc, so j is the
+    corner there once a is joined in front.  When the star ``closure`` and
+    ``around`` are free of +inf, j re-closes ``closure`` (``_close_over``).
     """
-    a_ff, a_back, a_ahead, a_around = a
+    a_around = a[3]
     if closure.rmax_valued and a_around.rmax_valued:
         closure, a_around = aligned(closure, a_around)
         rows = enumerate(zip(a_around._arcs(), closure._data))
         above = {(i, t): w for i, (arcs, ci) in rows for t, w in arcs if w > ci[t]}
-        j = _close_over(closure, above)
-    else:
-        j = (closure + a_around).star()
-    back_j = a_back @ j
-    return _product(back_j, a_ahead, a_ff), back_j, j
+        return _close_over(closure, above)
+    return (closure + a_around).star()
+
+
+def _join(a: tuple, closure: TropicalMatrix) -> tuple:
+    """``(ff, back_j, j)``: segment ``a`` joined to a stretch known by ``closure``.
+
+    j is the corner at the stretch's first stage (:func:`_corner`), ``back_j
+    = a.back @ j`` leads from there into a's first stage, and ``ff = a.ff
+    oplus back_j @ a.ahead`` is the corner at a's first stage.
+    """
+    j = _corner(a, closure)
+    back_j = a[1] @ j
+    return _product(back_j, a[2], a[0]), back_j, j
+
+
+def _jump(a: tuple, closure: TropicalMatrix) -> TropicalMatrix:
+    """The ff of :func:`_join` alone, ``a.ff oplus a.back @ j @ a.ahead`` in one grid.
+
+    With a = S_p and closure k this is closure k+p.  ``back_j`` is never
+    built, and j, used once, is read as stored (see
+    :func:`~maxplus.matrix._triple_product`).
+    """
+    a_ff, a_back, a_ahead, _ = a
+    grid, scale = _triple_product(a_back, _corner(a, closure), a_ahead, a_ff)
+    return TropicalMatrix._wrap(tuple(map(tuple, grid)), scale)
 
 
 def _compose(a: tuple, b: tuple) -> tuple:
@@ -264,19 +286,38 @@ def _search_start(
     The stop is the least index i with f(i), "closure i holds +inf, or
     i >= 1 and closure i repeats closure i-1", or ``last`` if that is smaller;
     there is none up to ``k``.  f is monotone: closures only grow, so +inf
-    stays, and a repeated closure is a fixed point of the recurrence, which
-    :func:`_next_closure` returns as the closure it was given (``nxt is
-    jumped``).  So the stop can be searched for.  S_p composed in front of
-    S_(k+1) has closure k+p as its ff, and only closure k, the ff of
-    S_(k+1), enters it (see :func:`_join`); one closure step on, re-closed
-    from closure k, gives closure k+p+1.  Such a probe either moves the
-    start p+1 on or shows a stop by k+p+1.  Probes with p = 1, 2, 4, ...,
-    doubling S_p as they go, bracket the stop; probes with the smaller
-    powers, largest first, then shrink the bracket, which holds at most 2p+1
-    indices past the start before a probe with p and at most p+1 after it.
-    ``previous`` is closure k'-1, the jump of the last probe that moved the
-    start (None if none did), so the walk on from k' re-closes from its
-    first step (see :func:`_next_closure`).
+    stays, and a repeated closure is a fixed point of the recurrence.  So
+    the stop can be searched for.  S_p composed in front of S_(k+1) has
+    closure k+p as its ff, and only closure k, the ff of S_(k+1), enters it
+    (see :func:`_join`).  A probe builds that closure alone (:func:`_jump`)
+    and then decides, without building closure k+p+1, whether it repeats:
+    it does exactly when no arc of ``backward @ delta @ forward`` lies
+    above closure k+p, with delta the entries in which closure k+p exceeds
+    closure k (:func:`~maxplus.matrix._grown_arcs`).
+
+    Proof.  Write C_i for closure i and M_i = backward @ C_i @ forward oplus
+    within, so C_(i+1) = M_i*.  As in :func:`_next_closure`, M_(k+p) = M_k
+    oplus backward @ delta @ forward, M_k <= C_(k+1) <= C_(k+p) as p >= 1,
+    and C_(k+p) = M_(k+p-1)* <= M_(k+p)* as the closures grow.  If no arc of
+    ``backward @ delta @ forward`` lies above C_(k+p), then M_(k+p) <=
+    C_(k+p) <= M_(k+p)*; starring all three, C_(k+p) being a star, gives
+    C_(k+p+1) = C_(k+p).  If one arc lies above it, C_(k+p+1) >= M_(k+p)
+    is at least that arc's weight there, so it differs from C_(k+p).
+
+    A probe with p either shows a stop by k+p (+inf in closure k+p) or by
+    k+p+1 (a repeat), or moves the start p on: closure k+p is free of +inf,
+    and closure k+p+1 does not repeat it, so nothing stops up to k+p.
+    Probes with p = 1, 2, 4, ..., doubling S_p as they go, bracket the stop;
+    probes with the smaller powers, largest first, then shrink the bracket,
+    which holds at most 2p+1 indices past the start before a probe with p
+    and at most p+1 after it, so the walk after the search takes at most
+    two steps.  A probe costs one re-closing of closure k over the arcs of
+    S_p's around (:func:`_corner`), one product in one grid and one
+    collection of arcs; it runs no closure step and builds no matrix but
+    closure k+p.  ``previous`` is the closure the last probe that moved the
+    start jumped from, closure k' - p for that probe's p (None if no probe
+    moved it), so the walk on from k' re-closes from its first step (see
+    :func:`_next_closure`).
     """
     powers = [_unit_segment(system)]  # S_(2^i)
     hi = last  # a stop lies by hi
@@ -286,15 +327,14 @@ def _search_start(
         # True if the start moved on, False if hi came down
         nonlocal k, closure, hi, previous
         p = 1 << i
-        jumped = _join(powers[i], closure)[0]  # closure k+p
+        jumped = _jump(powers[i], closure)  # closure k+p
         if not jumped.rmax_valued:
             hi = k + p
             return False
-        nxt = _next_closure(system, jumped, previous=closure)
-        if nxt is jumped or not nxt.rmax_valued:  # a repeat is jumped itself
-            hi = k + p + 1
+        if not _grown_arcs(jumped, closure, system.backward, system.forward):
+            hi = k + p + 1  # closure k+p+1 repeats closure k+p
             return False
-        k, closure, previous = k + p + 1, nxt, jumped
+        k, closure, previous = k + p, jumped, closure
         return True
 
     i = 0
@@ -318,8 +358,8 @@ def _stopping_closure(
     and a repeated closure is a fixed point.  The closures are walked up to
     index ``_WALK_BUDGET``; a stop beyond it is found by segment doubling
     (see :func:`_search_start`) in O(log k) probes and segment
-    compositions, each a star and a few products of n x n blocks, and at
-    most two indices are walked again, so the triple is the one the walk
+    compositions, each a re-closing and a few products of n x n blocks, and
+    at most two indices are walked again, so the triple is the one the walk
     alone returns.
     """
     closures, budget = _closures(system), _WALK_BUDGET

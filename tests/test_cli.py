@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -390,6 +391,31 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err == f"error: parameter name {name!r} would shadow a scalar token\n"
 
+    @pytest.mark.parametrize(
+        "argv, top_level",
+        [
+            (("check", RAILWAY, "--format=json", "--probe", "5"), False),
+            (("check", "--", RAILWAY), False),
+            (("check", RAILWAY, "--bogus"), True),
+            (("checks", RAILWAY), True),
+            ((), True),
+        ],
+    )
+    def test_top_level_parser_runs_only_when_needed(self, monkeypatch, argv, top_level):
+        """Only an argv the named subcommand's parser leaves unread, or none named."""
+        parser, _ = cli._build_parser()
+        calls = []
+        parse_args = parser.parse_args
+
+        def recorded(args):
+            calls.append(args)
+            return parse_args(args)
+
+        monkeypatch.setattr(parser, "parse_args", recorded)
+        with pytest.raises(SystemExit) if top_level else contextlib.nullcontext():
+            assert cli._parse(list(argv)).file == RAILWAY
+        assert calls == ([list(argv)] if top_level else [])
+
     def test_usage_error(self, capsys):
         assert main(["check"]) == 1
 
@@ -474,7 +500,7 @@ class TestFailedWrite:
     @pytest.mark.parametrize("argv", WRITING_COMMANDS)
     def test_handler_returns_its_text_unwritten(self, capsys, monkeypatch, argv):
         code, out, _ = run(capsys, *argv)
-        args = cli._build_parser().parse_args(list(argv))
+        args = cli._parse(list(argv))
         system = cli._load_system(args)
         monkeypatch.setattr(sys, "stdout", FullDisk())
         assert args.handler(args, system) == (code, out)

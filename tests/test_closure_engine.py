@@ -294,8 +294,9 @@ def test_search_returns_the_walks_stop(system):
     """With a walk budget of 1 every stop past index 1 is found by the search.
 
     A budget of 5 starts the search from closure 5.  The search hands the
-    walk a closure at most two indices before the stop, and its predecessor
-    whenever a probe moved the start.
+    walk a closure at most two indices before the stop and, whenever a
+    probe moved the start, an earlier closure: the one that probe jumped
+    from, to re-close from (any earlier closure will do).
     """
     closures = closure_sequence_full(system, 40)
     search = precedence._search_start
@@ -320,7 +321,7 @@ def test_search_returns_the_walks_stop(system):
                     assert k < expected[0] or k == last
                     assert closure == closures[k]
                     assert (previous is None) == (k == budget)
-                    assert previous is None or previous == closures[k - 1]
+                    assert previous is None or previous in closures[:k]
 
 
 @settings(max_examples=60)
@@ -358,7 +359,8 @@ def test_reclosing_join_is_the_full_star(system, stages):
     """Every closure 0-8, at the system's scale and at its own, +inf or not.
 
     The dense segment's corners are each stored at their own scale, so the
-    join's operands mix scales.
+    join's operands mix scales.  The one-corner jump of a probe is the
+    join's ff.
     """
     segment = boundary_segment_dense(system, stages)
     for closure in closure_sequence_full(system, 8):
@@ -367,6 +369,9 @@ def test_reclosing_join_is_the_full_star(system, stages):
             expected = join_full(segment, stored)
             assert joined == expected
             assert [typed(m) for m in joined] == [typed(m) for m in expected]
+            jumped = precedence._jump(segment, stored)
+            assert jumped == joined[0]
+            assert typed(jumped) == typed(joined[0])
 
 
 @settings(max_examples=60)
@@ -396,6 +401,31 @@ def test_a_repeat_is_the_closure_itself(system):
         for previous in [None, *closures[:m]]:
             nxt = precedence._next_closure(system, current, previous=previous)
             assert (nxt is current) == (nxt == current)
+
+
+@settings(max_examples=60)
+@given(st.one_of(systems(), fraction_systems().map(lambda pair: pair[0]), railways))
+@example(make_railway(-14))
+@example(make_railway(Fraction("-13.5")))
+@example(REPEAT_AT_FIVE)
+def test_repeat_test_of_a_probe(system):
+    """No grown arc above closure k exactly when closure k+1 repeats it.
+
+    A probe decides so, for closure k+p given closure k, without building
+    closure k+p+1.  Here closure k, free of +inf, is given every closure i
+    < k: the answer agrees with the full oracle and with the closure step.
+    """
+    closures = closure_sequence_full(system, 17)
+    blocks = system.backward, system.forward
+    for k, current in enumerate(closures[:-1]):
+        if not current.rmax_valued:
+            break
+        repeats = closures[k + 1] == current
+        for previous in closures[:k]:
+            grown = matrix._grown_arcs(current, previous, *blocks)
+            assert (not grown) == repeats
+            step = precedence._next_closure(system, current, previous=previous)
+            assert (step is current) == repeats
 
 
 @pytest.mark.parametrize(
@@ -432,6 +462,17 @@ def test_divergence_index_near_the_railway_boundary(count_steps, k):
     verdict = check_consistency(system, 10 ** (k + 1))
     assert verdict.first_divergent == 2 * 10**k + 1
     assert count_steps[0] <= 100
+
+
+@pytest.mark.parametrize("m, divergent", [(50, 102), (100, 201), (200, 402), (1000, 2001)])
+def test_search_makes_no_closure_step(count_steps, m, divergent):
+    """33 closure steps per stop: the walk's 32 and one after the search.
+
+    A probe tests its closure for a repeat without building the next one.
+    """
+    verdict = check_consistency(make_railway(-14 + Fraction(1, m)), 2100)
+    assert verdict.first_divergent == divergent
+    assert count_steps[0] == 33
 
 
 def synthesized_or_reason(synthesize, system, horizon, seed):
@@ -993,7 +1034,7 @@ def below(closed, lower):
 
 
 def reclosed_with_oracle(closed, before, left, right):
-    """``_reclose`` and ``(closed + left @ delta @ right).star()``."""
+    """``closed`` re-closed over its grown arcs, and ``(closed + left @ delta @ right).star()``."""
     delta = TropicalMatrix._wrap(
         tuple(
             tuple(x if x != y else NEG_INF for x, y in zip(c, b))
@@ -1002,7 +1043,8 @@ def reclosed_with_oracle(closed, before, left, right):
         closed._scale,
     )
     expected = (closed + left @ delta @ right).star()
-    return matrix._reclose(closed, before, left, right), expected
+    arcs = matrix._grown_arcs(closed, before, left, right)
+    return matrix._close_over(closed, arcs), expected
 
 
 @st.composite
@@ -1028,7 +1070,7 @@ def reclose_operands(draw):
 @settings(max_examples=150)
 @given(reclose_operands(), st.booleans())
 def test_reclose_on_any_operands(operands, outer):
-    """``_reclose`` is ``(closed + left @ delta @ right).star()``.
+    """Re-closing over the grown arcs is ``(closed + left @ delta @ right).star()``.
 
     ``delta`` holds the entries in which ``closed`` exceeds ``before``;
     with identity outer factors it is added as it is.
@@ -1100,13 +1142,13 @@ def listings(monkeypatch):
 def test_block_entries_are_listed_once(listings):
     """A walk lists each block's entries once and reuses that list every step.
 
-    The first step reads the rows of both outer blocks and of its middle
-    factor, closure 0; each later step re-closes its predecessor, reading
-    backward's columns and forward's rows.
+    The first step lists the rows of both outer blocks and reads its middle
+    factor, closure 0, used once, as stored; each later step re-closes its
+    predecessor, reading backward's columns and forward's rows.
     """
     system = make_railway(Fraction("-13.9"))
     assert len(closure_sequence(system, 20)) == 21
-    assert len(listings) == 41
+    assert len(listings) == 40
     for block in (system.backward, system.forward):
         lists = [(name, result) for matrix, name, result in listings if matrix is block]
         assert len(lists) == 20
@@ -1116,9 +1158,7 @@ def test_block_entries_are_listed_once(listings):
     kinds = [name for matrix, name, _ in listings if matrix is system.backward]
     assert kinds == ["_arcs"] + ["_column_arcs"] * 19
     assert {name for matrix, name, _ in listings if matrix is system.forward} == {"_arcs"}
-    blocks = (system.backward, system.forward)
-    (first,) = [entry for entry in listings if entry[0] not in blocks]
-    assert first[0] == system.within.star() and first[1] == "_arcs"
+    assert all(matrix in (system.backward, system.forward) for matrix, _, _ in listings)
 
 
 def test_generators_list_the_unit_segment_once(listings, monkeypatch):
@@ -1274,17 +1314,17 @@ def test_repeat_step_compares_nothing(monkeypatch, system):
 def test_railway_steps_pivot_over_one_node(step_pivots):
     """At ell = -13.99 each re-closing step adds arcs from one tail or two.
 
-    The walk's 31 re-closing steps and the first 8 probe steps (each
-    re-closes closure k+p given closure k) add arcs from one tail, the last
-    probe's step from two.  The walk after the search is handed the last
-    moving probe's jump as its predecessor, so its first step re-closes
-    too, from one tail, and its second from two.  Only the first step of
-    the whole walk is a full star.
+    The walk's 31 re-closing steps add arcs from one tail.  The probes make
+    no closure step: each tests closure k+p for a repeat by the arcs that
+    closure k+p+1 would add.  The walk after the search is handed the
+    closure the last moving probe jumped from, so its one step re-closes
+    too, from two tails.  Only the first step of the whole walk is a full
+    star.
     """
     verdict = check_consistency(make_railway(Fraction("-13.99")), 2100)
     assert verdict.first_divergent == 201
     reclosed = [passes for given, passes in step_pivots if given]
-    assert reclosed == [[1]] * 31 + [[1]] * 8 + [[2]] + [[1], [2]]
+    assert reclosed == [[1]] * 31 + [[2]]
     assert [passes for given, passes in step_pivots if not given] == [[4]]
 
 
