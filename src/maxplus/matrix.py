@@ -16,16 +16,16 @@ always an ``int``).  Text is written straight from the stored ``int``s
 (``_texts``).
 
 Every product reads its factors' entries other than -inf from lists kept on
-each matrix (``_arcs``), so a factor used again is scanned once: the right
-factor of ``@`` (:func:`_product`, also ``base + left @ right``), the
-matrix of :func:`_apply` (times a vector of stored ``int``s, the step of
-the schedule sweeps of :mod:`maxplus.pteg`) and the outer factors of
-:func:`_triple_product`, ``left @ middle @ right + base`` in one grid,
-whose middle factor is read row by row as stored: :func:`product_star`,
-the first closure step of :mod:`maxplus.precedence`, stars that grid in
-place, and the stop search's probes keep it.  ``_close_over`` re-closes a
-star over a few arcs, such as those a few grown entries add
-(``_grown_arcs``).
+each matrix (``_arcs``), so a factor used again is scanned once.  There is
+one kernel per product shape: ``@`` (:func:`_product`) lists its right
+factor, :func:`_apply` (a matrix times a vector of stored ``int``s, the
+step of the schedule sweeps of :mod:`maxplus.pteg`) its matrix, and
+:func:`_triple_product`, ``left @ middle`` and ``left @ middle @ right +
+base`` in one pass, its outer factors; its middle factor, a closure or
+corner used once, is read row by row as stored.  The closure step and the
+segment joins of :mod:`maxplus.precedence` run on that one kernel, the
+first step starring its grid in place.  ``_close_over`` re-closes a star
+over a few arcs, such as those a few grown entries add (``_grown_arcs``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 
 from .semiring import NEG_INF, POS_INF, Scalar, as_scalar, format_ratio
 
@@ -133,8 +133,8 @@ def _texts(scale: int, stored: Iterable) -> dict:
     return texts
 
 
-def _product(left, right, base=None):
-    """``left @ right``, or ``base + left @ right`` in one grid; ``@`` is this.
+def _product(left, right):
+    """``left @ right``; ``@`` is this.
 
     Entries of ``left`` other than -inf spread over rows of ``right._arcs()``.
     """
@@ -142,13 +142,11 @@ def _product(left, right, base=None):
         return NotImplemented
     if left.cols != right.rows:
         raise DimensionMismatch(f"cannot multiply {left.shape} by {right.shape}")
-    if base is not None and not left._scale == right._scale == base._scale:
-        left, right, base = aligned(left, right, base)
-    elif left._scale != right._scale:
+    if left._scale != right._scale:
         left, right = aligned(left, right)
-    rows = repeat((NEG_INF,) * right.cols) if base is None else base._data
     arcs, grid = right._arcs(), []
-    for arow, out in zip(left._data, map(list, rows)):
+    for arow in left._data:
+        out = [NEG_INF] * right.cols
         for a, brow in zip(arow, arcs):
             if a == NEG_INF:
                 continue
@@ -365,7 +363,7 @@ class TropicalMatrix:
             scale,
         )
 
-    __matmul__ = _product  # ``a @ b`` is the kernel with no base
+    __matmul__ = _product
 
     # -- path algebra ---------------------------------------------------
 
@@ -421,20 +419,21 @@ def _triple_product(
     middle: TropicalMatrix,
     right: TropicalMatrix,
     base: TropicalMatrix,
-) -> tuple[list[list], int]:
-    """``left @ middle @ right + base`` as a grid of row lists, and its scale.
+) -> tuple[list[list], list[list], int]:
+    """``(left @ middle, left @ middle @ right + base)`` as row lists, and the scale.
 
     Each entry of row i of ``left`` other than -inf spreads over a row of
     ``middle`` into row i of ``left @ middle``, and each entry of that over
-    a row of ``right``'s arcs.  Rows start as those of ``base``.  The outer
-    factors are a system's blocks or a segment's corners, read again and
-    again, so their arcs are listed once and kept; the middle factor is a
-    closure used once, so its stored rows are read as they are.
+    a row of ``right``'s arcs into row i of the sum, which starts as that of
+    ``base``.  The outer factors are a system's blocks or a segment's
+    corners, read again and again, so their arcs are listed once and kept;
+    the middle factor is a closure or corner used once, so its stored rows
+    are read as they are.
     """
     left, middle, right, base = aligned(left, middle, right, base)
     between, right_arcs = middle._data, right._arcs()
     width = middle.cols
-    grid = []
+    vias, grid = [], []
     for arcs, out in zip(left._arcs(), map(list, base._data)):
         via = [NEG_INF] * width  # row i of left @ middle
         for s, a in arcs:
@@ -457,22 +456,9 @@ def _triple_product(
                     x = POS_INF
                 if x > out[j]:
                     out[j] = x
+        vias.append(via)
         grid.append(out)
-    return grid, base._scale
-
-
-def product_star(
-    left: TropicalMatrix,
-    middle: TropicalMatrix,
-    right: TropicalMatrix,
-    base: TropicalMatrix,
-) -> TropicalMatrix:
-    """``(left @ middle @ right + base).star()``, built in one grid.
-
-    The grid of :func:`_triple_product`, starred in place.  The one caller
-    passes the blocks of one system.
-    """
-    return _star(*_triple_product(left, middle, right, base))
+    return vias, grid, base._scale
 
 
 def _close_over(closed: TropicalMatrix, arcs: dict) -> TropicalMatrix:

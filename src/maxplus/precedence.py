@@ -8,7 +8,7 @@ tridiagonal matrix over any finite horizon.  The closure recurrence of
 :func:`_closures` eliminates that matrix stage by stage, so feasibility and
 the graph export work on the blocks alone, never on the unrolled matrix.
 The first step of a walk, ``(backward @ closure @ forward oplus within)*``,
-is one call of :func:`~maxplus.matrix.product_star`, in one grid.  The
+stars the grid of one :func:`~maxplus.matrix._triple_product` in place.  The
 closures only grow, so each later step re-closes the last closure over the
 arcs that the entries it grew by add (:func:`~maxplus.matrix._grown_arcs`): a
 step that adds no arc above it costs no star, and Floyd-Warshall pivots
@@ -17,10 +17,10 @@ only over the tails of the new arcs.  Where the recurrence first stops (a
 compositions of boundary segments, whole stretches of the unrolling
 eliminated down to their first and last stage, once a short walk has not
 stopped; its joins re-close known closures too.  Its probes make no
-closure step: each builds one closure and tells from the arcs a step would
-add whether the next closure repeats it.  The three blocks are stored at
-one common scale, so the recurrence runs on ``int`` entries and never
-rescales an operand.
+closure step: each builds one closure by a join and tells from the arcs a
+step would add whether the next closure repeats it.  The three blocks are
+stored at one common scale, so the recurrence runs on ``int`` entries and
+never rescales an operand.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import itertools
 import operator
 from collections.abc import Iterator
 
-from .matrix import DimensionMismatch, TropicalMatrix, aligned, product_star
-from .matrix import _close_over, _grown_arcs, _product, _texts, _triple_product
+from .matrix import DimensionMismatch, TropicalMatrix, aligned
+from .matrix import _close_over, _grown_arcs, _star, _texts, _triple_product
 from .semiring import _Record
 
 
@@ -118,8 +118,8 @@ def _next_closure(
     ``current`` is closure k; ``previous``, if given, is a closure C_i, i <
     k (C_{k-1} in the walk; on the first step after the search, the closure
     the last probe that moved the start jumped from).
-    With no ``previous``, or +inf in ``current``, the step is one call of
-    :func:`~maxplus.matrix.product_star`.  Otherwise it re-closes
+    With no ``previous``, or +inf in ``current``, the step stars in place
+    the grid of :func:`~maxplus.matrix._triple_product`.  Otherwise it re-closes
     ``current`` over what it grew by (:func:`~maxplus.matrix._grown_arcs`),
     using C_{k+1} = (C_k oplus backward @ delta @ forward)*, where delta
     holds the entries in which C_k exceeds C_i.
@@ -137,10 +137,10 @@ def _next_closure(
     A first step could re-close too, with delta all of C_k, but then E is
     nearly dense and building C_k @ E costs more than the pivots it
     saves: on the consistency corpus that ran about 40% slower than
-    ``product_star`` (BENCH_delta_closure.json, ``first_step_ms``).
+    the full star (BENCH_delta_closure.json, ``first_step_ms``).
 
     The result is ``current`` itself exactly when closure k+1 equals closure
-    k: ``product_star``'s is compared once, and a re-closing over no arc
+    k: the full star's is compared once, and a re-closing over no arc
     returns ``current`` (an arc lifts the entry under it).  So a repeat is
     one object, tested with ``is``.  Any other result must lie above
     ``current``; a shrinking sequence is an internal error.
@@ -148,7 +148,8 @@ def _next_closure(
     if previous is not None and current.rmax_valued:
         nxt = _close_over(current, _grown_arcs(current, previous, system.backward, system.forward))
     else:
-        nxt = product_star(system.backward, current, system.forward, system.within)
+        blocks = system.backward, current, system.forward, system.within
+        nxt = _star(*_triple_product(*blocks)[1:])
         if nxt == current:
             return current
     if nxt is not current and not current <= nxt:
@@ -214,44 +215,32 @@ def _unit_segment(system: PtegSystem) -> tuple:
     return w, back, system.forward @ w, system.forward @ back
 
 
-def _corner(a: tuple, closure: TropicalMatrix) -> TropicalMatrix:
-    """``j = (closure oplus a.around)*``: a stretch known by ``closure`` behind ``a``.
+def _join(a: tuple, closure: TropicalMatrix) -> tuple:
+    """``(ff, back_j, j)``: segment ``a`` joined to a stretch known by ``closure``.
 
     ``closure`` is the stretch's corner at its first stage, entered from a's
-    last stage by a forward arc and left back by a backward arc, so j is the
-    corner there once a is joined in front.  When the star ``closure`` and
-    ``around`` are free of +inf, j re-closes ``closure`` (``_close_over``).
+    last stage by a forward arc and left back by a backward arc, so ``j =
+    (closure oplus a.around)*`` is the corner there once a is joined in
+    front; when the star ``closure`` and ``around`` are free of +inf, j
+    re-closes ``closure`` (``_close_over``).  ``back_j = a.back @ j`` leads
+    from there into a's first stage, and ``ff = a.ff oplus back_j @
+    a.ahead`` is the corner at a's first stage: both come from one
+    :func:`~maxplus.matrix._triple_product`, which reads j, used once, as
+    stored.  With a = S_p and closure k, ff is closure k+p.
     """
-    a_around = a[3]
+    a_ff, a_back, a_ahead, a_around = a
     if closure.rmax_valued and a_around.rmax_valued:
         closure, a_around = aligned(closure, a_around)
         rows = enumerate(zip(a_around._arcs(), closure._data))
         above = {(i, t): w for i, (arcs, ci) in rows for t, w in arcs if w > ci[t]}
-        return _close_over(closure, above)
-    return (closure + a_around).star()
+        j = _close_over(closure, above)
+    else:
+        j = (closure + a_around).star()
+    back_j, ff, scale = _triple_product(a_back, j, a_ahead, a_ff)
+    return _wrapped(ff, scale), _wrapped(back_j, scale), j
 
 
-def _join(a: tuple, closure: TropicalMatrix) -> tuple:
-    """``(ff, back_j, j)``: segment ``a`` joined to a stretch known by ``closure``.
-
-    j is the corner at the stretch's first stage (:func:`_corner`), ``back_j
-    = a.back @ j`` leads from there into a's first stage, and ``ff = a.ff
-    oplus back_j @ a.ahead`` is the corner at a's first stage.
-    """
-    j = _corner(a, closure)
-    back_j = a[1] @ j
-    return _product(back_j, a[2], a[0]), back_j, j
-
-
-def _jump(a: tuple, closure: TropicalMatrix) -> TropicalMatrix:
-    """The ff of :func:`_join` alone, ``a.ff oplus a.back @ j @ a.ahead`` in one grid.
-
-    With a = S_p and closure k this is closure k+p.  ``back_j`` is never
-    built, and j, used once, is read as stored (see
-    :func:`~maxplus.matrix._triple_product`).
-    """
-    a_ff, a_back, a_ahead, _ = a
-    grid, scale = _triple_product(a_back, _corner(a, closure), a_ahead, a_ff)
+def _wrapped(grid: list, scale: int) -> TropicalMatrix:
     return TropicalMatrix._wrap(tuple(map(tuple, grid)), scale)
 
 
@@ -270,12 +259,13 @@ def _compose(a: tuple, b: tuple) -> tuple:
     :func:`_join` of a and b's ff gives the ff of the result and the corner
     j at b's first stage, and the other parts split the same way: the
     corners of a star absorb each other (``fl @ ll = fl``, ``fl @ lf <=
-    ff``), +inf entries included.
+    ff``), +inf entries included.  ``b.ahead @ j`` and the around ``b.around
+    oplus b.ahead @ j @ b.back`` come from one triple product.
     """
     b_ff, b_back, b_ahead, b_around = b
     ff, back_j, j = _join(a, b_ff)
-    ahead_j = b_ahead @ j
-    return ff, back_j @ b_back, ahead_j @ a[2], _product(ahead_j, b_back, b_around)
+    ahead_j, around, scale = _triple_product(b_ahead, j, b_back, b_around)
+    return ff, back_j @ b_back, _wrapped(ahead_j, scale) @ a[2], _wrapped(around, scale)
 
 
 def _search_start(
@@ -289,8 +279,8 @@ def _search_start(
     stays, and a repeated closure is a fixed point of the recurrence.  So
     the stop can be searched for.  S_p composed in front of S_(k+1) has
     closure k+p as its ff, and only closure k, the ff of S_(k+1), enters it
-    (see :func:`_join`).  A probe builds that closure alone (:func:`_jump`)
-    and then decides, without building closure k+p+1, whether it repeats:
+    (see :func:`_join`).  A probe builds that closure by the join and then
+    decides, without building closure k+p+1, whether it repeats:
     it does exactly when no arc of ``backward @ delta @ forward`` lies
     above closure k+p, with delta the entries in which closure k+p exceeds
     closure k (:func:`~maxplus.matrix._grown_arcs`).
@@ -312,9 +302,9 @@ def _search_start(
     which holds at most 2p+1 indices past the start before a probe with p
     and at most p+1 after it, so the walk after the search takes at most
     two steps.  A probe costs one re-closing of closure k over the arcs of
-    S_p's around (:func:`_corner`), one product in one grid and one
-    collection of arcs; it runs no closure step and builds no matrix but
-    closure k+p.  ``previous`` is the closure the last probe that moved the
+    S_p's around, one triple product and one collection of arcs; it runs no
+    closure step and builds no matrix but closure k+p and the join's
+    ``back_j``.  ``previous`` is the closure the last probe that moved the
     start jumped from, closure k' - p for that probe's p (None if no probe
     moved it), so the walk on from k' re-closes from its first step (see
     :func:`_next_closure`).
@@ -327,7 +317,7 @@ def _search_start(
         # True if the start moved on, False if hi came down
         nonlocal k, closure, hi, previous
         p = 1 << i
-        jumped = _jump(powers[i], closure)  # closure k+p
+        jumped = _join(powers[i], closure)[0]  # closure k+p
         if not jumped.rmax_valued:
             hi = k + p
             return False

@@ -87,16 +87,19 @@ def format_scalar(value: Scalar) -> str:
     """Render a scalar exactly: infinity token, integer, decimal or ``p/q``.
 
     The output round-trips through :func:`parse_scalar` to the same value.
-    See :func:`format_ratio` for the finite forms and the digit limit.
+    See :func:`format_ratio` for the finite forms and the digit limit.  A
+    bool, a finite float or any other non-scalar raises TypeError.
     """
     if isinstance(value, float):  # tested first: Fraction == float is slow
         if value == NEG_INF:
             return "-inf"
         if value == POS_INF:
             return "+inf"
-    if isinstance(value, int):
+    elif isinstance(value, int) and not isinstance(value, bool):
         return format_ratio(value, 1)
-    return format_ratio(value.numerator, value.denominator)
+    elif isinstance(value, Fraction):
+        return format_ratio(value.numerator, value.denominator)
+    raise TypeError(f"cannot format {value!r} as a max-plus scalar")
 
 
 def format_ratio(num: int, den: int) -> str:

@@ -30,7 +30,7 @@ from maxplus import (
     validate_trajectory,
 )
 from maxplus import invariance, matrix, precedence, pteg
-from maxplus.matrix import aligned, product_star
+from maxplus.matrix import aligned
 
 from certificate import certifies_consistency, certifies_schedule
 from conftest import REPEAT_AT_FIVE, TWO_NODE, make_railway
@@ -41,14 +41,9 @@ from helpers import (
     closure_step_full,
     identity,
     closure_sequence_full,
-    fraction_add,
-    fraction_matmul,
-    fraction_rows,
-    fraction_star,
     fraction_systems,
     fractions,
     iterate_shrink_full,
-    normalized_rows,
     random_matrix,
     report_fields,
     shrink_generator,
@@ -181,11 +176,11 @@ def test_converged_report_assembles_one_generator(count_assembly):
     assert report.generators[-1] == report.invariant_generator
 
 
-def test_generator_costs_one_reclosing_and_three_products(monkeypatch):
+def test_generator_costs_one_reclosing_one_triple_and_one_product(monkeypatch):
     """Past S_1, each assembly is one join and one product.
 
     The join re-closes closure k over the arcs of S_1's around above it and
-    makes two products, one of them with a base; no full star runs.
+    takes ``back_j`` and ff from one triple product; no full star runs.
     """
     ops = collections.Counter()
 
@@ -200,7 +195,9 @@ def test_generator_costs_one_reclosing_and_three_products(monkeypatch):
     monkeypatch.setattr(
         TropicalMatrix, "__matmul__", counting("product", TropicalMatrix.__matmul__)
     )
-    monkeypatch.setattr(precedence, "_product", counting("product", matrix._product))
+    monkeypatch.setattr(
+        precedence, "_triple_product", counting("triple", matrix._triple_product)
+    )
     monkeypatch.setattr(
         precedence, "_close_over", counting("reclose", matrix._close_over)
     )
@@ -216,7 +213,7 @@ def test_generator_costs_one_reclosing_and_three_products(monkeypatch):
     monkeypatch.setattr(invariance, "_assemble_generator", measured)
     assert len(iterate_shrink(make_railway(Fraction("-13.9"))).generators) == 21
     assert iterate_shrink(make_railway(-14)).invariant_generator is not None
-    assert costs == [collections.Counter(reclose=1, product=3)] * 22
+    assert costs == [collections.Counter(reclose=1, triple=1, product=1)] * 22
 
 
 @pytest.mark.parametrize(
@@ -359,8 +356,7 @@ def test_reclosing_join_is_the_full_star(system, stages):
     """Every closure 0-8, at the system's scale and at its own, +inf or not.
 
     The dense segment's corners are each stored at their own scale, so the
-    join's operands mix scales.  The one-corner jump of a probe is the
-    join's ff.
+    join's operands mix scales.
     """
     segment = boundary_segment_dense(system, stages)
     for closure in closure_sequence_full(system, 8):
@@ -369,9 +365,6 @@ def test_reclosing_join_is_the_full_star(system, stages):
             expected = join_full(segment, stored)
             assert joined == expected
             assert [typed(m) for m in joined] == [typed(m) for m in expected]
-            jumped = precedence._jump(segment, stored)
-            assert jumped == joined[0]
-            assert typed(jumped) == typed(joined[0])
 
 
 @settings(max_examples=60)
@@ -1006,25 +999,6 @@ def test_closure_step_matches_the_four_operation_oracle(operands):
                 precedence._next_closure(system, current)
 
 
-@settings(max_examples=100)
-@given(
-    st.integers(1, 6).flatmap(
-        lambda n: st.tuples(*(kernel_matrix(n, -6, 4, True) for _ in range(4)))
-    )
-)
-def test_product_star_on_any_operands(operands):
-    """+inf and empty rows in every operand; positive circuits in the base.
-
-    The oracle is the plain-Fraction one: ``@`` and ``star`` share the
-    kernel's loops.
-    """
-    left, middle, right, base = map(fraction_rows, operands)
-    expected = fraction_star(
-        fraction_add(fraction_matmul(fraction_matmul(left, middle), right), base)
-    )
-    assert product_star(*operands).to_rows() == normalized_rows(expected)
-
-
 def below(closed, lower):
     """The entrywise minimum of ``closed`` and ``lower``, at ``closed``'s scale."""
     return TropicalMatrix._wrap(
@@ -1274,6 +1248,7 @@ def step_pivots(monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(matrix, "_star", counted_star)
+    monkeypatch.setattr(precedence, "_star", counted_star)  # a first step's full star
     monkeypatch.setattr(precedence, "_next_closure", counted_step)
     return steps
 
@@ -1330,20 +1305,24 @@ def test_railway_steps_pivot_over_one_node(step_pivots):
 
 @pytest.fixture
 def search_work(monkeypatch):
-    """Floyd-Warshall pivots of every pass and ``product_star`` calls."""
+    """Floyd-Warshall pivots of every pass, and full closure steps.
+
+    ``precedence`` stars only the grid of a closure step that does not
+    re-close, over every node (``pivots is None``).
+    """
     work = collections.Counter()
-    star, step = matrix._star, precedence.product_star
+    star = matrix._star
 
     def counted_star(d, scale, pivots=None):
         work["pivots"] += len(d) if pivots is None else len(pivots)
         return star(d, scale, pivots)
 
-    def counted_step(*args):
-        work["product_star"] += 1
-        return step(*args)
+    def counted_step_star(d, scale, pivots=None):
+        work["full steps"] += pivots is None
+        return counted_star(d, scale, pivots)
 
     monkeypatch.setattr(matrix, "_star", counted_star)
-    monkeypatch.setattr(precedence, "product_star", counted_step)
+    monkeypatch.setattr(precedence, "_star", counted_step_star)
     return work
 
 
@@ -1356,4 +1335,40 @@ def test_slow_divergence_pivots_over_few_nodes(search_work):
     verdict = check_consistency(make_railway(Fraction("-13.999")), 2100)
     assert verdict.first_divergent == 2001
     assert search_work["pivots"] <= 100
-    assert search_work["product_star"] == 1
+    assert search_work["full steps"] == 1
+
+
+@pytest.fixture
+def first_listings(monkeypatch):
+    """The matrices whose rows ``_arcs()`` lists for the first time."""
+    listed = []
+    arcs = TropicalMatrix._arcs
+
+    def counted(self):
+        if self._arc_rows is None:
+            listed.append(self)
+        return arcs(self)
+
+    monkeypatch.setattr(TropicalMatrix, "_arcs", counted)
+    return listed
+
+
+def test_generators_list_no_used_once_corner(first_listings):
+    """Only the unit segment is listed; each generator's fresh j is read as stored.
+
+    Listing each j as the right factor of ``a.back @ j`` would make 25.
+    """
+    report = iterate_shrink(make_railway(Fraction("-13.9")))
+    first_listings.clear()
+    assert len(report.generators) == 21
+    assert len(first_listings) == 4
+
+
+def test_search_lists_no_used_once_corner(first_listings):
+    """Joins and compositions read their corner j as stored: 36 listings, not 46.
+
+    The blocks, the segments S_(2^i) and their arounds are listed once each.
+    """
+    verdict = check_consistency(make_railway(Fraction("-13.999")), 2100)
+    assert verdict.first_divergent == 2001
+    assert len(first_listings) == 36

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -513,26 +514,46 @@ def wide_matrix(draw, rows, cols):
 
 
 @st.composite
-def rectangular_products(draw):
-    """``(a, b, base)``: n x m, m x p and n x p, each at its own scale."""
+def rectangular_pairs(draw):
+    """``(a, b)``: n x m and m x p, each at its own scale."""
     n, m, p = (draw(st.integers(1, 6)) for _ in range(3))
-    return draw(wide_matrix(n, m)), draw(wide_matrix(m, p)), draw(wide_matrix(n, p))
+    return draw(wide_matrix(n, m)), draw(wide_matrix(m, p))
 
 
-@given(rectangular_products())
+@given(rectangular_pairs())
 def test_rectangular_product_matches_fraction_oracle(operands):
-    """n x m by m x p at two scales: the kernel against the plain-Fraction product.
-
-    With a base, the same kernel adds the product to it in one grid.
-    """
-    a, b, base = operands
+    """n x m by m x p at two scales: the kernel against the plain-Fraction product."""
+    a, b = operands
     product = a @ b
     assert product.shape == (a.rows, b.cols) and stores_ints(product)
     oracle = fraction_matmul(fraction_rows(a), fraction_rows(b))
     assert product.to_rows() == normalized_rows(oracle)
-    based = matrix._product(a, b, base)
-    assert stores_ints(based)
-    assert based.to_rows() == normalized_rows(fraction_add(fraction_rows(base), oracle))
+
+
+@st.composite
+def triple_products(draw):
+    """``(left, middle, right, base)``: n x m, m x p, p x q and n x q, each at its own scale."""
+    n, m, p, q = (draw(st.integers(1, 5)) for _ in range(4))
+    shapes = ((n, m), (m, p), (p, q), (n, q))
+    return tuple(draw(wide_matrix(rows, cols)) for rows, cols in shapes)
+
+
+@given(triple_products())
+def test_triple_product_matches_fraction_oracle(operands):
+    """Both outputs, ``left @ middle`` and ``left @ middle @ right + base``.
+
+    Mixed scales, +inf and empty rows in every operand, and ``int``s beyond
+    float range, against the plain-Fraction products.
+    """
+    left, middle, right, base = operands
+    via, grid, scale = matrix._triple_product(*operands)
+    assert scale == math.lcm(*(m._scale for m in operands))
+    first = fraction_matmul(fraction_rows(left), fraction_rows(middle))
+    whole = fraction_add(fraction_matmul(first, fraction_rows(right)), fraction_rows(base))
+    for rows, oracle in ((via, first), (grid, whole)):
+        built = TropicalMatrix._wrap(tuple(map(tuple, rows)), scale)
+        assert stores_ints(built)
+        assert built.to_rows() == normalized_rows(oracle)
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,14 @@ class TestParseFormat:
     )
     def test_canonical_form(self, value, text):
         assert format_scalar(value) == text
+
+    @pytest.mark.parametrize(
+        "value", [True, False, 1.5, 0.0, float("nan"), "3", None, 1j, Decimal(3)]
+    )
+    def test_non_scalar_rejected(self, value):
+        """What ``as_scalar`` refuses has no text that ``parse_scalar`` reads back."""
+        with pytest.raises(TypeError, match="cannot format"):
+            format_scalar(value)
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
