@@ -297,11 +297,14 @@ def _search_start(
     A probe with p either shows a stop by k+p (+inf in closure k+p) or by
     k+p+1 (a repeat), or moves the start p on: closure k+p is free of +inf,
     and closure k+p+1 does not repeat it, so nothing stops up to k+p.
-    Probes with p = 1, 2, 4, ..., doubling S_p as they go, bracket the stop;
-    probes with the smaller powers, largest first, then shrink the bracket,
-    which holds at most 2p+1 indices past the start before a probe with p
-    and at most p+1 after it, so the walk after the search takes at most
-    two steps.  A probe costs one re-closing of closure k over the arcs of
+    The loop probes at level i of ``powers``, p = 2^i, when k+p < hi, a
+    stop lying by hi.  While i is the top level and each probe moves the
+    start, it brackets the stop, doubling S_p to a new top level when k+2p
+    < hi; any other probe, or k+p >= hi, steps down a level.  So the
+    smaller powers, largest first, shrink the bracket, which holds at most
+    2p+1 indices past the start before a probe with p and at most p+1
+    after it; the walk on from the return after level 0 takes at most two
+    steps.  A probe costs one re-closing of closure k over the arcs of
     S_p's around, one triple product and one collection of arcs; it runs no
     closure step and builds no matrix but closure k+p and the join's
     ``back_j``.  ``previous`` is the closure the last probe that moved the
@@ -310,32 +313,23 @@ def _search_start(
     :func:`_next_closure`).
     """
     powers = [_unit_segment(system)]  # S_(2^i)
-    hi = last  # a stop lies by hi
-    previous = None
-
-    def probe(i: int) -> bool:
-        # True if the start moved on, False if hi came down
-        nonlocal k, closure, hi, previous
+    hi, previous, i = last, None, 0  # a stop lies by hi
+    while i >= 0:
         p = 1 << i
-        jumped = _join(powers[i], closure)[0]  # closure k+p
-        if not jumped.rmax_valued:
-            hi = k + p
-            return False
-        if not _grown_arcs(jumped, closure, system.backward, system.forward):
-            hi = k + p + 1  # closure k+p+1 repeats closure k+p
-            return False
-        k, closure, previous = k + p, jumped, closure
-        return True
-
-    i = 0
-    while k + (1 << i) < hi and probe(i):
-        if k + (2 << i) < hi:
-            powers.append(_compose(powers[i], powers[i]))
-            i += 1
-    while i:
+        if k + p < hi:
+            jumped = _join(powers[i], closure)[0]  # closure k+p
+            if not jumped.rmax_valued:
+                hi = k + p
+            elif not _grown_arcs(jumped, closure, system.backward, system.forward):
+                hi = k + p + 1  # closure k+p+1 repeats closure k+p
+            else:
+                k, closure, previous = k + p, jumped, closure
+                if i == len(powers) - 1:  # bracketing: stay at the top level
+                    if k + 2 * p < hi:
+                        powers.append(_compose(powers[i], powers[i]))
+                        i += 1
+                    continue
         i -= 1
-        if k + (1 << i) < hi:
-            probe(i)
     return k, closure, previous
 
 

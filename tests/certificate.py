@@ -82,3 +82,45 @@ def certifies_schedule(states, within, backward, forward) -> bool:
         below(times(backward, y), x) and below(times(forward, x), y)
         for x, y in zip(columns, columns[1:])
     )
+
+
+def extends(blocks, x, y, stages) -> bool:
+    """True when real states x, y are the first two of a schedule of ``stages`` states.
+
+    ``blocks`` is ``(within, backward, forward)``, as for
+    :func:`certifies_schedule`, and ``stages`` is at least 2.  Each finite
+    weight w is a difference constraint of the unrolling, ``x_i(k) >=
+    x_j(l) + w``.  Stage 1 is fixed to x and stage 2 to y; longest paths
+    from them (Bellman-Ford, every later value starting at -inf) give the
+    least values the later stages can take.  The schedule fails to exist
+    when those paths raise a fixed value, or when they still rise after as
+    many rounds as there are free values: a positive cycle.  A value left
+    at -inf can be any low enough real.  A positive cycle among values no
+    path reaches has a copy through stage 1, as every stage carries the
+    same blocks, so it raises a fixed value.
+    """
+    within, backward, forward = map(exact, blocks)
+    n = len(within)
+    arcs = [
+        (k * n + i, l * n + j, w)
+        for k in range(stages)
+        for block, l in ((within, k), (backward, k + 1), (forward, k - 1))
+        if 0 <= l < stages
+        for i, row in enumerate(block)
+        for j, w in enumerate(row)
+        if w is not None
+    ]
+    value = [Fraction(v) for v in (*x, *y)] + [None] * (n * (stages - 2))
+    for _ in range(n * (stages - 2) + 1):
+        rose = False
+        for target, source, w in arcs:
+            if value[source] is None:
+                continue
+            reached = value[source] + w
+            if value[target] is None or reached > value[target]:
+                if target < 2 * n:
+                    return False
+                value[target], rose = reached, True
+        if not rose:
+            return True
+    return False

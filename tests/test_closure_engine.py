@@ -1372,3 +1372,92 @@ def test_search_lists_no_used_once_corner(first_listings):
     verdict = check_consistency(make_railway(Fraction("-13.999")), 2100)
     assert verdict.first_divergent == 2001
     assert len(first_listings) == 36
+
+
+@pytest.fixture
+def join_work(monkeypatch):
+    """Calls of ``_join`` and ``_compose``; a composition's own join counts as a join."""
+    work = collections.Counter()
+    join, compose = precedence._join, precedence._compose
+
+    def counted_join(a, closure):
+        work["joins"] += 1
+        return join(a, closure)
+
+    def counted_compose(a, b):
+        work["compositions"] += 1
+        return compose(a, b)
+
+    monkeypatch.setattr(precedence, "_join", counted_join)
+    monkeypatch.setattr(precedence, "_compose", counted_compose)
+    return work
+
+
+@pytest.mark.parametrize(
+    "ell, probe, divergent, joins, compositions",
+    [
+        ("-13.999", 2100, 2001, 31, 10),
+        ("-13.99", 2100, 201, 22, 7),
+        ("-13.99999", 300000, 200001, 52, 17),
+    ],
+)
+def test_railway_search_work(join_work, ell, probe, divergent, joins, compositions):
+    """The stop search's joins and compositions on the railway, pinned.
+
+    Each probe makes one join, and each doubling of S_p one composition,
+    which makes one more join; a change to the number of probes shows here.
+    """
+    verdict = check_consistency(make_railway(Fraction(ell)), probe)
+    assert verdict.first_divergent == divergent
+    assert join_work == {"joins": joins, "compositions": compositions}
+
+
+# NotWeaklyConsistent at closure 3; some around entries of its unit segment
+# equal closure 1's entries, which no railway around entry does.
+TIED_AROUND = PtegSystem(
+    dynamics=TropicalMatrix(
+        [
+            [NEG_INF, NEG_INF, -3, 0],
+            [1, -4, NEG_INF, -3],
+            [2, NEG_INF, 2, NEG_INF],
+            [3, -5, -4, -3],
+        ]
+    ),
+    backward=TropicalMatrix(
+        [
+            [-3, NEG_INF, -2, -3],
+            [NEG_INF, 0, NEG_INF, -1],
+            [NEG_INF] * 4,
+            [NEG_INF, NEG_INF, -4, NEG_INF],
+        ]
+    ),
+    within=TropicalMatrix(
+        [
+            [-1, NEG_INF, NEG_INF, NEG_INF],
+            [-3, NEG_INF, NEG_INF, NEG_INF],
+            [NEG_INF] * 4,
+            [0, -3, -4, NEG_INF],
+        ]
+    ),
+)
+
+
+def test_join_recloses_over_strictly_higher_arcs_only(monkeypatch):
+    """A join re-closes its closure over the around entries above it.
+
+    That is 4 arcs; the entries at or above it would be 8.
+    """
+    handed = []
+    close_over = precedence._close_over
+
+    def counted(closed, arcs):
+        handed.append(len(arcs))
+        return close_over(closed, arcs)
+
+    monkeypatch.setattr(precedence, "_close_over", counted)
+    assert check_consistency(TIED_AROUND).first_divergent == 3
+    closures = closure_sequence(TIED_AROUND, 2)
+    handed.clear()
+    ff = precedence._join(precedence._unit_segment(TIED_AROUND), closures[1])[0]
+    assert ff == closures[2]
+    assert handed == [4]

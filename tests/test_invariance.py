@@ -16,6 +16,7 @@ from maxplus import (
     maximal_invariant,
 )
 
+from certificate import exact, extends, times
 from conftest import TWO_NODE, make_railway
 from helpers import (
     all_eps_system,
@@ -284,3 +285,91 @@ class TestOneStepInvariance:
             stacked = TropicalMatrix.column(second + successor)
             assert (constraint @ stacked) <= stacked
         assert checked > 0
+
+
+def definition_misses(system, generator_rows, step, rng):
+    """``(invariance, maximality)``: candidates on which the image and its definition disagree.
+
+    ``generator_rows`` is a converged report's G, the generator of step + 1
+    and so the stage-(1, 2) corner of the star of the (step + 3)-stage
+    unrolling.  A member z, ``G @ z == z``, must start a schedule over
+    step + 6 stages; the candidates are every real column of G and three
+    random max-plus combinations of all its columns, real because a
+    finite star has a zero diagonal.  A non-member must not start one over
+    step + 3: each member with one entry moved by 1 either way, and two
+    uniform random vectors, where ``G @ z != z``.  Every product is taken
+    in Fraction arithmetic by the independent checker.
+    """
+    blocks = [m.to_rows() for m in (system.within, system.backward, system.forward)]
+    g, n = exact(generator_rows), system.size
+    columns = [[row[j] for row in g] for j in range(2 * n)]
+    members = [column for column in columns if None not in column]
+    for _ in range(3):
+        weights = [Fraction(rng.randint(-24, 24), rng.choice((1, 2, 3))) for _ in columns]
+        members.append([
+            max(w + c[i] for w, c in zip(weights, columns) if c[i] is not None)
+            for i in range(2 * n)
+        ])
+    moved = [
+        z[:i] + [z[i] + d] + z[i + 1:] for z in members for i in range(2 * n) for d in (-1, 1)
+    ]
+    moved += [[Fraction(rng.randint(-60, 60), 2) for _ in range(2 * n)] for _ in range(2)]
+    invariance = sum(not extends(blocks, z[:n], z[n:], step + 6) for z in members)
+    maximality = sum(
+        extends(blocks, z[:n], z[n:], step + 3)
+        for z in moved
+        if [v for v, in times(g, [[v] for v in z])] != z
+    )
+    return invariance, maximality
+
+
+DEFINITION_RAILWAYS = [make_railway(-14), make_railway(Fraction("-14.5")), make_railway(-20)]
+
+
+class TestAgainstDefinition:
+    """Result (i) checked against its definition by plain longest paths.
+
+    The maximal controlled-invariant set is the set of stacked pairs [x; y]
+    from which a schedule continues: ``extends`` decides that with no
+    library code, and the report's G must agree on both sides.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(systems(), fraction_systems().map(lambda drawn: drawn[0])),
+        st.integers(0, 2**32),
+    )
+    @example(DEFINITION_RAILWAYS[0], 0)
+    @example(DEFINITION_RAILWAYS[1], 0)
+    @example(DEFINITION_RAILWAYS[2], 0)
+    def test_image_is_the_set_that_continues(self, system, seed):
+        report = iterate_shrink(system)
+        rng = random.Random(seed)
+        if report.kind is InvarianceKind.CONVERGED_NON_EMPTY:
+            g = report.invariant_generator.to_rows()
+            assert definition_misses(system, g, report.step, rng) == (0, 0)
+        elif report.kind is InvarianceKind.REAL_EMPTY_AT_STEP:
+            blocks = [m.to_rows() for m in (system.within, system.backward, system.forward)]
+            for _ in range(3):
+                z = [Fraction(rng.randint(-60, 60), 2) for _ in range(2 * system.size)]
+                assert not extends(blocks, z[:system.size], z[system.size:], report.step + 2)
+
+    @pytest.mark.parametrize("system", DEFINITION_RAILWAYS)
+    @pytest.mark.parametrize(
+        "entry, d, missed", [((3, 7), 1, (False, True)), ((4, 1), -1, (True, False))]
+    )
+    def test_one_entry_off_is_caught(self, system, entry, d, missed):
+        """G with one entry off by 1 disagrees with the definition on one side.
+
+        Row 3, column 7 raised by 1 rejects, by ``G @ z != z``, a moved
+        vector that does start a schedule over step + 3 stages; row 4,
+        column 1 lowered by 1 admits a combination of columns that starts
+        none over step + 6.  Rows and columns count from 0.
+        """
+        report = iterate_shrink(system)
+        rows = [list(row) for row in report.invariant_generator.to_rows()]
+        assert definition_misses(system, rows, report.step, random.Random(0)) == (0, 0)
+        i, j = entry
+        rows[i][j] += d
+        misses = definition_misses(system, rows, report.step, random.Random(0))
+        assert tuple(map(bool, misses)) == missed
