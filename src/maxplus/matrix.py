@@ -251,7 +251,7 @@ class TropicalMatrix:
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence["TropicalMatrix"]]) -> "TropicalMatrix":
         """Assemble a matrix from a rectangular grid of blocks."""
-        if not blocks or any(len(b) != len(blocks[0]) for b in blocks):
+        if not blocks or not blocks[0] or any(len(b) != len(blocks[0]) for b in blocks):
             raise DimensionMismatch("blocks do not form a non-empty rectangular grid")
         for brow in blocks:
             heights = {b.rows for b in brow}

@@ -157,13 +157,8 @@ def _next_closure(
     return nxt
 
 
-def _closures(
-    system: PtegSystem,
-    k: int = 0,
-    current: TropicalMatrix | None = None,
-    previous: TropicalMatrix | None = None,
-) -> Iterator[tuple[int, TropicalMatrix, bool]]:
-    """Yield ``(k, closure_k, fixed)`` for k = 0, 1, 2, ... without end.
+def _closures(system: PtegSystem) -> Iterator[TropicalMatrix]:
+    """Yield closure 0, 1, 2, ... without end.
 
     Closure 0 is the star of the within block and closure k+1 the star of
     ``backward @ closure_k @ forward oplus within``: eliminating the last
@@ -179,25 +174,17 @@ def _closures(
     C_{k+1} = (C_k oplus backward @ delta @ forward)*, with delta the
     entries in which C_k exceeds C_{k-1}.
 
-    ``fixed`` is True once closure k is closure k-1, the one object
-    :func:`_next_closure` returns for a repeat.  The recurrence is
-    deterministic, so that closure is a fixed point: it is yielded for every
-    later index without being computed again.  Entries saturated to +inf do
-    not stop the sequence; callers decide when to stop.  Given ``k`` and
-    ``current``, closure k not repeating its predecessor, the sequence
-    starts there instead of at closure 0; ``previous``, if given, is a
-    closure C_i, i < k, and the first step re-closes from it too.
+    A repeat is the one object :func:`_next_closure` returns for it, so
+    callers test it with ``is``.  The recurrence is deterministic, so that
+    closure is a fixed point: from the first repeat on it is yielded for
+    every index without being computed again.  Entries saturated to +inf
+    do not stop the sequence; callers decide when to stop.
     """
-    if current is None:
-        current = system.within.star()
-    yield k, current, False
-    for k in itertools.count(k + 1):
-        nxt = _next_closure(system, current, previous=previous)
-        if nxt is current:
-            for j in itertools.count(k):
-                yield j, current, True
-        yield k, nxt, False
-        previous, current = current, nxt
+    previous, current = None, system.within.star()
+    while current is not previous:
+        yield current
+        previous, current = current, _next_closure(system, current, previous=previous)
+    yield from itertools.repeat(current)
 
 
 # Closure steps walked before the search takes over; at least 1.  Most
@@ -339,21 +326,23 @@ def _stopping_closure(
     """``(k, closure_k, fixed)`` at the first +inf, first repeat or k = ``last``.
 
     Past a +inf or a repeat nothing changes: +inf entries stay saturated
-    and a repeated closure is a fixed point.  The closures are walked up to
-    index ``_WALK_BUDGET``; a stop beyond it is found by segment doubling
-    (see :func:`_search_start`) in O(log k) probes and segment
-    compositions, each a re-closing and a few products of n x n blocks, and
-    at most two indices are walked again, so the triple is the one the walk
-    alone returns.
+    and a repeated closure is a fixed point.  One loop steps the closures
+    as :func:`_closures` does; a step that returns its input is a repeat.
+    At index ``_WALK_BUDGET`` the search (see :func:`_search_start`)
+    replaces the loop's state, finding a later stop in O(log k) probes and
+    segment compositions, each a re-closing and a few products of n x n
+    blocks, and the loop steps on at most two indices, so the triple is
+    the one the walk alone returns.  ``last`` may be ``math.inf``.
     """
-    closures, budget = _closures(system), _WALK_BUDGET
-    while True:
-        k, closure, fixed = next(closures)
-        if fixed or k == last or not closure.rmax_valued:
-            return k, closure, fixed
-        if k == budget:
-            closures = _closures(system, *_search_start(system, k, closure, last))
-            budget = None
+    k, closure, previous = 0, system.within.star(), None
+    while k != last and closure.rmax_valued:
+        if k == _WALK_BUDGET:
+            k, closure, previous = _search_start(system, k, closure, last)
+        nxt = _next_closure(system, closure, previous=previous)
+        if nxt is closure:
+            return k + 1, closure, True
+        k, closure, previous = k + 1, nxt, closure
+    return k, closure, False
 
 
 def finite_weak_feasibility(system: PtegSystem, horizon: int) -> bool:

@@ -89,8 +89,7 @@ def closure_sequence(system: PtegSystem, k_max: int) -> list[TropicalMatrix]:
     k_max = operator.index(k_max)
     if k_max < 0:
         raise ValueError("closure count must be non-negative")
-    closures = itertools.islice(_closures(system), k_max + 1)
-    return [m for _, m, _ in closures]
+    return list(itertools.islice(_closures(system), k_max + 1))
 
 
 def closure_limit(size: int, probe_bound: int | None) -> int:
@@ -238,8 +237,8 @@ def synthesize_trajectory(
         raise ValueError("seed components must be finite")
 
     walked = []
-    for _, closure, fixed in itertools.islice(_closures(system), horizon):
-        if fixed:
+    for closure in itertools.islice(_closures(system), horizon):
+        if walked and closure is walked[-1]:
             break
         if not closure.rmax_valued:
             raise InfeasibleHorizon(

@@ -85,14 +85,15 @@ def certifies_schedule(states, within, backward, forward) -> bool:
 
 
 def extends(blocks, x, y, stages) -> bool:
-    """True when real states x, y are the first two of a schedule of ``stages`` states.
+    """True when real states x and y (unless None) start a schedule of ``stages`` states.
 
     ``blocks`` is ``(within, backward, forward)``, as for
-    :func:`certifies_schedule`, and ``stages`` is at least 2.  Each finite
-    weight w is a difference constraint of the unrolling, ``x_i(k) >=
-    x_j(l) + w``.  Stage 1 is fixed to x and stage 2 to y; longest paths
-    from them (Bellman-Ford, every later value starting at -inf) give the
-    least values the later stages can take.  The schedule fails to exist
+    :func:`certifies_schedule`.  Stage 1 is fixed to x, and stage 2 to y
+    or, with y None, left free; ``stages`` is at least the number of fixed
+    stages.  Each finite weight w is a difference constraint of the
+    unrolling, ``x_i(k) >= x_j(l) + w``.  Longest paths from the fixed
+    values (Bellman-Ford, every free value starting at -inf) give the
+    least values the free stages can take.  The schedule fails to exist
     when those paths raise a fixed value, or when they still rise after as
     many rounds as there are free values: a positive cycle.  A value left
     at -inf can be any low enough real.  A positive cycle among values no
@@ -110,15 +111,17 @@ def extends(blocks, x, y, stages) -> bool:
         for j, w in enumerate(row)
         if w is not None
     ]
-    value = [Fraction(v) for v in (*x, *y)] + [None] * (n * (stages - 2))
-    for _ in range(n * (stages - 2) + 1):
+    value = [Fraction(v) for v in (*x, *(() if y is None else y))]
+    fixed = len(value)
+    value += [None] * (n * stages - fixed)
+    for _ in range(n * stages - fixed + 1):
         rose = False
         for target, source, w in arcs:
             if value[source] is None:
                 continue
             reached = value[source] + w
             if value[target] is None or reached > value[target]:
-                if target < 2 * n:
+                if target < fixed:
                     return False
                 value[target], rose = reached, True
         if not rose:

@@ -326,7 +326,7 @@ def report_fields(report: InvarianceReport):
 
 def shrink_generator(system: PtegSystem, k: int) -> TropicalMatrix:
     """Generator k of the shrinking iteration, from the library's closed form."""
-    _, closure, _ = next(itertools.islice(precedence._closures(system), k, None))
+    closure = next(itertools.islice(precedence._closures(system), k, None))
     return invariance._assemble_generator(precedence._unit_segment(system), closure)
 
 
@@ -504,7 +504,7 @@ class InvarianceReportTwin:
         count = self.step + (1 if self.invariant_generator is None else 2)
         unit = precedence._unit_segment(self.system)
         walk = itertools.islice(precedence._closures(self.system), count)
-        return tuple(invariance._assemble_generator(unit, c) for _, c, _ in walk)
+        return tuple(invariance._assemble_generator(unit, c) for c in walk)
 
 
 @_named_as(ProblemFile)

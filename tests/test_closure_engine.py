@@ -3,6 +3,7 @@
 import ast
 import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +26,7 @@ from maxplus import (
     check_consistency,
     closure_sequence,
     finite_weak_feasibility,
+    is_finite,
     iterate_shrink,
     synthesize_trajectory,
     validate_trajectory,
@@ -32,7 +34,7 @@ from maxplus import (
 from maxplus import invariance, matrix, precedence, pteg
 from maxplus.matrix import aligned
 
-from certificate import certifies_consistency, certifies_schedule
+from certificate import certifies_consistency, certifies_schedule, extends
 from conftest import REPEAT_AT_FIVE, TWO_NODE, make_railway
 from helpers import (
     all_eps_system,
@@ -449,6 +451,42 @@ def test_stop_just_past_the_walk_budget():
         assert described(stop) == described(expected)
 
 
+@settings(max_examples=60)
+@given(st.one_of(systems(), fraction_systems().map(lambda pair: pair[0])))
+@example(make_railway(Fraction("-13.9")))
+@example(make_railway(-14))
+@example(make_railway(-20))
+def test_walk_repeats_one_object(system):
+    """Closures 0-12: distinct objects up to the first repeat, then one object."""
+    walk = closure_sequence(system, 12)
+    repeat = next((k for k in range(1, 13) if walk[k] == walk[k - 1]), 13)
+    assert len({id(m) for m in walk[:repeat]}) == repeat
+    assert all(m is walk[repeat - 1] for m in walk[repeat:])
+
+
+@pytest.mark.parametrize(
+    "system, stop",
+    [
+        (make_railway(Fraction("-13.999")), (2001, False)),
+        (make_railway(Fraction("-13.99999")), (200001, False)),
+        (make_railway(Fraction("-13.9")), (21, False)),
+        (make_railway(-14), (4, True)),
+        (REPEAT_AT_FIVE, (5, True)),
+    ],
+)
+def test_stop_with_no_limit(system, stop):
+    """The search with no ``last`` stops where a limit far past the stop does.
+
+    Each system is consistent or not weakly consistent: on one that is
+    weakly consistent only, such as ``TWO_NODE``, it would not stop.
+    """
+    k, closure, fixed = precedence._stopping_closure(system, math.inf)
+    assert (k, fixed) == stop
+    assert closure.rmax_valued == fixed
+    expected = precedence._stopping_closure(system, 10**7)
+    assert described((k, closure, fixed)) == described(expected)
+
+
 @pytest.mark.parametrize("k", range(1, 11))
 def test_divergence_index_near_the_railway_boundary(count_steps, k):
     system = make_railway(-14 + Fraction(1, 10**k))
@@ -593,6 +631,36 @@ def test_consistent_verdict_certificate(system):
         mutant = [list(row) for row in rows]
         mutant[i][j] = v
         assert not certifies_consistency(mutant, *blocks)
+
+
+@settings(max_examples=100)
+@given(
+    st.one_of(systems(), fraction_systems().map(lambda drawn: drawn[0])),
+    st.integers(0, 2**32),
+)
+@example(make_railway(-14), 0)
+@example(make_railway(Fraction("-14.5")), 0)
+@example(make_railway(Fraction("-13.9")), 0)
+@example(make_railway(-20), 0)
+def test_closure_decides_which_states_extend(system, seed):
+    """A stage-1 state x extends over K stages exactly when closure K-1 @ x <= x.
+
+    That is the lemma of ``check_consistency``'s proof, checked for K =
+    1..6 by plain longest paths with stage 2 left free.  x is each real
+    column of closure K-1, which the closure maps to itself, and three
+    uniform integer vectors.
+    """
+    rng = random.Random(seed)
+    blocks = [m.to_rows() for m in (system.within, system.backward, system.forward)]
+    n = system.size
+    for stages, closure in enumerate(closure_sequence(system, 5), 1):
+        rows = closure.to_rows()
+        states = [[row[j] for row in rows] for j in range(n)]
+        states = [x for x in states if all(map(is_finite, x))]
+        states += [[rng.randint(-6, 6) for _ in range(n)] for _ in range(3)]
+        for x in states:
+            column = TropicalMatrix.column(x)
+            assert extends(blocks, x, None, stages) == (closure @ column <= column)
 
 
 def check_schedule_certificate(system, horizon, seed=None) -> int:
@@ -927,9 +995,9 @@ def test_seed_denominator_leaves_the_walk_at_the_system_scale(monkeypatch, sweep
     closures = pteg._closures
 
     def recorded(*args):
-        for step in closures(*args):
-            walked.append(step[1])
-            yield step
+        for closure in closures(*args):
+            walked.append(closure)
+            yield closure
 
     monkeypatch.setattr(pteg, "_closures", recorded)
     trajectory = synthesize_trajectory(system, 9, seed)
@@ -1214,7 +1282,7 @@ def test_reclosing_walk_matches_the_full_oracle(system):
     """
     expected = closure_sequence_full(system, 12)
     walk = itertools.islice(precedence._closures(system), 13)
-    for (_, closure, _), oracle in zip(walk, expected):
+    for closure, oracle in zip(walk, expected):
         assert closure == oracle
         assert typed(closure) == typed(oracle)
     for k in range(1, 12):

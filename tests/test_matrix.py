@@ -59,10 +59,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="at least one row and one column"):
             TropicalMatrix.epsilon(n)
 
-    @pytest.mark.parametrize("widths", [[], [1, 2], [2, 1]], ids=repr)
+    @pytest.mark.parametrize("widths", [[], [1, 2], [2, 1], [0], [0, 0]], ids=repr)
     def test_from_blocks_rejects_empty_or_ragged_grid(self, widths):
         a = TropicalMatrix([[1]])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="non-empty rectangular grid"):
             TropicalMatrix.from_blocks([[a] * width for width in widths])
 
     @pytest.mark.parametrize(
