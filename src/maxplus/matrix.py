@@ -9,11 +9,11 @@ All of these operations, and the star, are positively homogeneous: scaling
 every entry by the same s > 0 scales the result by s.  A matrix therefore
 stores its finite entries as ``int`` multiples of one private scale, the LCM
 of their denominators (``_stored``), and computes on those ``int``s, which
-is much faster than ``Fraction`` arithmetic.  Operands of two scales are
-first brought to the LCM of both.  Values are divided back only when they
-are read, into the same exact values, normalized (an integral value is
-always an ``int``).  Text is written straight from the stored ``int``s
-(``_texts``).
+is much faster than ``Fraction`` arithmetic.  The public operations bring
+operands of two scales to the LCM of both; the private kernels take one.
+Values are divided back only when read, into the same exact values,
+normalized (an integral value is always an ``int``).  Text is written
+straight from the stored ``int``s (``_texts``).
 
 Every product reads its factors' entries other than -inf from lists kept on
 each matrix (``_arcs``), so a factor used again is scanned once.  There is
@@ -422,15 +422,14 @@ def _triple_product(
 ) -> tuple[list[list], list[list], int]:
     """``(left @ middle, left @ middle @ right + base)`` as row lists, and the scale.
 
-    Each entry of row i of ``left`` other than -inf spreads over a row of
-    ``middle`` into row i of ``left @ middle``, and each entry of that over
-    a row of ``right``'s arcs into row i of the sum, which starts as that of
-    ``base``.  The outer factors are a system's blocks or a segment's
-    corners, read again and again, so their arcs are listed once and kept;
-    the middle factor is a closure or corner used once, so its stored rows
-    are read as they are.
+    All four share one scale, the one returned.  Each entry of row i of
+    ``left`` other than -inf spreads over a row of ``middle`` into row i of
+    ``left @ middle``, and each entry of that over a row of ``right``'s arcs
+    into row i of the sum, which starts as that of ``base``.  The outer
+    factors are a system's blocks or a segment's corners, read again and
+    again, so their arcs are listed once and kept; the middle factor is a
+    closure or corner used once, so its stored rows are read as they are.
     """
-    left, middle, right, base = aligned(left, middle, right, base)
     between, right_arcs = middle._data, right._arcs()
     width = middle.cols
     vias, grid = [], []

@@ -45,8 +45,8 @@ class PtegSystem(_Record):
     extra_forward`` is built on construction and is not a field, so it takes
     no part in ``==`` or ``hash``.  Construction makes the one shape and +inf
     check on ``within``, ``backward`` and ``forward``, and stores those three
-    at the LCM of their scales (see :func:`~maxplus.matrix.aligned`); their
-    values are the ones given.
+    at the LCM of their scales (:func:`~maxplus.matrix.aligned`), values
+    unchanged: the system's scale, which its closures and segments inherit.
     """
 
     dynamics: TropicalMatrix
@@ -210,14 +210,13 @@ def _join(a: tuple, closure: TropicalMatrix) -> tuple:
     (closure oplus a.around)*`` is the corner there once a is joined in
     front; when the star ``closure`` and ``around`` are free of +inf, j
     re-closes ``closure`` (``_close_over``).  ``back_j = a.back @ j`` leads
-    from there into a's first stage, and ``ff = a.ff oplus back_j @
-    a.ahead`` is the corner at a's first stage: both come from one
-    :func:`~maxplus.matrix._triple_product`, which reads j, used once, as
-    stored.  With a = S_p and closure k, ff is closure k+p.
+    from there into a's first stage, and ``ff = a.ff oplus back_j @ a.ahead``
+    is the corner at a's first stage: both come from one
+    :func:`~maxplus.matrix._triple_product`.  Every matrix here has the
+    system's scale.  With a = S_p and closure k, ff is closure k+p.
     """
     a_ff, a_back, a_ahead, a_around = a
     if closure.rmax_valued and a_around.rmax_valued:
-        closure, a_around = aligned(closure, a_around)
         rows = enumerate(zip(a_around._arcs(), closure._data))
         above = {(i, t): w for i, (arcs, ci) in rows for t, w in arcs if w > ci[t]}
         j = _close_over(closure, above)

@@ -74,13 +74,13 @@ class ProblemFile(_Record):
         LCM of all their denominators, and the four grids are built at that
         scale from the stored values, so the system's blocks start aligned.
 
-        An override must name a parameter the file declares in ``params``
-        or uses in a grid, so a misspelled name fails instead of leaving
-        the default in place; a declared parameter no grid uses is accepted.
+        No parameter may be named like a scalar.  An override must name a
+        parameter declared in ``params`` or used in a grid, so a misspelled
+        name fails; a declared parameter no grid uses is accepted.
         """
         overrides = overrides or {}
-        _reject_scalar_names(overrides)
         values = {**self.params, **overrides}
+        _reject_scalar_names(values)
         n = self.size
         if n < 1:
             raise ProblemFormatError(_SIZE_ERROR)

@@ -633,17 +633,18 @@ def instantiate_by_matrices(problem: ProblemFile, overrides: dict | None = None)
 
     Each entry goes through ``as_scalar``, each matrix takes the LCM of its
     own denominators, and ``PtegSystem`` aligns within, backward and forward
-    afterwards; dynamics and extra_forward keep their own scales.  An
-    override that is neither declared nor used in a grid is rejected first.
+    afterwards; dynamics and extra_forward keep their own scales.  A
+    parameter named like a scalar, then an override that is neither
+    declared nor used in a grid, is rejected first.
     """
     overrides = overrides or {}
-    _reject_scalar_names(overrides)
+    values = {**problem.params, **overrides}
+    _reject_scalar_names(values)
     grids = [getattr(problem, name) for name in MATRIX_FIELDS.values()]
     used = {token for grid in grids for row in grid for token in row}
     for name in overrides:
         if name not in problem.params and name not in used:
             raise ProblemFormatError(f"unknown parameter {name!r}")
-    values = {**problem.params, **overrides}
     parsed: dict = {}
 
     def entry(token: str, key: str):

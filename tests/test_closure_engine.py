@@ -327,13 +327,13 @@ def test_search_returns_the_walks_stop(system):
 @given(sparse_systems(), st.integers(1, 4), st.integers(1, 4))
 @example(make_railway(Fraction("-13.5")), 4, 4)
 def test_composed_segment_is_the_unrolled_star(system, a, b):
+    """The dense segments store each corner at its own scale; aligned at the call."""
     w = system.within.star()
     forward, backward = system.forward, system.backward
     one = (w, w @ backward, forward @ w, forward @ w @ backward)
     assert boundary_segment_dense(system, 1) == one
-    joined = precedence._compose(
-        boundary_segment_dense(system, a), boundary_segment_dense(system, b)
-    )
+    parts = aligned(*boundary_segment_dense(system, a), *boundary_segment_dense(system, b))
+    joined = precedence._compose(parts[:4], parts[4:])
     assert joined == boundary_segment_dense(system, a + b)
 
 
@@ -358,12 +358,13 @@ def test_reclosing_join_is_the_full_star(system, stages):
     """Every closure 0-8, at the system's scale and at its own, +inf or not.
 
     The dense segment's corners are each stored at their own scale, so the
-    join's operands mix scales.
+    join's operands, which it takes at one scale, are aligned at the call.
     """
     segment = boundary_segment_dense(system, stages)
     for closure in closure_sequence_full(system, 8):
         for stored in (closure, TropicalMatrix(closure.to_rows())):
-            joined = precedence._join(segment, stored)
+            *parts, one = aligned(*segment, stored)
+            joined = precedence._join(tuple(parts), one)
             expected = join_full(segment, stored)
             assert joined == expected
             assert [typed(m) for m in joined] == [typed(m) for m in expected]
@@ -1529,3 +1530,53 @@ def test_join_recloses_over_strictly_higher_arcs_only(monkeypatch):
     ff = precedence._join(precedence._unit_segment(TIED_AROUND), closures[1])[0]
     assert ff == closures[2]
     assert handed == [4]
+
+
+# The engine's kernels take every operand at the system's scale: the blocks
+# are aligned once, when the system is built, and every closure, segment and
+# generator inherits that scale.
+ENGINE_KERNELS = ("_triple_product", "_join", "_close_over", "_grown_arcs", "_next_closure")
+
+
+def handed_matrices(args):
+    """The matrices among ``args``, segments (tuples) unpacked."""
+    for arg in args:
+        if isinstance(arg, TropicalMatrix):
+            yield arg
+        elif isinstance(arg, tuple):
+            yield from handed_matrices(arg)
+
+
+@settings(max_examples=40)
+@given(fraction_systems().map(lambda pair: pair[0]), st.just(None))
+@example(make_railway(Fraction("-13.999")), 2100)  # a stop past the walk budget
+@example(make_railway(Fraction("-14.5")), None)
+@example(make_railway(Fraction("-13.9")), None)
+def test_engine_kernels_see_one_scale(system, probe_bound):
+    """Every matrix handed to a kernel, under every binding, has the system's scale."""
+    scales = set()
+
+    def recording(kernel):
+        def recorded(*args, **kwargs):
+            scales.update(m._scale for m in handed_matrices([*args, *kwargs.values()]))
+            return kernel(*args, **kwargs)
+
+        return recorded
+
+    kernels = {getattr(precedence, name): name for name in ENGINE_KERNELS}
+    with pytest.MonkeyPatch.context() as patch:
+        patched = set()
+        for module in (matrix, precedence, pteg, invariance):
+            for binding, value in list(vars(module).items()):
+                if callable(value) and value in kernels:
+                    patch.setattr(module, binding, recording(value))
+                    patched.add(kernels[value])
+        assert patched == set(ENGINE_KERNELS)
+        check_consistency(system, probe_bound)
+        iterate_shrink(system, probe_bound).generators
+        finite_weak_feasibility(system, 12)
+        try:
+            synthesize_trajectory(system, 12)
+        except InfeasibleHorizon:
+            pass
+    assert scales == {system.within._scale}

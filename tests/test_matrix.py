@@ -542,11 +542,12 @@ def triple_products(draw):
 def test_triple_product_matches_fraction_oracle(operands):
     """Both outputs, ``left @ middle`` and ``left @ middle @ right + base``.
 
-    Mixed scales, +inf and empty rows in every operand, and ``int``s beyond
+    Operands drawn at mixed scales and aligned at the call (the kernel takes
+    one scale), +inf and empty rows in every operand, and ``int``s beyond
     float range, against the plain-Fraction products.
     """
     left, middle, right, base = operands
-    via, grid, scale = matrix._triple_product(*operands)
+    via, grid, scale = matrix._triple_product(*aligned(*operands))
     assert scale == math.lcm(*(m._scale for m in operands))
     first = fraction_matmul(fraction_rows(left), fraction_rows(middle))
     whole = fraction_add(fraction_matmul(first, fraction_rows(right)), fraction_rows(base))

@@ -175,8 +175,9 @@ def test_each_distinct_token_is_parsed_once_per_call(monkeypatch):
     for _ in range(2):
         parsed.clear()
         problem.instantiate()
-        # 64 entries; "ell" is parsed as its value, "-14"
-        assert sorted(parsed) == sorted(["-14", "-inf", "0", "11", "14", "17", "9"])
+        # 64 entries; "ell" is parsed as its value, "-14", and once as a
+        # name, which must not be a scalar
+        assert sorted(parsed) == sorted(["-14", "-inf", "0", "11", "14", "17", "9", "ell"])
 
 
 TWICE_BAD = """
@@ -274,6 +275,10 @@ def changed(problem: ProblemFile, **fields) -> ProblemFile:
         (lambda p: changed(p, size=0), 'field "n" must be a positive integer'),
         (lambda p: changed(p, backward=((), ())), "matrix L must be 2 x 2"),
         (lambda p: changed(p, within=(("0",), ("0", "0"))), "matrix C must be 2 x 2"),
+        (
+            lambda p: changed(p, params={"0": "5"}),
+            "parameter name '0' would shadow a scalar token",
+        ),
     ],
 )
 def test_instantiate_checks_the_shape_of_a_built_problem(mutate, message):

@@ -9,7 +9,7 @@ in ``MEMBER_CLASSES`` is read in ``src/maxplus`` or listed in
 The modules form layers: each imports only the modules before it in
 ``LAYERS``.  In ``cli`` only ``main`` writes stdout or stderr, and each
 option string is written once.  Only ``matrix._texts`` writes a stored
-value as text.  A matrix's stored grid and scale, and the caches kept on
+value as text, and only where outside values enter are scales aligned.  A matrix's stored grid and scale, and the caches kept on
 it, are set only where ``MATRIX_STATE`` allows.
 """
 
@@ -271,6 +271,27 @@ def test_one_writer_for_stored_value_text():
                 sites[name].add((module, where))
     outside = {site for site in sites["format_ratio"] if site[0] != "semiring"}
     assert outside == sites["gcd"] == {("matrix", "_texts")}
+
+
+def test_scales_meet_only_where_outside_values_enter():
+    """Only the entry points call ``aligned``; the engine's kernels never rescale.
+
+    The public ``@`` takes any two matrices, a system aligns its blocks once,
+    and synthesis and validation align a seed or a table with them.  Every
+    closure, segment and generator inherits the system's one scale.
+    """
+    callers = {
+        (module, where)
+        for module, tree in modules().items()
+        for where, name in name_reads(tree)
+        if name == "aligned"
+    }
+    assert callers == {
+        ("matrix", "_product"),
+        ("precedence", "__init__"),
+        ("pteg", "synthesize_trajectory"),
+        ("pteg", "validate_trajectory"),
+    }
 
 
 def test_one_system_type():
