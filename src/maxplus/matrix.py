@@ -9,8 +9,9 @@ All of these operations, and the star, are positively homogeneous: scaling
 every entry by the same s > 0 scales the result by s.  A matrix therefore
 stores its finite entries as ``int`` multiples of one private scale, the LCM
 of their denominators (``_stored``), and computes on those ``int``s, which
-is much faster than ``Fraction`` arithmetic.  The public operations bring
-operands of two scales to the LCM of both; the private kernels take one.
+is much faster than ``Fraction`` arithmetic.  Values get a scale in one place,
+``_stored``, and two scales meet in one, :func:`aligned`: the public operations
+bring operands of two scales to the LCM of both there; the kernels take one.
 Values are divided back only when read, into the same exact values,
 normalized (an integral value is always an ``int``).  Text is written
 straight from the stored ``int``s (``_texts``).
@@ -94,7 +95,11 @@ def _star(
             if di[k] != NEG_INF:
                 for j in sources:
                     di[j] = POS_INF
-    return TropicalMatrix._wrap(tuple(map(tuple, d)), scale)
+    return _wrapped(d, scale)
+
+
+def _wrapped(grid: list, scale: int) -> "TropicalMatrix":
+    return TropicalMatrix._wrap(tuple(map(tuple, grid)), scale)
 
 
 def _stored(grid: tuple) -> tuple[tuple, int]:
@@ -217,24 +222,6 @@ class TropicalMatrix:
             )
         return self._arc_cols
 
-    def _grid_at(self, scale: int) -> tuple:
-        """The stored grid at ``scale``, a multiple of this matrix's scale."""
-        factor = scale // self._scale
-        if factor == 1:
-            return self._data
-        return tuple(
-            tuple(v if type(v) is float else v * factor for v in row)
-            for row in self._data
-        )
-
-    def _with(self, other: "TropicalMatrix") -> tuple[tuple, tuple, int]:
-        """Both stored grids at one scale, and that scale."""
-        scale = self._scale
-        if scale == other._scale:
-            return self._data, other._data, scale
-        scale = math.lcm(scale, other._scale)
-        return self._grid_at(scale), other._grid_at(scale), scale
-
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -253,24 +240,17 @@ class TropicalMatrix:
         """Assemble a matrix from a rectangular grid of blocks."""
         if not blocks or not blocks[0] or any(len(b) != len(blocks[0]) for b in blocks):
             raise DimensionMismatch("blocks do not form a non-empty rectangular grid")
-        for brow in blocks:
-            heights = {b.rows for b in brow}
-            if len(heights) != 1:
-                raise DimensionMismatch("blocks in one band have unequal heights")
-        for j in range(len(blocks[0])):
-            widths = {brow[j].cols for brow in blocks}
-            if len(widths) != 1:
-                raise DimensionMismatch("stacked blocks have unequal widths")
-        scale = math.lcm(*(b._scale for brow in blocks for b in brow))
+        if any(len({b.rows for b in brow}) != 1 for brow in blocks):
+            raise DimensionMismatch("blocks in one band have unequal heights")
+        if any(len({b.cols for b in stack}) != 1 for stack in zip(*blocks)):
+            raise DimensionMismatch("stacked blocks have unequal widths")
+        flat, width = aligned(*chain(*blocks)), len(blocks[0])
         grid = []
-        for brow in blocks:
-            datas = [block._grid_at(scale) for block in brow]
-            for i in range(brow[0].rows):
-                out: list[Scalar] = []
-                for data in datas:
-                    out.extend(data[i])
-                grid.append(tuple(out))
-        return cls._wrap(tuple(grid), scale)
+        for start in range(0, len(flat), width):
+            for parts in zip(*(block._data for block in flat[start : start + width])):
+                # from a list, not an iterator, a tuple gets its exact size
+                grid.append(tuple([v for part in parts for v in part]))
+        return cls._wrap(tuple(grid), flat[0]._scale)
 
     # -- basic protocol -----------------------------------------------
 
@@ -310,8 +290,9 @@ class TropicalMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TropicalMatrix):
             return NotImplemented
-        mine, theirs, _ = self._with(other)
-        return mine == theirs
+        if self._scale != other._scale:
+            self, other = aligned(self, other)
+        return self._data == other._data
 
     def __hash__(self) -> int:
         return hash(self.to_rows())
@@ -321,8 +302,9 @@ class TropicalMatrix:
             return NotImplemented
         if self.rows != other.rows or self.cols != other.cols:
             self._check_same_shape(other)
-        mine, theirs, _ = self._with(other)
-        return all(map(operator.le, chain(*mine), chain(*theirs)))
+        if self._scale != other._scale:
+            self, other = aligned(self, other)
+        return all(map(operator.le, chain(*self._data), chain(*other._data)))
 
     def text_rows(self) -> list[list[str]]:
         """The entries as :func:`~maxplus.semiring.format_scalar` writes them.
@@ -352,15 +334,16 @@ class TropicalMatrix:
         if not isinstance(other, TropicalMatrix):
             return NotImplemented
         self._check_same_shape(other)
-        mine, theirs, scale = self._with(other)
+        if self._scale != other._scale:
+            self, other = aligned(self, other)
         return TropicalMatrix._wrap(
             tuple(
                 [
                     tuple([a if a >= b else b for a, b in zip(ra, rb)])
-                    for ra, rb in zip(mine, theirs)
+                    for ra, rb in zip(self._data, other._data)
                 ]
             ),
-            scale,
+            self._scale,
         )
 
     __matmul__ = _product
@@ -385,14 +368,21 @@ class TropicalMatrix:
 def aligned(*matrices: TropicalMatrix) -> tuple[TropicalMatrix, ...]:
     """The same matrices, each stored at the LCM of all their scales.
 
-    Operations on aligned operands never rescale, so a computation that
-    reuses its operands many times aligns them once, up front.
+    The one place where two scales meet, as :func:`_stored` is the one where
+    values get one.  Operations on aligned operands never rescale, so a
+    computation that reuses its operands many times aligns them once, up front.
     """
     scale = math.lcm(*(m._scale for m in matrices))
-    return tuple(
-        m if m._scale == scale else TropicalMatrix._wrap(m._grid_at(scale), scale)
-        for m in matrices
-    )
+    out = []
+    for m in matrices:
+        factor = scale // m._scale
+        if factor != 1:
+            grid = [
+                [v if type(v) is float else v * factor for v in row] for row in m._data
+            ]
+            m = _wrapped(grid, scale)
+        out.append(m)
+    return tuple(out)
 
 
 def _apply(matrix: TropicalMatrix, vector: Sequence) -> list:

@@ -30,7 +30,7 @@ import operator
 from collections.abc import Iterator
 
 from .matrix import DimensionMismatch, TropicalMatrix, aligned
-from .matrix import _close_over, _grown_arcs, _star, _texts, _triple_product
+from .matrix import _close_over, _grown_arcs, _star, _texts, _triple_product, _wrapped
 from .semiring import _Record
 
 
@@ -224,10 +224,6 @@ def _join(a: tuple, closure: TropicalMatrix) -> tuple:
         j = (closure + a_around).star()
     back_j, ff, scale = _triple_product(a_back, j, a_ahead, a_ff)
     return _wrapped(ff, scale), _wrapped(back_j, scale), j
-
-
-def _wrapped(grid: list, scale: int) -> TropicalMatrix:
-    return TropicalMatrix._wrap(tuple(map(tuple, grid)), scale)
 
 
 def _compose(a: tuple, b: tuple) -> tuple:

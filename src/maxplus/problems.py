@@ -110,8 +110,10 @@ class ProblemFile(_Record):
 
 
 def _reject_scalar_names(names) -> None:
-    """A parameter named like a scalar would rewrite every literal entry."""
+    """A name like a scalar, or "", would rewrite literal or blank entries."""
     for name in names:
+        if not name:
+            raise ProblemFormatError("parameter name '' is empty")
         try:
             parse_scalar(name)
         except ValueError:

@@ -63,6 +63,12 @@ BROKEN_FILES = {
     "exponent.json": json.dumps(
         {"n": 1, "A": [["1e3"]], "L": [["-2e-1"]], "C": [["-inf"]], "Rtilde": [["0"]]}
     ),
+    # a parameter named "" would fill the blank cells of C
+    "empty_param.json": json.dumps(
+        {"n": 2, "A": [["0", "-inf"], ["-inf", "0"]], "L": [["-inf"] * 2] * 2,
+         "C": [["", "-inf"], ["-inf", "  "]], "Rtilde": [["-inf"] * 2] * 2,
+         "params": {"": "7"}}
+    ),
 }
 
 ERRORS = (

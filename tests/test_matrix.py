@@ -352,6 +352,31 @@ class TestScaling:
         assert str(half_twice) == str(one) and repr(half_twice) == repr(one)
         assert TropicalMatrix([["1/3"]]) != TropicalMatrix([["1/2"]])
 
+    def test_from_blocks_aligns_a_rectangular_grid(self):
+        """Bands of heights 1 and 2, stacks of widths 1, 2 and 3, scales 2, 3 and 5."""
+
+        def entry(b, c, i, j):
+            if (b + c + i + j) % 4 == 3:
+                return NEG_INF
+            return Fraction(30 * (i - j + b - c) + 1, (2, 3, 5)[(b + c) % 3])
+
+        blocks = [
+            [
+                TropicalMatrix([[entry(b, c, i, j) for j in range(width)] for i in range(height)])
+                for c, width in enumerate((1, 2, 3))
+            ]
+            for b, height in enumerate((1, 2))
+        ]
+        assert {block._scale for band in blocks for block in band} == {2, 3, 5}
+        whole = TropicalMatrix.from_blocks(blocks)
+        oracle = [
+            [v for block in band for v in fraction_rows(block)[i]]
+            for band in blocks
+            for i in range(band[0].rows)
+        ]
+        assert whole.shape == (3, 6) and whole._scale == 30 and stores_ints(whole)
+        assert whole.to_rows() == normalized_rows(oracle)
+
 
 def test_text_is_the_format_of_the_read_values():
     """Text from the stored ints is the format of each read value, also
@@ -440,6 +465,8 @@ def test_operations_store_ints_and_match_fraction_oracle(pair):
         assert stores_ints(result), name
         assert result.to_rows() == normalized_rows(oracle), name
         assert result == TropicalMatrix(oracle), name
+        if name != "star":
+            assert result._scale == math.lcm(a._scale, b._scale), name
     leq = all(x <= y for rx, ry in zip(ra, rb) for x, y in zip(rx, ry))
     assert (a <= b) == leq
     assert a <= a + b and b <= a + b

@@ -155,6 +155,16 @@ def test_param_name_cannot_shadow_scalar_token():
         parse_problem(MINIMAL).instantiate({"0": "-5"})
 
 
+def test_param_name_cannot_be_empty():
+    """A blank cell strips to "", so a parameter named "" would fill it."""
+    blank = MINIMAL.replace('"C": [["-inf"]]', '"C": [["  "]]')
+    with pytest.raises(ProblemFormatError, match="entry '' in matrix C is neither"):
+        parse_problem(blank).instantiate()
+    with pytest.raises(ProblemFormatError) as raised:
+        parse_problem(blank.replace('"Rtilde"', '"params": {"": "7"}, "Rtilde"'))
+    assert str(raised.value) == "parameter name '' is empty"
+
+
 def test_underscore_and_spaced_tokens_are_names_not_scalars():
     text = MINIMAL.replace('"Rtilde"', '"params": {"1_000": "2"}, "Rtilde"')
     with pytest.raises(ProblemFormatError, match="neither a scalar"):
@@ -279,6 +289,7 @@ def changed(problem: ProblemFile, **fields) -> ProblemFile:
             lambda p: changed(p, params={"0": "5"}),
             "parameter name '0' would shadow a scalar token",
         ),
+        (lambda p: changed(p, params={"": "7"}), "parameter name '' is empty"),
     ],
 )
 def test_instantiate_checks_the_shape_of_a_built_problem(mutate, message):

@@ -276,9 +276,10 @@ def test_one_writer_for_stored_value_text():
 def test_scales_meet_only_where_outside_values_enter():
     """Only the entry points call ``aligned``; the engine's kernels never rescale.
 
-    The public ``@`` takes any two matrices, a system aligns its blocks once,
-    and synthesis and validation align a seed or a table with them.  Every
-    closure, segment and generator inherits the system's one scale.
+    The public ``@``, ``==``, ``<=``, ``+`` and ``from_blocks`` take matrices
+    of any scales, a system aligns its blocks once, and synthesis and
+    validation align a seed or a table with them.  Every closure, segment and
+    generator inherits the system's one scale.
     """
     callers = {
         (module, where)
@@ -288,10 +289,27 @@ def test_scales_meet_only_where_outside_values_enter():
     }
     assert callers == {
         ("matrix", "_product"),
+        ("matrix", "__eq__"),
+        ("matrix", "__le__"),
+        ("matrix", "__add__"),
+        ("matrix", "from_blocks"),
         ("precedence", "__init__"),
         ("pteg", "synthesize_trajectory"),
         ("pteg", "validate_trajectory"),
     }
+
+
+def test_one_place_gives_values_a_scale_and_one_aligns_scales():
+    """``math.lcm`` is read in ``_stored``, which stores values at the LCM of
+    their denominators, and in ``aligned``, which brings matrices to the LCM
+    of their scales; nowhere else."""
+    sites = {
+        (module, where)
+        for module, tree in modules().items()
+        for where, name in name_reads(tree)
+        if name == "lcm"
+    }
+    assert sites == {("matrix", "_stored"), ("matrix", "aligned")}
 
 
 def test_one_system_type():
