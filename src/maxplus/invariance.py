@@ -8,8 +8,9 @@ inside as well.  The maximal controlled-invariant subsemimodule is obtained
 by iterating a one-step shrinking operation; each iterate is the image of a
 star matrix, and the iteration either stabilizes, or empties out of real
 vectors, or keeps shrinking forever.  Generator k is built from closure k
-alone, by the join (:func:`~maxplus.precedence._join`) of the one-stage
-segment to it, the step the stop search of the closure walk also takes.
+alone, as the star of one two-stage block grid whose second diagonal block
+is closure k (:func:`_assemble_generator`); the stop search's segments take
+no part.
 """
 
 from __future__ import annotations
@@ -17,31 +18,27 @@ from __future__ import annotations
 from enum import Enum
 from functools import cached_property
 
-from .matrix import TropicalMatrix
-from .precedence import PtegSystem, _join, _unit_segment
+from .matrix import TropicalMatrix, _star
+from .precedence import PtegSystem
 from .pteg import _stop, closure_sequence
 from .semiring import _Record
 
 
-def _assemble_generator(unit: tuple, closure_k: TropicalMatrix) -> TropicalMatrix:
-    """Generator k ``[[ff, back_j], [j @ forward @ W*, j]]`` from closure k alone.
+def _assemble_generator(system: PtegSystem, closure_k: TropicalMatrix) -> TropicalMatrix:
+    """Generator k, ``[[within, backward], [forward, closure_k]]*``, starred in place.
 
-    ``(ff, back_j, j)`` is the join of ``unit``, S_1, to closure k.  Proof:
-    generator k is the stage-(1, 2) corner of the star of the (k+2)-stage
-    unrolling.  Split that into stage 1 and the (k+1)-stage stretch after
-    it, whose first-stage corner is closure k.  A walk from stage 2 back to
-    stage 2 stays in the stretch or makes excursions forward @ W* @
-    backward into stage 1: j.  A walk from stage 2 to stage 1 ends after
-    its last crossing: W* @ backward @ j = back_j.  A walk from stage 1 to
-    stage 2 starts with its first crossing: j @ forward @ W*.  A walk from
-    stage 1 to stage 1 is W* oplus back_j @ forward @ W* = ff = C_(k+1).
-    The closed form [[C_(k+1), C_(k+1) @ backward @ A], [A @ forward @
-    C_(k+1), A]], A = (C_k oplus (forward @ W* @ backward oplus W)*)*,
-    agrees: A = j because C_k >= W*, and C_(k+1) @ backward @ j = back_j
-    because j absorbs j @ forward @ W* @ backward @ j.
+    Proof: generator k is the stage-(1, 2) corner of the star of the
+    (k+2)-stage unrolling.  Eliminating stages 3..k+2 leaves the two-stage
+    grid ``[[W, B], [F, W oplus B @ C_(k-1) @ F]]`` (W, B, F the within,
+    backward and forward blocks; stage 2's block is W alone for k = 0), and
+    its star is that corner.  A diagonal block enters a star only through
+    its own star: ``(X oplus D)* = (X oplus D*)*``, as D <= D* <= (X oplus
+    D)*.  Stage 2's block has star C_k, so it may be replaced by closure k,
+    +inf entries included.  The four grids share the system's scale.
     """
-    ff, back_j, j = _join(unit, closure_k)
-    return TropicalMatrix.from_blocks([[ff, back_j], [j @ unit[2], j]])
+    bands = (system.within, system.backward), (system.forward, closure_k)
+    grid = [[*a, *b] for left, right in bands for a, b in zip(left._data, right._data)]
+    return _star(grid, system.within._scale)
 
 
 class InvarianceKind(Enum):
@@ -91,9 +88,8 @@ class InvarianceReport(_Record):
         closures (2001 for the railway at ell = -13.999) on every report.
         """
         count = self.step + (1 if self.invariant_generator is None else 2)
-        unit = _unit_segment(self.system)
         closures = closure_sequence(self.system, count - 1)
-        return tuple(_assemble_generator(unit, closure) for closure in closures)
+        return tuple(_assemble_generator(self.system, closure) for closure in closures)
 
 
 def iterate_shrink(
@@ -110,9 +106,10 @@ def iterate_shrink(
     200000 in milliseconds.
 
     Only a converged report assembles a generator, the stabilized one.
-    Generator k reads closure k only; its top-left block is closure k+1, as
-    the join computes it (see :func:`_assemble_generator`), so +inf there is
-    +inf in generator k.  Conversely a +inf in generator k comes from a
+    Generator k reads closure k only; its top-left block is the stage-1
+    corner of the (k+2)-stage unrolling's star, closure k+1 (see
+    :func:`~maxplus.precedence._closures`), so +inf there is +inf in
+    generator k.  Conversely a +inf in generator k comes from a
     positive circuit of the (k+2)-stage unrolling, which moved down to stage
     1 makes closure k+1 +inf (see
     :func:`~maxplus.precedence.finite_weak_feasibility`).  A first +inf at
@@ -122,7 +119,7 @@ def iterate_shrink(
     """
     j, closure, fixed, limit = _stop(system, probe_bound)
     if fixed:
-        stable = _assemble_generator(_unit_segment(system), closure)
+        stable = _assemble_generator(system, closure)
         return InvarianceReport(
             InvarianceKind.CONVERGED_NON_EMPTY, max(j, 2) - 2, system, stable
         )

@@ -327,7 +327,7 @@ def report_fields(report: InvarianceReport):
 def shrink_generator(system: PtegSystem, k: int) -> TropicalMatrix:
     """Generator k of the shrinking iteration, from the library's closed form."""
     closure = next(itertools.islice(precedence._closures(system), k, None))
-    return invariance._assemble_generator(precedence._unit_segment(system), closure)
+    return invariance._assemble_generator(system, closure)
 
 
 def shrink_generator_unrolled(system: PtegSystem, k: int) -> TropicalMatrix:
@@ -502,9 +502,8 @@ class InvarianceReportTwin:
     @cached_property
     def generators(self):
         count = self.step + (1 if self.invariant_generator is None else 2)
-        unit = precedence._unit_segment(self.system)
         walk = itertools.islice(precedence._closures(self.system), count)
-        return tuple(invariance._assemble_generator(unit, c) for c in walk)
+        return tuple(invariance._assemble_generator(self.system, c) for c in walk)
 
 
 @_named_as(ProblemFile)

@@ -178,11 +178,11 @@ def test_converged_report_assembles_one_generator(count_assembly):
     assert report.generators[-1] == report.invariant_generator
 
 
-def test_generator_costs_one_reclosing_one_triple_and_one_product(monkeypatch):
-    """Past S_1, each assembly is one join and one product.
+def test_generator_costs_one_star_of_the_two_stage_grid(monkeypatch):
+    """Each assembly stars one 2n x 2n grid in place and runs nothing else.
 
-    The join re-closes closure k over the arcs of S_1's around above it and
-    takes ``back_j`` and ff from one triple product; no full star runs.
+    No product, triple product, re-closing or segment join: the within,
+    backward and forward blocks and closure k are read as stored.
     """
     ops = collections.Counter()
 
@@ -193,16 +193,22 @@ def test_generator_costs_one_reclosing_one_triple_and_one_product(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(TropicalMatrix, "star", counting("star", TropicalMatrix.star))
-    monkeypatch.setattr(
-        TropicalMatrix, "__matmul__", counting("product", TropicalMatrix.__matmul__)
-    )
-    monkeypatch.setattr(
-        precedence, "_triple_product", counting("triple", matrix._triple_product)
-    )
-    monkeypatch.setattr(
-        precedence, "_close_over", counting("reclose", matrix._close_over)
-    )
+    def sized_star(d, scale, pivots=None):
+        ops["_star", len(d)] += 1
+        return star(d, scale, pivots)
+
+    star = matrix._star
+    for module in (matrix, precedence, invariance):
+        monkeypatch.setattr(module, "_star", sized_star)
+    for name in ("_triple_product", "_close_over", "_join"):
+        function = getattr(precedence, name)
+        for module in (matrix, precedence, invariance):
+            if getattr(module, name, None) is function:
+                monkeypatch.setattr(module, name, counting(name, function))
+    for name in ("star", "__matmul__"):
+        monkeypatch.setattr(
+            TropicalMatrix, name, counting(name, getattr(TropicalMatrix, name))
+        )
     costs = []
     assemble = invariance._assemble_generator
 
@@ -215,7 +221,7 @@ def test_generator_costs_one_reclosing_one_triple_and_one_product(monkeypatch):
     monkeypatch.setattr(invariance, "_assemble_generator", measured)
     assert len(iterate_shrink(make_railway(Fraction("-13.9"))).generators) == 21
     assert iterate_shrink(make_railway(-14)).invariant_generator is not None
-    assert costs == [collections.Counter(reclose=1, triple=1, product=1)] * 22
+    assert costs == [collections.Counter({("_star", 8): 1})] * 22
 
 
 @pytest.mark.parametrize(
@@ -1204,27 +1210,20 @@ def test_block_entries_are_listed_once(listings):
     assert all(matrix in (system.backward, system.forward) for matrix, _, _ in listings)
 
 
-def test_generators_list_the_unit_segment_once(listings, monkeypatch):
-    """Each generator reads ``unit[2]`` as the right factor of two products.
+def test_generators_list_nothing_beyond_their_walk(listings):
+    """The assemblies read the blocks and the closures as stored.
 
-    The railway at ell = -13.9 empties at step 20: 21 generators, one
-    segment, and one list of its entries read 42 times.
+    The railway at ell = -13.9 empties at step 20: 21 generators read
+    closures 0 to 20, and the walk to them lists backward and forward 40
+    times, as in :func:`test_block_entries_are_listed_once`; the
+    assemblies add no listing.
     """
-    units = []
-    unit_segment = precedence._unit_segment
-
-    def kept(system):
-        units.append(unit_segment(system))
-        return units[-1]
-
-    monkeypatch.setattr(invariance, "_unit_segment", kept)
-    report = iterate_shrink(make_railway(Fraction("-13.9")))
+    system = make_railway(Fraction("-13.9"))
+    report = iterate_shrink(system)
     del listings[:]
     assert len(report.generators) == 21
-    ahead = units[-1][2]
-    lists = [result for matrix, _, result in listings if matrix is ahead]
-    assert len(units) == 1 and len(lists) == 42
-    assert all(result is lists[0] for result in lists)
+    assert len(listings) == 40
+    assert all(matrix in (system.backward, system.forward) for matrix, _, _ in listings)
 
 
 # The re-closing walk: after its first step, each closure step is handed its
@@ -1422,15 +1421,16 @@ def first_listings(monkeypatch):
     return listed
 
 
-def test_generators_list_no_used_once_corner(first_listings):
-    """Only the unit segment is listed; each generator's fresh j is read as stored.
+def test_generators_make_no_first_listing(first_listings):
+    """Listing the generators lists no matrix for the first time.
 
-    Listing each j as the right factor of ``a.back @ j`` would make 25.
+    The classifying walk has listed the blocks already; each generator's
+    grid is built from stored rows.  Assembling from the unit segment made 4.
     """
     report = iterate_shrink(make_railway(Fraction("-13.9")))
     first_listings.clear()
     assert len(report.generators) == 21
-    assert len(first_listings) == 4
+    assert first_listings == []
 
 
 def test_search_lists_no_used_once_corner(first_listings):

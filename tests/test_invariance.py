@@ -9,6 +9,7 @@ from maxplus import (
     NEG_INF,
     ConsistencyKind,
     InvarianceKind,
+    PtegSystem,
     TropicalMatrix,
     check_consistency,
     closure_sequence,
@@ -44,6 +45,34 @@ PAIRING = {
     InvarianceKind.REAL_EMPTY_AT_STEP: ConsistencyKind.NOT_WEAKLY_CONSISTENT,
     InvarianceKind.NON_CONVERGENT_WEAK_OPEN: ConsistencyKind.NOT_CONSISTENT_WEAK_OPEN,
 }
+
+
+def windowed_system(rng, n, density, denominator, backward):
+    """A system signed like :func:`helpers.systems`, entries multiples of 1/denominator.
+
+    Each entry is finite with probability ``density``; backward entries lie
+    in the interval ``backward``.
+    """
+
+    def block(lo, hi):
+        return TropicalMatrix(
+            [
+                [
+                    Fraction(rng.randint(lo * denominator, hi * denominator), denominator)
+                    if rng.random() < density
+                    else NEG_INF
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+        )
+
+    return PtegSystem(
+        dynamics=block(0, 5),
+        backward=block(*backward),
+        within=block(-5, 0),
+        extra_forward=block(-2, 3),
+    )
 
 
 def two_node_generator_expected(k):
@@ -113,6 +142,34 @@ class TestShrinkGenerator:
         if report.kind is InvarianceKind.CONVERGED_NON_EMPTY:
             expected = shrink_generator_unrolled(system, report.step + 1)
             assert report.invariant_generator == expected
+
+    @pytest.mark.parametrize(
+        "n, denominator, backward, finite",
+        [
+            (12, 1, (-12, -4), True),
+            (16, 1, (-14, -6), True),
+            (16, 7, (-14, -6), True),
+            (12, 1, (-8, 0), False),
+        ],
+    )
+    def test_dense_systems_match_unrolled_oracle(self, n, denominator, backward, finite):
+        """Seeded systems at density 0.3, whose generators are fully dense.
+
+        The drawn property above stays at small n, where the 2n x 2n grid is
+        sparse.  Backward arcs drawn in ``backward`` keep closures 0 to 4
+        finite or, in the last case, put +inf into closure 1 but not 0.
+        """
+        system = windowed_system(random.Random(3505), n, 0.3, denominator, backward)
+        closures = closure_sequence(system, 4)
+        assert system.within._scale == denominator
+        if finite:
+            assert closures[4].rmax_valued
+        else:
+            assert closures[0].rmax_valued and not closures[1].rmax_valued
+        for k in range(4):
+            generator = shrink_generator(system, k)
+            assert generator == shrink_generator_unrolled(system, k)
+            assert generator.rmax_valued is closures[k + 1].rmax_valued
 
     def test_railway_divergence_shows_in_generator(self, railway):
         system = railway(-13)

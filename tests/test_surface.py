@@ -299,6 +299,24 @@ def test_scales_meet_only_where_outside_values_enter():
     }
 
 
+# The stop search's own names; generators are built without them, so the
+# search can be reworked without moving a generator.
+STOP_SEARCH = {"_join", "_compose", "_unit_segment", "_search_start", "_WALK_BUDGET"}
+
+
+def test_invariance_reads_none_of_the_stop_search():
+    """``invariance`` neither imports nor reads the stop search's names."""
+    tree = modules()["invariance"]
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    read = {name for _, name in name_reads(tree)}
+    assert STOP_SEARCH.isdisjoint(imported | read)
+
+
 def test_one_place_gives_values_a_scale_and_one_aligns_scales():
     """``math.lcm`` is read in ``_stored``, which stores values at the LCM of
     their denominators, and in ``aligned``, which brings matrices to the LCM
