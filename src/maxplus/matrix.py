@@ -12,6 +12,8 @@ of their denominators (``_stored``), and computes on those ``int``s, which
 is much faster than ``Fraction`` arithmetic.  Values get a scale in one place,
 ``_stored``, and two scales meet in one, :func:`aligned`: the public operations
 bring operands of two scales to the LCM of both there; the kernels take one.
+A matrix is made in one, ``TropicalMatrix._wrap``, from a grid already
+stored: the public constructor checks and stores its rows, then hands over.
 Values are divided back only when read, into the same exact values,
 normalized (an integral value is always an ``int``).  Text is written
 straight from the stored ``int``s (``_texts``).
@@ -171,23 +173,18 @@ class TropicalMatrix:
 
     __slots__ = ("rows", "cols", "_data", "_scale", "_finite", "_arc_rows", "_arc_cols")
 
-    def __init__(self, data: Iterable[Iterable]):
+    def __new__(cls, data: Iterable[Iterable]) -> "TropicalMatrix":
         grid = tuple(tuple(as_scalar(v) for v in row) for row in data)
         if not grid or not grid[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(grid[0])
         if any(len(row) != width for row in grid):
             raise ValueError("rows have unequal lengths")
-        grid, scale = _stored(grid)
-        self._data = grid
-        self._scale = scale
-        self._finite = self._arc_rows = self._arc_cols = None
-        self.rows = len(grid)
-        self.cols = width
+        return cls._wrap(*_stored(grid))
 
     @classmethod
     def _wrap(cls, grid: tuple, scale: int) -> "TropicalMatrix":
-        # fast path for internally produced grids: ``int``s times ``scale``
+        # the one place a matrix is made: a grid of stored values at ``scale``
         self = object.__new__(cls)
         self._data = grid
         self._scale = scale

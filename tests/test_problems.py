@@ -238,14 +238,15 @@ def test_instantiate_matches_the_four_matrix_route(drawn):
 
 
 def test_instantiate_builds_the_blocks_aligned(monkeypatch):
-    """No TropicalMatrix.__init__, as_scalar only per distinct Fraction-route
-    token, and PtegSystem's alignment hands back the blocks it was given."""
+    """No public TropicalMatrix construction, as_scalar only per distinct
+    Fraction-route token, and PtegSystem's alignment hands back the blocks
+    it was given."""
     text = TWICE_BAD.replace("PARAMS", '"params": {"delay": "7/3"}')
     problem = parse_problem(text)
     as_scalar, real_aligned = semiring.as_scalar, precedence.aligned
 
-    def no_init(self, data):
-        raise AssertionError("instantiate built a TropicalMatrix through __init__")
+    def no_new(cls, data):
+        raise AssertionError("instantiate built a TropicalMatrix through its constructor")
 
     coerced = []
 
@@ -260,7 +261,7 @@ def test_instantiate_builds_the_blocks_aligned(monkeypatch):
         aligned.append((blocks, out))
         return out
 
-    monkeypatch.setattr(TropicalMatrix, "__init__", no_init)
+    monkeypatch.setattr(TropicalMatrix, "__new__", no_new)
     monkeypatch.setattr(semiring, "as_scalar", counted)
     monkeypatch.setattr(matrix, "as_scalar", counted)
     monkeypatch.setattr(precedence, "aligned", spied)

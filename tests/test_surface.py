@@ -9,8 +9,9 @@ in ``MEMBER_CLASSES`` is read in ``src/maxplus`` or listed in
 The modules form layers: each imports only the modules before it in
 ``LAYERS``.  In ``cli`` only ``main`` writes stdout or stderr, and each
 option string is written once.  Only ``matrix._texts`` writes a stored
-value as text, and only where outside values enter are scales aligned.  A matrix's stored grid and scale, and the caches kept on
-it, are set only where ``MATRIX_STATE`` allows.
+value as text, and only where outside values enter are scales aligned.  A
+matrix's shape, stored grid and scale, and the caches kept on it, are set
+only where ``MATRIX_STATE`` allows.
 """
 
 import ast
@@ -354,16 +355,19 @@ def test_import_loads_no_introspection_modules():
     assert START_UP_EXCLUDED.isdisjoint(loaded)
 
 
-# Where each slot of a TropicalMatrix may be assigned.  The two constructors
-# set the grid and the scale and mark each cache unknown; only the reader
-# that fills a cache assigns it besides.  A matrix never changes after
-# that, so its kept +inf flag and arc lists cannot go stale.
+# Where each slot of a TropicalMatrix may be assigned.  Every matrix is made
+# by ``_wrap``, the public constructor included: it sets the grid, the
+# scale and the shape and marks each cache unknown; only the reader that
+# fills a cache assigns it besides.  A matrix never changes after that, so
+# its kept +inf flag and arc lists cannot go stale.
 MATRIX_STATE = {
-    "_data": {"__init__", "_wrap"},
-    "_scale": {"__init__", "_wrap"},
-    "_finite": {"__init__", "_wrap", "rmax_valued"},
-    "_arc_rows": {"__init__", "_wrap", "_arcs"},
-    "_arc_cols": {"__init__", "_wrap", "_column_arcs"},
+    "rows": {"_wrap"},
+    "cols": {"_wrap"},
+    "_data": {"_wrap"},
+    "_scale": {"_wrap"},
+    "_finite": {"_wrap", "rmax_valued"},
+    "_arc_rows": {"_wrap", "_arcs"},
+    "_arc_cols": {"_wrap", "_column_arcs"},
 }
 
 
@@ -395,3 +399,5 @@ def test_matrix_state_is_set_only_where_it_is_kept():
         stores |= attribute_stores(tree)
     for attr, allowed in MATRIX_STATE.items():
         assert {where for where, name in stores if name == attr} == allowed, attr
+    # the public constructor checks and hands over in __new__; no second setter
+    assert "__init__" not in vars(maxplus.TropicalMatrix)
