@@ -582,6 +582,75 @@ def fraction_systems(draw, max_n=3):
     return system, tuple(seed)
 
 
+@st.composite
+def two_scc_systems(draw, max_n=5):
+    """Systems on two groups of events, as :func:`systems` signs them.
+
+    Arcs run only inside a group or from the first group to the second, so
+    a consistent first group can still force a period on the second that
+    its own cycles cannot keep: the class the walk leaves open is far more
+    common here than among unstructured systems.
+    """
+    n = draw(st.integers(2, max_n))
+    first = draw(st.integers(1, n - 1))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def block(lo, hi):
+        return TropicalMatrix(
+            [
+                [
+                    rng.randint(lo, hi)
+                    if (i < first) <= (j < first) and rng.random() < 0.5
+                    else NEG_INF
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+        )
+
+    return PtegSystem(
+        dynamics=block(0, 5),
+        backward=block(-8, 0),
+        within=block(-5, 0),
+        extra_forward=block(-2, 3),
+    )
+
+
+@st.composite
+def consistent_systems(draw, max_n=16):
+    """Systems that the schedule x_i(k) = p_i + k * lam meets with slack.
+
+    Built as the benchmark's consistent corpus builds them: every finite
+    entry lies 1 to 5 below the largest weight that schedule allows
+    (p_i - p_j, shifted by lam forward and by -lam backward), and about
+    30% of the entries are finite, 15% of ``extra_forward``'s.
+    """
+    n = draw(st.integers(1, max_n))
+    rng = draw(st.randoms(use_true_random=False))
+    p = [rng.randint(0, 30) for _ in range(n)]
+    lam = rng.randint(1, 10)
+
+    def block(shift, density):
+        return TropicalMatrix(
+            [
+                [
+                    p[i] - p[j] + shift - rng.randint(1, 5)
+                    if rng.random() < density
+                    else NEG_INF
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+        )
+
+    return PtegSystem(
+        dynamics=block(lam, 0.3),
+        backward=block(-lam, 0.3),
+        within=block(0, 0.3),
+        extra_forward=block(lam, 0.15),
+    )
+
+
 # Oracles for the problem load path: every token through Fraction, and the
 # four-matrix construction that PtegSystem then aligns.
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maxplus import NEG_INF, ConsistencyKind, PtegSystem, TropicalMatrix, check_consistency
+from maxplus import NEG_INF, ConsistencyKind, PtegSystem, check_consistency
 
 from certificate import exact, extends
 from conftest import REPEAT_AT_FIVE, TWO_NODE, make_railway
@@ -28,7 +28,7 @@ from cycles import (
     reachable,
     simple_cycles,
 )
-from helpers import fraction_systems, systems
+from helpers import fraction_systems, systems, two_scc_systems
 
 PROBE = 400
 
@@ -39,40 +39,6 @@ def blocks(system: PtegSystem) -> tuple:
 
 def oracle(system: PtegSystem):
     return classify(*blocks(system))
-
-
-@st.composite
-def two_scc_systems(draw, max_n=5):
-    """Systems on two groups of events, as :func:`helpers.systems` signs them.
-
-    Arcs run only inside a group or from the first group to the second, so
-    a consistent first group can still force a period on the second that
-    its own cycles cannot keep: the class the walk leaves open is far more
-    common here than among unstructured systems.
-    """
-    n = draw(st.integers(2, max_n))
-    first = draw(st.integers(1, n - 1))
-    rng = draw(st.randoms(use_true_random=False))
-
-    def block(lo, hi):
-        return TropicalMatrix(
-            [
-                [
-                    rng.randint(lo, hi)
-                    if (i < first) <= (j < first) and rng.random() < 0.5
-                    else NEG_INF
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
-
-    return PtegSystem(
-        dynamics=block(0, 5),
-        backward=block(-8, 0),
-        within=block(-5, 0),
-        extra_forward=block(-2, 3),
-    )
 
 
 def agree(system):
