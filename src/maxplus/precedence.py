@@ -25,7 +25,6 @@ never rescales an operand.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections.abc import Iterator
 
@@ -158,7 +157,7 @@ def _next_closure(
 
 
 def _closures(system: PtegSystem) -> Iterator[TropicalMatrix]:
-    """Yield closure 0, 1, 2, ... without end.
+    """Yield closure 0, 1, 2, ... up to the first repeat.
 
     Closure 0 is the star of the within block and closure k+1 the star of
     ``backward @ closure_k @ forward oplus within``: eliminating the last
@@ -174,17 +173,16 @@ def _closures(system: PtegSystem) -> Iterator[TropicalMatrix]:
     C_{k+1} = (C_k oplus backward @ delta @ forward)*, with delta the
     entries in which C_k exceeds C_{k-1}.
 
-    A repeat is the one object :func:`_next_closure` returns for it, so
-    callers test it with ``is``.  The recurrence is deterministic, so that
-    closure is a fixed point: from the first repeat on it is yielded for
-    every index without being computed again.  Entries saturated to +inf
-    do not stop the sequence; callers decide when to stop.
+    A repeat is the one object :func:`_next_closure` returns for it, so the
+    stream ends there, as the walk of :func:`_stopping_closure` does: the
+    recurrence is deterministic, so the last closure yielded is a fixed
+    point and stands for every later index.  Entries saturated to +inf do
+    not end the stream, but a +inf closure that repeats does.
     """
     previous, current = None, system.within.star()
     while current is not previous:
         yield current
         previous, current = current, _next_closure(system, current, previous=previous)
-    yield from itertools.repeat(current)
 
 
 # Closure steps walked before the search takes over; at least 1.  Most

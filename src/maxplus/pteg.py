@@ -83,13 +83,15 @@ def closure_sequence(system: PtegSystem, k_max: int) -> list[TropicalMatrix]:
     Closure 0 is the star of the within block; closure k+1 is the star of
     ``backward @ closure_k @ forward oplus within``.  Closure k collects every
     constraint induced between the events of one occurrence by looking k
-    further occurrences ahead.  The sequence grows monotonically; once an
-    entry saturates to +inf it stays saturated.
+    further occurrences ahead.  The sequence grows monotonically, and +inf
+    entries stay.  The stream of :func:`~maxplus.precedence._closures` ends
+    at its first repeat; that fixed closure, one object, pads the list.
     """
     k_max = operator.index(k_max)
     if k_max < 0:
         raise ValueError("closure count must be non-negative")
-    return list(itertools.islice(_closures(system), k_max + 1))
+    closures = list(itertools.islice(_closures(system), k_max + 1))
+    return closures + closures[-1:] * (k_max + 1 - len(closures))
 
 
 def closure_limit(size: int, probe_bound: int | None) -> int:
@@ -202,10 +204,11 @@ def synthesize_trajectory(
     - forward sweep: ``x_1 = T_1 @ r_1`` and
       ``x_k = T_k @ (forward @ x_{k-1} oplus r_k)``.
 
-    The backward sweep stops at its fixed point.  A repeated closure is one
-    object (see :func:`~maxplus.precedence._next_closure`) standing for
-    every longer tail, so once ``T_k`` is ``T_{k+1}`` the same holds for
-    every smaller k.  If also ``r_k = r_{k+1}`` for some k >= 2, then
+    The backward sweep stops at its fixed point.  Synthesis reads the
+    distinct closures: the stream of :func:`~maxplus.precedence._closures`
+    ends at its first repeat, whose one object stands for every longer
+    tail, so once ``T_k`` is ``T_{k+1}`` the same holds for every smaller
+    k.  If also ``r_k = r_{k+1}`` for some k >= 2, then
     ``r_{k-1} = 0 oplus backward @ T_k @ r_k`` is ``r_k`` whenever k-1 >= 2
     (b is 0 there), and by induction ``r_j = r_k`` for 2 <= j <= k; only
     ``r_1 = b_1 oplus backward @ T_2 @ r_2`` is left to compute.
@@ -217,14 +220,13 @@ def synthesize_trajectory(
     component is finite: b is finite and a star's diagonal is at least 0,
     so each component is at least its entry of b and never -inf.
 
-    The closures are walked on the system at its own scale; a fixed closure
-    stands for every later tail as one object.  The seed, ``backward``,
-    ``forward`` and the walked closures are then aligned once (see
-    :func:`~maxplus.matrix.aligned`), and both sweeps run on lists of the
-    stored ``int``s, as at most 4(K-1)+1 matrix-vector products of
+    The closures are walked on the system at its own scale.  The seed,
+    ``backward``, ``forward`` and the walked closures are then aligned once
+    (see :func:`~maxplus.matrix.aligned`), and both sweeps run on lists of
+    the stored ``int``s, as at most 4(K-1)+1 matrix-vector products of
     :func:`~maxplus.matrix._apply` (2K-1 forward, at most 2(K-1) backward),
-    each O(n^2).  The states are stored as the sweeps give them, as the rows
-    of the trajectory's ``table``.
+    each O(n^2).  The states are stored as the sweeps give them, as the
+    rows of the trajectory's ``table``.
     """
     horizon = operator.index(horizon)
     if horizon < 2:
@@ -238,8 +240,6 @@ def synthesize_trajectory(
 
     walked = []
     for closure in itertools.islice(_closures(system), horizon):
-        if walked and closure is walked[-1]:
-            break
         if not closure.rmax_valued:
             raise InfeasibleHorizon(
                 f"no schedule over {horizon} occurrences exists:"

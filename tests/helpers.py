@@ -26,10 +26,11 @@ from maxplus import (
     TropicalMatrix,
     as_scalar,
     build_block_matrix,
+    closure_sequence,
     format_scalar,
     is_finite,
 )
-from maxplus import invariance, precedence
+from maxplus import invariance
 from maxplus.matrix import DimensionMismatch, _apply, aligned
 from maxplus.problems import MATRIX_FIELDS, ProblemFile, ProblemFormatError, _reject_scalar_names
 
@@ -326,8 +327,7 @@ def report_fields(report: InvarianceReport):
 
 def shrink_generator(system: PtegSystem, k: int) -> TropicalMatrix:
     """Generator k of the shrinking iteration, from the library's closed form."""
-    closure = next(itertools.islice(precedence._closures(system), k, None))
-    return invariance._assemble_generator(system, closure)
+    return invariance._assemble_generator(system, closure_sequence(system, k)[k])
 
 
 def shrink_generator_unrolled(system: PtegSystem, k: int) -> TropicalMatrix:
@@ -502,8 +502,8 @@ class InvarianceReportTwin:
     @cached_property
     def generators(self):
         count = self.step + (1 if self.invariant_generator is None else 2)
-        walk = itertools.islice(precedence._closures(self.system), count)
-        return tuple(invariance._assemble_generator(self.system, c) for c in walk)
+        closures = closure_sequence(self.system, count - 1)
+        return tuple(invariance._assemble_generator(self.system, c) for c in closures)
 
 
 @_named_as(ProblemFile)

@@ -151,6 +151,31 @@ def test_no_step_after_the_fixed_point(count_steps):
     assert count_steps[0] == 4
 
 
+@pytest.mark.parametrize(
+    "system, count, finite",
+    [
+        (make_railway(-14), 4, 4),
+        (REPEAT_AT_FIVE, 5, 5),
+        (make_railway(Fraction("-13.5")), 7, 6),
+    ],
+    ids=["railway-14", "repeat-at-five", "railway-13.5"],
+)
+def test_the_stream_ends_at_its_first_repeat(system, count, finite):
+    """The walk yields closures 0 to j - 1 and ends, closure j repeating j - 1.
+
+    A repeat of a closure that holds +inf ends it too: the railway at ell =
+    -13.5 first holds +inf at closure 6, and closure 7 repeats it.
+    ``closure_sequence`` pads the stream with its last object.
+    """
+    stream = list(itertools.islice(precedence._closures(system), 20))
+    assert len(stream) == count
+    assert stream == closure_sequence_full(system, count - 1)
+    assert [c.rmax_valued for c in stream] == [True] * finite + [False] * (count - finite)
+    padded = closure_sequence(system, 12)
+    assert padded == stream + [stream[-1]] * (13 - count)
+    assert all(c is padded[count - 1] for c in padded[count:])
+
+
 def test_divergence_stops_the_check(count_steps):
     verdict = check_consistency(make_railway(-13))
     assert verdict.kind is ConsistencyKind.NOT_WEAKLY_CONSISTENT
@@ -1277,11 +1302,12 @@ def typed(matrix):
 def test_reclosing_walk_matches_the_full_oracle(system):
     """Closures 0-12 of the walk, and each step given its predecessor.
 
-    The railway at ell = -13.5 first holds +inf at closure 5, so its walk
-    runs seven closures past it.
+    The railway at ell = -13.5 first holds +inf at closure 6, which closure
+    7 repeats, so the list is padded with it from there.
     """
     expected = closure_sequence_full(system, 12)
-    walk = itertools.islice(precedence._closures(system), 13)
+    walk = closure_sequence(system, 12)
+    assert len(walk) == len(expected) == 13
     for closure, oracle in zip(walk, expected):
         assert closure == oracle
         assert typed(closure) == typed(oracle)
