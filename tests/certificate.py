@@ -84,6 +84,30 @@ def certifies_schedule(states, within, backward, forward) -> bool:
     )
 
 
+def certifies_periodic(tau, a, within, backward, forward) -> bool:
+    """True when x_i(k) = a_i + (k - 1) * tau_i, k >= 1, is an infinite schedule.
+
+    The blocks are as for :func:`certifies_consistency`; ``tau`` and ``a``
+    are n finite values.  Every finite weight w of an arc j -> i needs
+    tau_i >= tau_j and the arc's inequality at k = 1: ``a_i >= a_j + w``
+    (within), ``a_i + tau_i >= a_j + w`` (forward) and ``a_i >= a_j + tau_j
+    + w`` (backward).  At occurrence k the arc's slack is its slack at k =
+    1 plus (k - 1) * (tau_i - tau_j), so these O(n^2) checks certify every
+    occurrence (ROADMAP item 12, second form).
+    """
+    n = len(within)
+    if len(tau) != n or len(a) != n or any(abs(v) == inf for v in (*tau, *a)):
+        return False
+    tau, a = [Fraction(v) for v in tau], [Fraction(v) for v in a]
+    return all(
+        tau[i] >= tau[j] and a[i] + ahead * tau[i] >= a[j] + behind * tau[j] + w
+        for block, ahead, behind in ((within, 0, 0), (forward, 1, 0), (backward, 0, 1))
+        for i, row in enumerate(exact(block))
+        for j, w in enumerate(row)
+        if w is not None
+    )
+
+
 def extends(blocks, x, y, stages) -> bool:
     """True when real states x and y (unless None) start a schedule of ``stages`` states.
 

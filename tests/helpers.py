@@ -71,6 +71,11 @@ def boundary_segment_dense(system: PtegSystem, stages: int) -> tuple:
     )
 
 
+def block_rows(system: PtegSystem) -> tuple:
+    """The rows of ``within``, ``backward`` and ``forward``, for the plain-row oracles."""
+    return tuple(m.to_rows() for m in (system.within, system.backward, system.forward))
+
+
 def column_values(matrix: TropicalMatrix, j: int = 0) -> tuple:
     """The read values of column ``j``."""
     return tuple(row[j] for row in matrix)

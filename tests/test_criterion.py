@@ -28,17 +28,13 @@ from cycles import (
     reachable,
     simple_cycles,
 )
-from helpers import fraction_systems, systems, two_scc_systems
+from helpers import block_rows, fraction_systems, systems, two_scc_systems
 
 PROBE = 400
 
 
-def blocks(system: PtegSystem) -> tuple:
-    return tuple(m.to_rows() for m in (system.within, system.backward, system.forward))
-
-
 def oracle(system: PtegSystem):
-    return classify(*blocks(system))
+    return classify(*block_rows(system))
 
 
 def agree(system):
@@ -110,7 +106,7 @@ def test_every_cycle_re_adds_from_the_blocks(system):
     the (h + 1)-stage unrolling, so no state starts a schedule that long.
     Crossed witnesses attain the interval ends they cross.
     """
-    rows = blocks(system)
+    rows = block_rows(system)
     arcs = multigraph(*rows)
     for scc in components(system.size, arcs):
         for cycle in simple_cycles(scc, arcs):
