@@ -9,14 +9,14 @@ Subcommands::
 
 All numeric output is exact.  ``--param name=value`` substitutes named
 entries in the problem file, so one file describes a whole parameter sweep.
-The default probe bound is ``10 * n^2``; override it with ``--probe-bound``.
-Bad input exits 1; a failed internal invariant exits 5 with one
-``error: internal:`` line.  A reader that closes stdout early (``| head``)
-ends the output quietly, and the exit code stays the command's own.
-Each ``cmd_*`` handler returns its exit code and its whole stdout text, or
-raises.  Only :func:`main` writes either stream, stdout once, and only it
-turns a failure into its exit code (1, 4 or 5), so a failure leaves stdout
-empty and writes one line to stderr.
+``--probe-bound N`` sets the walk limit P = max(N, n^2 + 1), N defaulting
+to ``10 * n^2``, and closures are searched up to P + 2.  Bad input exits 1;
+a failed internal invariant exits 5 with one ``error: internal:`` line.  A
+reader that closes stdout early (``| head``) ends the output quietly, and
+the exit code stays the command's own.  Each ``cmd_*`` handler returns its
+exit code and its whole stdout text, or raises.  Only :func:`main` writes
+either stream, stdout once, and only it turns a failure into its exit code
+(1, 4 or 5), so a failure leaves stdout empty and writes one line to stderr.
 """
 
 from __future__ import annotations
