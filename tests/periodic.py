@@ -32,8 +32,15 @@ from math import inf
 from cycles import CONSISTENT, classify, components, multigraph, reachable
 
 
-def periods(within, backward, forward) -> list | None:
-    """tau per event, as the module docstring picks it, or None if not consistent."""
+def periodic(within, backward, forward) -> tuple[list, list] | None:
+    """``(tau, a)``: the schedule x_i(k) = a_i + (k - 1) * tau_i, or None.
+
+    None exactly when :func:`cycles.classify` does not call the system
+    consistent.  tau is picked as the module docstring says, and ``a`` is
+    the least solution above 0 of the k = 1 inequalities, by Bellman-Ford;
+    a cycle still rising after n rounds would contradict the proof there,
+    and raises.
+    """
     found = classify(within, backward, forward)
     if found.kind != CONSISTENT:
         return None
@@ -48,24 +55,9 @@ def periods(within, backward, forward) -> list | None:
         period = Fraction(max((low for low in lows if low != -inf), default=floor))
         for i in b:
             tau[i] = period
-    return tau
-
-
-def periodic(within, backward, forward) -> tuple[list, list] | None:
-    """``(tau, a)``: the schedule x_i(k) = a_i + (k - 1) * tau_i, or None.
-
-    None exactly when :func:`cycles.classify` does not call the system
-    consistent.  ``a`` is the least solution above 0 of the k = 1
-    inequalities, by Bellman-Ford; a cycle still rising after n rounds
-    would contradict the module docstring's proof, and raises.
-    """
-    tau = periods(within, backward, forward)
-    if tau is None:
-        return None
-    n = len(within)
     constraints = [
         (tail, head, w - (transit == 1) * tau[head] + (transit == -1) * tau[tail])
-        for (tail, head), parallel in multigraph(within, backward, forward).items()
+        for (tail, head), parallel in arcs.items()
         for transit, w in parallel
     ]
     a = [Fraction(0)] * n
