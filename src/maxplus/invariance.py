@@ -64,9 +64,8 @@ class InvarianceReport(_Record):
       classification within the bound.  (The true limit contains no real
       vector in this case as well; only the shrinking never terminates.)
 
-    ``generators`` holds the generators of steps 0 to ``step``, plus the
-    stabilized one (step + 1) when converged, assembled on first read and
-    cached; it is not a field, so it takes no part in ``==``.
+    ``generators`` lists steps 0 to ``step``, then any ``invariant_generator``;
+    built on first read and cached, it is not a field, so not part of ``==``.
     """
 
     kind: InvarianceKind
@@ -81,15 +80,16 @@ class InvarianceReport(_Record):
 
     @cached_property
     def generators(self) -> tuple[TropicalMatrix, ...]:
-        """The generators of steps 0 to ``step`` (+ 1 when converged).
+        """Generators 0 to ``step`` from a new walk, then ``invariant_generator``.
 
-        The first read walks again to the ``step + 1`` closures (+ 1 when
-        converged) they read, rather than keep the classifying walk's
-        closures (2001 for the railway at ell = -13.999) on every report.
+        A report keeps none of its walk's closures (2001 at ell = -13.999).
+        The walk never pads: converged, ``step = max(j, 2) - 2 <= j - 1`` for
+        the first repeat j; emptied, ``step <= d`` and the stream yields d, the
+        first +inf closure; open, no closure repeats up to P + 2.
         """
-        count = self.step + (1 if self.invariant_generator is None else 2)
-        closures = closure_sequence(self.system, count - 1)
-        return tuple(_assemble_generator(self.system, closure) for closure in closures)
+        closures = closure_sequence(self.system, self.step)
+        stable = () if self.invariant_generator is None else (self.invariant_generator,)
+        return (*(_assemble_generator(self.system, c) for c in closures), *stable)
 
 
 def iterate_shrink(

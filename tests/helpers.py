@@ -9,7 +9,6 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from hypothesis import strategies as st
 
@@ -504,11 +503,9 @@ class InvarianceReportTwin:
     system: PtegSystem
     invariant_generator: TropicalMatrix | None = None
 
-    @cached_property
-    def generators(self):
-        count = self.step + (1 if self.invariant_generator is None else 2)
-        closures = closure_sequence(self.system, count - 1)
-        return tuple(invariance._assemble_generator(self.system, c) for c in closures)
+    # the record's own cached property; it writes the instance's __dict__, as
+    # a frozen dataclass allows
+    generators = InvarianceReport.generators
 
 
 @_named_as(ProblemFile)

@@ -71,6 +71,30 @@ BROKEN_FILES = {
     ),
 }
 
+
+def _banded(shift: int, offset: int, phase: int, n: int = 8) -> list[list[str]]:
+    """Entries (i, i + offset mod n) met with slack by x_i(k) = p_i + 4k; the rest -inf.
+
+    p_i = 5i mod 11, ``shift`` is the block's occurrence gap times 4, and the
+    slack is 1 to 3, by ``phase``.
+    """
+    p = [5 * i % 11 for i in range(n)]
+    return [
+        [str(p[i] - p[j] + shift - 1 - (i + 2 * j + phase) % 3)
+         if (j - i) % n == offset else "-inf" for j in range(n)]
+        for i in range(n)
+    ]
+
+
+# A consistent n = 8 system whose closures first repeat at index 3: --emit-pi
+# lists its fixed closure 64 times, and --emit-s converges at step 1.
+CONSISTENT_FILES = {
+    "consistent_8.json": json.dumps(
+        {"n": 8, "A": _banded(4, 1, 0), "L": _banded(-4, 1, 1), "C": _banded(0, 3, 2),
+         "Rtilde": [["-inf"] * 8] * 8}
+    ),
+}
+
 ERRORS = (
     [],
     ["frobnicate"],
@@ -154,6 +178,10 @@ def invocations() -> list[list[str]]:
         # 2: no interior stage; 12: two-digit stage numbers
         for horizon in ("1", "2", "3", "12"):
             out.append(["graph", name, *params, "--horizon", horizon])
+    for name in CONSISTENT_FILES:
+        for command, emit in (("check", "--emit-pi"), ("invariant", "--emit-s")):
+            for fmt in ("human", "json"):
+                out.append([command, name, "--format", fmt, emit])
     out.extend(list(argv) for argv in ERRORS + SAME_BOUND + HELP + SHAPES)
     return out
 
@@ -191,7 +219,7 @@ def outcomes(workdir: Path) -> dict[str, tuple[int, str, str]]:
     """Run every invocation from ``workdir`` and map its argv to its outcome."""
     for sample in SAMPLES.glob("*.json"):
         shutil.copy(sample, workdir / sample.name)
-    for name, text in BROKEN_FILES.items():
+    for name, text in (BROKEN_FILES | CONSISTENT_FILES).items():
         (workdir / name).write_text(text, encoding="utf-8")
     previous = os.getcwd()
     os.chdir(workdir)

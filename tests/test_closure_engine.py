@@ -41,6 +41,7 @@ from helpers import (
     boundary_segment_dense,
     check_consistency_full,
     closure_step_full,
+    consistent_systems,
     identity,
     closure_sequence_full,
     fraction_systems,
@@ -200,7 +201,54 @@ def test_converged_report_assembles_one_generator(count_assembly):
     report = iterate_shrink(make_railway(-14))
     assert report.kind is InvarianceKind.CONVERGED_NON_EMPTY
     assert count_assembly[0] == 1
-    assert report.generators[-1] == report.invariant_generator
+    assert report.generators[-1] is report.invariant_generator
+
+
+@pytest.mark.parametrize(
+    "ell, kind, step",
+    [
+        (-14, InvarianceKind.CONVERGED_NON_EMPTY, 2),
+        (-20, InvarianceKind.CONVERGED_NON_EMPTY, 1),
+        (Fraction("-13.9"), InvarianceKind.REAL_EMPTY_AT_STEP, 20),
+    ],
+)
+def test_first_read_assembles_steps_zero_to_step(count_assembly, ell, kind, step):
+    """Reading ``generators`` assembles generators 0 to ``step`` and no other.
+
+    A converged listing ends with the report's own ``invariant_generator``,
+    not a second assembly of it: 3 at ell = -14 (4 when the listing built
+    it again) and 2 at -20 (3).  The railway at -13.9 empties and lists 21.
+    """
+    report = iterate_shrink(make_railway(ell))
+    assert (report.kind, report.step) == (kind, step)
+    count_assembly[0] = 0
+    listed = report.generators
+    assert count_assembly[0] == step + 1
+    converged = kind is InvarianceKind.CONVERGED_NON_EMPTY
+    assert len(listed) == step + 1 + converged
+    assert (listed[-1] is report.invariant_generator) == converged
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(systems(), consistent_systems(max_n=6)), st.integers(1, 12))
+@example(all_eps_system(), 1)
+@example(REPEAT_AT_FIVE, 6)
+@example(make_railway(-14), 1)
+@example(make_railway(Fraction("-13.5")), 6)
+def test_generators_are_the_shrink_generators(system, probe):
+    """Each listed generator k is generator k of its own closure, by the old route.
+
+    Generator ``step + 1`` of a converged report reads the fixed closure, as
+    ``invariant_generator`` does, so the listing's last entry is that object.
+    When closure 1 repeats closure 0 both entries read closure 0.
+    """
+    report = iterate_shrink(system, probe)
+    listed = report.generators
+    converged = report.kind is InvarianceKind.CONVERGED_NON_EMPTY
+    assert len(listed) == report.step + 1 + converged
+    assert list(listed) == [shrink_generator(system, k) for k in range(len(listed))]
+    if converged:
+        assert listed[-1] is report.invariant_generator
 
 
 def test_generator_costs_one_star_of_the_two_stage_grid(monkeypatch):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import inf
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +23,7 @@ from conftest import TWO_NODE, make_railway
 from helpers import (
     all_eps_system,
     column_values,
+    consistent_systems,
     fraction_systems,
     identity,
     random_system,
@@ -430,3 +432,111 @@ class TestAgainstDefinition:
         rows[i][j] += d
         misses = definition_misses(system, rows, report.step, random.Random(0))
         assert tuple(map(bool, misses)) == missed
+
+
+# ROADMAP item 6's recovery check and next-state window, checked against
+# ``extends`` alone.  G11 | G12 over G21 | G22 are the n x n blocks of a
+# converged report's G, in Fraction rows with None for -inf.
+
+
+def quarters(report):
+    g, n = exact(report.invariant_generator.to_rows()), report.system.size
+    return [[row[cols] for row in g[rows]] for rows in (slice(n), slice(n, None))
+            for cols in (slice(n), slice(n, None))]
+
+
+def applied(a, x):
+    """``a @ x`` for an exact row matrix and a vector; None for -inf."""
+    return [v for v, in times(a, [[v] for v in x])]
+
+
+def residual(a, x):
+    """``a # x``, the greatest y with ``a @ y <= x``; +inf where no a[j][i] is finite.
+
+    y_i = min_j (x_j - a[j][i]), a min-plus product with a's transpose.
+    """
+    return [
+        min((x[j] - row[i] for j, row in enumerate(a) if row[i] is not None), default=inf)
+        for i in range(len(a[0]))
+    ]
+
+
+def recoverable(g11, rng):
+    """x = G11 @ v for a random rational v: finite, as G11 has a zero diagonal."""
+    v = [Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3))) for _ in g11]
+    return applied(g11, v)
+
+
+def window_checks(system, report, rng):
+    """Windows checked with both ends finite; asserts every law of the window.
+
+    For x = G11 @ v the next state y with [x; y] in the set ranges over
+    lo = G21 @ x to hi = G22 # (G12 # x) event by event.  Each finite end
+    is reached, lo <= hi, and one end moved outward by 1/1000 leaves the set.
+    """
+    n, stages = system.size, report.step + 3
+    blocks = [m.to_rows() for m in (system.within, system.backward, system.forward)]
+    g11, g12, g21, g22 = quarters(report)
+    both = 0
+    for _ in range(2):
+        x = recoverable(g11, rng)
+        lo, hi = applied(g21, x), residual(g22, residual(g12, x))
+        ends = []
+        if None not in lo:
+            assert all(a <= b for a, b in zip(lo, hi))
+            ends.append((lo, Fraction(-1, 1000)))
+        if inf not in hi:
+            ends.append((hi, Fraction(1, 1000)))
+        both += len(ends) == 2
+        for y, outward in ends:
+            assert extends(blocks, x, y, stages)
+            for i in range(n):
+                moved = y[:i] + [y[i] + outward] + y[i + 1:]
+                assert not extends(blocks, x, moved, stages)
+    return both
+
+
+WINDOW_SYSTEMS = st.one_of(systems(), consistent_systems(max_n=6))
+
+
+class TestNextStateWindow:
+    """A recoverable state, and the window of its valid next states (item 6)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(WINDOW_SYSTEMS, st.integers(0, 2**32))
+    @example(DEFINITION_RAILWAYS[0], 0)
+    @example(DEFINITION_RAILWAYS[1], 0)
+    @example(DEFINITION_RAILWAYS[2], 0)
+    def test_recovery_check_is_the_fixed_closure(self, system, seed):
+        """G11 is the fixed closure, and x continues exactly when G11 @ x <= x.
+
+        The states tried are recoverable ones, each with one entry moved by
+        1 either way, and two uniform random ones.
+        """
+        report = iterate_shrink(system)
+        if report.kind is not InvarianceKind.CONVERGED_NON_EMPTY:
+            return
+        n, rng = system.size, random.Random(seed)
+        fixed = check_consistency(system).fixed_closure
+        assert top_left(report.invariant_generator, n, n) == fixed
+        blocks = [m.to_rows() for m in (system.within, system.backward, system.forward)]
+        g11 = quarters(report)[0]
+        states = [recoverable(g11, rng) for _ in range(2)]
+        states += [x[:i] + [x[i] + d] + x[i + 1:] for x in states for i in range(n)
+                   for d in (-1, 1)]
+        states += [[Fraction(rng.randint(-60, 60), 2) for _ in range(n)] for _ in range(2)]
+        for x in states:
+            below_x = all(v is None or v <= w for v, w in zip(applied(g11, x), x))
+            assert below_x == extends(blocks, x, None, report.step + 3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(WINDOW_SYSTEMS, st.integers(0, 2**32))
+    def test_window_ends_are_tight(self, system, seed):
+        report = iterate_shrink(system)
+        if report.kind is InvarianceKind.CONVERGED_NON_EMPTY:
+            window_checks(system, report, random.Random(seed))
+
+    @pytest.mark.parametrize("system", DEFINITION_RAILWAYS)
+    def test_railway_windows(self, system):
+        report = iterate_shrink(system)
+        assert window_checks(system, report, random.Random(0)) == 2
