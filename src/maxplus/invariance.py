@@ -64,8 +64,8 @@ class InvarianceReport(_Record):
       classification within the bound.  (The true limit contains no real
       vector in this case as well; only the shrinking never terminates.)
 
-    ``generators`` lists steps 0 to ``step``, then any ``invariant_generator``;
-    built on first read and cached, it is not a field, so not part of ``==``.
+    ``generators``, generators 0 to ``step`` then any ``invariant_generator``,
+    is built on first read and cached; not a field, it is not part of ``==``.
     """
 
     kind: InvarianceKind

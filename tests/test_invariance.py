@@ -440,6 +440,7 @@ class TestAgainstDefinition:
 
 
 def quarters(report):
+    """``[G11, G12, G21, G22]`` of ``report.invariant_generator``."""
     g, n = exact(report.invariant_generator.to_rows()), report.system.size
     return [[row[cols] for row in g[rows]] for rows in (slice(n), slice(n, None))
             for cols in (slice(n), slice(n, None))]
@@ -532,6 +533,7 @@ class TestNextStateWindow:
     @settings(max_examples=80, deadline=None)
     @given(WINDOW_SYSTEMS, st.integers(0, 2**32))
     def test_window_ends_are_tight(self, system, seed):
+        """Each finite end of a recoverable state's window is its valid extreme."""
         report = iterate_shrink(system)
         if report.kind is InvarianceKind.CONVERGED_NON_EMPTY:
             window_checks(system, report, random.Random(seed))
