@@ -29,7 +29,6 @@ import sys
 from json.encoder import encode_basestring_ascii as _encode
 
 from .invariance import InvarianceKind, iterate_shrink
-from .matrix import TropicalMatrix
 from .precedence import export_dot
 from .problems import parse_problem_file
 from .pteg import (
@@ -69,7 +68,7 @@ def _json_text(doc: dict, key: str | None = None, matrices=None) -> str:
     Any indent would send ``json.dumps`` to its pure-Python encoder.
     """
     if matrices is not None:
-        doc[key] = _each_once(TropicalMatrix.text_rows, matrices)
+        doc[key] = [m.text_rows() for m in matrices]
     return _json_value(doc, "\n") + "\n"
 
 
@@ -92,19 +91,9 @@ def _json_value(value, newline: str) -> str:
 def _human_text(lines: list, label: str | None = None, matrices=None) -> str:
     """The report ``lines``, then each of ``matrices`` under ``label.format(k)``."""
     if matrices is not None:
-        for k, text in enumerate(_each_once(str, matrices)):
-            lines += [label.format(k), text]
+        for k, matrix in enumerate(matrices):
+            lines += [label.format(k), str(matrix)]
     return "\n".join(lines) + "\n"
-
-
-def _each_once(text, matrices) -> list:
-    """``text(m)`` for each of ``matrices``, run once per distinct object.
-
-    A consistent ``--emit-pi`` lists its fixed closure up to n^2 + 2 times.
-    """
-    distinct = {id(m): m for m in matrices}
-    texts = {key: text(m) for key, m in distinct.items()}
-    return [texts[id(m)] for m in matrices]
 
 
 def cmd_check(args, system: PtegSystem) -> tuple[int, str]:

@@ -503,10 +503,6 @@ class InvarianceReportTwin:
     system: PtegSystem
     invariant_generator: TropicalMatrix | None = None
 
-    # the record's own cached property; it writes the instance's __dict__, as
-    # a frozen dataclass allows
-    generators = InvarianceReport.generators
-
 
 @_named_as(ProblemFile)
 @dataclass(frozen=True)

@@ -144,39 +144,6 @@ class TestInvariant:
         assert doc["invariant_generator"][0][0] == "0"
 
 
-@pytest.mark.parametrize("fmt", ["human", "json"])
-@pytest.mark.parametrize(
-    "argv, listed, distinct",
-    [(("check", "--emit-pi"), 18, 4), (("invariant", "--emit-s"), 4, 4)],
-    ids=["check", "invariant"],
-)
-def test_each_listed_matrix_is_formatted_once(
-    capsys, monkeypatch, fmt, argv, listed, distinct
-):
-    """One ``text_rows`` call a distinct listed matrix, plus one for the header.
-
-    At ell = -14 closure 4 repeats closure 3, so the 18 closures listed are
-    4 objects, and the 4 generators end with the header's own matrix.
-    """
-    formatted = []
-    text_rows = TropicalMatrix.text_rows
-
-    def counted(matrix):
-        formatted.append(matrix)
-        return text_rows(matrix)
-
-    monkeypatch.setattr(TropicalMatrix, "text_rows", counted)
-    command, flag = argv
-    code, out, _ = run(capsys, command, RAILWAY, "--format", fmt, flag)
-    assert code == 0
-    assert len(formatted) == distinct + 1
-    if fmt == "json":
-        doc = json.loads(out)
-        assert len(doc["closures" if command == "check" else "generators"]) == listed
-    else:
-        assert len(re.findall(r"^(closure|generator)\(", out, re.M)) == listed
-
-
 class TestTrajectory:
     def test_feasible(self, capsys):
         code, out, _ = run(capsys, "trajectory", RAILWAY, "--horizon", "5")
