@@ -34,11 +34,11 @@ def _assemble_generator(system: PtegSystem, closure_k: TropicalMatrix) -> Tropic
     its star is that corner.  A diagonal block enters a star only through
     its own star: ``(X oplus D)* = (X oplus D*)*``, as D <= D* <= (X oplus
     D)*.  Stage 2's block has star C_k, so it may be replaced by closure k,
-    +inf entries included.  The four grids share the system's scale.
+    +inf entries included.  All four share the system's scale; only C_k may hold +inf.
     """
     bands = (system.within, system.backward), (system.forward, closure_k)
     grid = [[*a, *b] for left, right in bands for a, b in zip(left._data, right._data)]
-    return _star(grid, system.within._scale)
+    return _star(grid, system.within._scale, finite=closure_k.rmax_valued)
 
 
 class InvarianceKind(Enum):

@@ -29,6 +29,9 @@ corner used once, is read row by row as stored.  The closure step and the
 segment joins of :mod:`maxplus.precedence` run on that one kernel, the
 first step starring its grid in place.  ``_close_over`` re-closes a star
 over a few arcs, such as those a few grown entries add (``_grown_arcs``).
+A stored -inf is the object ``NEG_INF`` (``as_scalar`` and unpickling give
+it, no kernel computes one), so kernels skip it by identity; and a matrix
+is told by its maker whether it is free of +inf, if that is known (``_wrap``).
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ class NotSquare(ValueError):
 
 
 def _star(
-    d: list[list[Scalar]], scale: int, pivots: Iterable[int] | None = None
+    d: list[list[Scalar]], scale: int, pivots: Iterable[int] | None = None, finite=None
 ) -> "TropicalMatrix":
     """The star of grid ``d``, which it overwrites, stored at ``scale``.
 
@@ -67,16 +70,18 @@ def _star(
     ``pivots`` (default: every node) are the nodes a walk may pass through;
     the caller guarantees that every best walk, and some walk around every
     positive circuit, can be routed through them (see :func:`_close_over`).
-    The +inf saturation pass always runs over every node.
+    The +inf saturation pass always runs over every node.  ``finite`` is
+    whether ``d`` is free of +inf (None: not known); the star is free of it
+    exactly when ``d`` is and no diagonal entry is positive.
     """
     for k in range(len(d)) if pivots is None else pivots:
         dk = d[k]
-        pivot = [(j, v) for j, v in enumerate(dk) if v != NEG_INF]
+        pivot = [(j, v) for j, v in enumerate(dk) if v is not NEG_INF]
         if not pivot:
             continue
         for di in d:
             dik = di[k]
-            if dik == NEG_INF:
+            if dik is NEG_INF:
                 continue
             for j, v in pivot:
                 try:
@@ -97,11 +102,15 @@ def _star(
             if di[k] != NEG_INF:
                 for j in sources:
                     di[j] = POS_INF
-    return _wrapped(d, scale)
+    return _wrapped(d, scale, False if positive else finite)
 
 
-def _wrapped(grid: list, scale: int) -> "TropicalMatrix":
-    return TropicalMatrix._wrap(tuple(map(tuple, grid)), scale)
+def _wrapped(grid: list, scale: int, finite: bool | None = None) -> "TropicalMatrix":
+    return TropicalMatrix._wrap(tuple(map(tuple, grid)), scale, finite)
+
+
+def _restored(grid: tuple, scale: int) -> "TropicalMatrix":  # unpickled floats are new
+    return _wrapped([map(as_scalar, row) for row in grid], scale)
 
 
 def _stored(grid: tuple) -> tuple[tuple, int]:
@@ -155,7 +164,7 @@ def _product(left, right):
     for arow in left._data:
         out = [NEG_INF] * right.cols
         for a, brow in zip(arow, arcs):
-            if a == NEG_INF:
+            if a is NEG_INF:
                 continue
             for j, v in brow:
                 try:
@@ -165,7 +174,8 @@ def _product(left, right):
                 if s > out[j]:
                     out[j] = s
         grid.append(tuple(out))
-    return TropicalMatrix._wrap(tuple(grid), left._scale)
+    finite = left._finite and right._finite or None
+    return TropicalMatrix._wrap(tuple(grid), left._scale, finite)
 
 
 class TropicalMatrix:
@@ -183,19 +193,20 @@ class TropicalMatrix:
         return cls._wrap(*_stored(grid))
 
     @classmethod
-    def _wrap(cls, grid: tuple, scale: int) -> "TropicalMatrix":
-        # the one place a matrix is made: a grid of stored values at ``scale``
+    def _wrap(cls, grid: tuple, scale: int, finite: bool | None = None) -> "TropicalMatrix":
+        """The one place a matrix is made: a grid of stored values at ``scale``,
+        -inf as ``NEG_INF`` itself, free of +inf if ``finite`` (None: unknown)."""
         self = object.__new__(cls)
         self._data = grid
         self._scale = scale
-        self._finite = self._arc_rows = self._arc_cols = None
+        self._finite, self._arc_rows, self._arc_cols = finite, None, None
         self.rows = len(grid)
         self.cols = len(grid[0])
         return self
 
     def __reduce__(self):
         # with __slots__ and no __dict__, pickle protocols 0 and 1 need this
-        return TropicalMatrix._wrap, (self._data, self._scale)
+        return _restored, (self._data, self._scale)
 
     def _arcs(self) -> tuple:
         """Per stored row, its ``(column, entry)`` pairs other than -inf.
@@ -205,7 +216,7 @@ class TropicalMatrix:
         """
         if self._arc_rows is None:
             self._arc_rows = tuple(
-                tuple([(j, v) for j, v in enumerate(row) if v != NEG_INF])
+                tuple([(j, v) for j, v in enumerate(row) if v is not NEG_INF])
                 for row in self._data
             )
         return self._arc_rows
@@ -214,7 +225,7 @@ class TropicalMatrix:
         """Per stored column, its ``(row, entry)`` pairs other than -inf; kept."""
         if self._arc_cols is None:
             self._arc_cols = tuple(
-                tuple([(i, v) for i, v in enumerate(col) if v != NEG_INF])
+                tuple([(i, v) for i, v in enumerate(col) if v is not NEG_INF])
                 for col in zip(*self._data)
             )
         return self._arc_cols
@@ -226,7 +237,7 @@ class TropicalMatrix:
         """The n x n all ``-inf`` matrix (the additive zero)."""
         if n < 1:
             raise ValueError("matrix must have at least one row and one column")
-        return cls._wrap(tuple((NEG_INF,) * n for _ in range(n)), 1)
+        return cls._wrap(tuple((NEG_INF,) * n for _ in range(n)), 1, True)
 
     @classmethod
     def column(cls, values: Iterable) -> "TropicalMatrix":
@@ -261,7 +272,7 @@ class TropicalMatrix:
 
     @property
     def rmax_valued(self) -> bool:
-        """True when no entry is ``+inf``; found on first read and kept."""
+        """True when no entry is ``+inf``: told by the maker, else scanned once and kept."""
         if self._finite is None:
             self._finite = all(POS_INF not in row for row in self._data)
         return self._finite
@@ -341,6 +352,7 @@ class TropicalMatrix:
                 ]
             ),
             self._scale,
+            self._finite and other._finite or None,
         )
 
     __matmul__ = _product
@@ -359,7 +371,7 @@ class TropicalMatrix:
         """
         if not self.is_square:
             raise NotSquare("star is defined for square matrices only")
-        return _star([list(row) for row in self._data], self._scale)
+        return _star([list(row) for row in self._data], self._scale, finite=self._finite)
 
 
 def aligned(*matrices: TropicalMatrix) -> tuple[TropicalMatrix, ...]:
@@ -377,7 +389,7 @@ def aligned(*matrices: TropicalMatrix) -> tuple[TropicalMatrix, ...]:
             grid = [
                 [v if type(v) is float else v * factor for v in row] for row in m._data
             ]
-            m = _wrapped(grid, scale)
+            m = _wrapped(grid, scale, m._finite)
         out.append(m)
     return tuple(out)
 
@@ -424,7 +436,7 @@ def _triple_product(
         via = [NEG_INF] * width  # row i of left @ middle
         for s, a in arcs:
             for t, v in enumerate(between[s]):
-                if v == NEG_INF:
+                if v is NEG_INF:
                     continue
                 try:
                     x = a + v
@@ -433,7 +445,7 @@ def _triple_product(
                 if x > via[t]:
                     via[t] = x
         for t, a in enumerate(via):
-            if a == NEG_INF:
+            if a is NEG_INF:
                 continue
             for j, v in right_arcs[t]:
                 try:
@@ -471,9 +483,9 @@ def _close_over(closed: TropicalMatrix, arcs: dict) -> TropicalMatrix:
     for (t, s), w in arcs.items():  # closed @ E: arc s -> t, then closed
         for di, ci in zip(d, c):
             x = ci[t]
-            if x != NEG_INF and x + w > di[s]:
+            if x is not NEG_INF and x + w > di[s]:
                 di[s] = x + w
-    return _star(d, closed._scale, sorted({s for _, s in arcs}))
+    return _star(d, closed._scale, sorted({s for _, s in arcs}), finite=True)
 
 
 def _grown_arcs(
@@ -506,7 +518,7 @@ def _grown_arcs(
                     v += x
                     if v > via[j]:
                         via[j] = v
-        via = [(j, v) for j, v in enumerate(via) if v != NEG_INF]
+        via = [(j, v) for j, v in enumerate(via) if v is not NEG_INF]
         for i, a in sources[s]:
             ci = c[i]
             for j, v in via:

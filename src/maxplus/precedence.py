@@ -148,7 +148,8 @@ def _next_closure(
         nxt = _close_over(current, _grown_arcs(current, previous, system.backward, system.forward))
     else:
         blocks = system.backward, current, system.forward, system.within
-        nxt = _star(*_triple_product(*blocks)[1:])
+        # the blocks are free of +inf, so the grid is if ``current`` is
+        nxt = _star(*_triple_product(*blocks)[1:], finite=current.rmax_valued or None)
         if nxt == current:
             return current
     if nxt is not current and not current <= nxt:

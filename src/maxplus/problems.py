@@ -101,8 +101,8 @@ class ProblemFile(_Record):
         lookup = dict(zip(first, stored)).__getitem__
         return PtegSystem(
             **{
-                name: TropicalMatrix._wrap(
-                    tuple([tuple(map(lookup, row)) for row in grid]), scale
+                name: TropicalMatrix._wrap(  # +inf was rejected above
+                    tuple([tuple(map(lookup, row)) for row in grid]), scale, True
                 )
                 for name, grid in grids.items()
             }

@@ -29,7 +29,7 @@ from .matrix import DimensionMismatch, TropicalMatrix, _apply, aligned
 # The closure step is bound here too: per-step hooks, such as the tracing in
 # bench/, look it up as ``pteg._next_closure``.
 from .precedence import PtegSystem, _closures, _next_closure, _stopping_closure
-from .semiring import NEG_INF, POS_INF, Scalar, _Record, as_scalar, is_finite
+from .semiring import Scalar, _Record, as_scalar, is_finite
 
 
 class InfeasibleHorizon(Exception):
@@ -166,7 +166,8 @@ class Trajectory(_Record):
     def __init__(self, states, inputs=None):
         table = states if isinstance(states, TropicalMatrix) else TropicalMatrix(states)
         self.__dict__["table"] = table
-        if any(NEG_INF in row or POS_INF in row for row in table._data):
+        # a stored value is infinite exactly when it is a float (or a subclass's)
+        if any(issubclass(t, float) for t in set(map(type, itertools.chain(*table._data)))):
             raise ValueError("trajectory entries must be finite")
         if inputs is not None and Trajectory((self.states[0], *inputs)) != self:
             raise ValueError("inputs must replay the successor states")

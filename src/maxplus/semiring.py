@@ -29,7 +29,8 @@ def as_scalar(value) -> Scalar:
 
     Accepts ``int``, ``Fraction``, the float infinities and strings
     (see :func:`parse_scalar`).  Finite floats are rejected because they
-    would silently lose exactness.
+    would silently lose exactness.  Any -inf comes back as the constant
+    :data:`NEG_INF` itself, so a stored -inf is always that one object.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a max-plus scalar")
@@ -37,7 +38,7 @@ def as_scalar(value) -> Scalar:
         return value
     if isinstance(value, float):
         if value == NEG_INF or value == POS_INF:
-            return value
+            return NEG_INF if value < 0 else value
         raise TypeError(
             f"finite float {value!r} is inexact; pass an int, Fraction or string"
         )

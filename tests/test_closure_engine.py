@@ -266,9 +266,9 @@ def test_generator_costs_one_star_of_the_two_stage_grid(monkeypatch):
 
         return counted
 
-    def sized_star(d, scale, pivots=None):
+    def sized_star(d, scale, pivots=None, finite=None):
         ops["_star", len(d)] += 1
-        return star(d, scale, pivots)
+        return star(d, scale, pivots, finite)
 
     star = matrix._star
     for module in (matrix, precedence, invariance):
@@ -1375,10 +1375,10 @@ def step_pivots(monkeypatch):
     star = matrix._star
     step = precedence._next_closure
 
-    def counted_star(d, scale, pivots=None):
+    def counted_star(d, scale, pivots=None, finite=None):
         if inside:
             inside[-1].append(len(d) if pivots is None else len(pivots))
-        return star(d, scale, pivots)
+        return star(d, scale, pivots, finite)
 
     def counted_step(system, current, *, previous=None):
         passes = []
@@ -1455,13 +1455,13 @@ def search_work(monkeypatch):
     work = collections.Counter()
     star = matrix._star
 
-    def counted_star(d, scale, pivots=None):
+    def counted_star(d, scale, pivots=None, finite=None):
         work["pivots"] += len(d) if pivots is None else len(pivots)
-        return star(d, scale, pivots)
+        return star(d, scale, pivots, finite)
 
-    def counted_step_star(d, scale, pivots=None):
+    def counted_step_star(d, scale, pivots=None, finite=None):
         work["full steps"] += pivots is None
-        return counted_star(d, scale, pivots)
+        return counted_star(d, scale, pivots, finite)
 
     monkeypatch.setattr(matrix, "_star", counted_star)
     monkeypatch.setattr(precedence, "_star", counted_step_star)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from maxplus import (
     NEG_INF,
+    POS_INF,
     ConsistencyKind,
     DimensionMismatch,
     InfeasibleHorizon,
@@ -240,6 +241,22 @@ class TestTrajectory:
     def test_entries_must_be_finite(self):
         with pytest.raises(ValueError):
             Trajectory(states=((0,), (NEG_INF,)))
+
+    @pytest.mark.parametrize(
+        "states",
+        [
+            ((0,), (float("-inf"),)),
+            ((0, "-inf"),),
+            ((POS_INF, 0), (0, 0)),
+            ((0, Fraction(1, 2)), ("+inf", 1)),
+            ((0,), (type("FloatLike", (float,), {})("inf"),)),
+            TropicalMatrix([[0, NEG_INF], [1, 1]]),
+        ],
+    )
+    def test_a_table_holding_an_infinity_is_rejected(self, states):
+        """Stored, an infinity is the one kind of float; any such table raises."""
+        with pytest.raises(ValueError, match="trajectory entries must be finite"):
+            Trajectory(states=states)
 
     def test_widths_must_agree(self):
         with pytest.raises(ValueError):

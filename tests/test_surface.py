@@ -11,7 +11,9 @@ The modules form layers: each imports only the modules before it in
 option string is written once.  Only ``matrix._texts`` writes a stored
 value as text, and only where outside values enter are scales aligned.  A
 matrix's shape, stored grid and scale, and the caches kept on it, are set
-only where ``MATRIX_STATE`` allows.
+only where ``MATRIX_STATE`` allows; ``_wrap`` records the maker's
+knowledge of +inf, and ``matrix`` tests -inf by identity, by value only in
+``_star``'s saturation pass.
 """
 
 import ast
@@ -401,3 +403,54 @@ def test_matrix_state_is_set_only_where_it_is_kept():
         assert {where for where, name in stores if name == attr} == allowed, attr
     # the public constructor checks and hands over in __new__; no second setter
     assert "__init__" not in vars(maxplus.TropicalMatrix)
+
+
+def value_tests_of_neg_inf(node: ast.AST) -> set[ast.Compare]:
+    """The ``==`` and ``!=`` comparisons against ``NEG_INF`` in ``node``."""
+    return {
+        compare
+        for compare in ast.walk(node)
+        if isinstance(compare, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in compare.ops)
+        and any(
+            isinstance(side, ast.Name) and side.id == "NEG_INF"
+            for side in (compare.left, *compare.comparators)
+        )
+    }
+
+
+def test_matrix_tests_neg_inf_by_identity():
+    """``matrix`` skips -inf with ``is``: every stored -inf is ``NEG_INF``.
+
+    Only ``_star``'s +inf saturation pass (its ``for k in positive`` loop)
+    keeps value tests, since a stray -inf object there would write +inf.
+    An int compared with a float by ``==`` costs more than twice ``is``.
+    """
+    tree = modules()["matrix"]
+    functions = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    saturation = [
+        loop
+        for loop in ast.walk(functions["_star"])
+        if isinstance(loop, ast.For) and getattr(loop.iter, "id", None) == "positive"
+    ]
+    assert len(saturation) == 1
+    kept = value_tests_of_neg_inf(saturation[0])
+    assert kept and value_tests_of_neg_inf(tree) == kept
+
+
+def test_finiteness_is_recorded_from_the_maker():
+    """``_wrap`` sets ``_finite`` from its ``finite`` argument, the maker's
+    knowledge; only ``rmax_valued`` sets it besides (``MATRIX_STATE``)."""
+    tree = modules()["matrix"]
+    wrap = next(f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_wrap")
+    values = []
+    for node in ast.walk(wrap):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                else:
+                    pairs = [(target, node.value)]
+                values += [v for t, v in pairs if getattr(t, "attr", None) == "_finite"]
+    assert "finite" in [arg.arg for arg in wrap.args.args]
+    assert [getattr(v, "id", None) for v in values] == ["finite"]
